@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/lpchar"
 	"repro/internal/offline"
+	"repro/internal/online"
 )
 
 func TestPublicOfflinePipeline(t *testing.T) {
@@ -297,6 +299,91 @@ func TestRunSweepMatchesRunOnline(t *testing.T) {
 			if got.Served != solo.Served || got.Messages != solo.Messages ||
 				got.Replacements != solo.Replacements || got.MaxEnergy != solo.MaxEnergy {
 				t.Errorf("workers=%d scenario %d: sweep %+v, solo %+v", workers, i, got, solo)
+			}
+		}
+	}
+}
+
+// TestOnlineRejectsNonFiniteCapacity pins that an episode capacity which is
+// not positive and finite is an error at both entry points, a fresh run
+// (RunOnline) and a pooled runner's ResetEpisode. NaN and +Inf used to pass
+// the capacity check and make every energy test false: on an 8x8 arena
+// whose 200 jobs all arrive at one cell, where capacity 3 serves 3 jobs,
+// they served all 200 with MaxEnergy 200 and no error.
+func TestOnlineRejectsNonFiniteCapacity(t *testing.T) {
+	arena, err := NewArena(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]Point, 200)
+	for i := range jobs {
+		jobs[i] = P(3, 3)
+	}
+	seq := NewSequence(jobs)
+	base := OnlineOptions{Arena: arena, CubeSide: 4, Capacity: 3, Seed: 1}
+	res, err := RunOnline(seq, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Served != 3 {
+		t.Fatalf("capacity 3 control served %d jobs, want 3", res.Served)
+	}
+	for _, tc := range []struct {
+		name     string
+		capacity float64
+	}{
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+		{"-Inf", math.Inf(-1)},
+		{"zero", 0},
+		{"negative", -3},
+	} {
+		opts := base
+		opts.Capacity = tc.capacity
+		if res, err := RunOnline(seq, opts); err == nil {
+			t.Errorf("%s: RunOnline served %d with MaxEnergy %v, want an error",
+				tc.name, res.Served, res.MaxEnergy)
+		}
+		r, err := online.NewRunner(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ResetEpisode(opts); err == nil {
+			t.Errorf("%s: ResetEpisode accepted the capacity, want an error", tc.name)
+		}
+	}
+}
+
+// TestMeasureWonRejectsBadTolerance pins that MeasureWon returns an error
+// for a tolerance that is not positive and finite, on the serial and the
+// parallel search. At tol <= 0 it used to bisect forever once the bracket
+// was two adjacent floats, so each call runs under a deadline and a
+// regression fails instead of hanging the suite.
+func TestMeasureWonRejectsBadTolerance(t *testing.T) {
+	arena, err := NewArena(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := NewSequence([]Point{P(0, 0), P(1, 1), P(2, 2), P(3, 3)})
+	for _, tol := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		for _, workers := range []int{0, 2} {
+			opts := OnlineOptions{Arena: arena, CubeSide: 2, Seed: 3, SearchWorkers: workers}
+			type answer struct {
+				won float64
+				err error
+			}
+			done := make(chan answer, 1)
+			go func() {
+				won, err := MeasureWon(seq, opts, tol)
+				done <- answer{won, err}
+			}()
+			select {
+			case a := <-done:
+				if a.err == nil {
+					t.Errorf("tol %v, workers %d: MeasureWon returned %v with no error", tol, workers, a.won)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("tol %v, workers %d: MeasureWon still running after 5s", tol, workers)
 			}
 		}
 	}

@@ -59,13 +59,15 @@ func run() error {
 	}
 
 	res, err := cmvrp.RunOnline(seq, cmvrp.OnlineOptions{
-		Arena:             arena,
-		CubeSide:          sol.CubeSide,
-		Capacity:          w,
-		Seed:              42,
-		Monitoring:        true,
-		DeadBeforeArrival: dead,
-		FailInitiate:      failInit,
+		Arena:      arena,
+		CubeSide:   sol.CubeSide,
+		Capacity:   w,
+		Seed:       42,
+		Monitoring: true,
+		Failure: &cmvrp.FailureModel{
+			DeadBeforeArrival: dead,
+			FailInitiate:      failInit,
+		},
 	})
 	if err != nil {
 		return err

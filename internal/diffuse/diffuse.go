@@ -7,6 +7,17 @@
 // success the child pointers from initiator to candidate form a path, along
 // which Phase II (thesis Section 3.2.4) forwards an arbitrary payload.
 //
+// Peer choice is the engine's only policy (Config.Fanout). Fanout 0 floods
+// every neighbor, exactly Algorithm 2. A fanout f below a node's degree
+// makes the flood a derandomized gossip in the tunable family of De Florio &
+// Blondia: a node that joins forwards the query to only f neighbors, so the
+// computation covers a subgraph — fewer messages, but the search may miss
+// the only idle candidate. The chosen neighbors are f consecutive entries of
+// the neighbor list from an offset mixed from (initiator, self, sequence),
+// never a draw from the simulator's RNG, so episodes stay single-seed
+// reproducible. Acknowledgement and termination detection are unchanged: a
+// fanout-limited search always completes.
+//
 // The engine is embedded in a host process (the online strategy's vehicle):
 // the host routes diffusion messages into Handle and receives callbacks when
 // a computation it initiated completes and when a payload reaches it as the
@@ -19,9 +30,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Message kinds owned by this package (range 1..7 of the sim.Msg kind
-// space; 8..15 belongs to the sibling search engine in package gossip).
-// Operand layout per kind:
+// Message kinds owned by this package (range 1..15 of the sim.Msg kind
+// space; 4..15 are unused). Operand layout per kind:
 //
 //	KindQuery   — A: initiator id, B: sequence number (Phase I probe)
 //	KindReply   — A: initiator id, B: sequence number, C: 1 if the subtree
@@ -79,6 +89,11 @@ type Config struct {
 	// IsCandidate reports whether this node satisfies the search predicate
 	// (for the online strategy: the vehicle is idle).
 	IsCandidate func() bool
+	// Fanout returns the per-node forwarding bound: 0 (or at least the
+	// neighbor count) floods every neighbor. Read per flood, so a pooled
+	// host can re-tune it between episodes without rebuilding engines. Nil
+	// means 0.
+	Fanout func() int
 	// OnComplete fires at the initiator when its computation terminates.
 	// found reports whether a candidate was located.
 	OnComplete func(ctx sim.Sender, seq int, found bool)
@@ -101,8 +116,9 @@ type Engine struct {
 	nextSeq int // local counter for computations this node initiates
 }
 
-// New creates an engine. Neighbors and IsCandidate are required; the
-// callbacks may be nil when the host never initiates / is never a candidate.
+// New creates an engine. Neighbors and IsCandidate are required; Fanout and
+// the callbacks may be nil (the callbacks when the host never initiates / is
+// never a candidate).
 func New(cfg Config) (*Engine, error) {
 	if cfg.Neighbors == nil {
 		return nil, fmt.Errorf("diffuse: Neighbors is required")
@@ -143,6 +159,35 @@ func replyMsg(init sim.NodeID, seq int, found bool) sim.Msg {
 	return m
 }
 
+// flood sends the computation's query to this node's fanout subset and
+// returns how many neighbors were contacted: all of them at fanout 0 (or at
+// least the degree), else f consecutive neighbors from a start offset mixed
+// from (initiator, self, sequence) — the derandomized stand-in for random
+// peer selection. No slice is built: the warm search path stays
+// allocation-free.
+func (e *Engine) flood(ctx sim.Sender, init sim.NodeID, seq int) int {
+	neigh := e.cfg.Neighbors()
+	n := len(neigh)
+	f := 0
+	if e.cfg.Fanout != nil {
+		f = e.cfg.Fanout()
+	}
+	// One inline query value fans out to every chosen neighbor: each send
+	// copies three words into the link's ring buffer.
+	msg := queryMsg(init, seq)
+	if f <= 0 || f >= n {
+		for _, t := range neigh {
+			ctx.Send(t, msg)
+		}
+		return n
+	}
+	start := (31*int(init) + 17*int(ctx.Self()) + 13*seq) % n
+	for i := 0; i < f; i++ {
+		ctx.Send(neigh[(start+i)%n], msg)
+	}
+	return f
+}
+
 // StartSearch begins a new diffusing computation with this node as the
 // initiator (thesis Algorithm 2, "when a vehicle p uses up its energy").
 // It returns the computation's sequence number. If the node has no
@@ -155,16 +200,7 @@ func (e *Engine) StartSearch(ctx sim.Sender) int {
 	e.child = sim.None
 	e.init = ctx.Self()
 	e.seq = seq
-	neigh := e.cfg.Neighbors()
-	e.num = len(neigh)
-	if e.num > 0 {
-		// One inline query value fans out to every neighbor: each send
-		// copies three words into the link's ring buffer.
-		msg := queryMsg(ctx.Self(), seq)
-		for _, n := range neigh {
-			ctx.Send(n, msg)
-		}
-	}
+	e.num = e.flood(ctx, ctx.Self(), seq)
 	if e.num == 0 {
 		e.state = Waiting
 		if e.cfg.OnComplete != nil {
@@ -209,17 +245,10 @@ func (e *Engine) onQuery(ctx sim.Sender, from, init sim.NodeID, seq int) {
 		return
 	}
 	e.state = Searching
-	neigh := e.cfg.Neighbors()
-	e.num = len(neigh)
+	e.num = e.flood(ctx, init, seq)
 	if e.num == 0 {
 		e.state = Waiting
 		ctx.Send(from, replyMsg(init, seq, false))
-		return
-	}
-	// One query value shared by the whole re-flood (see StartSearch).
-	msg := queryMsg(init, seq)
-	for _, n := range neigh {
-		ctx.Send(n, msg)
 	}
 }
 

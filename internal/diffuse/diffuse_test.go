@@ -1,6 +1,7 @@
 package diffuse
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -17,10 +18,13 @@ func startMsg() sim.Msg { return sim.Msg{Kind: kindStart} }
 type host struct {
 	id        sim.NodeID
 	eng       *Engine
+	net       *sim.Network
 	adj       []sim.NodeID
 	candidate bool
+	fanout    int
 
 	completions []bool    // found flags, in completion order
+	pending     []int64   // net.Pending() at each completion
 	payloads    []Payload // Phase II deliveries
 	// autoForward, when set, forwards autoPayload on successful search.
 	autoForward bool
@@ -33,8 +37,10 @@ func newHost(t *testing.T, id sim.NodeID, adj []sim.NodeID, candidate bool) *hos
 	eng, err := New(Config{
 		Neighbors:   func() []sim.NodeID { return h.adj },
 		IsCandidate: func() bool { return h.candidate },
+		Fanout:      func() int { return h.fanout },
 		OnComplete: func(ctx sim.Sender, seq int, found bool) {
 			h.completions = append(h.completions, found)
+			h.pending = append(h.pending, h.net.Pending())
 			if found && h.autoForward {
 				if err := h.eng.ForwardPayload(ctx, seq, h.autoPayload); err != nil {
 					t.Errorf("forward: %v", err)
@@ -61,8 +67,9 @@ func (h *host) OnMessage(ctx *sim.Context, from sim.NodeID, msg sim.Msg) {
 	}
 }
 
-// buildNetwork wires hosts over an undirected adjacency list.
-func buildNetwork(t *testing.T, seed int64, edges [][2]int, n int, candidates map[int]bool) (*sim.Network, []*host) {
+// buildNetwork wires hosts over an undirected adjacency list, all at the
+// given fanout (0 = full flood).
+func buildNetwork(t *testing.T, seed int64, edges [][2]int, n int, candidates map[int]bool, fanout int) (*sim.Network, []*host) {
 	t.Helper()
 	adj := make([][]sim.NodeID, n)
 	for _, e := range edges {
@@ -73,6 +80,8 @@ func buildNetwork(t *testing.T, seed int64, edges [][2]int, n int, candidates ma
 	hosts := make([]*host, n)
 	for i := 0; i < n; i++ {
 		hosts[i] = newHost(t, sim.NodeID(i), adj[i], candidates[i])
+		hosts[i].net = net
+		hosts[i].fanout = fanout
 		if err := net.Add(sim.NodeID(i), hosts[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -90,56 +99,78 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestSearchFindsReachableCandidate(t *testing.T) {
-	// Path graph 0-1-2-3 with the only candidate at 3.
+	// Path graph 0-1-2-3 with the only candidate at 3. Fanout 0 and 2 (at
+	// least every degree) flood the path, so the search must reach it. At
+	// fanout 1 an interior node's one target may point backwards, so the
+	// search need only terminate — exactly one completion either way.
 	edges := [][2]int{{0, 1}, {1, 2}, {2, 3}}
-	net, hosts := buildNetwork(t, 1, edges, 4, map[int]bool{3: true})
-	want := Payload{A: 1000, B: 42}
-	hosts[0].autoForward = true
-	hosts[0].autoPayload = want
-	net.Inject(0, startMsg())
-	if err := net.Run(10_000); err != nil {
-		t.Fatal(err)
-	}
-	if len(hosts[0].completions) != 1 || !hosts[0].completions[0] {
-		t.Fatalf("initiator completions %v", hosts[0].completions)
-	}
-	if len(hosts[3].payloads) != 1 || hosts[3].payloads[0] != want {
-		t.Fatalf("candidate payloads %v", hosts[3].payloads)
-	}
-	for i := 1; i <= 2; i++ {
-		if len(hosts[i].payloads) != 0 {
-			t.Errorf("non-candidate %d received payload", i)
-		}
+	for _, fanout := range []int{0, 2, 1} {
+		t.Run(fmt.Sprintf("fanout-%d", fanout), func(t *testing.T) {
+			net, hosts := buildNetwork(t, 1, edges, 4, map[int]bool{3: true}, fanout)
+			want := Payload{A: 1000, B: 42}
+			hosts[0].autoForward = true
+			hosts[0].autoPayload = want
+			net.Inject(0, startMsg())
+			if err := net.Run(10_000); err != nil {
+				t.Fatal(err)
+			}
+			if len(hosts[0].completions) != 1 {
+				t.Fatalf("completions %v, want exactly one", hosts[0].completions)
+			}
+			found := hosts[0].completions[0]
+			if fanout != 1 && !found {
+				t.Fatal("full flood missed the candidate")
+			}
+			if found && (len(hosts[3].payloads) != 1 || hosts[3].payloads[0] != want) {
+				t.Fatalf("candidate payloads %v", hosts[3].payloads)
+			}
+			for i := 1; i <= 2; i++ {
+				if len(hosts[i].payloads) != 0 {
+					t.Errorf("non-candidate %d received payload", i)
+				}
+			}
+		})
 	}
 }
 
 func TestSearchNoCandidate(t *testing.T) {
+	// Path 0-1-2: fanout 1 is below the middle node's degree.
 	edges := [][2]int{{0, 1}, {1, 2}}
-	net, hosts := buildNetwork(t, 2, edges, 3, nil)
-	net.Inject(0, startMsg())
-	if err := net.Run(10_000); err != nil {
-		t.Fatal(err)
-	}
-	if len(hosts[0].completions) != 1 || hosts[0].completions[0] {
-		t.Fatalf("completions %v, want one false", hosts[0].completions)
+	for _, fanout := range []int{0, 1} {
+		t.Run(fmt.Sprintf("fanout-%d", fanout), func(t *testing.T) {
+			net, hosts := buildNetwork(t, 2, edges, 3, nil, fanout)
+			net.Inject(0, startMsg())
+			if err := net.Run(10_000); err != nil {
+				t.Fatal(err)
+			}
+			if len(hosts[0].completions) != 1 || hosts[0].completions[0] {
+				t.Fatalf("completions %v, want one false", hosts[0].completions)
+			}
+		})
 	}
 }
 
 func TestSearchIsolatedInitiator(t *testing.T) {
-	net, hosts := buildNetwork(t, 3, nil, 1, nil)
-	net.Inject(0, startMsg())
-	if err := net.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	if len(hosts[0].completions) != 1 || hosts[0].completions[0] {
-		t.Fatalf("isolated initiator completions %v", hosts[0].completions)
+	// Fanout 2 exceeds the zero degree: the flood sends nothing and the
+	// search completes at once, as at fanout 0.
+	for _, fanout := range []int{0, 2} {
+		t.Run(fmt.Sprintf("fanout-%d", fanout), func(t *testing.T) {
+			net, hosts := buildNetwork(t, 3, nil, 1, nil, fanout)
+			net.Inject(0, startMsg())
+			if err := net.Run(100); err != nil {
+				t.Fatal(err)
+			}
+			if len(hosts[0].completions) != 1 || hosts[0].completions[0] {
+				t.Fatalf("isolated initiator completions %v", hosts[0].completions)
+			}
+		})
 	}
 }
 
 func TestCandidateNotReachable(t *testing.T) {
 	// Two components: 0-1 and 2-3; candidate only in the far component.
 	edges := [][2]int{{0, 1}, {2, 3}}
-	net, hosts := buildNetwork(t, 4, edges, 4, map[int]bool{3: true})
+	net, hosts := buildNetwork(t, 4, edges, 4, map[int]bool{3: true}, 0)
 	net.Inject(0, startMsg())
 	if err := net.Run(10_000); err != nil {
 		t.Fatal(err)
@@ -154,7 +185,7 @@ func TestRepeatedSearchesBySameInitiator(t *testing.T) {
 	// search finds the candidate; then the candidate stops being one and a
 	// second search must report not-found.
 	edges := [][2]int{{0, 1}, {1, 2}}
-	net, hosts := buildNetwork(t, 5, edges, 3, map[int]bool{2: true})
+	net, hosts := buildNetwork(t, 5, edges, 3, map[int]bool{2: true}, 0)
 	net.Inject(0, startMsg())
 	if err := net.Run(10_000); err != nil {
 		t.Fatal(err)
@@ -175,78 +206,177 @@ func TestRepeatedSearchesBySameInitiator(t *testing.T) {
 	}
 }
 
-func TestRandomGraphsAlwaysTerminateAndAreCorrect(t *testing.T) {
+// randomConnected draws a random connected graph on 3..17 nodes: a random
+// backbone tree plus extra chords.
+func randomConnected(rng *rand.Rand) (int, [][2]int) {
+	n := 3 + rng.Intn(15)
+	var edges [][2]int
+	for i := 1; i < n; i++ {
+		edges = append(edges, [2]int{rng.Intn(i), i})
+	}
+	for k := 0; k < n/2; k++ {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a != b {
+			edges = append(edges, [2]int{a, b})
+		}
+	}
+	return n, edges
+}
+
+// sweepRandomGraphs searches from node 0 on 40 random connected graphs at
+// one fanout: the search completes exactly once, never reports a candidate
+// when none exists, and delivers a successful payload exactly once to a
+// true candidate. The full flood (fanout 0) also finds a candidate
+// whenever one exists.
+func sweepRandomGraphs(t *testing.T, fanout int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
-		n := 3 + rng.Intn(15)
-		var edges [][2]int
-		for i := 1; i < n; i++ {
-			// Random connected backbone plus extra chords.
-			edges = append(edges, [2]int{rng.Intn(i), i})
-		}
-		for k := 0; k < n/2; k++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			if a != b {
-				edges = append(edges, [2]int{a, b})
-			}
-		}
+		n, edges := randomConnected(rng)
 		candidates := map[int]bool{}
 		for i := 1; i < n; i++ {
 			if rng.Intn(4) == 0 {
 				candidates[i] = true
 			}
 		}
-		net, hosts := buildNetwork(t, int64(trial), edges, n, candidates)
+		net, hosts := buildNetwork(t, int64(trial), edges, n, candidates, fanout)
 		hosts[0].autoForward = true
 		hosts[0].autoPayload = Payload{A: uint32(trial), B: 9}
 		net.Inject(0, startMsg())
 		if err := net.Run(1_000_000); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatalf("trial %d fanout %d: %v", trial, fanout, err)
 		}
 		if len(hosts[0].completions) != 1 {
-			t.Fatalf("trial %d: completions %v", trial, hosts[0].completions)
+			t.Fatalf("trial %d fanout %d: completions %v", trial, fanout, hosts[0].completions)
 		}
 		found := hosts[0].completions[0]
-		// Graph is connected, so found must equal "any candidate exists".
-		if found != (len(candidates) > 0) {
+		if found && len(candidates) == 0 {
+			t.Fatalf("trial %d fanout %d: found without candidates", trial, fanout)
+		}
+		// Graph is connected, so a full flood finds a candidate iff one
+		// exists.
+		if fanout == 0 && found != (len(candidates) > 0) {
 			t.Fatalf("trial %d: found=%v but candidates=%v", trial, found, candidates)
 		}
 		delivered := 0
 		for i, h := range hosts {
 			if len(h.payloads) > 0 && !candidates[i] {
-				t.Fatalf("trial %d: payload at non-candidate %d", trial, i)
+				t.Fatalf("trial %d fanout %d: payload at non-candidate %d", trial, fanout, i)
 			}
 			delivered += len(h.payloads)
 		}
 		if found && delivered != 1 {
-			t.Fatalf("trial %d: payload delivered %d times", trial, delivered)
+			t.Fatalf("trial %d fanout %d: payload delivered %d times", trial, fanout, delivered)
 		}
 	}
 }
 
-func TestMessageComplexityLinearInEdges(t *testing.T) {
-	// Each edge carries at most a constant number of Phase I messages
-	// (2 queries + 2 replies), so deliveries <= ~4*E + path forwards.
-	n := 40
-	var edges [][2]int
-	for i := 1; i < n; i++ {
-		edges = append(edges, [2]int{i - 1, i})
+func TestRandomGraphsAlwaysTerminateAndAreCorrect(t *testing.T) {
+	sweepRandomGraphs(t, 0)
+}
+
+// TestAlwaysTerminatesAnyFanout runs the random-graph sweep at fanouts 1..3,
+// where the search covers only a subgraph: it must still complete once and
+// stay correct, though it may miss a candidate.
+func TestAlwaysTerminatesAnyFanout(t *testing.T) {
+	for fanout := 1; fanout <= 3; fanout++ {
+		sweepRandomGraphs(t, fanout)
 	}
-	net, hosts := buildNetwork(t, 9, edges, n, map[int]bool{n - 1: true})
+}
+
+// TestCompletionOnlyAtQuiescence is the Dijkstra-Scholten soundness
+// property: a search that finds no candidate completes exactly once, and
+// only when no message of it is still in flight. The network counts a
+// delivery before calling the handler, so Pending() == 0 inside OnComplete
+// means nothing else is queued. Only found=false searches are checked:
+// with a candidate, Algorithm 2 sends the discovery up early, so the root
+// may complete before the rest of the tree drains.
+func TestCompletionOnlyAtQuiescence(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	for trial := 0; trial < 60; trial++ {
+		n, edges := randomConnected(rng)
+		root := rng.Intn(n)
+		for _, fanout := range []int{0, 1, 2} {
+			net, hosts := buildNetwork(t, int64(trial), edges, n, nil, fanout)
+			net.Inject(sim.NodeID(root), startMsg())
+			if err := net.Run(1_000_000); err != nil {
+				t.Fatalf("trial %d fanout %d: %v", trial, fanout, err)
+			}
+			h := hosts[root]
+			if len(h.completions) != 1 || h.completions[0] {
+				t.Fatalf("trial %d fanout %d: completions %v, want one false",
+					trial, fanout, h.completions)
+			}
+			if h.pending[0] != 0 {
+				t.Fatalf("trial %d fanout %d: completed with %d messages in flight",
+					trial, fanout, h.pending[0])
+			}
+		}
+	}
+}
+
+// searchTraffic runs one search from node 0 and returns its delivered
+// message count, checking the linear budget: each edge carries at most a
+// constant number of Phase I messages (2 queries + 2 replies), so
+// deliveries <= ~4*E + path forwards at any fanout.
+func searchTraffic(t *testing.T, seed int64, edges [][2]int, n int, candidates map[int]bool, fanout int) int64 {
+	t.Helper()
+	net, hosts := buildNetwork(t, seed, edges, n, candidates, fanout)
 	hosts[0].autoForward = true
 	net.Inject(0, startMsg())
 	if err := net.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
+	if len(hosts[0].completions) != 1 {
+		t.Fatalf("fanout %d: completions %v", fanout, hosts[0].completions)
+	}
 	maxMsgs := int64(4*len(edges) + n + 1)
 	if net.Delivered() > maxMsgs {
-		t.Errorf("delivered %d messages, budget %d", net.Delivered(), maxMsgs)
+		t.Errorf("fanout %d: delivered %d messages, budget %d", fanout, net.Delivered(), maxMsgs)
+	}
+	return net.Delivered()
+}
+
+func TestMessageComplexityLinearInEdges(t *testing.T) {
+	// A 40-node path with the candidate at the far end.
+	n := 40
+	var edges [][2]int
+	for i := 1; i < n; i++ {
+		edges = append(edges, [2]int{i - 1, i})
+	}
+	searchTraffic(t, 9, edges, n, map[int]bool{n - 1: true}, 0)
+}
+
+// TestFanoutBoundsTraffic pins the fanout's traffic side on the complete
+// graph on 10 nodes with no candidate (the worst-case full spread): swept
+// from the full flood down to fanout 1, lowering the fanout can only lower
+// (or keep) one search's delivered-message count, and fanout 1 saves some.
+func TestFanoutBoundsTraffic(t *testing.T) {
+	const n = 10
+	var edges [][2]int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, [2]int{i, j})
+		}
+	}
+	full := searchTraffic(t, 5, edges, n, nil, 0)
+	prev := full
+	for fanout := n - 1; fanout >= 1; fanout-- {
+		got := searchTraffic(t, 5, edges, n, nil, fanout)
+		if got > prev {
+			t.Errorf("fanout %d delivered %d messages, more than fanout %d's %d",
+				fanout, got, fanout+1, prev)
+		}
+		prev = got
+	}
+	if prev >= full {
+		t.Errorf("fanout 1 delivered %d messages, full flood %d — no traffic saving", prev, full)
 	}
 }
 
 func TestForwardPayloadErrors(t *testing.T) {
 	edges := [][2]int{{0, 1}}
-	net, hosts := buildNetwork(t, 11, edges, 2, nil)
+	net, hosts := buildNetwork(t, 11, edges, 2, nil, 0)
 	net.Inject(0, startMsg())
 	if err := net.Run(1000); err != nil {
 		t.Fatal(err)
@@ -284,7 +414,7 @@ func TestStateString(t *testing.T) {
 
 func TestStateTransitions(t *testing.T) {
 	edges := [][2]int{{0, 1}, {1, 2}}
-	net, hosts := buildNetwork(t, 13, edges, 3, map[int]bool{2: true})
+	net, hosts := buildNetwork(t, 13, edges, 3, map[int]bool{2: true}, 0)
 	for _, h := range hosts {
 		if h.eng.State() != Waiting {
 			t.Fatalf("node %d initial state %v", h.id, h.eng.State())
@@ -305,10 +435,12 @@ func TestStateTransitions(t *testing.T) {
 // TestEngineResetMatchesFresh pins the warm-start contract: after Reset,
 // an engine (and the network it lives in) replays a search bit-for-bit
 // identically to freshly constructed ones — same completion result, same
-// delivered-message count, and the sequence counter starts over at 1.
+// delivered-message count, and the sequence counter starts over at 1 — at
+// the full flood and at a fanout below the degree.
 func TestEngineResetMatchesFresh(t *testing.T) {
 	edges := [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 4}, {4, 3}}
-	run := func(net *sim.Network, hosts []*host) (bool, int64) {
+	run := func(t *testing.T, net *sim.Network, hosts []*host) (bool, int64) {
+		t.Helper()
 		net.Inject(0, startMsg())
 		if err := net.Run(10_000); err != nil {
 			t.Fatal(err)
@@ -318,25 +450,30 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 		}
 		return hosts[0].completions[0], net.Delivered()
 	}
-	net, hosts := buildNetwork(t, 11, edges, 5, map[int]bool{3: true})
-	wantFound, wantMsgs := run(net, hosts)
+	for _, fanout := range []int{0, 1} {
+		t.Run(fmt.Sprintf("fanout-%d", fanout), func(t *testing.T) {
+			net, hosts := buildNetwork(t, 11, edges, 5, map[int]bool{3: true}, fanout)
+			wantFound, wantMsgs := run(t, net, hosts)
 
-	net2, hosts2 := buildNetwork(t, 11, edges, 5, map[int]bool{3: true})
-	if f, m := run(net2, hosts2); f != wantFound || m != wantMsgs {
-		t.Fatalf("fresh replay diverged: found=%v msgs=%d, want %v/%d", f, m, wantFound, wantMsgs)
-	}
-	for i := 0; i < 3; i++ {
-		net2.Reset(11)
-		for _, h := range hosts2 {
-			h.eng.Reset()
-			h.completions = nil
-		}
-		if f, m := run(net2, hosts2); f != wantFound || m != wantMsgs {
-			t.Fatalf("reset replay %d diverged: found=%v msgs=%d, want %v/%d",
-				i, f, m, wantFound, wantMsgs)
-		}
-		if hosts2[0].eng.seq != 1 {
-			t.Fatalf("reset engine's first computation has seq %d, want 1", hosts2[0].eng.seq)
-		}
+			net2, hosts2 := buildNetwork(t, 11, edges, 5, map[int]bool{3: true}, fanout)
+			if f, m := run(t, net2, hosts2); f != wantFound || m != wantMsgs {
+				t.Fatalf("fresh replay diverged: found=%v msgs=%d, want %v/%d",
+					f, m, wantFound, wantMsgs)
+			}
+			for i := 0; i < 3; i++ {
+				net2.Reset(11)
+				for _, h := range hosts2 {
+					h.eng.Reset()
+					h.completions = nil
+				}
+				if f, m := run(t, net2, hosts2); f != wantFound || m != wantMsgs {
+					t.Fatalf("reset replay %d diverged: found=%v msgs=%d, want %v/%d",
+						i, f, m, wantFound, wantMsgs)
+				}
+				if hosts2[0].eng.seq != 1 {
+					t.Fatalf("reset engine's first computation has seq %d, want 1", hosts2[0].eng.seq)
+				}
+			}
+		})
 	}
 }

@@ -143,7 +143,8 @@ func E13Robustness(fractions []float64, seed int64, workers, shards int) (*Table
 			for i, monitoring := range []bool{false, true} {
 				res, err := w.Episode(online.Options{
 					Arena: arena, CubeSide: n, Capacity: capacity,
-					Seed: seed, Monitoring: monitoring, FailInitiate: fail,
+					Seed: seed, Monitoring: monitoring,
+					Failure:   &online.FailureModel{FailInitiate: fail},
 					SimShards: shards,
 				}, seq)
 				if err != nil {

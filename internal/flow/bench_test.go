@@ -46,50 +46,6 @@ func BenchmarkDinicGridBipartite(b *testing.B) {
 	}
 }
 
-// BenchmarkDinicResumeLadder is the incremental path: an 8-rung ascending
-// capacity ladder on one retained network, where each rung raises the source
-// capacities in place and pushes only the augmenting difference. The
-// from-scratch cost of the same ladder is 8x BenchmarkDinicGridBipartiteWarm.
-func BenchmarkDinicResumeLadder(b *testing.B) {
-	const k = 400
-	nw, err := buildBipartite(k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srcEdges := make([]int, 0, k)
-	for id := 0; id < len(nw.to); id += 2 {
-		if nw.to[id^1] == 0 {
-			srcEdges = append(srcEdges, id)
-		}
-	}
-	for _, id := range srcEdges {
-		if err := nw.SetCapacity(id, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	nw.Reset()
-	var zero State
-	nw.CaptureState(&zero)
-	rungs := [...]float64{0.5, 1, 1.5, 2, 2.5, 3, 3.25, 3.5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := nw.RestoreState(&zero); err != nil {
-			b.Fatal(err)
-		}
-		for _, omega := range rungs {
-			for _, id := range srcEdges {
-				if err := nw.RaiseCapacity(id, omega); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := nw.MaxFlowResume(0, 1+2*k); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkDinicGridBipartiteWarm is the warm path: one retained network,
 // Reset + MaxFlow per iteration — the per-probe cost of a capacity search.
 func BenchmarkDinicGridBipartiteWarm(b *testing.B) {

@@ -12,13 +12,11 @@
 // extends the repo's "reset ≡ fresh" discipline (DESIGN.md) to the offline
 // LP core.
 //
-// A Network is also incrementally reusable: RaiseCapacity grows an edge's
-// capacity without discarding the flow on it (raising a capacity never
-// invalidates a feasible flow), MaxFlowResume pushes only the augmenting
-// difference on the retained residual network, and CaptureState/RestoreState
-// rewind the flow to an earlier rung of a capacity ladder. Together they are
-// the parametric path lpchar's probe ladder rides: ~60 bisection probes cost
-// one full solve plus 60 differences instead of 60 full solves.
+// A Network can also grow in place: AddNodes and AddEdge extend it without
+// touching existing edges or retained flow, which is how lpchar widens a
+// supply graph across radii, and MinCutReachable exposes the minimum cut
+// each solve leaves behind, which lpchar keeps as an infeasibility
+// certificate.
 package flow
 
 import (
@@ -170,62 +168,11 @@ func (nw *Network) SetCapacity(id int, capacity float64) error {
 	return nil
 }
 
-// RaiseCapacity raises the capacity of forward edge id to capacity, which
-// must be at least the edge's current base capacity. Unlike SetCapacity it
-// preserves the flow currently on the edge pair: the forward residual grows
-// by exactly the difference, the reverse residual (the flow) is untouched,
-// and the base moves with it, so Reset restores the raised value. Raising a
-// capacity never invalidates a feasible flow — the monotonicity that makes
-// lpchar's ascending omega ladder sound.
-func (nw *Network) RaiseCapacity(id int, capacity float64) error {
-	if id < 0 || id >= len(nw.cap) || id&1 != 0 {
-		return fmt.Errorf("flow: edge id %d out of range (forward ids are even, < %d)", id, len(nw.cap))
-	}
-	if math.IsNaN(capacity) || capacity < nw.base[id] {
-		return fmt.Errorf("flow: capacity %v below current %v (RaiseCapacity is raise-only)", capacity, nw.base[id])
-	}
-	nw.cap[id] += capacity - nw.base[id]
-	nw.base[id] = capacity
-	return nil
-}
-
-// State is a reusable snapshot of a network's per-edge state — residual and
-// base capacities — taken by CaptureState and reapplied by RestoreState. It
-// lets a parametric search rewind the retained flow to an earlier rung of a
-// capacity ladder without re-running augmentation from zero flow. Buffers
-// are retained, so a warm capture/restore cycle allocates nothing.
-type State struct {
-	cap, base []float64
-	nodes     int
-	slots     int
-}
-
-// CaptureState copies the network's residual and base capacities into st,
-// reusing st's buffers when they are large enough.
-func (nw *Network) CaptureState(st *State) {
-	st.cap = append(st.cap[:0], nw.cap...)
-	st.base = append(st.base[:0], nw.base...)
-	st.nodes, st.slots = nw.n, len(nw.cap)
-}
-
-// RestoreState reapplies a snapshot taken by CaptureState on this network.
-// The structure must be unchanged since the capture: a snapshot does not
-// survive AddEdge, AddNodes, or Reinit.
-func (nw *Network) RestoreState(st *State) error {
-	if st.nodes != nw.n || st.slots != len(nw.cap) {
-		return fmt.Errorf("flow: snapshot of %d nodes/%d edge slots does not match network (%d/%d)",
-			st.nodes, st.slots, nw.n, len(nw.cap))
-	}
-	copy(nw.cap, st.cap)
-	copy(nw.base, st.base)
-	return nil
-}
-
 // ValidateFlow checks that the retained flow (the state MaxFlow leaves
 // behind) is a valid s-t flow: every forward edge carries flow within
 // [0, capacity] up to Eps, and net flow is conserved at every node other
-// than s and t. A diagnostic for the incremental path's tests, not a hot
-// call — it allocates one scratch slice per invocation.
+// than s and t. A diagnostic for tests, not a hot call — it allocates one
+// scratch slice per invocation.
 func (nw *Network) ValidateFlow(s, t int) error {
 	if s < 0 || s >= nw.n || t < 0 || t >= nw.n || s == t {
 		return fmt.Errorf("flow: bad terminals s=%d t=%d", s, t)
@@ -263,15 +210,6 @@ func (nw *Network) ValidateFlow(s, t int) error {
 // augmentation. Valid until the next MaxFlow; meaningless before the first.
 func (nw *Network) MinCutReachable(v int) bool {
 	return v >= 0 && v < nw.n && nw.level[v] >= 0
-}
-
-// MaxFlowResume pushes only the augmenting difference on the retained
-// residual network and returns the flow added by this call — the warm half
-// of the incremental parametric path (RaiseCapacity + MaxFlowResume),
-// alongside the from-scratch Reset+MaxFlow path. On a warm network it
-// performs zero allocations.
-func (nw *Network) MaxFlowResume(s, t int) (float64, error) {
-	return nw.MaxFlow(s, t)
 }
 
 // MaxFlow computes the maximum s-t flow with Dinic's algorithm and returns

@@ -2,130 +2,8 @@ package flow
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
-
-// TestRaiseCapacityPreservesFlow pins the monotonicity contract: raising a
-// capacity keeps the retained flow valid, and resuming augmentation reaches
-// the same maximum value a from-scratch solve at the raised capacities finds.
-func TestRaiseCapacityPreservesFlow(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	for trial := 0; trial < 30; trial++ {
-		nw, ids, s, tt := randomNetwork(t, rng)
-		base, err := nw.MaxFlow(s, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := nw.ValidateFlow(s, tt); err != nil {
-			t.Fatalf("trial %d after solve: %v", trial, err)
-		}
-		// Raise a random subset of edges, checking the flow stays untouched.
-		flows := make([]float64, len(ids))
-		for i, id := range ids {
-			flows[i] = nw.Flow(id)
-		}
-		total := base
-		for _, id := range ids {
-			if rng.Intn(2) == 0 {
-				continue
-			}
-			if err := nw.RaiseCapacity(id, nw.base[id]+rng.Float64()*5); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i, id := range ids {
-			if nw.Flow(id) != flows[i] {
-				t.Fatalf("trial %d: RaiseCapacity moved flow on edge %d: %v != %v",
-					trial, id, nw.Flow(id), flows[i])
-			}
-		}
-		if err := nw.ValidateFlow(s, tt); err != nil {
-			t.Fatalf("trial %d after raises: %v", trial, err)
-		}
-		pushed, err := nw.MaxFlowResume(s, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += pushed
-		if err := nw.ValidateFlow(s, tt); err != nil {
-			t.Fatalf("trial %d after resume: %v", trial, err)
-		}
-		// From-scratch reference at the raised capacities.
-		nw.Reset()
-		fresh, err := nw.MaxFlow(s, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(total-fresh) > 1e-6 {
-			t.Fatalf("trial %d: resumed total %v != fresh %v", trial, total, fresh)
-		}
-	}
-}
-
-func TestRaiseCapacityValidation(t *testing.T) {
-	nw := mustNet(t, 3)
-	id := addEdge(t, nw, 0, 1, 2)
-	if err := nw.RaiseCapacity(id+1, 3); err == nil {
-		t.Error("reverse edge id should fail")
-	}
-	if err := nw.RaiseCapacity(99, 3); err == nil {
-		t.Error("out-of-range id should fail")
-	}
-	if err := nw.RaiseCapacity(id, 1); err == nil {
-		t.Error("lowering should fail (raise-only)")
-	}
-	if err := nw.RaiseCapacity(id, math.NaN()); err == nil {
-		t.Error("NaN should fail")
-	}
-	if err := nw.RaiseCapacity(id, 2); err != nil {
-		t.Errorf("no-op raise to current capacity should pass: %v", err)
-	}
-}
-
-// TestCaptureRestoreRoundTrip pins the rewind contract: restoring a snapshot
-// brings back the exact per-edge residual state, bit for bit, so a resumed
-// search replays identically.
-func TestCaptureRestoreRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	for trial := 0; trial < 20; trial++ {
-		nw, ids, s, tt := randomNetwork(t, rng)
-		if _, err := nw.MaxFlow(s, tt); err != nil {
-			t.Fatal(err)
-		}
-		var st State
-		nw.CaptureState(&st)
-		flows := make([]float64, len(ids))
-		for i, id := range ids {
-			flows[i] = nw.Flow(id)
-		}
-		// Perturb: raise everything and resume, then restore.
-		for _, id := range ids {
-			if err := nw.RaiseCapacity(id, nw.base[id]+3); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := nw.MaxFlowResume(s, tt); err != nil {
-			t.Fatal(err)
-		}
-		if err := nw.RestoreState(&st); err != nil {
-			t.Fatal(err)
-		}
-		for i, id := range ids {
-			if nw.Flow(id) != flows[i] {
-				t.Fatalf("trial %d: restored flow on edge %d = %v, want %v",
-					trial, id, nw.Flow(id), flows[i])
-			}
-		}
-		// A structure change invalidates the snapshot.
-		if _, err := nw.AddNodes(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := nw.RestoreState(&st); err == nil {
-			t.Error("restore across AddNodes should fail")
-		}
-	}
-}
 
 // TestAddNodesExtendsInPlace checks that appended nodes participate in new
 // edges while old edges, ids, and flow survive.
@@ -150,7 +28,9 @@ func TestAddNodesExtendsInPlace(t *testing.T) {
 	addEdge(t, nw, 0, 3, 1.5)
 	addEdge(t, nw, 3, 4, 1.5)
 	addEdge(t, nw, 4, 2, 1.5)
-	pushed, err := nw.MaxFlowResume(0, 2)
+	// MaxFlow continues from the retained flow, so it pushes only the
+	// difference the new route adds.
+	pushed, err := nw.MaxFlow(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,44 +72,5 @@ func TestValidateFlowCatchesViolations(t *testing.T) {
 	nw.cap[b^1] += 1.5
 	if err := nw.ValidateFlow(0, 3); err == nil {
 		t.Error("capacity violation not caught")
-	}
-}
-
-// TestWarmResumeAllocatesNothing pins the incremental path's zero-alloc
-// contract: capture, raise, resume, and restore on a warm network allocate
-// nothing — the mirror of TestWarmSolveAllocatesNothing for the parametric
-// ladder.
-func TestWarmResumeAllocatesNothing(t *testing.T) {
-	nw, err := buildBipartite(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, sink := 0, 81
-	if _, err := nw.MaxFlow(src, sink); err != nil {
-		t.Fatal(err)
-	}
-	var st State
-	nw.CaptureState(&st)
-	raise := 4.0
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := nw.RestoreState(&st); err != nil {
-			t.Fatal(err)
-		}
-		raise += 0.5
-		for id := 0; id < 40*2; id += 2 { // the 40 source edges, interleaved with sink edges
-			if nw.to[id^1] != 0 {
-				continue
-			}
-			if err := nw.RaiseCapacity(id, raise); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := nw.MaxFlowResume(src, sink); err != nil {
-			t.Fatal(err)
-		}
-		nw.CaptureState(&st)
-	})
-	if allocs != 0 {
-		t.Errorf("warm resume cycle allocated %v times, want 0", allocs)
 	}
 }

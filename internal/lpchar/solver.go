@@ -274,11 +274,11 @@ func (si *supplyIndex) ringOffsets(dim, rr int) ([]grid.Point, error) {
 // flow network at all. Feasible probes always run the oracle: the LP's
 // feasibility slack (1e-9-relative) is tighter than the float drift between
 // any two augmentation orders, so a saturation verdict can only be taken
-// from the canonical fresh computation. (A retained-primal ladder —
-// RaiseCapacity + MaxFlowResume on ascending omega — was measured here and
-// lost: nearly every probe near the threshold had to re-run the fresh
-// oracle anyway, and the resumes were pure overhead. The flow package keeps
-// the resume API; the solver rides the dual.) Every probe's verdict equals
+// from the canonical fresh computation. (A retained-primal ladder — raising
+// source capacities in place and resuming augmentation on ascending omega —
+// was measured here and lost: nearly every probe near the threshold had to
+// re-run the fresh oracle anyway, and the resumes were pure overhead. The
+// solver rides the dual.) Every probe's verdict equals
 // the fresh Reset+MaxFlow verdict, so the bisection trajectory — and
 // therefore Value()'s output — is bit-identical to the from-scratch ladder.
 type Solver struct {

@@ -3,13 +3,14 @@ package online
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/grid"
 )
 
-// FailureModel is the pluggable failure layer of the online simulator: it
-// generalizes the three crash knobs that grew ad hoc on Options
-// (FailInitiate, DeadBeforeArrival, Longevity) and adds the Byzantine mode.
+// FailureModel is the pluggable failure layer of the online simulator and
+// the only way to configure failures (Options.Failure): three crash knobs
+// (FailInitiate, DeadBeforeArrival, Longevity) and the Byzantine mode.
 // All maps are keyed by home cell and densified once at the NewRunner /
 // ResetEpisode boundary; the simulation itself never hashes a point.
 //
@@ -45,23 +46,13 @@ type FailureModel struct {
 	Byzantine map[grid.Point]bool
 }
 
-// failureModel normalizes the two ways failure knobs reach Options: the
-// legacy flat fields and the aggregated Failure model. Setting both is
-// rejected so an episode's failure configuration always has one source of
-// truth.
-func (o *Options) failureModel() (FailureModel, error) {
+// failureModel returns the episode's failure model: the zero model (no
+// failures) when Options.Failure is nil.
+func (o *Options) failureModel() FailureModel {
 	if o.Failure == nil {
-		return FailureModel{
-			FailInitiate:      o.FailInitiate,
-			DeadBeforeArrival: o.DeadBeforeArrival,
-			Longevity:         o.Longevity,
-		}, nil
+		return FailureModel{}
 	}
-	if len(o.FailInitiate) > 0 || len(o.DeadBeforeArrival) > 0 || len(o.Longevity) > 0 {
-		return FailureModel{}, errors.New(
-			"online: set either Options.Failure or the legacy FailInitiate/DeadBeforeArrival/Longevity fields, not both")
-	}
-	return *o.Failure, nil
+	return *o.Failure
 }
 
 // worstUnknown returns the smallest (Point.Less) key of m that lies outside
@@ -118,7 +109,7 @@ func (m FailureModel) validate(arena *grid.Grid) error {
 
 // VehicleClass scales one vehicle's abilities relative to the uniform fleet
 // of the thesis. A zero multiplier means "default" (1.0), so partial
-// literals stay valid; negative multipliers are rejected.
+// literals stay valid; negative and non-finite multipliers are rejected.
 type VehicleClass struct {
 	// Name labels the class in traces and tables.
 	Name string
@@ -158,9 +149,9 @@ type Fleet struct {
 	Assign map[grid.Point]int
 }
 
-// validate rejects empty class tables, negative multipliers, out-of-range
-// assignments, and — matching FailureModel.validate — assignment keys
-// outside the arena.
+// validate rejects empty class tables, negative or non-finite multipliers,
+// out-of-range assignments, and — matching FailureModel.validate —
+// assignment keys outside the arena.
 func (f *Fleet) validate(arena *grid.Grid) error {
 	if f == nil {
 		return nil
@@ -169,8 +160,11 @@ func (f *Fleet) validate(arena *grid.Grid) error {
 		return errors.New("online: Fleet.Classes must be non-empty")
 	}
 	for i, c := range f.Classes {
-		if c.Speed < 0 || c.Energy < 0 || c.Capacity < 0 {
-			return fmt.Errorf("online: fleet class %d (%q) has a negative multiplier", i, c.Name)
+		for _, m := range [...]float64{c.Speed, c.Energy, c.Capacity} {
+			if m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
+				return fmt.Errorf("online: fleet class %d (%q) has a negative or non-finite multiplier %v",
+					i, c.Name, m)
+			}
 		}
 	}
 	if cell, ok := worstUnknown(arena, f.Assign); ok {
@@ -215,10 +209,11 @@ const (
 	// (Algorithm 2): a full flood of the communication neighborhood with
 	// exact termination detection. The default.
 	SearchDiffuse SearchProtocol = iota
-	// SearchGossip is the fanout-limited gossip alternative (package
-	// gossip): each node forwards the rumor to at most Options.GossipFanout
-	// deterministically chosen neighbors. Cheaper in messages, but the
-	// rumor may miss the only idle candidate — the fidelity/traffic knob.
+	// SearchGossip is the fanout-limited gossip alternative: the same
+	// engine, but each node forwards the query to at most
+	// Options.GossipFanout deterministically chosen neighbors. Cheaper in
+	// messages, but the search may miss the only idle candidate — the
+	// fidelity/traffic knob. At fanout 0 it is SearchDiffuse exactly.
 	SearchGossip
 )
 
@@ -244,10 +239,7 @@ func validateSearch(protocol SearchProtocol, fanout int) error {
 // NewRunner and ResetEpisode so both boundaries reject exactly the same
 // inputs (ResetEpisode validates before mutating anything).
 func (o *Options) validateExtensions(arena *grid.Grid) (FailureModel, error) {
-	model, err := o.failureModel()
-	if err != nil {
-		return FailureModel{}, err
-	}
+	model := o.failureModel()
 	if err := model.validate(arena); err != nil {
 		return FailureModel{}, err
 	}

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -33,7 +34,7 @@ func failureBase() Options {
 func TestFailInitiateUnknownCellEager(t *testing.T) {
 	opts := Options{
 		Arena: grid.MustNew(2, 2), CubeSide: 2, Capacity: 5, Seed: 1,
-		FailInitiate: map[grid.Point]bool{grid.P(7, 7): true},
+		Failure: &FailureModel{FailInitiate: map[grid.Point]bool{grid.P(7, 7): true}},
 	}
 	if _, err := NewRunner(opts); err == nil || !strings.Contains(err.Error(), "FailInitiate") {
 		t.Errorf("NewRunner err = %v, want FailInitiate cell error", err)
@@ -43,7 +44,7 @@ func TestFailInitiateUnknownCellEager(t *testing.T) {
 func TestLongevityUnknownCellEager(t *testing.T) {
 	opts := Options{
 		Arena: grid.MustNew(2, 2), CubeSide: 2, Capacity: 5, Seed: 1,
-		Longevity: map[grid.Point]float64{grid.P(7, 7): 0.5},
+		Failure: &FailureModel{Longevity: map[grid.Point]float64{grid.P(7, 7): 0.5}},
 	}
 	if _, err := NewRunner(opts); err == nil || !strings.Contains(err.Error(), "Longevity") {
 		t.Errorf("NewRunner err = %v, want Longevity cell error", err)
@@ -63,21 +64,10 @@ func TestByzantineUnknownCellEager(t *testing.T) {
 func TestLongevityOutOfRangeEager(t *testing.T) {
 	opts := Options{
 		Arena: grid.MustNew(2, 2), CubeSide: 2, Capacity: 5, Seed: 1,
-		Longevity: map[grid.Point]float64{grid.P(0, 0): 1.5},
+		Failure: &FailureModel{Longevity: map[grid.Point]float64{grid.P(0, 0): 1.5}},
 	}
 	if _, err := NewRunner(opts); err == nil || !strings.Contains(err.Error(), "outside [0,1]") {
 		t.Errorf("NewRunner err = %v, want longevity range error", err)
-	}
-}
-
-func TestFailureAndLegacyFieldsAreExclusive(t *testing.T) {
-	opts := Options{
-		Arena: grid.MustNew(2, 2), CubeSide: 2, Capacity: 5, Seed: 1,
-		FailInitiate: map[grid.Point]bool{grid.P(0, 0): true},
-		Failure:      &FailureModel{},
-	}
-	if _, err := NewRunner(opts); err == nil || !strings.Contains(err.Error(), "not both") {
-		t.Errorf("NewRunner err = %v, want exclusivity error", err)
 	}
 }
 
@@ -88,9 +78,9 @@ func TestResetEpisodeValidatesBeforeMutating(t *testing.T) {
 	r := mustRunner(t, good)
 	for _, bad := range []Options{
 		{Arena: good.Arena, CubeSide: 4, Capacity: 10, Seed: 1,
-			FailInitiate: map[grid.Point]bool{grid.P(9, 9): true}},
+			Failure: &FailureModel{FailInitiate: map[grid.Point]bool{grid.P(9, 9): true}}},
 		{Arena: good.Arena, CubeSide: 4, Capacity: 10, Seed: 1,
-			Longevity: map[grid.Point]float64{grid.P(9, 9): 0.5}},
+			Failure: &FailureModel{Longevity: map[grid.Point]float64{grid.P(9, 9): 0.5}}},
 		{Arena: good.Arena, CubeSide: 4, Capacity: 10, Seed: 1,
 			Failure: &FailureModel{Byzantine: map[grid.Point]bool{grid.P(9, 9): true}}},
 		{Arena: good.Arena, CubeSide: 4, Capacity: 10, Seed: 1,
@@ -219,9 +209,11 @@ func TestByzantineWithoutMonitoring(t *testing.T) {
 // run is indistinguishable from the uniform thesis fleet.
 func TestUnitFleetIsBitIdenticalToBaseline(t *testing.T) {
 	opts := failureBase()
-	opts.FailInitiate = map[grid.Point]bool{grid.P(0, 0): true, grid.P(3, 3): true}
-	opts.DeadBeforeArrival = map[grid.Point]int{grid.P(2, 2): 10}
-	opts.Longevity = map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(1, 4): 0}
+	opts.Failure = &FailureModel{
+		FailInitiate:      map[grid.Point]bool{grid.P(0, 0): true, grid.P(3, 3): true},
+		DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
+		Longevity:         map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(1, 4): 0},
+	}
 	base, err := mustRunner(t, opts).Run(failureJobs())
 	if err != nil {
 		t.Fatal(err)
@@ -326,6 +318,9 @@ func TestFleetValidation(t *testing.T) {
 	for name, fleet := range map[string]*Fleet{
 		"no classes":         {},
 		"negative speed":     {Classes: []VehicleClass{{Speed: -1}}},
+		"NaN energy":         {Classes: []VehicleClass{{Energy: math.NaN()}}},
+		"infinite capacity":  {Classes: []VehicleClass{{Capacity: math.Inf(1)}}},
+		"-Inf speed":         {Classes: []VehicleClass{{Speed: math.Inf(-1)}}},
 		"unknown cell":       {Classes: []VehicleClass{{}}, Assign: map[grid.Point]int{grid.P(9, 9): 0}},
 		"index out of range": {Classes: []VehicleClass{{}}, Assign: map[grid.Point]int{grid.P(0, 0): 3}},
 	} {
@@ -339,14 +334,16 @@ func TestFleetValidation(t *testing.T) {
 
 // --- tentpole (c): the gossip dissemination alternative ---------------------
 
-// TestFullFloodGossipMatchesDiffuse pins the degradation guarantee: with
-// fanout 0 the gossip engine's flood, ack tree, and payload path coincide
-// with the diffusing computation, so the whole episode result is identical.
+// TestFullFloodGossipMatchesDiffuse pins the degradation guarantee: at
+// fanout 0, SearchGossip floods every neighbor exactly as SearchDiffuse
+// does, so the whole episode result is identical.
 func TestFullFloodGossipMatchesDiffuse(t *testing.T) {
 	opts := failureBase()
-	opts.FailInitiate = map[grid.Point]bool{grid.P(0, 0): true, grid.P(3, 3): true}
-	opts.DeadBeforeArrival = map[grid.Point]int{grid.P(2, 2): 10}
-	opts.Longevity = map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(1, 4): 0}
+	opts.Failure = &FailureModel{
+		FailInitiate:      map[grid.Point]bool{grid.P(0, 0): true, grid.P(3, 3): true},
+		DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
+		Longevity:         map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(1, 4): 0},
+	}
 	base, err := mustRunner(t, opts).Run(failureJobs())
 	if err != nil {
 		t.Fatal(err)

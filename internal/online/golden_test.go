@@ -79,9 +79,11 @@ func TestGoldenTraceFailureInjection(t *testing.T) {
 	}
 	r := mustRunner(t, Options{
 		Arena: arena, CubeSide: 6, Capacity: 20, Seed: 9, Monitoring: true,
-		FailInitiate:      map[grid.Point]bool{grid.P(0, 0): true, grid.P(3, 3): true},
-		DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
-		Longevity:         map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(1, 4): 0},
+		Failure: &FailureModel{
+			FailInitiate:      map[grid.Point]bool{grid.P(0, 0): true, grid.P(3, 3): true},
+			DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
+			Longevity:         map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(1, 4): 0},
+		},
 	})
 	res, err := r.Run(demand.NewSequence(jobs))
 	if err != nil {
@@ -169,9 +171,11 @@ func TestGoldenResetMatchesFresh(t *testing.T) {
 		}
 		r := mustRunner(t, Options{
 			Arena: arena, CubeSide: 6, Capacity: 20, Seed: 9, Monitoring: true,
-			FailInitiate:      map[grid.Point]bool{grid.P(0, 0): true, grid.P(3, 3): true},
-			DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
-			Longevity:         map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(1, 4): 0},
+			Failure: &FailureModel{
+				FailInitiate:      map[grid.Point]bool{grid.P(0, 0): true, grid.P(3, 3): true},
+				DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
+				Longevity:         map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(1, 4): 0},
+			},
 		})
 		res, err := r.Run(demand.NewSequence(jobs))
 		if err != nil {

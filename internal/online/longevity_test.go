@@ -13,7 +13,7 @@ import (
 func TestLongevityValidation(t *testing.T) {
 	_, err := NewRunner(Options{
 		Arena: grid.MustNew(4, 4), CubeSide: 4, Capacity: 10,
-		Longevity: map[grid.Point]float64{grid.P(0, 0): 1.5},
+		Failure: &FailureModel{Longevity: map[grid.Point]float64{grid.P(0, 0): 1.5}},
 	})
 	if err == nil {
 		t.Error("longevity > 1 should fail")
@@ -30,7 +30,7 @@ func TestLongevityBreaksMidRun(t *testing.T) {
 	// jobs of cost 1).
 	r2 := mustRunner(t, Options{
 		Arena: arena, CubeSide: 4, Capacity: 20, Seed: 3, Monitoring: true,
-		Longevity: map[grid.Point]float64{pos: 0.25},
+		Failure: &FailureModel{Longevity: map[grid.Point]float64{pos: 0.25}},
 	})
 	jobs := make([]grid.Point, 12)
 	for i := range jobs {
@@ -63,7 +63,7 @@ func TestLongevityZeroBrokenFromStart(t *testing.T) {
 	arena := grid.MustNew(4, 4)
 	r := mustRunner(t, Options{
 		Arena: arena, CubeSide: 4, Capacity: 20, Seed: 5,
-		Longevity: map[grid.Point]float64{grid.P(0, 0): 0},
+		Failure: &FailureModel{Longevity: map[grid.Point]float64{grid.P(0, 0): 0}},
 	})
 	// The black vertex (0,0) is broken: its pair must have been activated
 	// on the white partner instead.
@@ -99,7 +99,7 @@ func TestLongevityBrokenVehicleStillRelays(t *testing.T) {
 	}
 	r := mustRunner(t, Options{
 		Arena: arena, CubeSide: 4, Capacity: 16, Seed: 7,
-		Longevity: lon,
+		Failure: &FailureModel{Longevity: lon},
 	})
 	pos := r.Partition().Pairs()[0].ServicePos()
 	if pos.Coord(0) >= 1 && pos.Coord(0) <= 2 {

@@ -30,7 +30,7 @@ func TestPoolSameShapeResets(t *testing.T) {
 	alt.Capacity = 20
 	alt.Seed = 9
 	alt.Monitoring = true
-	alt.FailInitiate = map[grid.Point]bool{grid.P(0, 0): true}
+	alt.Failure = &FailureModel{FailInitiate: map[grid.Point]bool{grid.P(0, 0): true}}
 	r2, err := pool.Get(alt)
 	if err != nil {
 		t.Fatal(err)
@@ -92,9 +92,11 @@ func TestPoolGeometryChangeRebuilds(t *testing.T) {
 func failureInjectionOpts(arena *grid.Grid) Options {
 	return Options{
 		Arena: arena, CubeSide: 6, Capacity: 20, Seed: 9, Monitoring: true,
-		FailInitiate:      map[grid.Point]bool{grid.P(0, 0): true, grid.P(3, 3): true},
-		DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
-		Longevity:         map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(1, 4): 0},
+		Failure: &FailureModel{
+			FailInitiate:      map[grid.Point]bool{grid.P(0, 0): true, grid.P(3, 3): true},
+			DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
+			Longevity:         map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(1, 4): 0},
+		},
 	}
 }
 
@@ -167,7 +169,7 @@ func TestResetEpisodeValidation(t *testing.T) {
 	}
 	if err := r.ResetEpisode(Options{
 		Arena: arena, CubeSide: 6, Capacity: 14,
-		Longevity: map[grid.Point]float64{grid.P(1, 1): 2},
+		Failure: &FailureModel{Longevity: map[grid.Point]float64{grid.P(1, 1): 2}},
 	}); err == nil {
 		t.Error("out-of-range longevity should fail")
 	}

@@ -3,11 +3,11 @@ package online
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/demand"
 	"repro/internal/diffuse"
-	"repro/internal/gossip"
 	"repro/internal/grid"
 	"repro/internal/sim"
 )
@@ -30,25 +30,9 @@ type Options struct {
 	Capacity float64
 	// Seed drives the message-delay randomness.
 	Seed int64
-	// FailInitiate marks home cells whose vehicle, upon exhaustion, fails to
-	// start its replacement search (Section 3.2.5 scenario 2). Legacy flat
-	// knob; prefer Failure for new code. Keys must lie in the arena.
-	FailInitiate map[grid.Point]bool
-	// DeadBeforeArrival kills the vehicle homed at a cell right before the
-	// given arrival index is processed (scenario 3). Dead vehicles stop
-	// serving and initiating but keep relaying messages. Legacy flat knob;
-	// prefer Failure for new code.
-	DeadBeforeArrival map[grid.Point]int
-	// Longevity gives vehicles the Chapter 4 breakdown parameter p_i: the
-	// vehicle homed at a cell breaks the moment it has spent a fraction p
-	// of its capacity (0 = broken from the start, 1 or absent = never
-	// breaks). This is scenario 4 of Section 3.2.5 made concrete. Legacy
-	// flat knob; prefer Failure for new code. Keys must lie in the arena.
-	Longevity map[grid.Point]float64
-	// Failure, when set, supplies the full pluggable failure model — the
-	// three crash knobs above plus the Byzantine mode. Mutually exclusive
-	// with the legacy flat fields: an episode's failure configuration has
-	// exactly one source of truth.
+	// Failure, when set, is the episode's failure model: the Section 3.2.5
+	// crash scenarios, the Chapter 4 breakdown fractions, and the Byzantine
+	// mode. Nil means no vehicle fails.
 	Failure *FailureModel
 	// Fleet, when set, makes the fleet heterogeneous: per-vehicle
 	// speed/energy/capacity classes with partition-aware assignment. Nil
@@ -60,10 +44,10 @@ type Options struct {
 	// runners via ResetEpisode.
 	Search SearchProtocol
 	// GossipFanout bounds per-node forwarding when Search == SearchGossip:
-	// each node spreads a rumor to at most this many deterministically
-	// chosen neighbors. 0 means full flood (message-for-message identical
-	// to the diffusing computation); setting it without SearchGossip is an
-	// error.
+	// each node forwards the search query to at most this many
+	// deterministically chosen neighbors. 0 means full flood
+	// (message-for-message identical to the diffusing computation); setting
+	// it without SearchGossip is an error.
 	GossipFanout int
 	// Monitoring enables the Section 3.2.5 heartbeat ring. Without it,
 	// scenario 2/3 failures go unrepaired.
@@ -151,10 +135,10 @@ func (r *Result) MeanReplaceLatency() float64 {
 // OK reports whether every job was served.
 func (r *Result) OK() bool { return len(r.Failures) == 0 }
 
-// deadEvent is one densified DeadBeforeArrival entry: kill the vehicle with
-// node id (= arena index) right before arrival `at` is processed. id < 0
-// marks a cell outside the arena — surfaced as an error when it fires, to
-// match the lazy validation of the map-keyed original.
+// deadEvent is one densified FailureModel.DeadBeforeArrival entry: kill the
+// vehicle with node id (= arena index) right before arrival `at` is
+// processed. id < 0 marks a cell outside the arena — surfaced as an error
+// when it fires, to match the lazy validation of the map-keyed original.
 type deadEvent struct {
 	at   int
 	id   sim.NodeID
@@ -171,7 +155,7 @@ type Runner struct {
 	pairActive []sim.NodeID // pair -> node currently responsible
 	// pendingReplace guards against duplicate concurrent searches per pair.
 	pendingReplace []bool
-	// deadEvents is Options.DeadBeforeArrival densified and sorted by
+	// deadEvents is FailureModel.DeadBeforeArrival densified and sorted by
 	// arrival index; nextDead is the cursor into it.
 	deadEvents []deadEvent
 	nextDead   int
@@ -180,10 +164,8 @@ type Runner struct {
 	// inject to (the order is part of the deterministic schedule).
 	allNodes []sim.NodeID
 
-	// gossip selects the live Phase I engine for the episode; evidence
-	// enables the customer-complaint channel (set iff the failure model has
-	// Byzantine cells, so legacy episodes inject nothing new).
-	gossip   bool
+	// evidence enables the customer-complaint channel (set iff the failure
+	// model has Byzantine cells, so legacy episodes inject nothing new).
 	evidence bool
 	// pairDownAt tracks replacement latency: the arrival index at which a
 	// pair first lost a job (-1 while healthy), settled by noteRestored.
@@ -296,6 +278,17 @@ func (r *Runner) failf(t *shardTally, format string, args ...interface{}) {
 	}
 }
 
+// checkCapacity rejects an episode capacity that is not positive and
+// finite. NaN and +Inf would make every energy test (used+cost > capacity)
+// false, giving every vehicle unlimited energy. NewRunner, Reset and
+// ResetEpisode share it.
+func checkCapacity(c float64) error {
+	if !(c > 0) || math.IsInf(c, 1) {
+		return fmt.Errorf("online: capacity %v must be positive and finite", c)
+	}
+	return nil
+}
+
 // NewRunner builds the network: one vehicle per arena cell, initially active
 // on the pair's black vertex and idle on the white one. When
 // Options.Partition is set the prebuilt geometry is reused; otherwise one is
@@ -304,8 +297,8 @@ func NewRunner(opts Options) (*Runner, error) {
 	if opts.Arena == nil {
 		return nil, errors.New("online: Arena is required")
 	}
-	if opts.Capacity <= 0 {
-		return nil, fmt.Errorf("online: capacity %v must be positive", opts.Capacity)
+	if err := checkCapacity(opts.Capacity); err != nil {
+		return nil, err
 	}
 	part := opts.Partition
 	if part == nil {
@@ -342,12 +335,14 @@ func NewRunner(opts Options) (*Runner, error) {
 		pairActive:     make([]sim.NodeID, len(part.Pairs())),
 		pendingReplace: make([]bool, len(part.Pairs())),
 		pairDownAt:     make([]int, len(part.Pairs())),
-		gossip:         opts.Search == SearchGossip,
 		evidence:       len(model.Byzantine) > 0,
 	}
 	// Densify the failure-injection maps once at the public boundary; the
 	// simulation itself never hashes a point again.
 	r.deadEvents = densifyDeadEvents(opts.Arena, model.DeadBeforeArrival)
+	// One fanout reader for every engine: the search reads the episode's
+	// GossipFanout per flood, so ResetEpisode re-tunes it without a rebuild.
+	fanout := func() int { return r.opts.GossipFanout }
 	for idx := int64(0); idx < opts.Arena.Len(); idx++ {
 		cell := opts.Arena.PointAt(idx)
 		id := sim.NodeID(idx)
@@ -376,47 +371,26 @@ func NewRunner(opts Options) (*Runner, error) {
 			neighbors:    neighbors,
 		}
 		v.applyClass(opts.Fleet, part)
-		isCandidate := func() bool {
-			return v.state == Idle && v.untilBreak() >= v.reserveCost()
-		}
-		onPayload := func(ctx sim.Sender, a, b uint32) {
-			v.onMoveOrder(ctx, moveOrder{
-				Dest:   opts.Arena.PointAt(int64(a)),
-				PairID: int(b),
-			})
-		}
 		ds, err := diffuse.New(diffuse.Config{
-			Neighbors:   func() []sim.NodeID { return v.neighbors },
-			IsCandidate: isCandidate,
+			Neighbors: func() []sim.NodeID { return v.neighbors },
+			IsCandidate: func() bool {
+				return v.state == Idle && v.untilBreak() >= v.reserveCost()
+			},
+			Fanout: fanout,
 			OnComplete: func(ctx sim.Sender, seq int, found bool) {
 				v.onSearchComplete(ctx, seq, found)
 			},
 			OnPayload: func(ctx sim.Sender, payload diffuse.Payload) {
-				onPayload(ctx, payload.A, payload.B)
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Both Phase I engines are built up front (two small structs per
-		// vehicle) so a pooled runner can flip protocols per episode without
-		// reconstruction; only the selected one ever sees traffic.
-		gs, err := gossip.New(gossip.Config{
-			Neighbors:   func() []sim.NodeID { return v.neighbors },
-			IsCandidate: isCandidate,
-			Fanout:      func() int { return r.opts.GossipFanout },
-			OnComplete: func(ctx sim.Sender, seq int, found bool) {
-				v.onSearchComplete(ctx, seq, found)
-			},
-			OnPayload: func(ctx sim.Sender, payload gossip.Payload) {
-				onPayload(ctx, payload.A, payload.B)
+				v.onMoveOrder(ctx, moveOrder{
+					Dest:   opts.Arena.PointAt(int64(payload.A)),
+					PairID: int(payload.B),
+				})
 			},
 		})
 		if err != nil {
 			return nil, err
 		}
 		v.ds = ds
-		v.gs = gs
 		r.vehicles[id] = v
 		if err := r.net.Add(id, v); err != nil {
 			return nil, err
@@ -481,7 +455,6 @@ func (r *Runner) restoreInitialState() {
 		clear(v.heard)
 		clear(v.complaints)
 		v.ds.Reset()
-		v.gs.Reset()
 	}
 	// Activate the service vertex of every pair; fall back to the white
 	// partner when the black vertex's vehicle is broken from the start.
@@ -542,8 +515,8 @@ func (r *Runner) noteRestored(t *shardTally, pairID int) {
 // bit-for-bit like NewRunner(opts with Capacity/Seed replaced) — the
 // warm-start contract the capacity searches rely on.
 func (r *Runner) Reset(capacity float64, seed int64) error {
-	if capacity <= 0 {
-		return fmt.Errorf("online: capacity %v must be positive", capacity)
+	if err := checkCapacity(capacity); err != nil {
+		return err
 	}
 	r.opts.Capacity = capacity
 	r.opts.Seed = seed
@@ -553,15 +526,15 @@ func (r *Runner) Reset(capacity float64, seed int64) error {
 }
 
 // ResetEpisode re-arms the runner for a new episode whose options may differ
-// in everything *except* geometry: capacity, seed, the failure-injection
-// maps (FailInitiate, DeadBeforeArrival, Longevity), Monitoring, MaxSteps,
-// and Tracer are re-applied in place, while the partition, vehicles,
-// diffusion engines, and the network's link tables and ring buffers are all
-// kept. Arena (pointer identity) and cube side must match what the runner
-// was built with — a geometry change requires a new Runner, which is exactly
-// the rebuild-vs-reset split the sweep layer's Pool keys on. After a
-// successful ResetEpisode the runner behaves bit-for-bit like
-// NewRunner(opts); on error the runner is left unchanged.
+// in everything *except* geometry: capacity, seed, the failure model,
+// fleet, search protocol, Monitoring, MaxSteps, and Tracer are re-applied in
+// place, while the partition, vehicles, diffusion engines, and the network's
+// link tables and ring buffers are all kept. Arena (pointer identity) and
+// cube side must match what the runner was built with — a geometry change
+// requires a new Runner, which is exactly the rebuild-vs-reset split the
+// sweep layer's Pool keys on. After a successful ResetEpisode the runner
+// behaves bit-for-bit like NewRunner(opts); on error the runner is left
+// unchanged.
 func (r *Runner) ResetEpisode(opts Options) error {
 	if opts.Arena != r.opts.Arena {
 		return errors.New("online: ResetEpisode with a different arena; build a new Runner")
@@ -574,8 +547,8 @@ func (r *Runner) ResetEpisode(opts Options) error {
 		(opts.Partition.arena != r.part.arena || opts.Partition.cubeSide != r.part.cubeSide) {
 		return errors.New("online: ResetEpisode Partition differs in geometry")
 	}
-	if opts.Capacity <= 0 {
-		return fmt.Errorf("online: capacity %v must be positive", opts.Capacity)
+	if err := checkCapacity(opts.Capacity); err != nil {
+		return err
 	}
 	// Validate before mutating anything, so a rejected episode cannot leave
 	// the runner half-updated — the same construction-time checks NewRunner
@@ -600,7 +573,6 @@ func (r *Runner) ResetEpisode(opts Options) error {
 		v.applyClass(opts.Fleet, r.part)
 	}
 	r.deadEvents = densifyDeadEvents(opts.Arena, model.DeadBeforeArrival)
-	r.gossip = opts.Search == SearchGossip
 	r.evidence = len(model.Byzantine) > 0
 	// Geometry is interchangeable by construction (a Partition is a
 	// deterministic function of arena and cube side), so keep the runner's

@@ -220,7 +220,7 @@ func TestScenario2FailedInitiatorRescuedByMonitoring(t *testing.T) {
 		r := mustRunner(t, Options{
 			Arena: arena, CubeSide: 4, Capacity: capacity, Seed: 5,
 			Monitoring: monitoring,
-			FailInitiate: map[grid.Point]bool{
+			Failure: &FailureModel{FailInitiate: map[grid.Point]bool{
 				// Every vehicle fails to initiate; only monitoring saves us.
 				grid.P(0, 0): true, grid.P(0, 1): true, grid.P(1, 0): true,
 				grid.P(1, 1): true, grid.P(0, 2): true, grid.P(0, 3): true,
@@ -228,7 +228,7 @@ func TestScenario2FailedInitiatorRescuedByMonitoring(t *testing.T) {
 				grid.P(2, 1): true, grid.P(3, 0): true, grid.P(3, 1): true,
 				grid.P(2, 2): true, grid.P(2, 3): true, grid.P(3, 2): true,
 				grid.P(3, 3): true,
-			},
+			}},
 		})
 		return r, r.Partition().Pairs()[0].ServicePos()
 	}
@@ -271,7 +271,7 @@ func TestScenario3DeadVehicleRescuedByMonitoring(t *testing.T) {
 	// Kill the pair's active vehicle right before arrival 3.
 	r2 := mustRunner(t, Options{
 		Arena: arena, CubeSide: 4, Capacity: 10, Seed: 9, Monitoring: true,
-		DeadBeforeArrival: map[grid.Point]int{pos: 3},
+		Failure: &FailureModel{DeadBeforeArrival: map[grid.Point]int{pos: 3}},
 	})
 	jobs := make([]grid.Point, 8)
 	for i := range jobs {
@@ -304,7 +304,7 @@ func TestScenario3DeadVehicleRescuedByMonitoring(t *testing.T) {
 func TestDeadBeforeArrivalUnknownCell(t *testing.T) {
 	r := mustRunner(t, Options{
 		Arena: grid.MustNew(2, 2), CubeSide: 2, Capacity: 5, Seed: 1,
-		DeadBeforeArrival: map[grid.Point]int{grid.P(9, 9): 0},
+		Failure: &FailureModel{DeadBeforeArrival: map[grid.Point]int{grid.P(9, 9): 0}},
 	})
 	if _, err := r.Run(demand.NewSequence([]grid.Point{grid.P(0, 0)})); err == nil {
 		t.Error("unknown dead cell should error")
@@ -377,14 +377,14 @@ func TestRunnerSingleUse(t *testing.T) {
 	}
 }
 
-// TestResetValidation rejects non-positive capacities, like NewRunner.
+// TestResetValidation rejects non-positive and non-finite capacities, like
+// NewRunner.
 func TestResetValidation(t *testing.T) {
 	r := mustRunner(t, Options{Arena: grid.MustNew(2, 2), CubeSide: 2, Capacity: 5, Seed: 1})
-	if err := r.Reset(0, 1); err == nil {
-		t.Error("capacity 0 should fail")
-	}
-	if err := r.Reset(-3, 1); err == nil {
-		t.Error("negative capacity should fail")
+	for _, c := range []float64{0, -3, math.NaN(), math.Inf(1)} {
+		if err := r.Reset(c, 1); err == nil {
+			t.Errorf("capacity %v should fail", c)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package online
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -46,6 +47,27 @@ func (p *prober) probe(w float64) (bool, error) {
 	return res.OK() && res.SearchFailures == 0, nil
 }
 
+// minSearchTol is the finest relative tolerance a bisection can meet:
+// float64 values near hi are up to hi·2⁻⁵² apart, so at a finer tolerance
+// (zero and negative included) a bracket of two adjacent floats would be
+// bisected forever.
+const minSearchTol = 0x1p-52
+
+// checkSearchBounds rejects the inputs on which a capacity search would
+// stall or answer nonsense: a non-finite start lo (NaN slips past the
+// serveCost clamp and comes back as the answer), and a tolerance that is
+// not finite and at least minSearchTol (a NaN tol skips the bisection
+// entirely). Both searches call it first.
+func checkSearchBounds(lo, tol float64) error {
+	if math.IsNaN(lo) || math.IsInf(lo, 0) {
+		return fmt.Errorf("online: search start capacity %v must be finite", lo)
+	}
+	if !(tol >= minSearchTol) || math.IsInf(tol, 1) {
+		return fmt.Errorf("online: search tolerance %v must be finite and at least 2^-52", tol)
+	}
+	return nil
+}
+
 // sharePartition makes sure base carries a prebuilt Partition so every
 // runner of a search reuses one geometry instead of rebuilding it per probe.
 func sharePartition(base *Options) error {
@@ -68,6 +90,9 @@ func sharePartition(base *Options) error {
 // The bracket grows exponentially from lo until a run succeeds. All probes
 // reuse one Runner (reset per probe) and one shared Partition.
 func MinCapacity(seq *demand.Sequence, base Options, lo float64, tol float64) (float64, error) {
+	if err := checkSearchBounds(lo, tol); err != nil {
+		return 0, err
+	}
 	if lo < serveCost {
 		lo = serveCost
 	}
@@ -125,6 +150,9 @@ func MinCapacity(seq *demand.Sequence, base Options, lo float64, tol float64) (f
 // SearchWorkers <= 0 uses runtime.NumCPU(). base.Tracer is ignored: probes
 // run concurrently and a shared tracer would race.
 func MinCapacityParallel(seq *demand.Sequence, base Options, lo, tol float64) (float64, error) {
+	if err := checkSearchBounds(lo, tol); err != nil {
+		return 0, err
+	}
 	workers := base.SearchWorkers
 	if workers <= 0 {
 		workers = runtime.NumCPU()

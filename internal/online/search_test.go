@@ -3,6 +3,7 @@ package online
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/demand"
 	"repro/internal/grid"
@@ -75,9 +76,57 @@ func TestMinCapacityParallelInfeasible(t *testing.T) {
 	jobs := []grid.Point{grid.P(0)}
 	_, err := MinCapacityParallel(demand.NewSequence(jobs), Options{
 		Arena: arena, CubeSide: 1, Seed: 1, SearchWorkers: 4,
-		DeadBeforeArrival: map[grid.Point]int{grid.P(0): 0},
+		Failure: &FailureModel{DeadBeforeArrival: map[grid.Point]int{grid.P(0): 0}},
 	}, 1, 0.05)
 	if err == nil {
 		t.Fatal("a permanently dead fleet must report infeasibility")
+	}
+}
+
+// TestCapacitySearchRejectsBadBounds pins that both searches return an error
+// for a non-finite start capacity or a tolerance the bisection cannot meet.
+// They used to return NaN for lo = NaN, the top of the bracket for
+// tol = NaN, and to bisect forever at tol <= 0 once the bracket was two
+// adjacent floats. Each call runs under a deadline, so a regression fails
+// instead of hanging the suite.
+func TestCapacitySearchRejectsBadBounds(t *testing.T) {
+	arena, seq := hotPointSeq(20)
+	for _, tc := range []struct {
+		name    string
+		lo, tol float64
+	}{
+		{"lo NaN", math.NaN(), 0.05},
+		{"lo +Inf", math.Inf(1), 0.05},
+		{"lo -Inf", math.Inf(-1), 0.05},
+		{"tol NaN", 1, math.NaN()},
+		{"tol +Inf", 1, math.Inf(1)},
+		{"tol 0", 1, 0},
+		{"tol -1", 1, -1},
+		{"tol below float spacing", 1, 1e-300},
+	} {
+		for _, workers := range []int{1, 2} {
+			opts := Options{Arena: arena, CubeSide: 8, Seed: 1, SearchWorkers: workers}
+			search := MinCapacity
+			if workers > 1 {
+				search = MinCapacityParallel
+			}
+			type answer struct {
+				won float64
+				err error
+			}
+			done := make(chan answer, 1)
+			go func() {
+				won, err := search(seq, opts, tc.lo, tc.tol)
+				done <- answer{won, err}
+			}()
+			select {
+			case a := <-done:
+				if a.err == nil {
+					t.Errorf("%s, workers %d: returned %v with no error", tc.name, workers, a.won)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s, workers %d: search still running after 5s", tc.name, workers)
+			}
+		}
 	}
 }

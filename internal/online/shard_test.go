@@ -37,10 +37,12 @@ func failureInjectionJobs() []grid.Point {
 func shardFailOpts(arena *grid.Grid, shards int) Options {
 	return Options{
 		Arena: arena, CubeSide: 6, Capacity: 20, Seed: 9, Monitoring: true,
-		SimShards:         shards,
-		FailInitiate:      map[grid.Point]bool{grid.P(0, 0): true, grid.P(3, 3): true},
-		DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
-		Longevity:         map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(1, 4): 0},
+		SimShards: shards,
+		Failure: &FailureModel{
+			FailInitiate:      map[grid.Point]bool{grid.P(0, 0): true, grid.P(3, 3): true},
+			DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
+			Longevity:         map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(1, 4): 0},
+		},
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/diffuse"
-	"repro/internal/gossip"
 	"repro/internal/grid"
 	"repro/internal/sim"
 )
@@ -39,8 +38,7 @@ func (s WorkState) String() string {
 }
 
 // Message kinds owned by the online layer (range 16..31 of the sim.Msg kind
-// space; 1..7 belongs to package diffuse, 8..15 to package gossip). Operand
-// layout per kind:
+// space; 1..15 belongs to package diffuse). Operand layout per kind:
 //
 //	msgServeJob       — A: arena index of the job position (the vehicle
 //	                    decodes it through Arena.PointAt)
@@ -65,9 +63,8 @@ const (
 )
 
 // moveOrder is the decoded Phase II payload: relocate to Dest and take over
-// service of pair PairID. On the wire it is a diffuse.Payload (or
-// gossip.Payload) whose A word is Dest's arena index and whose B word is
-// PairID.
+// service of pair PairID. On the wire it is a diffuse.Payload whose A word is
+// Dest's arena index and whose B word is PairID.
 type moveOrder struct {
 	Dest   grid.Point
 	PairID int
@@ -95,17 +92,16 @@ type vehicle struct {
 	// t is the shard tally every counter/failure mutation of the current
 	// delivery goes to, resolved from the executing shard at OnMessage
 	// entry (tally 0, always, under the legacy scheduler). Callbacks the
-	// Phase I engines invoke run synchronously inside OnMessage, so the
+	// Phase I engine invokes run synchronously inside OnMessage, so the
 	// pointer is valid wherever vehicle code runs.
 	t *shardTally
 
-	// ds and gs are the two Phase I engines; Runner.gossip selects which one
-	// is live for the episode (both are reset between episodes, so a pooled
-	// runner can flip protocols per ResetEpisode).
+	// ds is the Phase I/II search engine. Its fanout is the episode's
+	// GossipFanout, so one engine serves both SearchDiffuse (fanout 0) and
+	// SearchGossip, and a pooled runner can flip protocols per ResetEpisode.
 	ds *diffuse.Engine
-	gs *gossip.Engine
 	// neighbors is the communication neighborhood resolved to node ids once
-	// at construction (cell arena index = node id); the search engines read
+	// at construction (cell arena index = node id); the search engine reads
 	// it on every flood without re-deriving cell identity.
 	neighbors []sim.NodeID
 
@@ -165,13 +161,7 @@ func (v *vehicle) reserveCost() float64 { return v.stepCost + v.jobCost }
 
 func (v *vehicle) OnMessage(ctx *sim.Context, from sim.NodeID, msg sim.Msg) {
 	v.t = &v.r.tallies[ctx.Shard()]
-	// Exactly one Phase I engine is live per episode, so only its kinds can
-	// be in flight — route to it alone.
-	if v.r.gossip {
-		if v.gs.Handle(ctx, from, msg) {
-			return
-		}
-	} else if v.ds.Handle(ctx, from, msg) {
+	if v.ds.Handle(ctx, from, msg) {
 		return
 	}
 	switch msg.Kind {
@@ -266,11 +256,7 @@ func (v *vehicle) startReplacementSearch(ctx sim.Sender, pairID int, dest grid.P
 	v.searchDest = dest
 	v.r.emit(EventSearch, v.home, dest, v.used,
 		fmt.Sprintf("for pair %d", pairID))
-	if v.r.gossip {
-		v.gs.StartSearch(ctx)
-	} else {
-		v.ds.StartSearch(ctx)
-	}
+	v.ds.StartSearch(ctx)
 }
 
 func (v *vehicle) onSearchComplete(ctx sim.Sender, seq int, found bool) {
@@ -283,13 +269,7 @@ func (v *vehicle) onSearchComplete(ctx sim.Sender, seq int, found bool) {
 		return
 	}
 	destIdx := uint32(v.r.opts.Arena.Index(v.searchDest))
-	var err error
-	if v.r.gossip {
-		err = v.gs.ForwardPayload(ctx, seq, gossip.Payload{A: destIdx, B: uint32(pairID)})
-	} else {
-		err = v.ds.ForwardPayload(ctx, seq, diffuse.Payload{A: destIdx, B: uint32(pairID)})
-	}
-	if err != nil {
+	if err := v.ds.ForwardPayload(ctx, seq, diffuse.Payload{A: destIdx, B: uint32(pairID)}); err != nil {
 		v.r.failf(v.t, "vehicle %v: forward payload: %v", v.home, err)
 	}
 }

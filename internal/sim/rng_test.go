@@ -41,10 +41,10 @@ func TestIntnMatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestReseedMatchesSeed pins the snapshot-copy reseed: a network reset via
-// the pristine-state copy must produce the identical draw stream to one
+// TestReseedMatchesSeed pins the copy reseed: a network reset by copying the
+// captured post-Seed generator must produce the identical draw stream to one
 // reseeded through rand's Seed, including after switching seeds (which
-// invalidates the snapshot) and switching back.
+// invalidates the copy) and switching back.
 func TestReseedMatchesSeed(t *testing.T) {
 	n := NewNetwork(9)
 	stream := func(seed int64) []int {
@@ -70,13 +70,30 @@ func TestReseedMatchesSeed(t *testing.T) {
 	}
 }
 
-// TestSeedByCopyVerified documents the expectation that the init-time probe
-// accepts the current runtime's generator; if a Go release changes the
-// source's internals such that state copy stops working, this test flags the
-// silent fallback so the optimization can be revisited rather than quietly
-// shelved.
-func TestSeedByCopyVerified(t *testing.T) {
-	if !seedByCopy {
-		t.Log("seed-by-copy disabled: reflect state copy failed verification; Reset falls back to Seed")
+// hiddenSource exposes a math/rand source only through rand.Source, hiding
+// its Uint64 method, so captureALFG cannot mirror it.
+type hiddenSource struct{ rand.Source }
+
+// TestSeedFallbackMatchesMathRand drives the plain Seed fallback that Reset
+// takes when generator capture fails: across repeated and switched seeds,
+// every draw must match a freshly seeded math/rand stream.
+func TestSeedFallbackMatchesMathRand(t *testing.T) {
+	n := NewNetwork(1)
+	n.src = hiddenSource{rand.NewSource(1)}
+	ks := []int{1, 3, 2, 5, 7, 6, 100, 64, 63, 1000, 999}
+	for _, seed := range []int64{9, 9, 3, 9} {
+		n.Reset(seed)
+		if n.fastOK {
+			t.Fatalf("seed %d: capture succeeded on a source without Uint64", seed)
+		}
+		ref := rand.New(rand.NewSource(seed))
+		for round := 0; round < 50; round++ {
+			for _, k := range ks {
+				if got, want := n.intn(k), ref.Intn(k); got != want {
+					t.Fatalf("seed %d round %d: fallback intn(%d) = %d, want %d",
+						seed, round, k, got, want)
+				}
+			}
+		}
 	}
 }

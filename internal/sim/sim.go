@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"reflect"
 	"sync"
 	"sync/atomic"
 )
@@ -44,9 +43,8 @@ const KindInvalid uint8 = 0
 
 // Msg is a compact tagged message: a kind byte plus integer operands,
 // delivered by value. Each layer owns a globally unique range of kinds
-// (package diffuse: 1..7, package gossip: 8..15, package online: 16..31,
-// package termination: 240..255; tests use 32..127) and defines what the
-// operands mean per kind.
+// (package diffuse: 1..15, package online: 16..31; tests use 32..127;
+// 128..255 are unowned) and defines what the operands mean per kind.
 //
 // A and B are the primary operands; every single-phase message in the
 // system fits in them (a node id, a sequence number, an arena cell index, a
@@ -396,21 +394,15 @@ type Network struct {
 	modK    int32
 	modMaxv int32
 	modM    uint64
-	// pristine holds a snapshot of the source's internal state right after
-	// seeding with pristineSeed, so the warm-start path can reseed by a
-	// plain state copy instead of math/rand's 607-round seed scramble.
-	// Only used when seedByCopy verified the technique at init (see below)
-	// and the faster captured-generator path below is unavailable.
-	pristine     reflect.Value
-	pristineSeed int64
-	havePristine bool
 	// fast is the in-struct mirror of the seeded generator (see alfg),
 	// active when fastOK: scheduler draws then run inline with no interface
-	// call, and a warm Reset restores fastPristine (the post-Seed state)
-	// with a plain copy. When capture fails, draws go through src.
+	// call, and a warm Reset with the same seed (pristineSeed) restores
+	// fastPristine, the post-Seed state, with a plain copy. When capture
+	// fails, draws go through src, reseeded by Seed on every Reset.
 	fast         alfg
 	fastPristine alfg
 	fastOK       bool
+	pristineSeed int64
 	// sh is non-nil when the sealed-round sharded scheduler is selected
 	// (SetShards); every entry point dispatches on it. curSeed tracks the
 	// current episode seed so SetShards can derive per-cell streams without
@@ -424,40 +416,6 @@ func NewNetwork(seed int64) *Network {
 	n := &Network{src: rand.NewSource(seed), curSeed: seed}
 	n.ctx.net = n
 	return n
-}
-
-// seedByCopy reports whether reseeding a math/rand source by copying a
-// snapshot of its just-seeded state (via reflect) reproduces the stream of a
-// freshly seeded source. Verified once at init against the real generator;
-// if the runtime's source ever stops being a plain state struct this turns
-// false and Reset falls back to Seed. The copy replaces a reseed costing
-// 607 multiplicative scramble rounds with a ~5KB memmove.
-var seedByCopy = verifySeedByCopy()
-
-func verifySeedByCopy() (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	src := rand.NewSource(20080527)
-	v := reflect.ValueOf(src)
-	if v.Kind() != reflect.Ptr {
-		return false
-	}
-	snap := reflect.New(v.Type().Elem()).Elem()
-	snap.Set(v.Elem())
-	want := make([]int64, 64)
-	for i := range want {
-		want[i] = src.Int63()
-	}
-	v.Elem().Set(snap) // roll back and replay
-	for i := range want {
-		if src.Int63() != want[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // intn replicates math/rand.(*Rand).Intn over the network's source — the
@@ -534,11 +492,11 @@ func (n *Network) Reset(seed int64) {
 	}
 }
 
-// reseed puts the source in the same state Seed(seed) would, preferring a
-// snapshot copy when the same seed repeats — the warm sweep engine resets
-// thousands of episodes with one seed, and the copy is ~20x cheaper than
-// math/rand's seed scramble. The first Reset with a new seed pays one Seed
-// plus one snapshot allocation; warm repeats allocate nothing.
+// reseed puts the generator in the same state Seed(seed) would, preferring
+// a copy of the captured post-Seed state when the same seed repeats — the
+// warm sweep engine resets thousands of episodes with one seed, and the copy
+// is ~20x cheaper than math/rand's seed scramble. When capture fails, the
+// source is simply reseeded.
 func (n *Network) reseed(seed int64) {
 	if n.fastOK && n.pristineSeed == seed {
 		n.fast = n.fastPristine
@@ -548,24 +506,12 @@ func (n *Network) reseed(seed int64) {
 	if captureALFG(n.src, &n.fast) {
 		n.fastPristine = n.fast
 		n.fastOK = true
-		n.havePristine = false
 		n.pristineSeed = seed
 		return
 	}
 	n.fastOK = false
-	// Capture spends draws; restore the pristine seeded state.
+	// Capture spends draws; restore the seeded state.
 	n.src.Seed(seed)
-	if seedByCopy {
-		if n.havePristine && n.pristineSeed == seed {
-			reflect.ValueOf(n.src).Elem().Set(n.pristine)
-			return
-		}
-		v := reflect.ValueOf(n.src)
-		n.pristine = reflect.New(v.Type().Elem()).Elem()
-		n.pristine.Set(v.Elem())
-		n.pristineSeed = seed
-		n.havePristine = true
-	}
 }
 
 // Add registers a process under id.

@@ -44,7 +44,7 @@ func mixedScenarios(t testing.TB) []Scenario {
 				Scenario{
 					Opts: online.Options{Arena: small, CubeSide: 6, Capacity: 14,
 						Seed: seed, Monitoring: monitoring,
-						FailInitiate: map[grid.Point]bool{grid.P(0, 0): true}},
+						Failure: &online.FailureModel{FailInitiate: map[grid.Point]bool{grid.P(0, 0): true}}},
 					Seq: demand.NewSequence(hotSmall),
 				})
 		}
