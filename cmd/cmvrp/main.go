@@ -10,8 +10,7 @@
 // -show renders ASCII heat maps of the demand and schedule (2-D arenas);
 // -trace streams the online simulation's event log. -shards selects the
 // simulator scheduler for -online/-trace runs: 0 (default) is the legacy
-// scheduler, S >= 1 the sealed-round sharded scheduler whose output is
-// identical for every S.
+// scheduler; any S >= 1 selects sealed rounds, identical for every such S.
 //
 // The spec format:
 //
@@ -50,7 +49,7 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "determinism seed for the online simulation")
 	search := fs.String("search", "diffuse", "Phase I dissemination protocol: diffuse or gossip")
 	fanout := fs.Int("fanout", 0, "gossip fanout bound (0 = full flood; requires -search gossip)")
-	shards := fs.Int("shards", 0, "simulator shards: 0 = legacy scheduler, >= 1 = sealed-round scheduler")
+	shards := fs.Int("shards", 0, "simulator scheduler: 0 = legacy, any value >= 1 = sealed rounds (identical for every such value)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

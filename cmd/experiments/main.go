@@ -12,9 +12,9 @@
 // runtime.NumCPU() so runs on different hosts do the same thing by default).
 // -shards selects the simulator scheduler for the simulator-backed
 // experiments: 0 (the default) is the legacy scheduler that produced the
-// recorded EXPERIMENTS.md tables; S >= 1 is the sealed-round sharded
-// scheduler, whose tables are byte-identical for every S — CI diffs
-// -shards 1/2/4/8 outputs against each other as the determinism gate.
+// recorded EXPERIMENTS.md tables; any S >= 1 selects sealed rounds, whose
+// tables are byte-identical for every such S — CI diffs -shards 1/2/4/8
+// outputs against each other as the determinism gate.
 package main
 
 import (
@@ -46,7 +46,7 @@ func run(args []string, out io.Writer) error {
 	workers := fs.Int("workers", defaultSweepWorkers,
 		"sweep fan-out width (tables are byte-identical for every value)")
 	shards := fs.Int("shards", 0,
-		"simulator shards: 0 = legacy scheduler, >= 1 = sealed-round scheduler (tables are byte-identical for every value >= 1)")
+		"simulator scheduler: 0 = legacy, any value >= 1 = sealed rounds (tables are byte-identical for every such value)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

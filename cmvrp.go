@@ -54,10 +54,9 @@ type (
 	// Schedule is a verified offline vehicle plan.
 	Schedule = offline.Schedule
 	// OnlineOptions configures the Chapter 3 strategy. Its SimShards field
-	// selects the simulator scheduler: 0 is the legacy sequential scheduler
-	// (the historical golden schedules), any value >= 1 the sealed-round
-	// sharded scheduler, whose results are bit-identical for every shard
-	// count and which runs shards in parallel when SimShards > 1.
+	// selects the simulator scheduler: 0 is the legacy scheduler (the
+	// historical golden schedules); any value >= 1 selects sealed rounds,
+	// with results bit-identical for every such value.
 	OnlineOptions = online.Options
 	// OnlineResult reports an online run's outcome and cost metrics.
 	OnlineResult = online.Result

@@ -35,8 +35,10 @@ func Greedy(seq *demand.Sequence, arena *grid.Grid, capacity float64) (*GreedyRe
 	if arena == nil {
 		return nil, errors.New("baseline: arena is required")
 	}
-	if capacity <= 0 {
-		return nil, fmt.Errorf("baseline: capacity %v must be positive", capacity)
+	// NaN and +Inf would make every energy test below false, serving every
+	// job with unlimited energy.
+	if !(capacity > 0) || math.IsInf(capacity, 1) {
+		return nil, fmt.Errorf("baseline: capacity %v must be positive and finite", capacity)
 	}
 	type veh struct {
 		pos  grid.Point
@@ -79,9 +81,18 @@ func Greedy(seq *demand.Sequence, arena *grid.Grid, capacity float64) (*GreedyRe
 	return res, nil
 }
 
+// minTol is the finest relative tolerance GreedyMinCapacity's bisection can
+// meet: once the bracket is one ulp wide the midpoint stops moving, so a
+// smaller tol would bisect forever.
+const minTol = 0x1p-52
+
 // GreedyMinCapacity measures the smallest capacity (within relative tol) for
-// which Greedy serves the whole sequence.
+// which Greedy serves the whole sequence. tol must be finite and at least
+// 2^-52; a NaN tol would skip the bisection entirely.
 func GreedyMinCapacity(seq *demand.Sequence, arena *grid.Grid, tol float64) (float64, error) {
+	if !(tol >= minTol) || math.IsInf(tol, 1) {
+		return 0, fmt.Errorf("baseline: tolerance %v must be finite and at least 2^-52", tol)
+	}
 	run := func(w float64) (bool, error) {
 		r, err := Greedy(seq, arena, w)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/demand"
 	"repro/internal/grid"
@@ -14,8 +15,11 @@ func TestGreedyValidation(t *testing.T) {
 	if _, err := Greedy(seq, nil, 5); err == nil {
 		t.Error("nil arena should fail")
 	}
-	if _, err := Greedy(seq, grid.MustNew(2, 2), 0); err == nil {
-		t.Error("zero capacity should fail")
+	// NaN and +Inf would serve every job with unlimited energy.
+	for _, capacity := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Greedy(seq, grid.MustNew(2, 2), capacity); err == nil {
+			t.Errorf("capacity %v should fail", capacity)
+		}
 	}
 	out := demand.NewSequence([]grid.Point{grid.P(9, 9)})
 	if _, err := Greedy(out, grid.MustNew(2, 2), 5); err == nil {
@@ -130,5 +134,43 @@ func TestLocalOnly(t *testing.T) {
 	}
 	if LocalOnly(m) != 42 {
 		t.Error("local-only requirement must be max demand")
+	}
+}
+
+// TestGreedyMinCapacityTolerance pins the tolerance bounds: below 2^-52 the
+// bisection can never meet tol and would run forever, and a NaN tol would
+// skip it. Each search runs with a deadline so a hang fails the test.
+func TestGreedyMinCapacityTolerance(t *testing.T) {
+	arena := grid.MustNew(3, 3)
+	jobs := make([]grid.Point, 12)
+	for i := range jobs {
+		jobs[i] = grid.P(1, 1)
+	}
+	seq := demand.NewSequence(jobs)
+	for _, tc := range []struct {
+		tol float64
+		ok  bool
+	}{
+		{0.05, true},
+		{0x1p-52, true},
+		{0x1p-53, false},
+		{0, false},
+		{-1, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := GreedyMinCapacity(seq, arena, tc.tol)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if (err == nil) != tc.ok {
+				t.Errorf("tol %v: err = %v, want ok=%v", tc.tol, err, tc.ok)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("tol %v: search still running after 5s", tc.tol)
+		}
 	}
 }

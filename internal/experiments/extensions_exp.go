@@ -102,7 +102,7 @@ func E10Transfers(lineLens []int, d int64) (*Table, error) {
 // online.Options.SimShards for every simulator-backed experiment (E7, E8,
 // E11, E13, E14, E15): 0 keeps the legacy scheduler that produced the
 // recorded EXPERIMENTS.md tables; any value >= 1 selects the sealed-round
-// scheduler, whose tables are byte-identical for every shard count — the CI
+// scheduler, whose tables are byte-identical for every such value — the CI
 // determinism gate diffs -shards 1/2/4/8 against each other.
 func All(quick bool, workers, shards int) ([]*Table, error) {
 	return Some("", quick, workers, shards)

@@ -64,3 +64,27 @@ func TestWarmMonitoringEpisodeAllocCeiling(t *testing.T) {
 		t.Errorf("warm monitoring episode allocated %.0f objects/run, ceiling %d", got, ceiling)
 	}
 }
+
+// TestShardedNewRunnerAllocsFlat pins that a runner's construction cost
+// does not grow with Options.SimShards: every value >= 1 selects the same
+// single-goroutine scheduler, so building at 1000 allocates no more than
+// building at 1.
+func TestShardedNewRunnerAllocsFlat(t *testing.T) {
+	arena := grid.MustNew(8, 8)
+	part, err := NewPartition(arena, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(shards int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := NewRunner(Options{
+				Arena: arena, Partition: part, Capacity: 24, Seed: 1, SimShards: shards,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := build(1), build(1000); many > one {
+		t.Fatalf("NewRunner allocates %.0f objects at SimShards 1000, %.0f at 1", many, one)
+	}
+}

@@ -68,17 +68,12 @@ type Options struct {
 	Tracer Tracer
 	// SimShards selects the message scheduler. 0 (the default) is the
 	// legacy single-stream scheduler every historical golden trace pins.
-	// Values >= 1 select the sealed-round sharded scheduler: the arena is
-	// partitioned into that many contiguous stripes and rounds are
-	// conservatively synchronized, which makes the episode's outcome
-	// bit-for-bit identical for EVERY SimShards >= 1 — the count is purely
-	// a parallelism knob (when SimShards > 1 rounds run on the network's
-	// persistent worker pool, sized to min(shards, GOMAXPROCS); a Tracer
-	// forces sequential execution, with identical results, so event
-	// callbacks never run concurrently). The two schedulers realize
-	// different — equally valid — deterministic delivery schedules, so
-	// results differ between SimShards = 0 and SimShards >= 1 but never
-	// within the sharded family.
+	// Any value >= 1 selects the sealed-round scheduler, and every such
+	// value gives the identical episode: rounds run on the calling
+	// goroutine, so the number has no further effect. The two schedulers
+	// realize different — equally valid — deterministic delivery
+	// schedules, so results differ between SimShards = 0 and
+	// SimShards >= 1.
 	SimShards int
 }
 
@@ -182,11 +177,7 @@ type Runner struct {
 	replaceLatencySum   int64
 	replaceLatencyCount int64
 	fatal               error
-	// tallies holds the per-shard handler-side accumulators folded into the
-	// totals above at round barriers (sharded) or quiescence (legacy, one
-	// tally). See shardTally.
-	tallies        []shardTally
-	currentArrival int
+	currentArrival      int
 	// consumed latches after Run starts: the arrival cursor, counters, and
 	// vehicle states are spent, so a second Run without Reset would silently
 	// continue from mid-episode state. Reset re-arms the runner.
@@ -201,80 +192,20 @@ var ErrRunnerUsed = errors.New("online: Runner already ran; call Reset before ru
 // is zero.
 const defaultMaxSteps = 50_000_000
 
-// shardTally is the per-shard accumulator for everything vehicle handlers
-// mutate besides the pair tables: counters, the failure list, and the fatal
-// latch. Handlers write only their own shard's tally (racefree under
-// parallel shards), and foldTallies merges the deltas in shard order at
-// every round barrier — which, stripes being contiguous ascending cell
-// ranges, is the canonical merge order the determinism contract names. The
-// legacy scheduler uses tally 0 folded at quiescence, which reduces to the
-// historical direct mutation exactly. The trailing pad keeps adjacent
-// tallies off each other's cache lines under parallel execution.
-type shardTally struct {
-	served              int64
-	searches            int64
-	searchFailures      int64
-	replacements        int64
-	monitorRescues      int64
-	evidenceRescues     int64
-	replaceLatencySum   int64
-	replaceLatencyCount int64
-	maxEnergy           float64
-	failures            []Failure
-	fatal               error
-	_                   [16]byte
-}
-
-// foldTallies merges every shard's deltas into the runner totals, in shard
-// order. Registered as the sharded scheduler's barrier hook (so failure
-// order and fatal precedence stay round-major: all of round r's entries, in
-// ascending cell order, before any of round r+1's) and called after every
-// legacy quiescence (where the single tally preserves execution order).
-func (r *Runner) foldTallies() {
-	for i := range r.tallies {
-		t := &r.tallies[i]
-		r.served += t.served
-		r.searches += t.searches
-		r.searchFailures += t.searchFailures
-		r.replacements += t.replacements
-		r.monitorRescues += t.monitorRescues
-		r.evidenceRescues += t.evidenceRescues
-		r.replaceLatencySum += t.replaceLatencySum
-		r.replaceLatencyCount += t.replaceLatencyCount
-		t.served, t.searches, t.searchFailures, t.replacements = 0, 0, 0, 0
-		t.monitorRescues, t.evidenceRescues = 0, 0
-		t.replaceLatencySum, t.replaceLatencyCount = 0, 0
-		if t.maxEnergy > r.maxEnergy {
-			r.maxEnergy = t.maxEnergy
-		}
-		t.maxEnergy = 0
-		if len(t.failures) > 0 {
-			r.failures = append(r.failures, t.failures...)
-			t.failures = t.failures[:0]
-		}
-		if t.fatal != nil {
-			if r.fatal == nil {
-				r.fatal = t.fatal
-			}
-			t.fatal = nil
-		}
-	}
-}
-
-func (r *Runner) recordFailure(t *shardTally, pos grid.Point, reason string) {
-	t.failures = append(t.failures, Failure{Pos: pos, Reason: reason})
+func (r *Runner) recordFailure(pos grid.Point, reason string) {
+	r.failures = append(r.failures, Failure{Pos: pos, Reason: reason})
 	r.emit(EventFailure, pos, pos, 0, reason)
 }
 
-func (t *shardTally) noteEnergy(e float64) {
-	if e > t.maxEnergy {
-		t.maxEnergy = e
+func (r *Runner) noteEnergy(e float64) {
+	if e > r.maxEnergy {
+		r.maxEnergy = e
 	}
 }
 
-func (r *Runner) failf(t *shardTally, format string, args ...interface{}) {
-	if t.fatal == nil {
-		t.fatal = fmt.Errorf(format, args...)
+func (r *Runner) failf(format string, args ...interface{}) {
+	if r.fatal == nil {
+		r.fatal = fmt.Errorf(format, args...)
 	}
 }
 
@@ -400,37 +331,11 @@ func NewRunner(opts Options) (*Runner, error) {
 	for i := range r.allNodes {
 		r.allNodes[i] = sim.NodeID(i)
 	}
-	if err := r.applyShards(); err != nil {
+	if err := r.net.SetSealed(opts.SimShards > 0); err != nil {
 		return nil, err
 	}
 	r.restoreInitialState()
 	return r, nil
-}
-
-// applyShards configures the network's scheduler from Options.SimShards and
-// sizes the per-shard tallies. Parallel shard execution is enabled when
-// there is real fan-out and no Tracer (a traced episode runs its shards
-// sequentially — bit-identical results, but event callbacks stay
-// single-threaded). Called with a quiescent network: at construction and
-// from ResetEpisode right after the network reset.
-func (r *Runner) applyShards() error {
-	parallel := r.opts.SimShards > 1 && r.opts.Tracer == nil
-	if err := r.net.SetShards(r.opts.SimShards, parallel); err != nil {
-		return err
-	}
-	// SetShards drops the barrier hook (on the warm same-count path it
-	// keeps the stripes and the persistent worker pool, but a hook from a
-	// previous episode must not leak), so the hook — which folds the
-	// tallies in shard order at every round — is re-registered every time.
-	r.net.SetBarrierHook(r.foldTallies)
-	want := 1
-	if r.opts.SimShards > 1 {
-		want = r.opts.SimShards
-	}
-	if len(r.tallies) != want {
-		r.tallies = make([]shardTally, want)
-	}
-	return nil
 }
 
 // restoreInitialState puts every mutable piece of the episode — vehicle
@@ -476,9 +381,6 @@ func (r *Runner) restoreInitialState() {
 	}
 	r.nextDead = 0
 	r.served = 0
-	for i := range r.tallies {
-		r.tallies[i] = shardTally{failures: r.tallies[i].failures[:0]}
-	}
 	// Start a fresh failure list rather than truncating: the previous run's
 	// Result aliases the old backing array.
 	r.failures = nil
@@ -499,12 +401,12 @@ func (r *Runner) restoreInitialState() {
 // move just restored: if any arrival was lost while the pair was down, the
 // lapse length (first lost arrival through the current one, inclusive) is
 // added to the latency accumulators.
-func (r *Runner) noteRestored(t *shardTally, pairID int) {
+func (r *Runner) noteRestored(pairID int) {
 	if r.pairDownAt[pairID] < 0 {
 		return
 	}
-	t.replaceLatencySum += int64(r.currentArrival - r.pairDownAt[pairID] + 1)
-	t.replaceLatencyCount++
+	r.replaceLatencySum += int64(r.currentArrival - r.pairDownAt[pairID] + 1)
+	r.replaceLatencyCount++
 	r.pairDownAt[pairID] = -1
 }
 
@@ -580,7 +482,7 @@ func (r *Runner) ResetEpisode(opts Options) error {
 	opts.Partition = r.part
 	r.opts = opts
 	r.net.Reset(opts.Seed)
-	if err := r.applyShards(); err != nil {
+	if err := r.net.SetSealed(opts.SimShards > 0); err != nil {
 		return err
 	}
 	r.restoreInitialState()
@@ -700,13 +602,7 @@ func (r *Runner) Run(seq *demand.Sequence) (*Result, error) {
 }
 
 func (r *Runner) quiesce() error {
-	err := r.net.Run(r.opts.MaxSteps)
-	// Legacy episodes fold their single tally here (preserving execution
-	// order exactly); sharded episodes already folded at every round
-	// barrier, so this drains nothing — but runs unconditionally so the
-	// totals the caller reads next are always current.
-	r.foldTallies()
-	return err
+	return r.net.Run(r.opts.MaxSteps)
 }
 
 // monitorRound performs one heartbeat exchange followed by one check pass

@@ -8,14 +8,14 @@ import (
 	"repro/internal/grid"
 )
 
-// The sealed-round sharded scheduler (Options.SimShards >= 1) defines its
-// own deterministic delivery schedule, bit-identical for every shard count.
+// The sealed-round scheduler (Options.SimShards >= 1) defines its own
+// deterministic delivery schedule, bit-identical for every SimShards >= 1.
 // On both canonical golden scenarios its pinned counters coincide with the
 // legacy scheduler's: the observables (serves, total messages, searches,
-// replacements, max energy) are schedule-insensitive there, so the sharded
-// family inherits the historical goldens even though the interleavings
-// differ. Any drift below means either the sealed-round schedule or the
-// shard merge order changed.
+// replacements, max energy) are schedule-insensitive there, so the
+// sealed-round family inherits the historical goldens even though the
+// interleavings differ. Any drift below means the sealed-round schedule
+// changed.
 
 func hotPointJobs() []grid.Point {
 	jobs := make([]grid.Point, 60)
@@ -68,8 +68,8 @@ func resultsEqual(t *testing.T, label string, a, b *Result) {
 }
 
 // TestShardedGoldenHotPoint pins the sealed-round schedule's counters on
-// the hot-point scenario at shard counts 1/2/4/8 (the CI determinism gate's
-// matrix): identical values at every count, coinciding with the legacy
+// the hot-point scenario at SimShards 1/2/4/8 (the CI determinism gate's
+// matrix): identical values at every setting, coinciding with the legacy
 // golden.
 func TestShardedGoldenHotPoint(t *testing.T) {
 	arena := grid.MustNew(8, 8)
@@ -92,7 +92,8 @@ func TestShardedGoldenHotPoint(t *testing.T) {
 
 // TestShardedGoldenFailureInjection is the same pin on the scenario that
 // exercises monitoring waves, fail-initiate vehicles, a mid-sequence death,
-// and longevity breakdowns — the InjectMany and rescue paths under shards.
+// and longevity breakdowns — the InjectMany and rescue paths under sealed
+// rounds.
 func TestShardedGoldenFailureInjection(t *testing.T) {
 	arena := grid.MustNew(6, 6)
 	jobs := failureInjectionJobs()
@@ -111,8 +112,9 @@ func TestShardedGoldenFailureInjection(t *testing.T) {
 }
 
 // TestShardedFullResultInvariance compares complete Results — every
-// counter and the failure list — across shard counts, on a capacity tight
-// enough to produce failures (so failure-list merge order is exercised).
+// counter and the failure list — across SimShards values, on a capacity
+// tight enough to produce failures (so failure-list order is exercised).
+// 1000 stripes once cost memory and time quadratic in the count.
 func TestShardedFullResultInvariance(t *testing.T) {
 	arena := grid.MustNew(8, 8)
 	jobs := hotPointJobs()
@@ -130,14 +132,14 @@ func TestShardedFullResultInvariance(t *testing.T) {
 	if len(ref.Failures) == 0 {
 		t.Fatal("scenario produced no failures; failure merge order untested")
 	}
-	for _, shards := range []int{2, 4, 8} {
+	for _, shards := range []int{2, 4, 8, 1000} {
 		resultsEqual(t, "shards", ref, run(shards))
 	}
 }
 
-// TestShardedResetMatchesFresh extends the warm-start contract to sharded
-// state: a reset sharded runner replays the golden schedule exactly, even
-// after perturbing episodes at other capacities and seeds.
+// TestShardedResetMatchesFresh extends the warm-start contract to
+// sealed-round state: a reset runner replays the golden schedule exactly,
+// even after perturbing episodes at other capacities and seeds.
 func TestShardedResetMatchesFresh(t *testing.T) {
 	arena := grid.MustNew(8, 8)
 	jobs := hotPointJobs()
@@ -175,9 +177,9 @@ func TestShardedResetMatchesFresh(t *testing.T) {
 }
 
 // TestShardedResetEpisodeFlipsScheduler pins ResetEpisode's scheduler
-// switching: legacy → sharded → legacy on one pooled runner, each episode
-// reproducing its family's golden counters (the legacy source must survive
-// a sharded interlude untouched).
+// switching: legacy → sealed rounds → legacy on one pooled runner, each
+// episode reproducing its family's golden counters (the legacy source must
+// survive a sealed-round interlude untouched).
 func TestShardedResetEpisodeFlipsScheduler(t *testing.T) {
 	arena := grid.MustNew(6, 6)
 	jobs := failureInjectionJobs()
@@ -200,9 +202,9 @@ func TestShardedResetEpisodeFlipsScheduler(t *testing.T) {
 	}
 }
 
-// TestShardedGossipInvariance runs the gossip Phase I engine under shards:
-// the alternative search protocol's schedule must be shard-count invariant
-// too.
+// TestShardedGossipInvariance runs the gossip Phase I engine under sealed
+// rounds: the alternative search protocol's schedule must not depend on the
+// SimShards value either.
 func TestShardedGossipInvariance(t *testing.T) {
 	arena := grid.MustNew(8, 8)
 	jobs := hotPointJobs()
@@ -226,9 +228,9 @@ func TestShardedGossipInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedTracerSequential pins that a traced sharded episode (forced
-// sequential execution) produces the same result and a deterministic event
-// stream equal across shard counts.
+// TestShardedTracerSequential pins that a traced sealed-round episode
+// produces the same result and a deterministic event stream at every
+// SimShards value.
 func TestShardedTracerSequential(t *testing.T) {
 	arena := grid.MustNew(8, 8)
 	jobs := hotPointJobs()

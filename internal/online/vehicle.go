@@ -89,13 +89,6 @@ type vehicle struct {
 	used   float64
 	pairID int // pair currently served (valid when Active) or home pair
 
-	// t is the shard tally every counter/failure mutation of the current
-	// delivery goes to, resolved from the executing shard at OnMessage
-	// entry (tally 0, always, under the legacy scheduler). Callbacks the
-	// Phase I engine invokes run synchronously inside OnMessage, so the
-	// pointer is valid wherever vehicle code runs.
-	t *shardTally
-
 	// ds is the Phase I/II search engine. Its fanout is the episode's
 	// GossipFanout, so one engine serves both SearchDiffuse (fanout 0) and
 	// SearchGossip, and a pooled runner can flip protocols per ResetEpisode.
@@ -160,7 +153,6 @@ func (v *vehicle) capacity() float64 { return v.r.opts.Capacity * v.capMult }
 func (v *vehicle) reserveCost() float64 { return v.stepCost + v.jobCost }
 
 func (v *vehicle) OnMessage(ctx *sim.Context, from sim.NodeID, msg sim.Msg) {
-	v.t = &v.r.tallies[ctx.Shard()]
 	if v.ds.Handle(ctx, from, msg) {
 		return
 	}
@@ -182,7 +174,7 @@ func (v *vehicle) OnMessage(ctx *sim.Context, from sim.NodeID, msg sim.Msg) {
 		}
 		v.complaints[int(msg.A)] = true
 	default:
-		v.r.failf(v.t, "vehicle %v: unexpected message kind %d", v.home, msg.Kind)
+		v.r.failf("vehicle %v: unexpected message kind %d", v.home, msg.Kind)
 	}
 }
 
@@ -190,19 +182,19 @@ func (v *vehicle) OnMessage(ctx *sim.Context, from sim.NodeID, msg sim.Msg) {
 // pair, so at distance at most 1 from its position).
 func (v *vehicle) onServe(ctx *sim.Context, pos grid.Point) {
 	if v.state != Active {
-		v.r.recordFailure(v.t, pos, fmt.Sprintf("vehicle %v in state %v", v.home, v.state))
+		v.r.recordFailure(pos, fmt.Sprintf("vehicle %v in state %v", v.home, v.state))
 		return
 	}
 	walk := float64(grid.Manhattan(v.pos, pos)) * v.stepCost
 	cost := walk + v.jobCost
 	if v.used+cost > v.capacity() {
-		v.r.recordFailure(v.t, pos, fmt.Sprintf("vehicle %v out of energy (%.1f used)", v.home, v.used))
+		v.r.recordFailure(pos, fmt.Sprintf("vehicle %v out of energy (%.1f used)", v.home, v.used))
 		return
 	}
 	v.used += cost
 	v.pos = pos
-	v.t.served++
-	v.t.noteEnergy(v.used)
+	v.r.served++
+	v.r.noteEnergy(v.used)
 	v.r.emit(EventServe, v.home, pos, v.used, "")
 	// Chapter 4 breakdown: the vehicle dies the moment a fraction p of its
 	// capacity is spent. A dead vehicle cannot initiate its own
@@ -252,7 +244,7 @@ func (v *vehicle) startReplacementSearch(ctx sim.Sender, pairID int, dest grid.P
 	}
 	v.r.pendingReplace[pairID] = true
 	v.searchPair = pairID
-	v.t.searches++
+	v.r.searches++
 	v.searchDest = dest
 	v.r.emit(EventSearch, v.home, dest, v.used,
 		fmt.Sprintf("for pair %d", pairID))
@@ -263,14 +255,14 @@ func (v *vehicle) onSearchComplete(ctx sim.Sender, seq int, found bool) {
 	pairID := v.searchPair
 	if !found {
 		v.r.pendingReplace[pairID] = false
-		v.t.searchFailures++
+		v.r.searchFailures++
 		v.r.emit(EventSearchFail, v.home, v.searchDest, v.used,
 			fmt.Sprintf("for pair %d", pairID))
 		return
 	}
 	destIdx := uint32(v.r.opts.Arena.Index(v.searchDest))
 	if err := v.ds.ForwardPayload(ctx, seq, diffuse.Payload{A: destIdx, B: uint32(pairID)}); err != nil {
-		v.r.failf(v.t, "vehicle %v: forward payload: %v", v.home, err)
+		v.r.failf("vehicle %v: forward payload: %v", v.home, err)
 	}
 }
 
@@ -278,25 +270,25 @@ func (v *vehicle) onMoveOrder(ctx sim.Sender, order moveOrder) {
 	if v.state != Idle {
 		// The protocol guarantees candidates are idle at recruitment time;
 		// a double recruit would be a bug, surface it.
-		v.r.failf(v.t, "vehicle %v: move order while %v", v.home, v.state)
+		v.r.failf("vehicle %v: move order while %v", v.home, v.state)
 		return
 	}
 	walk := float64(grid.Manhattan(v.pos, order.Dest)) * v.stepCost
 	if v.used+walk > v.capacity() {
-		v.r.recordFailure(v.t, order.Dest,
+		v.r.recordFailure(order.Dest,
 			fmt.Sprintf("recruit %v cannot afford move of %v", v.home, walk))
 		v.r.pendingReplace[order.PairID] = false
 		return
 	}
 	v.used += walk
-	v.t.noteEnergy(v.used)
+	v.r.noteEnergy(v.used)
 	v.pos = order.Dest
 	v.state = Active
 	v.pairID = order.PairID
 	v.r.pairActive[order.PairID] = v.id
 	v.r.pendingReplace[order.PairID] = false
-	v.t.replacements++
-	v.r.noteRestored(v.t, order.PairID)
+	v.r.replacements++
+	v.r.noteRestored(order.PairID)
 	v.r.emit(EventMove, v.home, order.Dest, v.used,
 		fmt.Sprintf("takes over pair %d", order.PairID))
 	if v.breaksNow() {
@@ -354,14 +346,14 @@ func (v *vehicle) onCheck(ctx *sim.Context) {
 		case !v.heard[watched]:
 			// Watched pair went silent: recruit a replacement on its behalf,
 			// directed at the pair's canonical service position.
-			v.t.monitorRescues++
+			v.r.monitorRescues++
 			v.r.emit(EventRescue, v.home, v.r.part.Pairs()[watched].ServicePos(), v.used,
 				fmt.Sprintf("pair %d went silent", watched))
 			v.startReplacementSearch(ctx, watched, v.r.part.Pairs()[watched].ServicePos())
 		case v.complaints[watched]:
 			// Beacons kept arriving but a job went unserved: evidence beats
 			// the (possibly forged) beacon.
-			v.t.evidenceRescues++
+			v.r.evidenceRescues++
 			v.r.emit(EventRescue, v.home, v.r.part.Pairs()[watched].ServicePos(), v.used,
 				fmt.Sprintf("pair %d beaconed but served nothing", watched))
 			v.startReplacementSearch(ctx, watched, v.r.part.Pairs()[watched].ServicePos())

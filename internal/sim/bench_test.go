@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // relay forwards a hop counter around a ring.
 type relay struct{ next NodeID }
@@ -37,11 +34,11 @@ func BenchmarkMessageThroughput(b *testing.B) {
 }
 
 // benchFlood is floodProc without the logging: decaying branching token
-// floods across a torus, the wide-round workload where sharding has
-// parallelism to harvest (a ring token chain delivers one message per
-// sealed round — the sharded scheduler's worst case; a flood keeps dozens
-// of cells active per round). B counts fork generations; capping it keeps
-// the episode size bounded (uncapped, the fork recurrence is exponential).
+// floods across a torus, the wide-round workload (a ring token chain
+// delivers one message per sealed round — the sealed-round scheduler's
+// worst case; a flood keeps dozens of cells active per round). B counts
+// fork generations; capping it keeps the episode size bounded (uncapped,
+// the fork recurrence is exponential).
 type benchFlood struct {
 	id   NodeID
 	nbrs []NodeID
@@ -78,16 +75,13 @@ func buildBenchFlood(b *testing.B, w, h int, seed int64) *Network {
 	return n
 }
 
-// benchmarkSharded runs warm flood episodes on a 64×64 torus under the
-// given shard config; shards=0 is the legacy scheduler on the identical
-// workload (note its schedule differs — same protocol, different
-// deterministic interleaving).
-func benchmarkSharded(b *testing.B, shards int, parallel bool) {
+// benchmarkFlood runs warm flood episodes on a 64×64 torus under the
+// sealed-round or the legacy scheduler (note their schedules differ — same
+// protocol, different deterministic interleaving).
+func benchmarkFlood(b *testing.B, sealed bool) {
 	n := buildBenchFlood(b, 64, 64, 1)
-	if shards > 0 {
-		if err := n.SetShards(shards, parallel); err != nil {
-			b.Fatal(err)
-		}
+	if err := n.SetSealed(sealed); err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -105,21 +99,17 @@ func benchmarkSharded(b *testing.B, shards int, parallel bool) {
 }
 
 // BenchmarkShardedFloodWarm compares the legacy scheduler against the
-// sealed-round scheduler at increasing shard counts on a wide flood.
-// The shards=1 row is the sealed-round engine's intrinsic overhead; the
-// parallel rows only beat it on multi-core hosts.
+// sealed-round scheduler (the shards=1 row, named after the
+// Options.SimShards value that selects it) on a wide flood.
 func BenchmarkShardedFloodWarm(b *testing.B) {
-	b.Run("legacy", func(b *testing.B) { benchmarkSharded(b, 0, false) })
-	b.Run("shards=1", func(b *testing.B) { benchmarkSharded(b, 1, false) })
-	b.Run("shards=2", func(b *testing.B) { benchmarkSharded(b, 2, true) })
-	b.Run("shards=4", func(b *testing.B) { benchmarkSharded(b, 4, true) })
-	b.Run("shards=8", func(b *testing.B) { benchmarkSharded(b, 8, true) })
+	b.Run("legacy", func(b *testing.B) { benchmarkFlood(b, false) })
+	b.Run("shards=1", func(b *testing.B) { benchmarkFlood(b, true) })
 }
 
 // BenchmarkShardedRingWarm is BenchmarkMessageThroughputWarm's exact
-// workload on the sealed-round scheduler at shards=1 — the honest
-// worst-case overhead row: eight token chains mean eight deliveries per
-// round, so the per-round barrier cost is amortized over almost nothing.
+// workload on the sealed-round scheduler — the honest worst-case overhead
+// row: eight token chains mean eight deliveries per round, so the
+// per-round barrier cost is amortized over almost nothing.
 func BenchmarkShardedRingWarm(b *testing.B) {
 	const ring = 64
 	n := NewNetwork(1)
@@ -128,7 +118,7 @@ func BenchmarkShardedRingWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if err := n.SetShards(1, false); err != nil {
+	if err := n.SetSealed(true); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -142,56 +132,6 @@ func BenchmarkShardedRingWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkShardedRoundBarrier isolates the sealed-round engine's per-round
-// coordination cost with almost no delivery work to amortize it: one
-// self-looping cell per shard, so every Step is one full round of S trivial
-// deliveries and ns/op is dominated by the round machinery. Sequential rows
-// cost two plain method loops. Parallel rows cross the persistent worker
-// pool's two barriers per round (formerly 2×S goroutine spawns plus two
-// WaitGroup cycles) — but the pool sizes itself to min(shards, GOMAXPROCS),
-// so on a single-core host the plain "par" rows run caller-only with no
-// crossings at all; the "par@p4" rows pin GOMAXPROCS=4 first, forcing a
-// real cross-goroutine barrier on any host.
-func BenchmarkShardedRoundBarrier(b *testing.B) {
-	bench := func(shards, procs int, parallel bool) func(*testing.B) {
-		return func(b *testing.B) {
-			if procs > 0 {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			}
-			n := NewNetwork(1)
-			for j := 0; j < shards; j++ {
-				if err := n.Add(NodeID(j), loopProc{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := n.SetShards(shards, parallel); err != nil {
-				b.Fatal(err)
-			}
-			for j := 0; j < shards; j++ {
-				n.Inject(NodeID(j), text(uint32(j)))
-			}
-			if _, err := n.Step(); err != nil { // absorb cold-path allocation
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := n.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.Run("shards=1/seq", bench(1, 0, false))
-	b.Run("shards=2/seq", bench(2, 0, false))
-	b.Run("shards=2/par", bench(2, 0, true))
-	b.Run("shards=4/par", bench(4, 0, true))
-	b.Run("shards=8/par", bench(8, 0, true))
-	b.Run("shards=2/par@p4", bench(2, 4, true))
-	b.Run("shards=4/par@p4", bench(4, 4, true))
-	b.Run("shards=8/par@p4", bench(8, 4, true))
 }
 
 // BenchmarkMessageThroughputWarm is BenchmarkMessageThroughput on one

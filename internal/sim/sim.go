@@ -25,8 +25,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 )
 
 // NodeID identifies a process in the network. Ids must be non-negative and
@@ -92,12 +90,12 @@ type linkQueue struct {
 	// they share the entry's only cache line with listed and proc.
 	count int32
 	head  int32
-	// sealed is the sharded scheduler's delivery watermark: how many of the
-	// ring's head messages were sent in an earlier round and are therefore
-	// deliverable this round (count - sealed messages arrived this round and
-	// wait for the barrier). The legacy scheduler never reads or writes it;
-	// in sharded mode the ready list is unused and ALL messages, including
-	// the head, live in the ring.
+	// sealed is the sealed-round scheduler's delivery watermark: how many of
+	// the ring's head messages were sent in an earlier round and are
+	// therefore deliverable this round (count - sealed messages arrived this
+	// round and wait for the barrier). The legacy scheduler never reads or
+	// writes it; under sealed rounds the ready list is unused and ALL
+	// messages, including the head, live in the ring.
 	sealed int32
 	// listed marks that the link currently owns a ready-list entry (whose
 	// hot slot holds its head message). Pending messages on the link =
@@ -150,12 +148,8 @@ func (q *linkQueue) pop() Msg {
 // so an arena index — and the pointer it resolves to — stays valid for the
 // network's lifetime. That retires the pointer-repair machinery the direct-
 // pointer ready list needed (links used to carry (to, slot) address fields
-// purely so repairReady could survive a per-node table reallocation), and it
-// is what makes first-contact link creation safe while sharded rounds run in
-// parallel: an append can never move an entry another shard's worker is
-// reading. The chunk table itself is copied on growth and published
-// atomically; a stale table copy remains valid for every index allocated
-// before it was loaded.
+// purely so repairReady could survive a per-node table reallocation). Only
+// the chunk table grows; the chunks it points to stay put.
 const (
 	linkChunkShift = 8
 	linkChunkSize  = 1 << linkChunkShift // links per chunk (16 KiB of 64-byte entries)
@@ -165,40 +159,21 @@ const (
 type linkChunk [linkChunkSize]linkQueue
 
 type linkArena struct {
-	// chunks is the atomically published chunk table. Readers load it once
-	// per access; alloc replaces it wholesale under mu, so a loaded table is
-	// immutable.
-	chunks atomic.Pointer[[]*linkChunk]
-	mu     sync.Mutex // serializes alloc (first contact on a pair — rare)
-	n      int32      // links allocated; written under mu
+	chunks []*linkChunk
+	n      int32 // links allocated
 }
 
-// alloc appends one zeroed link and returns its (immobile) entry. Safe for
-// concurrent use by sharded workers (each initializes only links it owns);
-// the legacy scheduler calls it single-threaded. Callers hold the returned
-// pointer — entries never move, so no index indirection survives past this
-// call (an early index-addressed ready list paid two dependent loads per
-// hot-path resolution; see DESIGN.md).
+// alloc appends one zeroed link and returns its (immobile) entry. Callers
+// hold the returned pointer — entries never move, so no index indirection
+// survives past this call (an early index-addressed ready list paid two
+// dependent loads per hot-path resolution; see DESIGN.md).
 func (a *linkArena) alloc() *linkQueue {
-	a.mu.Lock()
 	qi := a.n
-	a.n = qi + 1
-	tp := a.chunks.Load()
-	have := 0
-	if tp != nil {
-		have = len(*tp)
+	a.n++
+	if int(qi)>>linkChunkShift == len(a.chunks) {
+		a.chunks = append(a.chunks, new(linkChunk))
 	}
-	if int(qi)>>linkChunkShift == have {
-		grown := make([]*linkChunk, have, have+1)
-		if tp != nil {
-			copy(grown, *tp)
-		}
-		grown = append(grown, new(linkChunk))
-		a.chunks.Store(&grown)
-		tp = &grown
-	}
-	a.mu.Unlock()
-	return &(*tp)[qi>>linkChunkShift][qi&linkChunkMask]
+	return &a.chunks[qi>>linkChunkShift][qi&linkChunkMask]
 }
 
 // reset restores every allocated link to its just-created queue state (ring
@@ -206,12 +181,8 @@ func (a *linkArena) alloc() *linkQueue {
 // sweep per chunk — the warm-reset path walks packed memory instead of
 // hopping across per-node link tables.
 func (a *linkArena) reset() {
-	tp := a.chunks.Load()
-	if tp == nil {
-		return
-	}
 	left := a.n
-	for _, ch := range *tp {
+	for _, ch := range a.chunks {
 		k := left
 		if k > linkChunkSize {
 			k = linkChunkSize
@@ -274,9 +245,9 @@ type node struct {
 	// the queueFor scan, which refreshes the cache; slots are stable, so a
 	// hit can never be wrong, only stale.
 	recvSlot int32
-	// pend marks (sharded mode only) that the node has undelivered arrivals
-	// and sits on its owner shard's active or next list — the dedup bit for
-	// those lists. Cleared as the owning shard opens the node's round.
+	// pend marks (sealed rounds only) that the node has undelivered arrivals
+	// and sits on the network's active or next list — the dedup bit for
+	// those lists. Cleared as the node's round opens.
 	pend bool
 }
 
@@ -403,12 +374,22 @@ type Network struct {
 	fastPristine alfg
 	fastOK       bool
 	pristineSeed int64
-	// sh is non-nil when the sealed-round sharded scheduler is selected
-	// (SetShards); every entry point dispatches on it. curSeed tracks the
-	// current episode seed so SetShards can derive per-cell streams without
-	// a Reset.
-	sh      *shardNet
+	// curSeed tracks the current episode seed so SetSealed can derive
+	// per-cell streams, or reseed the legacy source, without a Reset.
 	curSeed int64
+	// sealed selects the sealed-round scheduler (SetSealed, sealed.go);
+	// every entry point dispatches on it. The fields below it are that
+	// scheduler's state: active lists the cells holding sealed messages
+	// this round, next the cells that turned pending during it, touched the
+	// links that received unsealed messages (the barrier seals them), pick
+	// is playCell's ready-set scratch, and cellRNG the per-cell stream
+	// states, indexed by NodeID.
+	sealed  bool
+	active  []NodeID
+	next    []NodeID
+	touched []*linkQueue
+	pick    []int32
+	cellRNG []uint64
 }
 
 // NewNetwork creates an empty network with the given determinism seed.
@@ -473,7 +454,11 @@ func (n *Network) intn(k int) int {
 // the same seed and processes.
 func (n *Network) Reset(seed int64) {
 	n.curSeed = seed
-	if n.sh == nil {
+	if n.sealed {
+		// Sealed rounds leave the legacy source untouched (per-cell streams
+		// replace it); SetSealed(false) reseeds it.
+		n.seedCells(0)
+	} else {
 		n.reseed(seed)
 	}
 	for b := range n.nodes {
@@ -481,15 +466,12 @@ func (n *Network) Reset(seed int64) {
 	}
 	n.links.reset()
 	n.ready = n.ready[:0]
+	n.active = n.active[:0]
+	n.next = n.next[:0]
+	n.touched = n.touched[:0]
 	n.delivered = 0
 	n.sent = 0
 	n.badSend = nil
-	if n.sh != nil {
-		// Sharded mode leaves the legacy source untouched (per-cell streams
-		// replace it); switching back to legacy with SetShards(0) reseeds on
-		// the next Reset.
-		n.shardReset(seed)
-	}
 }
 
 // reseed puts the generator in the same state Seed(seed) would, preferring
@@ -528,6 +510,12 @@ func (n *Network) Add(id NodeID, p Process) error {
 	if n.nodes[id].proc != nil {
 		return fmt.Errorf("sim: duplicate node id %d", id)
 	}
+	if n.sealed && len(n.cellRNG) < len(n.nodes) {
+		// New cells get fresh streams; existing cells keep their positions.
+		from := len(n.cellRNG)
+		n.cellRNG = append(n.cellRNG, make([]uint64, len(n.nodes)-from)...)
+		n.seedCells(from)
+	}
 	n.nodes[id].proc = p
 	return nil
 }
@@ -539,29 +527,15 @@ func (n *Network) Add(id NodeID, p Process) error {
 type Context struct {
 	net  *Network
 	self NodeID
-	// shard is the executing shard in sharded mode (each shard owns one
-	// Context, so parallel handlers never share one); nil under the legacy
-	// scheduler.
-	shard *shard
 }
 
 // Self returns the id of the process being invoked.
 func (c *Context) Self() NodeID { return c.self }
 
-// Shard returns the index of the shard executing this delivery, or 0 under
-// the legacy scheduler. Hosts that buffer writes per shard (the online
-// layer's blackboard) use it to pick their buffer.
-func (c *Context) Shard() int {
-	if c.shard == nil {
-		return 0
-	}
-	return int(c.shard.id)
-}
-
 // Send enqueues a message from the current process to another node.
 func (c *Context) Send(to NodeID, msg Msg) {
-	if c.shard != nil {
-		c.shard.send(c.self, to, msg)
+	if c.net.sealed {
+		c.net.sealedSend(c.self, to, msg)
 		return
 	}
 	c.net.enqueue(c.self, to, msg)
@@ -622,8 +596,8 @@ func (n *Network) Inject(to NodeID, msg Msg) {
 		}
 		return
 	}
-	if n.sh != nil {
-		n.shardInject(to, msg)
+	if n.sealed {
+		n.sealedInject(to, msg)
 		return
 	}
 	n.injectKnown(to, msg)
@@ -636,7 +610,7 @@ func (n *Network) Inject(to NodeID, msg Msg) {
 // slot scan, no per-node revalidation beyond the unknown-id check. The
 // online layer's monitoring rounds use it for their two full-arena waves.
 func (n *Network) InjectMany(ids []NodeID, msg Msg) {
-	if n.sh != nil {
+	if n.sealed {
 		for _, to := range ids {
 			if !n.known(to) {
 				if n.badSend == nil {
@@ -644,7 +618,7 @@ func (n *Network) InjectMany(ids []NodeID, msg Msg) {
 				}
 				continue
 			}
-			n.shardInject(to, msg)
+			n.sealedInject(to, msg)
 		}
 		return
 	}
@@ -806,8 +780,8 @@ func (n *Network) deliver(i int) {
 // bit-for-bit aligned with the historical one-draw-per-delivery scheduler.
 // Run's burst path relies on this equivalence.
 func (n *Network) Step() (bool, error) {
-	if n.sh != nil {
-		return n.stepSharded()
+	if n.sealed {
+		return n.stepSealed()
 	}
 	if n.badSend != nil {
 		return false, n.badSend
@@ -828,8 +802,8 @@ func (n *Network) Step() (bool, error) {
 // schedule is bit-for-bit identical to stepping one message at a time,
 // which TestRunMatchesStepByStep pins.
 func (n *Network) Run(maxSteps int64) error {
-	if n.sh != nil {
-		return n.runSharded(maxSteps)
+	if n.sealed {
+		return n.runSealed(maxSteps)
 	}
 	for steps := int64(0); ; {
 		if n.badSend != nil {
