@@ -1,6 +1,8 @@
 package cmvrp
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -385,6 +387,78 @@ func TestMeasureWonRejectsBadTolerance(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatalf("tol %v, workers %d: MeasureWon still running after 5s", tol, workers)
 			}
+		}
+	}
+}
+
+// TestFacadeRejectsMalformedInput pins that the facade returns an error, and
+// neither panics nor hangs, on nil or overflowing input and on non-finite
+// parameters. Every row used to misbehave: the arenas were accepted (the
+// first with Len 0, so RunOnline on it panicked), the nil inputs panicked
+// with a nil dereference, ZipfDemand never returned, and Convoy returned a
+// NaN or infinite W with no error. Each row runs in its own goroutine under
+// a deadline, with panics recovered, so a regression fails its row instead
+// of crashing or hanging the suite.
+func TestFacadeRejectsMalformedInput(t *testing.T) {
+	arena, err := NewArena(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := OnlineOptions{Arena: arena, CubeSide: 2, Capacity: 5, Seed: 1}
+	box := Box{Lo: P(0, 0), Hi: P(3, 3), Dim: 2}
+	line := []int64{2, 0, 3, 1}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"NewArena size product wraps", func() error { _, err := NewArena(1<<32, 1<<32); return err }},
+		{"NewArena axis beyond int32", func() error { _, err := NewArena(3_000_000_000); return err }},
+		{"RunOnline nil sequence", func() error { _, err := RunOnline(nil, opts); return err }},
+		{"MeasureWon nil sequence", func() error { _, err := MeasureWon(nil, opts, 0.01); return err }},
+		{"RunSweep nil Seq", func() error { _, err := RunSweep([]SweepScenario{{Opts: opts}}, 1); return err }},
+		{"GreedyBaseline nil sequence", func() error { _, err := GreedyBaseline(nil, arena, 5); return err }},
+		{"NewOnlinePartition nil arena", func() error { _, err := NewOnlinePartition(nil, 2); return err }},
+		{"ZipfDemand NaN skew", func() error {
+			_, err := ZipfDemand(rand.New(rand.NewSource(1)), box, 10, math.NaN())
+			return err
+		}},
+		{"ZipfDemand +Inf skew", func() error {
+			_, err := ZipfDemand(rand.New(rand.NewSource(1)), box, 10, math.Inf(1))
+			return err
+		}},
+		{"Convoy NaN a1", func() error {
+			_, err := Convoy(ConvoyParams{Demands: line, Accounting: FixedCost, A1: math.NaN()})
+			return err
+		}},
+		{"Convoy +Inf a1", func() error {
+			_, err := Convoy(ConvoyParams{Demands: line, Accounting: FixedCost, A1: math.Inf(1)})
+			return err
+		}},
+		{"Convoy NaN a2", func() error {
+			_, err := Convoy(ConvoyParams{Demands: line, Accounting: VariableCost, A2: math.NaN()})
+			return err
+		}},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					done <- fmt.Errorf("panic: %v", p)
+				}
+			}()
+			if err := tc.call(); err == nil {
+				done <- errors.New("no error")
+			} else {
+				done <- nil
+			}
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: %v, want an error return", tc.name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: still running after 5s", tc.name)
 		}
 	}
 }

@@ -35,6 +35,9 @@ func Greedy(seq *demand.Sequence, arena *grid.Grid, capacity float64) (*GreedyRe
 	if arena == nil {
 		return nil, errors.New("baseline: arena is required")
 	}
+	if seq == nil {
+		return nil, errors.New("baseline: arrival sequence is required")
+	}
 	// NaN and +Inf would make every energy test below false, serving every
 	// job with unlimited energy.
 	if !(capacity > 0) || math.IsInf(capacity, 1) {

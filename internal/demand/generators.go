@@ -2,6 +2,7 @@ package demand
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/grid"
@@ -116,8 +117,9 @@ func Clusters(rng *rand.Rand, b grid.Box, k int, jobsPerCluster int64, spread in
 // law (skew s > 1): heavy hot spots plus a long tail, a standard stress
 // shape for capacitated assignment.
 func Zipf(rng *rand.Rand, b grid.Box, jobs int64, s float64) (*Map, error) {
-	if s <= 1 {
-		return nil, fmt.Errorf("demand: zipf skew %v must be > 1", s)
+	// NaN slips past s <= 1, and rand.Zipf loops forever on NaN or +Inf.
+	if !(s > 1) || math.IsInf(s, 1) {
+		return nil, fmt.Errorf("demand: zipf skew %v must be finite and > 1", s)
 	}
 	vol := b.Volume()
 	if vol > 1<<20 {

@@ -14,6 +14,8 @@ type Grid struct {
 }
 
 // New constructs a finite grid of the given dimension and per-axis sizes.
+// Coordinates are int32, so an axis holds at most 2³¹ points, and the point
+// count must fit in an int64; sizes beyond either limit return ErrOverflow.
 func New(sizes ...int) (*Grid, error) {
 	if len(sizes) < 1 || len(sizes) > MaxDim {
 		return nil, fmt.Errorf("grid: dimension %d out of range [1,%d]", len(sizes), MaxDim)
@@ -24,8 +26,14 @@ func New(sizes ...int) (*Grid, error) {
 		if s < 1 {
 			return nil, fmt.Errorf("grid: size %d in axis %d must be >= 1", s, i)
 		}
+		if int64(s) > 1<<31 {
+			return nil, fmt.Errorf("grid: size %d in axis %d exceeds 2^31: %w", s, i, ErrOverflow)
+		}
 		g.size[i] = s
-		total *= int64(s)
+		var err error
+		if total, err = mulChecked(total, int64(s)); err != nil {
+			return nil, fmt.Errorf("grid: size %d in axis %d: %w", s, i, err)
+		}
 	}
 	g.total = total
 	// Row-major strides.

@@ -56,7 +56,7 @@ func TestWarmOnlineEpisodeAllocCeiling(t *testing.T) {
 }
 
 // TestWarmMonitoringEpisodeAllocCeiling pins the monitored variant: the two
-// full-arena InjectMany waves per job arrival must write inline message
+// full-arena injection waves per job arrival must write inline message
 // values into retained slots, adding nothing to the episode's allocations.
 func TestWarmMonitoringEpisodeAllocCeiling(t *testing.T) {
 	const ceiling = 450

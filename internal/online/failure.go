@@ -235,10 +235,16 @@ func validateSearch(protocol SearchProtocol, fanout int) error {
 }
 
 // validateExtensions runs every construction-time check the failure, fleet,
-// and search knobs need, and returns the normalized failure model. Shared by
-// NewRunner and ResetEpisode so both boundaries reject exactly the same
-// inputs (ResetEpisode validates before mutating anything).
+// search and scheduler knobs need, and returns the normalized failure model.
+// Shared by NewRunner and ResetEpisode so both boundaries reject exactly the
+// same inputs (ResetEpisode validates before mutating anything).
 func (o *Options) validateExtensions(arena *grid.Grid) (FailureModel, error) {
+	if o.MaxSteps < 0 {
+		return FailureModel{}, fmt.Errorf("online: MaxSteps %d must be >= 0", o.MaxSteps)
+	}
+	if o.SimShards < 0 {
+		return FailureModel{}, fmt.Errorf("online: SimShards %d must be >= 0", o.SimShards)
+	}
 	model := o.failureModel()
 	if err := model.validate(arena); err != nil {
 		return FailureModel{}, err

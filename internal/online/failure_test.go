@@ -87,6 +87,8 @@ func TestResetEpisodeValidatesBeforeMutating(t *testing.T) {
 			GossipFanout: 2}, // fanout without SearchGossip
 		{Arena: good.Arena, CubeSide: 4, Capacity: 10, Seed: 1,
 			Fleet: &Fleet{}}, // no classes
+		{Arena: good.Arena, CubeSide: 4, Capacity: 10, Seed: 1, MaxSteps: -1},
+		{Arena: good.Arena, CubeSide: 4, Capacity: 10, Seed: 1, SimShards: -1},
 	} {
 		if err := r.ResetEpisode(bad); err == nil {
 			t.Errorf("ResetEpisode(%+v) should fail", bad)

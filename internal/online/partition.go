@@ -66,6 +66,9 @@ type Partition struct {
 // distance 2 in the same cube are neighbors (Section 3.2's "constant
 // distance... we use 2 here").
 func NewPartition(arena *grid.Grid, cubeSide int) (*Partition, error) {
+	if arena == nil {
+		return nil, fmt.Errorf("online: partition needs an arena")
+	}
 	if cubeSide < 1 {
 		return nil, fmt.Errorf("online: cube side %d must be >= 1", cubeSide)
 	}

@@ -155,10 +155,6 @@ type Runner struct {
 	deadEvents []deadEvent
 	nextDead   int
 
-	// allNodes is the arena-index-ordered id list the monitoring waves
-	// inject to (the order is part of the deterministic schedule).
-	allNodes []sim.NodeID
-
 	// evidence enables the customer-complaint channel (set iff the failure
 	// model has Byzantine cells, so legacy episodes inject nothing new).
 	evidence bool
@@ -166,18 +162,11 @@ type Runner struct {
 	// pair first lost a job (-1 while healthy), settled by noteRestored.
 	pairDownAt []int
 
-	served              int64
-	failures            []Failure
-	maxEnergy           float64
-	replacements        int64
-	searches            int64
-	searchFailures      int64
-	monitorRescues      int64
-	evidenceRescues     int64
-	replaceLatencySum   int64
-	replaceLatencyCount int64
-	fatal               error
-	currentArrival      int
+	// res accumulates the episode's outcome; Run returns a copy with
+	// Messages filled in.
+	res            Result
+	fatal          error
+	currentArrival int
 	// consumed latches after Run starts: the arrival cursor, counters, and
 	// vehicle states are spent, so a second Run without Reset would silently
 	// continue from mid-episode state. Reset re-arms the runner.
@@ -193,13 +182,13 @@ var ErrRunnerUsed = errors.New("online: Runner already ran; call Reset before ru
 const defaultMaxSteps = 50_000_000
 
 func (r *Runner) recordFailure(pos grid.Point, reason string) {
-	r.failures = append(r.failures, Failure{Pos: pos, Reason: reason})
+	r.res.Failures = append(r.res.Failures, Failure{Pos: pos, Reason: reason})
 	r.emit(EventFailure, pos, pos, 0, reason)
 }
 
 func (r *Runner) noteEnergy(e float64) {
-	if e > r.maxEnergy {
-		r.maxEnergy = e
+	if e > r.res.MaxEnergy {
+		r.res.MaxEnergy = e
 	}
 }
 
@@ -327,10 +316,6 @@ func NewRunner(opts Options) (*Runner, error) {
 			return nil, err
 		}
 	}
-	r.allNodes = make([]sim.NodeID, opts.Arena.Len())
-	for i := range r.allNodes {
-		r.allNodes[i] = sim.NodeID(i)
-	}
 	if err := r.net.SetSealed(opts.SimShards > 0); err != nil {
 		return nil, err
 	}
@@ -380,18 +365,9 @@ func (r *Runner) restoreInitialState() {
 		r.pairDownAt[i] = -1
 	}
 	r.nextDead = 0
-	r.served = 0
-	// Start a fresh failure list rather than truncating: the previous run's
-	// Result aliases the old backing array.
-	r.failures = nil
-	r.maxEnergy = 0
-	r.replacements = 0
-	r.searches = 0
-	r.searchFailures = 0
-	r.monitorRescues = 0
-	r.evidenceRescues = 0
-	r.replaceLatencySum = 0
-	r.replaceLatencyCount = 0
+	// A fresh Result drops the failure list rather than truncating it: the
+	// previous run's Result aliases the old backing array.
+	r.res = Result{}
 	r.fatal = nil
 	r.currentArrival = 0
 	r.consumed = false
@@ -405,8 +381,8 @@ func (r *Runner) noteRestored(pairID int) {
 	if r.pairDownAt[pairID] < 0 {
 		return
 	}
-	r.replaceLatencySum += int64(r.currentArrival - r.pairDownAt[pairID] + 1)
-	r.replaceLatencyCount++
+	r.res.ReplaceLatencySum += int64(r.currentArrival - r.pairDownAt[pairID] + 1)
+	r.res.ReplaceLatencyCount++
 	r.pairDownAt[pairID] = -1
 }
 
@@ -528,6 +504,9 @@ func (r *Runner) Partition() *Partition { return r.part }
 // A runner is single-use: Run consumes the vehicle states and counters, so
 // calling it again without an intervening Reset returns ErrRunnerUsed.
 func (r *Runner) Run(seq *demand.Sequence) (*Result, error) {
+	if seq == nil {
+		return nil, errors.New("online: arrival sequence is required")
+	}
 	if r.consumed {
 		return nil, ErrRunnerUsed
 	}
@@ -549,7 +528,7 @@ func (r *Runner) Run(seq *demand.Sequence) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("online: arrival %v outside arena", pos)
 		}
-		servedBefore := r.served
+		servedBefore := r.res.Served
 		r.net.Inject(r.pairActive[pairID],
 			sim.Msg{Kind: msgServeJob, A: uint32(r.opts.Arena.Index(pos))})
 		if err := r.quiesce(); err != nil {
@@ -558,7 +537,7 @@ func (r *Runner) Run(seq *demand.Sequence) (*Result, error) {
 		// Replacement-latency clock: a lost arrival opens a lapse on its
 		// pair; a served one closes any lapse that healed without a
 		// counted replacement (noteRestored settles the replaced ones).
-		if r.served > servedBefore {
+		if r.res.Served > servedBefore {
 			r.pairDownAt[pairID] = -1
 		} else {
 			if r.pairDownAt[pairID] < 0 {
@@ -586,19 +565,9 @@ func (r *Runner) Run(seq *demand.Sequence) (*Result, error) {
 			return nil, r.fatal
 		}
 	}
-	return &Result{
-		Served:              r.served,
-		Failures:            r.failures,
-		MaxEnergy:           r.maxEnergy,
-		Messages:            r.net.Delivered(),
-		Replacements:        r.replacements,
-		Searches:            r.searches,
-		SearchFailures:      r.searchFailures,
-		MonitorRescues:      r.monitorRescues,
-		EvidenceRescues:     r.evidenceRescues,
-		ReplaceLatencySum:   r.replaceLatencySum,
-		ReplaceLatencyCount: r.replaceLatencyCount,
-	}, nil
+	res := r.res
+	res.Messages = r.net.Delivered()
+	return &res, nil
 }
 
 func (r *Runner) quiesce() error {
@@ -607,18 +576,21 @@ func (r *Runner) quiesce() error {
 
 // monitorRound performs one heartbeat exchange followed by one check pass
 // (the run-to-quiescence analogue of "send existing messages periodically;
-// decide the neighbor is done after a timeout"). Both waves batch-inject one
-// inline round message in arena-index order (identical to point enumeration
-// order; a map iteration here would break run reproducibility by perturbing
-// the delivery scheduler's RNG stream), written straight into each mailbox's
-// cached injection slot by InjectMany.
+// decide the neighbor is done after a timeout"). Each wave injects one
+// round message to every node in arena-index order, node ids 0..n-1
+// (identical to point enumeration order; a map iteration here would break
+// run reproducibility by perturbing the delivery scheduler's RNG stream),
+// then runs to quiescence.
 func (r *Runner) monitorRound() error {
-	r.net.InjectMany(r.allNodes, sim.Msg{Kind: msgHeartbeatRound})
-	if err := r.quiesce(); err != nil {
-		return err
+	for _, kind := range [...]uint8{msgHeartbeatRound, msgCheckRound} {
+		for id := range r.vehicles {
+			r.net.Inject(sim.NodeID(id), sim.Msg{Kind: kind})
+		}
+		if err := r.quiesce(); err != nil {
+			return err
+		}
 	}
-	r.net.InjectMany(r.allNodes, sim.Msg{Kind: msgCheckRound})
-	return r.quiesce()
+	return nil
 }
 
 // MinCapacity and MinCapacityParallel (the capacity-search layer) live in

@@ -92,8 +92,8 @@ func TestShardedGoldenHotPoint(t *testing.T) {
 
 // TestShardedGoldenFailureInjection is the same pin on the scenario that
 // exercises monitoring waves, fail-initiate vehicles, a mid-sequence death,
-// and longevity breakdowns — the InjectMany and rescue paths under sealed
-// rounds.
+// and longevity breakdowns — the injection-wave and rescue paths under
+// sealed rounds.
 func TestShardedGoldenFailureInjection(t *testing.T) {
 	arena := grid.MustNew(6, 6)
 	jobs := failureInjectionJobs()

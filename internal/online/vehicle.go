@@ -193,7 +193,7 @@ func (v *vehicle) onServe(ctx *sim.Context, pos grid.Point) {
 	}
 	v.used += cost
 	v.pos = pos
-	v.r.served++
+	v.r.res.Served++
 	v.r.noteEnergy(v.used)
 	v.r.emit(EventServe, v.home, pos, v.used, "")
 	// Chapter 4 breakdown: the vehicle dies the moment a fraction p of its
@@ -244,7 +244,7 @@ func (v *vehicle) startReplacementSearch(ctx sim.Sender, pairID int, dest grid.P
 	}
 	v.r.pendingReplace[pairID] = true
 	v.searchPair = pairID
-	v.r.searches++
+	v.r.res.Searches++
 	v.searchDest = dest
 	v.r.emit(EventSearch, v.home, dest, v.used,
 		fmt.Sprintf("for pair %d", pairID))
@@ -255,7 +255,7 @@ func (v *vehicle) onSearchComplete(ctx sim.Sender, seq int, found bool) {
 	pairID := v.searchPair
 	if !found {
 		v.r.pendingReplace[pairID] = false
-		v.r.searchFailures++
+		v.r.res.SearchFailures++
 		v.r.emit(EventSearchFail, v.home, v.searchDest, v.used,
 			fmt.Sprintf("for pair %d", pairID))
 		return
@@ -287,7 +287,7 @@ func (v *vehicle) onMoveOrder(ctx sim.Sender, order moveOrder) {
 	v.pairID = order.PairID
 	v.r.pairActive[order.PairID] = v.id
 	v.r.pendingReplace[order.PairID] = false
-	v.r.replacements++
+	v.r.res.Replacements++
 	v.r.noteRestored(order.PairID)
 	v.r.emit(EventMove, v.home, order.Dest, v.used,
 		fmt.Sprintf("takes over pair %d", order.PairID))
@@ -346,14 +346,14 @@ func (v *vehicle) onCheck(ctx *sim.Context) {
 		case !v.heard[watched]:
 			// Watched pair went silent: recruit a replacement on its behalf,
 			// directed at the pair's canonical service position.
-			v.r.monitorRescues++
+			v.r.res.MonitorRescues++
 			v.r.emit(EventRescue, v.home, v.r.part.Pairs()[watched].ServicePos(), v.used,
 				fmt.Sprintf("pair %d went silent", watched))
 			v.startReplacementSearch(ctx, watched, v.r.part.Pairs()[watched].ServicePos())
 		case v.complaints[watched]:
 			// Beacons kept arriving but a job went unserved: evidence beats
 			// the (possibly forged) beacon.
-			v.r.evidenceRescues++
+			v.r.res.EvidenceRescues++
 			v.r.emit(EventRescue, v.home, v.r.part.Pairs()[watched].ServicePos(), v.used,
 				fmt.Sprintf("pair %d beaconed but served nothing", watched))
 			v.startReplacementSearch(ctx, watched, v.r.part.Pairs()[watched].ServicePos())

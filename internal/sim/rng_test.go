@@ -12,15 +12,13 @@ import (
 // rejection loop's cache invalidation as k changes between calls.
 func TestIntnMatchesMathRand(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 20080527} {
-		// Cold network: draws go through the seeded source (fastOK false).
-		// Reset network: draws go through the captured in-struct generator.
-		// Both must match the reference stream exactly.
+		// Fresh network: draws go through the generator captured by
+		// NewNetwork. Reset network: the same seed restores the captured
+		// post-Seed state by copy. Both must match the reference stream
+		// exactly; TestSeedFallbackMatchesMathRand covers the fallback.
 		cold := NewNetwork(seed)
 		warm := NewNetwork(seed)
 		warm.Reset(seed)
-		if !warm.fastOK {
-			t.Logf("seed %d: generator capture unavailable; warm network exercises the fallback path", seed)
-		}
 		ref := rand.New(rand.NewSource(seed))
 		refW := rand.New(rand.NewSource(seed))
 		// Sweep k in a pattern that alternates between bounds so the
@@ -29,7 +27,7 @@ func TestIntnMatchesMathRand(t *testing.T) {
 		for round := 0; round < 200; round++ {
 			for _, k := range ks {
 				if got, want := cold.intn(k), ref.Intn(k); got != want {
-					t.Fatalf("seed %d round %d: cold intn(%d) = %d, want %d",
+					t.Fatalf("seed %d round %d: fresh intn(%d) = %d, want %d",
 						seed, round, k, got, want)
 				}
 				if got, want := warm.intn(k), refW.Intn(k); got != want {
@@ -41,12 +39,26 @@ func TestIntnMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestFreshNetworkUsesCapturedGenerator pins that NewNetwork captures the
+// generator mirror: a network that was never Reset already draws through
+// the in-struct generator, so a runner's first episode takes the same RNG
+// path as its warm ones.
+func TestFreshNetworkUsesCapturedGenerator(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42, 20080527} {
+		n := NewNetwork(seed)
+		if !n.fastOK || n.pristineSeed != seed {
+			t.Fatalf("seed %d: fresh network has fastOK=%v pristineSeed=%d, want the captured generator",
+				seed, n.fastOK, n.pristineSeed)
+		}
+	}
+}
+
 // TestReseedMatchesSeed pins the copy reseed: a network reset by copying the
 // captured post-Seed generator must produce the identical draw stream to one
 // reseeded through rand's Seed, including after switching seeds (which
 // invalidates the copy) and switching back.
 func TestReseedMatchesSeed(t *testing.T) {
-	n := NewNetwork(9)
+	n := NewNetwork(1) // a different seed, so the first Reset(9) reseeds
 	stream := func(seed int64) []int {
 		n.Reset(seed)
 		out := make([]int, 50)

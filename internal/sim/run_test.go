@@ -28,7 +28,8 @@ func (r recordingRelay) OnMessage(ctx *Context, from NodeID, msg Msg) {
 // buildRecordedRing makes a 16-node relay ring whose deliveries append to
 // log, with mixed traffic: several concurrent token chains (multi-link ready
 // lists, randomized picks) that die off at different times, leaving a single
-// long chain at the end (singleton ready list — Run's burst path).
+// long chain at the end (a singleton ready list, where the pick is forced
+// but still consumes a draw).
 func buildRecordedRing(t *testing.T, log *[]deliveryRecord) *Network {
 	t.Helper()
 	const ring = 16
@@ -44,10 +45,10 @@ func buildRecordedRing(t *testing.T, log *[]deliveryRecord) *Network {
 	return n
 }
 
-// TestRunMatchesStepByStep pins the burst-delivery invariant: Run's
-// singleton-ready fast path consumes exactly the RNG draws and produces
-// exactly the delivery schedule of stepping one message at a time. The whole
-// golden-trace suite rests on this equivalence.
+// TestRunMatchesStepByStep pins that Run is a Step loop: it consumes
+// exactly the RNG draws and produces exactly the delivery schedule of
+// stepping one message at a time, and its budget counts every delivery. The
+// whole golden-trace suite rests on this equivalence.
 func TestRunMatchesStepByStep(t *testing.T) {
 	var runLog, stepLog []deliveryRecord
 	nr := buildRecordedRing(t, &runLog)
@@ -79,27 +80,30 @@ func TestRunMatchesStepByStep(t *testing.T) {
 		t.Errorf("delivered %d (Run) vs %d (Step)", nr.Delivered(), ns.Delivered())
 	}
 
-	// The step budget must count burst deliveries too: a budget smaller than
-	// the schedule stops after exactly that many deliveries.
+	// The step budget counts every delivery of the call, forced picks
+	// included: each capped Run stops after exactly that many more
+	// deliveries, on the Step loop's schedule.
 	var cappedLog []deliveryRecord
 	nc := buildRecordedRing(t, &cappedLog)
 	const budget = 37
-	if err := nc.Run(budget); !errors.Is(err, ErrStepLimit) {
-		t.Fatalf("want ErrStepLimit, got %v", err)
-	}
-	if len(cappedLog) != budget {
-		t.Fatalf("budget %d but %d deliveries happened", budget, len(cappedLog))
+	for call := 1; call <= 2; call++ {
+		if err := nc.Run(budget); !errors.Is(err, ErrStepLimit) {
+			t.Fatalf("call %d: want ErrStepLimit, got %v", call, err)
+		}
+		if len(cappedLog) != call*budget {
+			t.Fatalf("call %d: budget %d but %d deliveries happened in total", call, budget, len(cappedLog))
+		}
 	}
 	for i := range cappedLog {
-		if cappedLog[i] != runLog[i] {
+		if cappedLog[i] != stepLog[i] {
 			t.Fatalf("capped schedule diverges at delivery %d", i)
 		}
 	}
 }
 
 // TestWarmDeliveryAllocationFree is the CI alloc guard for the sim layer:
-// once buffers are sized, a warm reset + full episode (injection, burst
-// drains, randomized picks) performs zero allocations — no boxing, no ring
+// once buffers are sized, a warm reset + full episode (injection, forced
+// and randomized picks) performs zero allocations — no boxing, no ring
 // growth, no ready-list growth.
 func TestWarmDeliveryAllocationFree(t *testing.T) {
 	const ring = 32
@@ -155,12 +159,12 @@ func FuzzLinkQueue(f *testing.F) {
 						t.Fatalf("pop = %+v, want %+v", got, want)
 					}
 				}
-			case 3: // burst-drain the whole run, as Run's singleton path does
+			case 3: // drain the whole queue
 				for len(model) > 0 {
 					got, want := q.pop(), model[0]
 					model = model[1:]
 					if got != want {
-						t.Fatalf("burst pop = %+v, want %+v", got, want)
+						t.Fatalf("drain pop = %+v, want %+v", got, want)
 					}
 				}
 			}

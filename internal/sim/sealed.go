@@ -8,11 +8,11 @@ import (
 
 // Sealed-round scheduler.
 //
-// The legacy scheduler (Run in sim.go) draws one value per delivery from ONE
-// seeded stream, bounded by the live global ready-list length, so the bound
-// of draw t+1 depends on what delivery t's handler enqueued. The sealed-round
-// scheduler is a second deterministic schedule family, a pure function of
-// (seed, topology, protocol) built from three rules:
+// The legacy scheduler draws one value per delivery from ONE seeded stream,
+// bounded by the live global ready-list length, so the bound of draw t+1
+// depends on what delivery t's handler enqueued. The sealed-round scheduler
+// is a second deterministic schedule family, a pure function of (seed,
+// topology, protocol) built from three rules:
 //
 //   - Time advances in rounds. Every message a handler sends during round r
 //     goes straight into the destination ring but stays unsealed; the round
@@ -31,6 +31,10 @@ import (
 // Section 3.2's model asks only for per-link FIFO and arbitrary finite
 // delays; any such fair order is a valid asynchronous execution, and this is
 // one of them.
+//
+// Run, Step and the link lookup of sends and injections are shared with the
+// legacy scheduler (sim.go). Only the unit that advance plays (playRound)
+// and the queueing of a resolved link (sealedSend, sealedInject) differ.
 
 // ErrSealedPending is returned by SetSealed when the network still holds
 // undelivered messages: the legacy and sealed-round engines store pending
@@ -110,46 +114,29 @@ func cellIntn(state *uint64, k int) int {
 	return int(hi)
 }
 
-// sealedInject enqueues an external event straight into the destination
-// ring, sealed immediately (deliverable in the first round of the next Run).
-// Uses the same cached injection slot as the legacy path, so full-arena
-// waves skip the scan.
-func (n *Network) sealedInject(to NodeID, msg Msg) {
-	mb := &n.nodes[to]
-	q := mb.injectQ
-	if q == nil {
-		_, q = n.queueFor(to, None)
-		mb.injectQ = q
-	}
+// sealedInject queues an external event on link q, sealed at once: it is
+// deliverable in the next round played.
+func (n *Network) sealedInject(q *linkQueue, msg Msg) {
 	q.push(msg)
 	q.sealed++
-	if !mb.pend {
+	if mb := &n.nodes[q.to]; !mb.pend {
 		mb.pend = true
-		n.active = append(n.active, to)
+		n.active = append(n.active, q.to)
 	}
-	n.sent++
 }
 
-// sealedSend enqueues one handler-originated message, unsealed: it becomes
-// deliverable after the current round's barrier. The link's first arrival of
-// the round puts it on the touched list; the cell's pending transition puts
-// the cell on the next list. An unknown destination latches the first bad
-// send, which the network surfaces once the round completes.
-func (n *Network) sealedSend(from, to NodeID, msg Msg) {
-	if !n.known(to) {
-		n.latchBadSend(to)
-		return
-	}
-	n.sent++
-	_, q := n.queueFor(to, from)
+// sealedSend queues a handler's message on link q, unsealed: it becomes
+// deliverable after the current round's barrier. The link's first unsealed
+// arrival puts it on the touched list, which the barrier seals; the cell's
+// pending transition puts it on the next list.
+func (n *Network) sealedSend(q *linkQueue, msg Msg) {
 	if q.count == q.sealed {
 		n.touched = append(n.touched, q)
 	}
 	q.push(msg)
-	mb := &n.nodes[to]
-	if !mb.pend {
+	if mb := &n.nodes[q.to]; !mb.pend {
 		mb.pend = true
-		n.next = append(n.next, to)
+		n.next = append(n.next, q.to)
 	}
 }
 
@@ -214,38 +201,4 @@ func (n *Network) playCell(c NodeID) {
 		q.proc.OnMessage(&n.ctx, q.from, m)
 	}
 	n.pick = ready[:0]
-}
-
-// runSealed is the sealed-round Run loop. The step budget is enforced at
-// round granularity: a round always completes, and the error is returned at
-// the next boundary if undelivered traffic remains — every round delivers at
-// least one message, so a livelock still terminates within maxSteps rounds.
-func (n *Network) runSealed(maxSteps int64) error {
-	start := n.delivered
-	for {
-		if n.badSend != nil {
-			return n.badSend
-		}
-		if len(n.active) == 0 {
-			return nil
-		}
-		if n.delivered-start >= maxSteps {
-			return stepLimitErr(maxSteps)
-		}
-		n.playRound()
-	}
-}
-
-// stepSealed delivers one full round (the sealed-round scheduler's
-// indivisible unit) and reports whether anything was delivered.
-func (n *Network) stepSealed() (bool, error) {
-	if n.badSend != nil {
-		return false, n.badSend
-	}
-	if len(n.active) == 0 {
-		return false, nil
-	}
-	before := n.delivered
-	n.playRound()
-	return n.delivered > before, n.badSend
 }

@@ -372,36 +372,3 @@ func TestShardWarmEpisodeAllocationFree(t *testing.T) {
 		t.Fatalf("warm sealed-round episode allocates %.1f times", avg)
 	}
 }
-
-// TestShardInjectManyEquivalentToInjectLoop mirrors the legacy guarantee
-// for the sealed-round injection path.
-func TestShardInjectManyEquivalentToInjectLoop(t *testing.T) {
-	build := func(logs [][]deliveryRecord) *Network {
-		n := buildFloodGrid(t, 8, 6, 17, logs)
-		if err := n.SetSealed(true); err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	ids := []NodeID{3, 9, 27, 41}
-
-	aLogs := make([][]deliveryRecord, 48)
-	a := build(aLogs)
-	a.InjectMany(ids, token(15))
-	if err := a.Run(200_000); err != nil {
-		t.Fatal(err)
-	}
-
-	bLogs := make([][]deliveryRecord, 48)
-	b := build(bLogs)
-	for _, id := range ids {
-		b.Inject(id, token(15))
-	}
-	if err := b.Run(200_000); err != nil {
-		t.Fatal(err)
-	}
-	if a.Delivered() != b.Delivered() {
-		t.Fatalf("InjectMany delivered %d, loop delivered %d", a.Delivered(), b.Delivered())
-	}
-	diffLogs(t, "injectmany", bLogs, aLogs)
-}

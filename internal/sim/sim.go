@@ -122,8 +122,7 @@ func (q *linkQueue) push(m Msg) {
 }
 
 // grow doubles the ring, unwrapping it to the front of the new buffer. Kept
-// out of push — and out of push's inlining budget — so the hot no-grow path
-// inlines into enqueue.
+// out of push so push's frame stays small on the common no-grow path.
 //
 //go:noinline
 func (q *linkQueue) grow() {
@@ -342,7 +341,7 @@ type Network struct {
 	// ready is the legacy scheduler's ready list: the exact set of nonempty
 	// links, as a dense hot array carrying each listed link's head message,
 	// dispatch ids, and backing-link pointer. Listing a link appends one
-	// entry; draining one swap-removes it, so the draw loop's random pick
+	// entry; draining one swap-removes it, so the scheduler's random pick
 	// touches packed memory and dereferences exactly one scattered link
 	// record — the picked one.
 	ready     []readyHead
@@ -366,10 +365,11 @@ type Network struct {
 	modMaxv int32
 	modM    uint64
 	// fast is the in-struct mirror of the seeded generator (see alfg),
-	// active when fastOK: scheduler draws then run inline with no interface
-	// call, and a warm Reset with the same seed (pristineSeed) restores
-	// fastPristine, the post-Seed state, with a plain copy. When capture
-	// fails, draws go through src, reseeded by Seed on every Reset.
+	// captured by NewNetwork and by every reseed and active when fastOK:
+	// scheduler draws then run inline with no interface call, and a warm
+	// Reset with the same seed (pristineSeed) restores fastPristine, the
+	// post-Seed state, with a plain copy. When capture fails, draws go
+	// through src, reseeded by Seed on every Reset.
 	fast         alfg
 	fastPristine alfg
 	fastOK       bool
@@ -392,10 +392,13 @@ type Network struct {
 	cellRNG []uint64
 }
 
-// NewNetwork creates an empty network with the given determinism seed.
+// NewNetwork creates an empty network with the given determinism seed. The
+// generator mirror is captured here, so a fresh network draws exactly as a
+// reset one does.
 func NewNetwork(seed int64) *Network {
 	n := &Network{src: rand.NewSource(seed), curSeed: seed}
 	n.ctx.net = n
+	n.reseed(seed)
 	return n
 }
 
@@ -403,8 +406,8 @@ func NewNetwork(seed int64) *Network {
 // exact same values from the exact same number of source draws, minus the
 // wrapper layers the profile showed on the delivery hot path. k is a ready-
 // list length: always ≥ 1 and far below 2³¹, so only the Int31n shape of
-// Intn is needed. intn(1) deterministically returns 0 but still consumes
-// one draw, which is what keeps burst delivery stream-aligned (see Run).
+// Intn is needed. Like Intn(1), intn(1) returns 0 but still consumes one
+// draw, so every legacy delivery costs exactly one draw.
 func (n *Network) intn(k int) int {
 	fast := n.fastOK // hoisted: draws below branch without re-loading
 	kk := int32(k)
@@ -532,13 +535,23 @@ type Context struct {
 // Self returns the id of the process being invoked.
 func (c *Context) Self() NodeID { return c.self }
 
-// Send enqueues a message from the current process to another node.
+// Send enqueues a message from the current process to another node. A send
+// to an unregistered id latches a deferred error surfaced by the next Step
+// or Run, and the message is dropped; validating here keeps delivery
+// infallible.
 func (c *Context) Send(to NodeID, msg Msg) {
-	if c.net.sealed {
-		c.net.sealedSend(c.self, to, msg)
+	n := c.net
+	q := n.recvLink(to, c.self)
+	if q == nil {
+		n.latchBadSend(to)
 		return
 	}
-	c.net.enqueue(c.self, to, msg)
+	if n.sealed {
+		n.sealedSend(q, msg)
+	} else {
+		n.post(q, msg)
+	}
+	n.sent++
 }
 
 // Sender is the minimal sending capability, implemented by *Context;
@@ -584,11 +597,34 @@ func (n *Network) addLink(to, from NodeID) (int32, *linkQueue) {
 	return slot, q
 }
 
+// recvLink resolves the link from -> to for a handler's send, or returns nil
+// when to is not a registered node. Most nodes hear overwhelmingly from one
+// neighbour, so to's recvSlot cache is the dominant path; an existing link
+// proves its owner was validated when the link was created, so a hit needs
+// only the bounds test, not the proc load.
+func (n *Network) recvLink(to, from NodeID) *linkQueue {
+	if uint(int(to)) >= uint(len(n.nodes)) {
+		return nil
+	}
+	mb := &n.nodes[to]
+	if s := mb.recvSlot; int(s) < len(mb.linkQs) && mb.linkQs[s].from == from {
+		return mb.linkQs[s]
+	}
+	if mb.proc == nil {
+		return nil
+	}
+	s, q := n.queueFor(to, from)
+	mb.recvSlot = s
+	return q
+}
+
 // Inject delivers an external event into a node's input buffer, e.g. a job
 // arrival. from is recorded as None. Injecting to an id with no registered
 // process latches a deferred error surfaced by the next Step — the same
 // discipline as an in-protocol send to an invalid id — instead of silently
 // enqueuing a message that errors only if and when the scheduler draws it.
+// The node's injection link is cached, so full-arena waves skip the slot
+// scan.
 func (n *Network) Inject(to NodeID, msg Msg) {
 	if !n.known(to) {
 		if n.badSend == nil {
@@ -596,86 +632,46 @@ func (n *Network) Inject(to NodeID, msg Msg) {
 		}
 		return
 	}
-	if n.sealed {
-		n.sealedInject(to, msg)
-		return
+	mb := &n.nodes[to]
+	if mb.injectQ == nil {
+		_, mb.injectQ = n.queueFor(to, None)
 	}
-	n.injectKnown(to, msg)
+	if n.sealed {
+		n.sealedInject(mb.injectQ, msg)
+	} else {
+		n.post(mb.injectQ, msg)
+	}
+	n.sent++
 }
 
-// InjectMany enqueues one message to every listed node, in order. It is
-// exactly equivalent — same queue contents, same ready-list order, hence the
-// same delivery schedule — to calling Inject(id, msg) for each id, but
-// writes the wave directly into each mailbox's cached injection slot: no
-// slot scan, no per-node revalidation beyond the unknown-id check. The
-// online layer's monitoring rounds use it for their two full-arena waves.
-func (n *Network) InjectMany(ids []NodeID, msg Msg) {
-	if n.sealed {
-		for _, to := range ids {
-			if !n.known(to) {
-				if n.badSend == nil {
-					n.badSend = fmt.Errorf("sim: inject to unknown node %d", to)
-				}
-				continue
-			}
-			n.sealedInject(to, msg)
-		}
+// post queues msg on link q under the legacy scheduler, for sends and
+// injections alike. The link's first pending message becomes its head,
+// written straight into a new ready-list entry's hot slot without touching
+// the ring — the dominant shape at protocol fan-outs; later messages wait
+// in the ring behind it.
+func (n *Network) post(q *linkQueue, msg Msg) {
+	if q.listed {
+		q.push(msg)
 		return
 	}
-	for _, to := range ids {
-		if !n.known(to) {
-			if n.badSend == nil {
-				n.badSend = fmt.Errorf("sim: inject to unknown node %d", to)
-			}
-			continue
-		}
-		n.injectKnown(to, msg)
-	}
-}
-
-// listReady reserves one ready-list entry and returns it for the caller to
-// fill in place. Appending a composite literal instead materializes the
-// 40-byte entry on the stack and copies it over — measurable at
-// injection-wave rates — so the two listing sites write their fields
-// straight into the reserved slot.
-func (n *Network) listReady() *readyHead {
+	q.listed = true
+	// Reserve the entry and fill it in place: appending a composite literal
+	// materializes the 40-byte entry on the stack and copies it over, which
+	// is measurable at injection-wave rates.
 	if len(n.ready) == cap(n.ready) {
 		n.ready = append(n.ready, readyHead{})
 	} else {
 		n.ready = n.ready[:len(n.ready)+1]
 	}
-	return &n.ready[len(n.ready)-1]
-}
-
-// injectKnown enqueues from the external (None) link of a validated id.
-func (n *Network) injectKnown(to NodeID, msg Msg) {
-	mb := &n.nodes[to]
-	q := mb.injectQ
-	if q == nil {
-		_, q = n.queueFor(to, None)
-		mb.injectQ = q
-	}
-	if !q.listed {
-		// 0→1 transition: the message becomes the link's head, written into
-		// the ready list's hot array; the ring is not touched.
-		q.listed = true
-		h := n.listReady()
-		h.msg = msg
-		h.q = q
-		h.to = to
-		h.from = None
-	} else {
-		if int(q.count) == len(q.buf) {
-			q.grow()
-		}
-		q.buf[uint32(q.head+q.count)&uint32(len(q.buf)-1)] = msg
-		q.count++
-	}
-	n.sent++
+	h := &n.ready[len(n.ready)-1]
+	h.msg = msg
+	h.q = q
+	h.to = q.to
+	h.from = q.from
 }
 
 // latchBadSend records the first send to an invalid or unknown node id.
-// Kept out of enqueue so enqueue's frame carries no fmt vararg slots.
+// Kept out of Send so Send's frame carries no fmt vararg slots.
 //
 //go:noinline
 func (n *Network) latchBadSend(to NodeID) {
@@ -696,54 +692,6 @@ func stepLimitErr(maxSteps int64) error {
 	return fmt.Errorf("%w (after %d deliveries)", ErrStepLimit, maxSteps)
 }
 
-func (n *Network) enqueue(from, to NodeID, msg Msg) {
-	// Cached-slot fast path: most nodes hear overwhelmingly from one
-	// neighbor, and queueFor's scan loop keeps it from inlining here. An
-	// existing link proves its owner was validated when the link was
-	// created (links are only added below, after the known check), so the
-	// dominant path needs just the bounds test — not the proc load.
-	var q *linkQueue
-	if uint(int(to)) < uint(len(n.nodes)) {
-		mb := &n.nodes[to]
-		if s := mb.recvSlot; int(s) < len(mb.linkQs) && mb.linkQs[s].from == from {
-			q = mb.linkQs[s]
-		} else if mb.proc != nil {
-			var s int32
-			s, q = n.queueFor(to, from)
-			mb.recvSlot = s
-		}
-	}
-	if q == nil {
-		// Latch the first bad send (negative or unregistered id) and drop
-		// the message; the next Step surfaces it. Validating here keeps
-		// deliver infallible: everything queued has a registered
-		// destination.
-		n.latchBadSend(to)
-		return
-	}
-	if !q.listed {
-		// 0→1 transition: the message becomes the link's head, written
-		// straight into the ready list's hot array — the dominant send
-		// shape at protocol fan-outs, and it never touches the ring buffer.
-		q.listed = true
-		h := n.listReady()
-		h.msg = msg
-		h.q = q
-		h.to = to
-		h.from = from
-	} else {
-		// Overflow behind an undelivered head: push, by hand (the inliner
-		// refuses push because of its grow call, and the call overhead is
-		// measurable at this send rate).
-		if int(q.count) == len(q.buf) {
-			q.grow()
-		}
-		q.buf[uint32(q.head+q.count)&uint32(len(q.buf)-1)] = msg
-		q.count++
-	}
-	n.sent++
-}
-
 // deliver pops the head of ready entry i and hands it to the destination
 // process. Exact ready-list maintenance: a link enters the list when its
 // queue turns nonempty and leaves here, at its known index, the moment it
@@ -755,11 +703,9 @@ func (n *Network) deliver(i int) {
 	m := h.msg
 	to, from := h.to, h.from
 	if q.count > 0 {
-		// Refill: promote the ring's head into the entry's hot slot (pop,
-		// by hand); the entry keeps its position, preserving pick order.
-		h.msg = q.buf[q.head]
-		q.head = (q.head + 1) & int32(len(q.buf)-1)
-		q.count--
+		// Refill: promote the ring's head into the entry's hot slot; the
+		// entry keeps its position, preserving pick order.
+		h.msg = q.pop()
 	} else {
 		q.listed = false
 		last := len(n.ready) - 1
@@ -771,145 +717,53 @@ func (n *Network) deliver(i int) {
 	q.proc.OnMessage(&n.ctx, from, m)
 }
 
-// Step delivers one pending message (if any) and reports whether it did.
-//
-// RNG draw discipline: every delivery consumes exactly one seeded draw. When
-// more than one link is ready the draw picks the link; when exactly one is
-// ready the choice is forced, but the draw is still consumed (intn(1) burns
-// one source value), keeping the stream — and therefore every later pick —
-// bit-for-bit aligned with the historical one-draw-per-delivery scheduler.
-// Run's burst path relies on this equivalence.
-func (n *Network) Step() (bool, error) {
+// advance plays one scheduling unit of a network with pending messages:
+// under the legacy scheduler one delivery from a pseudo-randomly picked
+// ready link, under sealed rounds one full round. It holds the legacy
+// scheduler's only pick site. Every legacy delivery consumes exactly one
+// seeded draw, even when a single link is ready and the pick is forced.
+func (n *Network) advance() {
 	if n.sealed {
-		return n.stepSealed()
+		n.playRound()
+		return
 	}
+	n.deliver(n.intn(len(n.ready)))
+}
+
+// Step plays one scheduling unit — one message under the legacy scheduler,
+// one round under sealed rounds — and reports whether it delivered
+// anything. A bad send latched during the unit surfaces on the next Step or
+// Run.
+func (n *Network) Step() (bool, error) {
 	if n.badSend != nil {
 		return false, n.badSend
 	}
-	if len(n.ready) == 0 {
+	if n.Pending() == 0 {
 		return false, nil
 	}
-	n.deliver(n.intn(len(n.ready)))
+	n.advance()
 	return true, nil
 }
 
-// Run delivers messages until the network quiesces (no pending messages) or
-// maxSteps deliveries have happened, in which case ErrStepLimit is returned.
-//
-// Delivery is burst-oriented: while exactly one link is ready the scheduler
-// has no choice to make, so Run drains that run of messages in a tight loop
-// — still consuming one seeded draw per delivery (see Step) so the delivery
-// schedule is bit-for-bit identical to stepping one message at a time,
-// which TestRunMatchesStepByStep pins.
+// Run plays scheduling units until the network quiesces (no pending
+// messages) or maxSteps messages have been delivered, in which case
+// ErrStepLimit is returned. The budget is checked between units, so under
+// sealed rounds a round always completes and the limit surfaces at the next
+// boundary; every round delivers at least one message, so a livelock still
+// stops within maxSteps rounds.
 func (n *Network) Run(maxSteps int64) error {
-	if n.sealed {
-		return n.runSealed(maxSteps)
-	}
-	for steps := int64(0); ; {
+	start := n.delivered
+	for {
 		if n.badSend != nil {
 			return n.badSend
 		}
-		// Burst: a singleton ready list forces the pick. Deliveries during
-		// the burst may enqueue onto other links (ending the burst) or latch
-		// a bad send (checked per delivery, as Step would).
-		for len(n.ready) == 1 && n.badSend == nil {
-			if steps >= maxSteps {
-				return stepLimitErr(maxSteps)
-			}
-			// The draw intn(1) would consume; keeps streams aligned.
-			if n.fastOK {
-				n.fast.next()
-			} else {
-				n.src.Int63()
-			}
-			// deliver(0), by hand, with the swap-remove specialized to the
-			// singleton ready list (deliver stays a call; at this rate the
-			// call overhead alone is measurable). The hot-array pointer is
-			// re-taken every iteration: OnMessage may list links and grow
-			// the backing array.
-			h := &n.ready[0]
-			q := h.q
-			m := h.msg
-			to, from := h.to, h.from
-			if q.count > 0 {
-				h.msg = q.buf[q.head]
-				q.head = (q.head + 1) & int32(len(q.buf)-1)
-				q.count--
-			} else {
-				q.listed = false
-				n.ready = n.ready[:0]
-			}
-			n.delivered++
-			n.ctx.self = to
-			q.proc.OnMessage(&n.ctx, from, m)
-			steps++
-		}
-		if n.badSend != nil {
-			return n.badSend
-		}
-		if len(n.ready) == 0 {
+		if n.Pending() == 0 {
 			return nil
 		}
-		if steps >= maxSteps {
+		if n.delivered-start >= maxSteps {
 			return stepLimitErr(maxSteps)
 		}
-		// deliver(intn(len(ready))), by hand — same body as deliver, with
-		// intn's power-of-two mask path (the common ready-list shapes)
-		// inlined ahead of the general call.
-		var i int
-		if k := int32(len(n.ready)); k&(k-1) == 0 {
-			var x int64
-			if n.fastOK {
-				x = n.fast.next()
-			} else {
-				x = n.src.Int63()
-			}
-			i = int(int32(x>>32) & (k - 1))
-		} else {
-			// intn's rejection + fastmod path, by hand (intn's draw loop
-			// keeps it from inlining, and at one draw per delivery the call
-			// overhead is measurable).
-			if k != n.modK {
-				n.modK = k
-				n.modMaxv = int32((1 << 31) - 1 - (1<<31)%uint32(k))
-				n.modM = ^uint64(0)/uint64(k) + 1
-			}
-			var x int64
-			if n.fastOK {
-				x = n.fast.next()
-			} else {
-				x = n.src.Int63()
-			}
-			v := int32(x >> 32)
-			for v > n.modMaxv {
-				if n.fastOK {
-					x = n.fast.next()
-				} else {
-					x = n.src.Int63()
-				}
-				v = int32(x >> 32)
-			}
-			hi, _ := bits.Mul64(n.modM*uint64(uint32(v)), uint64(k))
-			i = int(hi)
-		}
-		h := &n.ready[i]
-		q := h.q
-		m := h.msg
-		to, from := h.to, h.from
-		if q.count > 0 {
-			h.msg = q.buf[q.head]
-			q.head = (q.head + 1) & int32(len(q.buf)-1)
-			q.count--
-		} else {
-			q.listed = false
-			last := len(n.ready) - 1
-			n.ready[i] = n.ready[last]
-			n.ready = n.ready[:last]
-		}
-		n.delivered++
-		n.ctx.self = to
-		q.proc.OnMessage(&n.ctx, from, m)
-		steps++
+		n.advance()
 	}
 }
 

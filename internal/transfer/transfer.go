@@ -175,13 +175,13 @@ func Convoy(p ConvoyParams) (*ConvoyResult, error) {
 	var w, total float64
 	switch p.Accounting {
 	case FixedCost:
-		if p.A1 < 0 {
-			return nil, fmt.Errorf("transfer: a1 %v must be >= 0", p.A1)
+		if !(p.A1 >= 0) || math.IsInf(p.A1, 1) {
+			return nil, fmt.Errorf("transfer: a1 %v must be finite and >= 0", p.A1)
 		}
 		total = p.A1*(2*nf-3) + (2*nf - 2) + float64(sumD)
 		w = total / nf
 	case VariableCost:
-		if p.A2 < 0 || p.A2 >= 0.5 {
+		if !(p.A2 >= 0 && p.A2 < 0.5) {
 			return nil, fmt.Errorf("transfer: a2 %v must be in [0, 0.5)", p.A2)
 		}
 		w = (2*nf - 2 + float64(sumD)) / (nf - 2*p.A2*nf + 3*p.A2)
