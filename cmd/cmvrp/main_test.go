@@ -63,18 +63,20 @@ func TestRunShowFlag(t *testing.T) {
 	}
 }
 
+// TestRunTraceFlag pins the whole -trace output, event log included, byte
+// for byte against testdata/trace_4x4.txt.
 func TestRunTraceFlag(t *testing.T) {
 	spec := `{"arena": [4, 4], "demands": [{"at": [2, 2], "jobs": 20}]}`
 	var out bytes.Buffer
 	if err := run([]string{"-spec", writeSpec(t, spec), "-trace"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	text := out.String()
-	if !strings.Contains(text, "online event trace") || !strings.Contains(text, "serve") {
-		t.Errorf("missing trace:\n%s", text)
+	want, err := os.ReadFile(filepath.Join("testdata", "trace_4x4.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(text, "measured Won") {
-		t.Errorf("-trace should imply the online measurement:\n%s", text)
+	if got := out.String(); got != string(want) {
+		t.Errorf("-trace output drifted from testdata/trace_4x4.txt:\n%s", got)
 	}
 }
 

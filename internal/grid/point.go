@@ -8,7 +8,6 @@ package grid
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // MaxDim is the largest supported lattice dimension. The thesis analyzes
@@ -80,17 +79,32 @@ func (p Point) CoordSum() int {
 // coordinates; it always prints MaxDim coordinates' prefix up to the last
 // nonzero, minimum 2, which is readable for the common 2-D case.
 func (p Point) String() string {
+	var buf [maxPointLen]byte
+	return string(p.Append(buf[:0]))
+}
+
+// maxPointLen is the longest String form: MaxDim coordinates of at most 11
+// bytes ("-2147483648"), MaxDim-1 commas and two parentheses.
+const maxPointLen = MaxDim*11 + MaxDim - 1 + 2
+
+// Append appends the String form of p to dst and returns the extended
+// slice, so a caller building a larger text renders the point without an
+// allocation of its own.
+func (p Point) Append(dst []byte) []byte {
 	last := 1
 	for i := 2; i < MaxDim; i++ {
 		if p[i] != 0 {
 			last = i
 		}
 	}
-	parts := make([]string, 0, last+1)
+	dst = append(dst, '(')
 	for i := 0; i <= last; i++ {
-		parts = append(parts, strconv.Itoa(int(p[i])))
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(p[i]), 10)
 	}
-	return "(" + strings.Join(parts, ",") + ")"
+	return append(dst, ')')
 }
 
 // Manhattan returns the L1 distance between a and b, the travel cost metric

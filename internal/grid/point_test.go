@@ -1,6 +1,9 @@
 package grid
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -98,12 +101,83 @@ func TestColorOf(t *testing.T) {
 	}
 }
 
-func TestPointString(t *testing.T) {
-	if s := P(1, -2).String(); s != "(1,-2)" {
-		t.Errorf("String = %q", s)
+// sprintPoint is the rendering Point.String had before Point.Append: the
+// coordinates up to the last nonzero one, at least two, each through fmt.
+func sprintPoint(p Point) string {
+	last := 1
+	for i := 2; i < MaxDim; i++ {
+		if p[i] != 0 {
+			last = i
+		}
 	}
-	if s := P(1, 2, 3).String(); s != "(1,2,3)" {
-		t.Errorf("String = %q", s)
+	parts := make([]string, last+1)
+	for i := range parts {
+		parts[i] = fmt.Sprint(p[i])
+	}
+	return "(" + strings.Join(parts, ",") + ")"
+}
+
+// checkPointText checks String, Append onto a non-empty prefix and fmt's %v
+// against sprintPoint.
+func checkPointText(t *testing.T, p Point) {
+	t.Helper()
+	want := sprintPoint(p)
+	if got := p.String(); got != want {
+		t.Errorf("%#v.String() = %q, want %q", p, got, want)
+	}
+	if got := string(p.Append([]byte("at "))); got != "at "+want {
+		t.Errorf("%#v.Append(\"at \") = %q, want %q", p, got, "at "+want)
+	}
+	if got := fmt.Sprintf("%v", p); got != want {
+		t.Errorf("Sprintf(%%v, %#v) = %q, want %q", p, got, want)
+	}
+}
+
+func TestPointString(t *testing.T) {
+	const big = math.MaxInt32
+	tests := []struct {
+		p    Point
+		want string
+	}{
+		{P(), "(0,0)"},
+		{P(7), "(7,0)"},
+		{P(1, -2), "(1,-2)"},
+		{P(1, 2, 3), "(1,2,3)"},
+		{P(1, 2, 0), "(1,2)"},
+		{P(1, 0, 3, 0), "(1,0,3)"},
+		{P(0, 0, 0, 4), "(0,0,0,4)"},
+		{P(-1, -2, -3, -4), "(-1,-2,-3,-4)"},
+		{P(big, -big, big, -big), "(2147483647,-2147483647,2147483647,-2147483647)"},
+		{P(-big-1, -big-1, -big-1, -big-1), "(-2147483648,-2147483648,-2147483648,-2147483648)"},
+	}
+	for _, tt := range tests {
+		if got := tt.p.String(); got != tt.want {
+			t.Errorf("%#v.String() = %q, want %q", tt.p, got, tt.want)
+		}
+		checkPointText(t, tt.p)
+	}
+}
+
+func FuzzPointAppend(f *testing.F) {
+	f.Add(int32(1), int32(-2), int32(0), int32(0))
+	f.Add(int32(0), int32(0), int32(5), int32(0))
+	f.Add(int32(0), int32(0), int32(0), int32(-5))
+	f.Add(int32(math.MaxInt32), int32(-math.MaxInt32), int32(math.MinInt32), int32(1))
+	f.Fuzz(func(t *testing.T, x, y, z, w int32) {
+		checkPointText(t, Point{x, y, z, w})
+	})
+}
+
+// TestPointAppendAllocs pins the costs callers build on: Append into a
+// buffer with room allocates nothing, and String allocates only its result.
+func TestPointAppendAllocs(t *testing.T) {
+	p := P(math.MinInt32, math.MinInt32, math.MinInt32, math.MinInt32)
+	buf := make([]byte, 0, 64)
+	if got := testing.AllocsPerRun(10, func() { buf = p.Append(buf[:0]) }); got != 0 {
+		t.Errorf("Append allocated %.0f objects, want 0", got)
+	}
+	if got := testing.AllocsPerRun(10, func() { _ = p.String() }); got != 1 {
+		t.Errorf("String allocated %.0f objects, want 1", got)
 	}
 }
 

@@ -44,12 +44,12 @@ func warmEpisodeAllocs(t *testing.T, monitoring bool) float64 {
 // TestWarmOnlineEpisodeAllocCeiling is the CI alloc guard for the online
 // layer: a warm episode's allocations are bounded by a hard ceiling so
 // boxing (or any other per-message allocation) cannot creep back into the
-// delivery path. The residual allocations are per-event bookkeeping
-// (failure strings, trace events), not per-message: the hot-point workload
-// delivers ~1300 messages per episode, so a per-message regression blows
-// the ceiling immediately.
+// delivery path. The one allocation is the Result copy Run returns: the
+// hot-point workload delivers ~1300 messages and runs two searches and two
+// moves per episode, so any per-message or per-event allocation, trace
+// formatting included, blows the ceiling.
 func TestWarmOnlineEpisodeAllocCeiling(t *testing.T) {
-	const ceiling = 450
+	const ceiling = 1
 	if got := warmEpisodeAllocs(t, false); got > ceiling {
 		t.Errorf("warm online episode allocated %.0f objects/run, ceiling %d", got, ceiling)
 	}
@@ -59,9 +59,72 @@ func TestWarmOnlineEpisodeAllocCeiling(t *testing.T) {
 // full-arena injection waves per job arrival must write inline message
 // values into retained slots, adding nothing to the episode's allocations.
 func TestWarmMonitoringEpisodeAllocCeiling(t *testing.T) {
-	const ceiling = 450
+	const ceiling = 1
 	if got := warmEpisodeAllocs(t, true); got > ceiling {
 		t.Errorf("warm monitoring episode allocated %.0f objects/run, ceiling %d", got, ceiling)
+	}
+}
+
+// eventfulOptions is a monitored episode on the failure workload that
+// reaches the traced paths: exhaustion searches, failed searches, moves,
+// Longevity breakdowns, silent and Byzantine (evidence) rescues, and
+// failures.
+func eventfulOptions() Options {
+	opts := failureBase()
+	opts.Capacity = 5
+	opts.Failure = &FailureModel{
+		DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
+		Byzantine:         map[grid.Point]bool{grid.P(2, 2): true},
+		Longevity:         map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(0, 0): 0.3},
+	}
+	return opts
+}
+
+// TestWarmUntracedEpisodeAllocs guards that an untraced episode formats
+// nothing: on a warm runner with a nil Tracer, the only allocations are the
+// Result copy, one reason string per failure and the growth of the Failures
+// slice, however many searches, moves, breakdowns and rescues fire.
+func TestWarmUntracedEpisodeAllocs(t *testing.T) {
+	opts := eventfulOptions()
+	seq := failureJobs()
+	tracer := &SliceTracer{}
+	opts.Tracer = tracer
+	r := mustRunner(t, opts)
+	res, err := r.Run(seq) // cold run sizes every buffer
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replacements == 0 || res.SearchFailures == 0 || res.MonitorRescues == 0 ||
+		res.EvidenceRescues == 0 || len(res.Failures) == 0 || tracer.Count(EventDead) == 0 {
+		t.Fatalf("episode misses a traced path: %+v, %d dead events", res, tracer.Count(EventDead))
+	}
+	opts.Tracer = nil
+	got := testing.AllocsPerRun(5, func() {
+		if err := r.ResetEpisode(opts); err != nil {
+			t.Fatal(err)
+		}
+		if res, err = r.Run(seq); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ceiling := 2 + 2*len(res.Failures); got > float64(ceiling) {
+		t.Errorf("warm untraced episode with %d failures allocated %.0f objects/run, ceiling %d",
+			len(res.Failures), got, ceiling)
+	}
+}
+
+// TestWarmResetEpisodeAllocs guards that re-arming a warm runner for an
+// episode with scheduled deaths re-densifies DeadBeforeArrival into the
+// runner's retained storage: ResetEpisode allocates nothing.
+func TestWarmResetEpisodeAllocs(t *testing.T) {
+	opts := eventfulOptions()
+	r := mustRunner(t, opts)
+	if got := testing.AllocsPerRun(5, func() {
+		if err := r.ResetEpisode(opts); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("warm ResetEpisode allocated %.0f objects/run, want 0", got)
 	}
 }
 

@@ -1,10 +1,13 @@
 package online
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/demand"
 	"repro/internal/grid"
+	"repro/internal/offline"
 )
 
 // BenchmarkOnlineRun times a full online episode with steady replacement
@@ -170,4 +173,51 @@ func BenchmarkOnlineRunMonitoringWarm(b *testing.B) {
 			b.Fatalf("run failed: %v", res.Failures[0])
 		}
 	}
+}
+
+// BenchmarkOnlineRunSearchHeavyWarm is a warm episode in the style of the
+// end-to-end benchmark's episode-sweep workload: 1000 uniform jobs on the
+// central 16x16 box of a 32x32 arena, shuffled, at capacity 12*omega_c.
+// Vehicles exhaust all over the box, so an episode runs dozens of Phase I
+// searches and Phase II moves where the hot-point benchmarks run two: this
+// is the benchmark whose allocs/op shows a per-search or per-move cost.
+func BenchmarkOnlineRunSearchHeavyWarm(b *testing.B) {
+	arena := grid.MustNew(32, 32)
+	box, err := grid.NewBox(2, grid.P(8, 8), grid.P(23, 23))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	m, err := demand.Uniform(rng, box, 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	char, err := offline.OmegaC(m, arena)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seq, err := demand.SequenceOf(m, demand.OrderShuffled, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	capacity := 12 * math.Max(char.Omega, 1)
+	r, err := NewRunner(Options{Arena: arena, CubeSide: char.Side, Capacity: capacity, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := r.Run(seq) // cold run sizes every buffer
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.Reset(capacity, 1); err != nil {
+			b.Fatal(err)
+		}
+		if res, err = r.Run(seq); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Searches), "searches/op")
 }

@@ -1,10 +1,12 @@
 package online
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 
 	"repro/internal/demand"
 	"repro/internal/diffuse"
@@ -183,7 +185,48 @@ const defaultMaxSteps = 50_000_000
 
 func (r *Runner) recordFailure(pos grid.Point, reason string) {
 	r.res.Failures = append(r.res.Failures, Failure{Pos: pos, Reason: reason})
-	r.emit(EventFailure, pos, pos, 0, reason)
+	r.emit(Event{Kind: EventFailure, Vehicle: pos, Pos: pos, Reason: reason})
+}
+
+// The three Failure.Reason texts, each built in one allocation. They are
+// byte-identical to the fmt forms quoted on each function, so traces and
+// every hash of a Result stay unchanged.
+
+// reasonLen sizes the stack buffer the reasons are built in: the longest
+// prefix, a MaxDim point and a shortest-form float fit with room to spare.
+// A longer text (a huge energy in 'f' form) still renders correctly, at the
+// cost of one more allocation.
+const reasonLen = 128
+
+// stateReason is fmt.Sprintf("vehicle %v in state %v", home, state).
+func stateReason(home grid.Point, state WorkState) string {
+	var buf [reasonLen]byte
+	b := append(buf[:0], "vehicle "...)
+	b = home.Append(b)
+	b = append(b, " in state "...)
+	b = append(b, state.String()...)
+	return string(b)
+}
+
+// energyReason is fmt.Sprintf("vehicle %v out of energy (%.1f used)", home, used).
+func energyReason(home grid.Point, used float64) string {
+	var buf [reasonLen]byte
+	b := append(buf[:0], "vehicle "...)
+	b = home.Append(b)
+	b = append(b, " out of energy ("...)
+	b = strconv.AppendFloat(b, used, 'f', 1, 64)
+	b = append(b, " used)"...)
+	return string(b)
+}
+
+// moveReason is fmt.Sprintf("recruit %v cannot afford move of %v", home, walk).
+func moveReason(home grid.Point, walk float64) string {
+	var buf [reasonLen]byte
+	b := append(buf[:0], "recruit "...)
+	b = home.Append(b)
+	b = append(b, " cannot afford move of "...)
+	b = strconv.AppendFloat(b, walk, 'g', -1, 64)
+	return string(b)
 }
 
 func (r *Runner) noteEnergy(e float64) {
@@ -259,7 +302,7 @@ func NewRunner(opts Options) (*Runner, error) {
 	}
 	// Densify the failure-injection maps once at the public boundary; the
 	// simulation itself never hashes a point again.
-	r.deadEvents = densifyDeadEvents(opts.Arena, model.DeadBeforeArrival)
+	r.deadEvents = densifyDeadEvents(nil, opts.Arena, model.DeadBeforeArrival)
 	// One fanout reader for every engine: the search reads the episode's
 	// GossipFanout per flood, so ResetEpisode re-tunes it without a rebuild.
 	fanout := func() int { return r.opts.GossipFanout }
@@ -450,7 +493,7 @@ func (r *Runner) ResetEpisode(opts Options) error {
 		v.byzantine = model.Byzantine[v.home]
 		v.applyClass(opts.Fleet, r.part)
 	}
-	r.deadEvents = densifyDeadEvents(opts.Arena, model.DeadBeforeArrival)
+	r.deadEvents = densifyDeadEvents(r.deadEvents, opts.Arena, model.DeadBeforeArrival)
 	r.evidence = len(model.Byzantine) > 0
 	// Geometry is interchangeable by construction (a Partition is a
 	// deterministic function of arena and cube side), so keep the runner's
@@ -467,13 +510,11 @@ func (r *Runner) ResetEpisode(opts Options) error {
 
 // densifyDeadEvents converts the public DeadBeforeArrival map into a slice
 // of events sorted by arrival index (ties broken by cell, so runs stay
-// reproducible regardless of map iteration order). Negative arrival indices
-// can never fire and are dropped, matching the original scan.
-func densifyDeadEvents(arena *grid.Grid, dead map[grid.Point]int) []deadEvent {
-	if len(dead) == 0 {
-		return nil
-	}
-	events := make([]deadEvent, 0, len(dead))
+// reproducible regardless of map iteration order), reusing dst's storage.
+// Negative arrival indices can never fire and are dropped, matching the
+// original scan.
+func densifyDeadEvents(dst []deadEvent, arena *grid.Grid, dead map[grid.Point]int) []deadEvent {
+	events := dst[:0]
 	for home, at := range dead {
 		if at < 0 {
 			continue
@@ -484,11 +525,16 @@ func densifyDeadEvents(arena *grid.Grid, dead map[grid.Point]int) []deadEvent {
 		}
 		events = append(events, deadEvent{at: at, id: id, home: home})
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
+	slices.SortFunc(events, func(a, b deadEvent) int {
+		switch {
+		case a.at != b.at:
+			return cmp.Compare(a.at, b.at)
+		case a.home.Less(b.home):
+			return -1
+		case b.home.Less(a.home):
+			return 1
 		}
-		return events[i].home.Less(events[j].home)
+		return 0
 	})
 	return events
 }

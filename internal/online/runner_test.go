@@ -2,6 +2,7 @@ package online
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -449,5 +450,61 @@ func TestSharedPartitionValidation(t *testing.T) {
 	}
 	if r.Partition() != part {
 		t.Error("runner should adopt the shared partition")
+	}
+}
+
+// checkReasons compares the three Failure.Reason functions with the
+// fmt.Sprintf forms they replace.
+func checkReasons(t *testing.T, home grid.Point, state WorkState, used, walk float64) {
+	t.Helper()
+	for _, c := range []struct{ got, want string }{
+		{stateReason(home, state), fmt.Sprintf("vehicle %v in state %v", home, state)},
+		{energyReason(home, used), fmt.Sprintf("vehicle %v out of energy (%.1f used)", home, used)},
+		{moveReason(home, walk), fmt.Sprintf("recruit %v cannot afford move of %v", home, walk)},
+	} {
+		if c.got != c.want {
+			t.Errorf("reason %q, fmt renders %q", c.got, c.want)
+		}
+	}
+}
+
+func TestFailureReasonsMatchSprintf(t *testing.T) {
+	const big = math.MaxInt32
+	homes := []grid.Point{
+		grid.P(3), grid.P(2, 5), grid.P(-1, 4, -7), grid.P(0, 0, 0, 9),
+		grid.P(big, -big, big, -big), grid.P(-big-1, 0, 0, 1),
+	}
+	energies := []float64{0, 0.05, 0.25, 0.35, 1, 2.5, 3.75, 6.25, 99.95, 1e6, 123456789.05, 1e21, 1e-7}
+	for i, home := range homes {
+		for j, e := range energies {
+			state := []WorkState{Idle, Active, Done, Dead, WorkState(9)}[(i+j)%5]
+			checkReasons(t, home, state, e, e)
+		}
+	}
+}
+
+func FuzzFailureReason(f *testing.F) {
+	f.Add(int32(2), int32(5), int32(0), int32(0), uint8(Dead), 0.05, 2.5)
+	f.Add(int32(-1), int32(4), int32(-7), int32(0), uint8(Done), 99.95, 6.25)
+	f.Add(int32(math.MaxInt32), int32(math.MinInt32), int32(0), int32(1), uint8(0), 1e21, 1e-7)
+	f.Fuzz(func(t *testing.T, x, y, z, w int32, state uint8, used, walk float64) {
+		if math.IsNaN(used) || math.IsInf(used, 0) || math.IsNaN(walk) || math.IsInf(walk, 0) {
+			t.Skip("energies are finite")
+		}
+		checkReasons(t, grid.Point{x, y, z, w}, WorkState(state), used, walk)
+	})
+}
+
+// TestFailureReasonAllocs pins that each reason costs its one string.
+func TestFailureReasonAllocs(t *testing.T) {
+	home := grid.P(math.MinInt32, math.MinInt32, math.MinInt32, math.MinInt32)
+	for name, build := range map[string]func() string{
+		"state":  func() string { return stateReason(home, Active) },
+		"energy": func() string { return energyReason(home, 123456.75) },
+		"move":   func() string { return moveReason(home, -1.2345678901234567e-300) },
+	} {
+		if got := testing.AllocsPerRun(10, func() { _ = build() }); got != 1 {
+			t.Errorf("%s reason allocated %.0f objects, want 1", name, got)
+		}
 	}
 }

@@ -54,28 +54,74 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one structured trace record.
+// Cause tells apart the two variants of EventDead and of EventRescue.
+type Cause uint8
+
+// Event causes. The zero Cause is for the kinds that have one variant.
+const (
+	// CauseServe is a Longevity breakdown while serving a job (EventDead).
+	CauseServe Cause = iota + 1
+	// CauseArrival is a Longevity breakdown on finishing a Phase II move
+	// (EventDead).
+	CauseArrival
+	// CauseSilent is a rescue of a watched pair whose beacon stopped
+	// (EventRescue).
+	CauseSilent
+	// CauseEvidence is a rescue of a watched pair that kept beaconing while
+	// a customer complaint proved it served nothing (EventRescue).
+	CauseEvidence
+)
+
+// Event is one structured trace record. The runner fills plain fields only;
+// the text is rendered by String, so an untraced episode formats nothing.
 type Event struct {
 	// Arrival is the index of the arrival being processed when the event
 	// fired.
 	Arrival int
 	Kind    EventKind
-	// Vehicle is the home cell of the vehicle involved (its identity).
+	// Vehicle is the home cell of the vehicle involved (its identity). For
+	// EventFailure it is the job position, like Pos.
 	Vehicle grid.Point
 	// Pos is the event location (job position, move destination, ...).
 	Pos grid.Point
 	// Energy is the vehicle's cumulative energy use after the event.
 	Energy float64
-	// Detail is a short human-readable annotation.
-	Detail string
+	// Pair is the pair searched for (EventSearch, EventSearchFail), taken
+	// over (EventMove) or rescued (EventRescue).
+	Pair int
+	// Longevity is the breakdown fraction that was hit (EventDead).
+	Longevity float64
+	// Cause is the EventDead or EventRescue variant.
+	Cause Cause
+	// Reason is the Failure.Reason of an EventFailure.
+	Reason string
 }
 
 // String renders the event as one log line.
 func (e Event) String() string {
 	s := fmt.Sprintf("[%4d] %-11s vehicle=%v pos=%v energy=%.1f",
 		e.Arrival, e.Kind, e.Vehicle, e.Pos, e.Energy)
-	if e.Detail != "" {
-		s += " " + e.Detail
+	switch e.Kind {
+	case EventSearch, EventSearchFail:
+		s += fmt.Sprintf(" for pair %d", e.Pair)
+	case EventMove:
+		s += fmt.Sprintf(" takes over pair %d", e.Pair)
+	case EventDead:
+		s += fmt.Sprintf(" longevity %.2f hit", e.Longevity)
+		if e.Cause == CauseArrival {
+			s += " on arrival"
+		}
+	case EventRescue:
+		switch e.Cause {
+		case CauseSilent:
+			s += fmt.Sprintf(" pair %d went silent", e.Pair)
+		case CauseEvidence:
+			s += fmt.Sprintf(" pair %d beaconed but served nothing", e.Pair)
+		}
+	case EventFailure:
+		if e.Reason != "" {
+			s += " " + e.Reason
+		}
 	}
 	return s
 }
@@ -119,17 +165,13 @@ func (w *WriterTracer) Emit(e Event) {
 	fmt.Fprintln(w.W, e.String())
 }
 
-// emit is the runner's internal hook (nil-safe).
-func (r *Runner) emit(kind EventKind, vehicle, pos grid.Point, energy float64, detail string) {
+// emit hands e, stamped with the current arrival, to the tracer. It is
+// nil-safe, and the caller builds e from plain values, so an untraced
+// episode pays only the nil check.
+func (r *Runner) emit(e Event) {
 	if r.opts.Tracer == nil {
 		return
 	}
-	r.opts.Tracer.Emit(Event{
-		Arrival: r.currentArrival,
-		Kind:    kind,
-		Vehicle: vehicle,
-		Pos:     pos,
-		Energy:  energy,
-		Detail:  detail,
-	})
+	e.Arrival = r.currentArrival
+	r.opts.Tracer.Emit(e)
 }

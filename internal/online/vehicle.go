@@ -182,27 +182,27 @@ func (v *vehicle) OnMessage(ctx *sim.Context, from sim.NodeID, msg sim.Msg) {
 // pair, so at distance at most 1 from its position).
 func (v *vehicle) onServe(ctx *sim.Context, pos grid.Point) {
 	if v.state != Active {
-		v.r.recordFailure(pos, fmt.Sprintf("vehicle %v in state %v", v.home, v.state))
+		v.r.recordFailure(pos, stateReason(v.home, v.state))
 		return
 	}
 	walk := float64(grid.Manhattan(v.pos, pos)) * v.stepCost
 	cost := walk + v.jobCost
 	if v.used+cost > v.capacity() {
-		v.r.recordFailure(pos, fmt.Sprintf("vehicle %v out of energy (%.1f used)", v.home, v.used))
+		v.r.recordFailure(pos, energyReason(v.home, v.used))
 		return
 	}
 	v.used += cost
 	v.pos = pos
 	v.r.res.Served++
 	v.r.noteEnergy(v.used)
-	v.r.emit(EventServe, v.home, pos, v.used, "")
+	v.r.emit(Event{Kind: EventServe, Vehicle: v.home, Pos: pos, Energy: v.used})
 	// Chapter 4 breakdown: the vehicle dies the moment a fraction p of its
 	// capacity is spent. A dead vehicle cannot initiate its own
 	// replacement — only the monitoring ring can catch this.
 	if v.breaksNow() {
 		v.state = Dead
-		v.r.emit(EventDead, v.home, v.pos, v.used,
-			fmt.Sprintf("longevity %.2f hit", v.longevity))
+		v.r.emit(Event{Kind: EventDead, Vehicle: v.home, Pos: v.pos, Energy: v.used,
+			Longevity: v.longevity, Cause: CauseServe})
 		return
 	}
 	// Exhaustion check: if the next job (worst case cost reserveCost) cannot
@@ -229,7 +229,7 @@ func (v *vehicle) untilBreak() float64 {
 
 func (v *vehicle) becomeDone(ctx *sim.Context) {
 	v.state = Done
-	v.r.emit(EventDone, v.home, v.pos, v.used, "")
+	v.r.emit(Event{Kind: EventDone, Vehicle: v.home, Pos: v.pos, Energy: v.used})
 	if v.failInitiate {
 		return // scenario 2: the monitoring ring must catch this
 	}
@@ -246,8 +246,7 @@ func (v *vehicle) startReplacementSearch(ctx sim.Sender, pairID int, dest grid.P
 	v.searchPair = pairID
 	v.r.res.Searches++
 	v.searchDest = dest
-	v.r.emit(EventSearch, v.home, dest, v.used,
-		fmt.Sprintf("for pair %d", pairID))
+	v.r.emit(Event{Kind: EventSearch, Vehicle: v.home, Pos: dest, Energy: v.used, Pair: pairID})
 	v.ds.StartSearch(ctx)
 }
 
@@ -256,8 +255,8 @@ func (v *vehicle) onSearchComplete(ctx sim.Sender, seq int, found bool) {
 	if !found {
 		v.r.pendingReplace[pairID] = false
 		v.r.res.SearchFailures++
-		v.r.emit(EventSearchFail, v.home, v.searchDest, v.used,
-			fmt.Sprintf("for pair %d", pairID))
+		v.r.emit(Event{Kind: EventSearchFail, Vehicle: v.home, Pos: v.searchDest, Energy: v.used,
+			Pair: pairID})
 		return
 	}
 	destIdx := uint32(v.r.opts.Arena.Index(v.searchDest))
@@ -275,8 +274,7 @@ func (v *vehicle) onMoveOrder(ctx sim.Sender, order moveOrder) {
 	}
 	walk := float64(grid.Manhattan(v.pos, order.Dest)) * v.stepCost
 	if v.used+walk > v.capacity() {
-		v.r.recordFailure(order.Dest,
-			fmt.Sprintf("recruit %v cannot afford move of %v", v.home, walk))
+		v.r.recordFailure(order.Dest, moveReason(v.home, walk))
 		v.r.pendingReplace[order.PairID] = false
 		return
 	}
@@ -289,12 +287,12 @@ func (v *vehicle) onMoveOrder(ctx sim.Sender, order moveOrder) {
 	v.r.pendingReplace[order.PairID] = false
 	v.r.res.Replacements++
 	v.r.noteRestored(order.PairID)
-	v.r.emit(EventMove, v.home, order.Dest, v.used,
-		fmt.Sprintf("takes over pair %d", order.PairID))
+	v.r.emit(Event{Kind: EventMove, Vehicle: v.home, Pos: order.Dest, Energy: v.used,
+		Pair: order.PairID})
 	if v.breaksNow() {
 		v.state = Dead
-		v.r.emit(EventDead, v.home, v.pos, v.used,
-			fmt.Sprintf("longevity %.2f hit on arrival", v.longevity))
+		v.r.emit(Event{Kind: EventDead, Vehicle: v.home, Pos: v.pos, Energy: v.used,
+			Longevity: v.longevity, Cause: CauseArrival})
 		return
 	}
 	// If the move itself nearly drained the recruit, chain a further
@@ -347,15 +345,17 @@ func (v *vehicle) onCheck(ctx *sim.Context) {
 			// Watched pair went silent: recruit a replacement on its behalf,
 			// directed at the pair's canonical service position.
 			v.r.res.MonitorRescues++
-			v.r.emit(EventRescue, v.home, v.r.part.Pairs()[watched].ServicePos(), v.used,
-				fmt.Sprintf("pair %d went silent", watched))
+			v.r.emit(Event{Kind: EventRescue, Vehicle: v.home,
+				Pos: v.r.part.Pairs()[watched].ServicePos(), Energy: v.used,
+				Pair: watched, Cause: CauseSilent})
 			v.startReplacementSearch(ctx, watched, v.r.part.Pairs()[watched].ServicePos())
 		case v.complaints[watched]:
 			// Beacons kept arriving but a job went unserved: evidence beats
 			// the (possibly forged) beacon.
 			v.r.res.EvidenceRescues++
-			v.r.emit(EventRescue, v.home, v.r.part.Pairs()[watched].ServicePos(), v.used,
-				fmt.Sprintf("pair %d beaconed but served nothing", watched))
+			v.r.emit(Event{Kind: EventRescue, Vehicle: v.home,
+				Pos: v.r.part.Pairs()[watched].ServicePos(), Energy: v.used,
+				Pair: watched, Cause: CauseEvidence})
 			v.startReplacementSearch(ctx, watched, v.r.part.Pairs()[watched].ServicePos())
 		}
 	}
