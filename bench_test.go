@@ -1,7 +1,7 @@
 package cmvrp
 
 // One benchmark per reproduced thesis artifact E1..E10 (see DESIGN.md's
-// per-experiment index and EXPERIMENTS.md for the recorded outputs), plus
+// "Experiment index"; `go run ./cmd/experiments` prints the tables), plus
 // ablation benchmarks for the design choices DESIGN.md calls out. Each
 // bench drives the same code path as cmd/experiments, so `go test -bench=.`
 // regenerates the published evidence.
@@ -188,10 +188,18 @@ func BenchmarkAblationCubeGranularity(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	d, err := offline.NewDense(m, arena)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ps, err := d.Prefix()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("all-sizes", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := lpchar.OmegaStarCubes(m, arena); err != nil {
+			if _, err := lpchar.OmegaStarCubesPS(ps); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -199,7 +207,7 @@ func BenchmarkAblationCubeGranularity(b *testing.B) {
 	b.Run("doubling", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := lpchar.OmegaStarCubesDoubling(m, arena); err != nil {
+			if _, err := lpchar.OmegaStarCubesDoublingPS(ps); err != nil {
 				b.Fatal(err)
 			}
 		}

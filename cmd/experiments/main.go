@@ -1,6 +1,5 @@
-// Command experiments regenerates every reproduction table E1..E15 (see
-// DESIGN.md for the index, EXPERIMENTS.md for the recorded outputs) and
-// prints them as markdown.
+// Command experiments regenerates every reproduction table E1..E15 (indexed
+// in DESIGN.md's "Experiment index") and prints them as markdown.
 //
 // Usage:
 //
@@ -11,10 +10,10 @@
 // byte-identical for every width — the default is pinned rather than
 // runtime.NumCPU() so runs on different hosts do the same thing by default).
 // -shards selects the simulator scheduler for the simulator-backed
-// experiments: 0 (the default) is the legacy scheduler that produced the
-// recorded EXPERIMENTS.md tables; any S >= 1 selects sealed rounds, whose
-// tables are byte-identical for every such S — CI diffs -shards 1/2/4/8
-// outputs against each other as the determinism gate.
+// experiments: 0 (the default) is the legacy scheduler that produces the
+// tables of a plain `go run ./cmd/experiments`; any S >= 1 selects sealed
+// rounds, whose tables are byte-identical for every such S — CI diffs
+// -shards 1/2/4/8 outputs against each other as the determinism gate.
 package main
 
 import (

@@ -20,8 +20,8 @@
 //   - the Chapter 4 broken-vehicle bounds and the Chapter 5 energy-transfer
 //     analyses, re-exported from their subpackages via thin wrappers.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// reproduction record.
+// See DESIGN.md for the system inventory and its "Experiment index" for the
+// reproduction record; `go run ./cmd/experiments` regenerates every table.
 package cmvrp
 
 import (
@@ -192,13 +192,13 @@ func ExactLowerBound(m *Demand) (float64, error) {
 }
 
 // LPSolver is the reusable warm-start solver for the thesis' LP (2.1): built
-// once per (demand, radius), it answers any number of FeasibleAt capacity
-// probes construction-free (each probe rewrites only source capacities on
-// reset residual state), and Value() runs the exact bisection on warm
-// probes. Bind rebuilds it in place for a new instance, reusing all retained
-// storage — keep one per worker in custom sweeps, mirroring the
-// one-runner-per-worker rule of the online layer. Not safe for concurrent
-// use; results are bit-identical to fresh construction per probe.
+// once per (demand, radius), its Value() runs the exact bisection on
+// construction-free capacity probes (each probe rewrites only source
+// capacities on reset residual state). Bind rebuilds it in place for a new
+// instance, reusing all retained storage — keep one per worker in custom
+// sweeps, mirroring the one-runner-per-worker rule of the online layer. Not
+// safe for concurrent use; results are bit-identical to fresh construction
+// per probe. A radius whose L1 ball is too large to list is an error.
 type LPSolver = lpchar.Solver
 
 // NewLPSolver builds a warm-reusable LP (2.1) solver for (m, r).

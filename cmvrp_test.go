@@ -89,13 +89,24 @@ func TestSolveOfflineSingleCharacterization(t *testing.T) {
 	}
 }
 
-// TestLPSolverFacade exercises the exported warm solver: probes match the
-// one-shot entry points bit-for-bit.
+// TestLPSolverFacade exercises the exported warm solver: its values, before
+// and after a rebind, match a freshly built solver bit-for-bit.
 func TestLPSolverFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m, err := UniformDemand(rng, mustBox(t), 60)
 	if err != nil {
 		t.Fatal(err)
+	}
+	fresh := func(r int) float64 {
+		s, err := lpchar.NewSolver(m, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := s.Value()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
 	s, err := NewLPSolver(m, 2)
 	if err != nil {
@@ -105,12 +116,8 @@ func TestLPSolverFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := lpchar.FlowValue(m, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm != cold {
-		t.Errorf("LPSolver value %v != FlowValue %v", warm, cold)
+	if cold := fresh(2); warm != cold {
+		t.Errorf("LPSolver value %v != fresh solver %v", warm, cold)
 	}
 	if err := s.Bind(m, 3); err != nil {
 		t.Fatal(err)
@@ -119,12 +126,8 @@ func TestLPSolverFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldR3, err := lpchar.FlowValue(m, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebound != coldR3 {
-		t.Errorf("rebound value %v != FlowValue %v", rebound, coldR3)
+	if coldR3 := fresh(3); rebound != coldR3 {
+		t.Errorf("rebound value %v != fresh solver %v", rebound, coldR3)
 	}
 }
 
@@ -395,8 +398,10 @@ func TestMeasureWonRejectsBadTolerance(t *testing.T) {
 // neither panics nor hangs, on nil or overflowing input and on non-finite
 // parameters. Every row used to misbehave: the arenas were accepted (the
 // first with Len 0, so RunOnline on it panicked), the nil inputs panicked
-// with a nil dereference, ZipfDemand never returned, and Convoy returned a
-// NaN or infinite W with no error. Each row runs in its own goroutine under
+// with a nil dereference, ZipfDemand never returned, Convoy returned a NaN
+// or infinite W with no error, and LP radii too large to list panicked
+// (makeslice, or an index past int32-wrapped coordinates) or wrapped in
+// int32 to another radius's answer. Each row runs in its own goroutine under
 // a deadline, with panics recovered, so a regression fails its row instead
 // of crashing or hanging the suite.
 func TestFacadeRejectsMalformedInput(t *testing.T) {
@@ -407,6 +412,10 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 	opts := OnlineOptions{Arena: arena, CubeSide: 2, Capacity: 5, Seed: 1}
 	box := Box{Lo: P(0, 0), Hi: P(3, 3), Dim: 2}
 	line := []int64{2, 0, 3, 1}
+	point, err := PointDemand(2, P(1, 1), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		call func() error
@@ -438,6 +447,10 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 			_, err := Convoy(ConvoyParams{Demands: line, Accounting: VariableCost, A2: math.NaN()})
 			return err
 		}},
+		{"NewLPSolver radius 2^24", func() error { _, err := NewLPSolver(point, 1<<24); return err }},
+		{"NewLPSolver radius 2^32 wraps to 0", func() error { _, err := NewLPSolver(point, 1<<32); return err }},
+		{"NewLPSolver radius 2^32+1", func() error { _, err := NewLPSolver(point, 1<<32+1); return err }},
+		{"LPSolver.ExtendRadius 2^40", func() error { s, _ := NewLPSolver(point, 2); return s.ExtendRadius(1 << 40) }},
 	} {
 		done := make(chan error, 1)
 		go func() {

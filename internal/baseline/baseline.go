@@ -131,10 +131,3 @@ func GreedyMinCapacity(seq *demand.Sequence, arena *grid.Grid, tol float64) (flo
 	}
 	return hi, nil
 }
-
-// LocalOnly returns the capacity required when vehicles cannot move at all:
-// exactly the maximum demand D (thesis Property 2.3.2's regime). The gap
-// between this and Woff quantifies the value of mobility.
-func LocalOnly(m *demand.Map) float64 {
-	return float64(m.Max())
-}

@@ -127,16 +127,6 @@ func TestGreedyDeterminism(t *testing.T) {
 	}
 }
 
-func TestLocalOnly(t *testing.T) {
-	m, err := demand.PointMass(2, grid.P(0, 0), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if LocalOnly(m) != 42 {
-		t.Error("local-only requirement must be max demand")
-	}
-}
-
 // TestGreedyMinCapacityTolerance pins the tolerance bounds: below 2^-52 the
 // bisection can never meet tol and would run forever, and a NaN tol would
 // skip it. Each search runs with a deadline so a hang fails the test.

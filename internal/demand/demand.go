@@ -110,16 +110,6 @@ func (m *Map) SumIn(b grid.Box) int64 {
 	return s
 }
 
-// Clone returns a deep copy.
-func (m *Map) Clone() *Map {
-	c := NewMap(m.dim)
-	for p, v := range m.d {
-		c.d[p] = v
-	}
-	c.total = m.total
-	return c
-}
-
 // Values renders the demand onto a finite grid as a dense slice indexed by
 // g.Index, for prefix-sum machinery. Demand outside the grid is an error —
 // experiments must size arenas to contain their workloads.

@@ -27,9 +27,11 @@ func TestQuickSequencePreservesMultiset(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := seq.ToMap(2)
-		if err != nil {
-			return false
+		back := NewMap(2)
+		for i := 0; i < seq.Len(); i++ {
+			if err := back.Add(seq.At(i), 1); err != nil {
+				return false
+			}
 		}
 		if back.Total() != m.Total() {
 			return false

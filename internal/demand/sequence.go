@@ -27,24 +27,6 @@ func (s *Sequence) Len() int { return len(s.arrivals) }
 // At returns the i-th arrival position (0-based).
 func (s *Sequence) At(i int) grid.Point { return s.arrivals[i] }
 
-// Positions returns a copy of the arrival order.
-func (s *Sequence) Positions() []grid.Point {
-	cp := make([]grid.Point, len(s.arrivals))
-	copy(cp, s.arrivals)
-	return cp
-}
-
-// ToMap returns the demand function induced by the sequence.
-func (s *Sequence) ToMap(dim int) (*Map, error) {
-	m := NewMap(dim)
-	for _, p := range s.arrivals {
-		if err := m.Add(p, 1); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
 // SequenceOf expands a demand map into an arrival sequence using the given
 // order policy. The induced map of the result equals m.
 func SequenceOf(m *Map, order Order, rng *rand.Rand) (*Sequence, error) {

@@ -8,7 +8,7 @@ import (
 )
 
 // Spec is the JSON wire format for a CMVRP instance: an arena plus point
-// demands. Used by cmd/cmvrp and anything else that persists workloads.
+// demands, read by cmd/cmvrp through ParseSpec.
 type Spec struct {
 	// Arena holds per-axis sizes (1 to 4 axes).
 	Arena []int `json:"arena"`
@@ -48,27 +48,4 @@ func ParseSpec(data []byte) (*grid.Grid, *Map, error) {
 		}
 	}
 	return arena, m, nil
-}
-
-// EncodeSpec serializes an arena and demand map back to the JSON format
-// (entries in deterministic support order).
-func EncodeSpec(arena *grid.Grid, m *Map) ([]byte, error) {
-	if m.Dim() != arena.Dim() {
-		return nil, fmt.Errorf("demand: dimension mismatch %d vs %d", m.Dim(), arena.Dim())
-	}
-	spec := Spec{}
-	for i := 0; i < arena.Dim(); i++ {
-		spec.Arena = append(spec.Arena, arena.Size(i))
-	}
-	for _, p := range m.Support() {
-		if !arena.Contains(p) {
-			return nil, fmt.Errorf("demand: position %v outside arena", p)
-		}
-		at := make([]int, arena.Dim())
-		for i := range at {
-			at[i] = p.Coord(i)
-		}
-		spec.Demands = append(spec.Demands, SpecDemand{At: at, Jobs: m.At(p)})
-	}
-	return json.MarshalIndent(spec, "", "  ")
 }

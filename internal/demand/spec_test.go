@@ -1,6 +1,8 @@
 package demand
 
 import (
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -83,4 +85,27 @@ func TestEncodeSpecErrors(t *testing.T) {
 	if _, err := EncodeSpec(arena, m); err == nil {
 		t.Error("out-of-arena position should fail")
 	}
+}
+
+// EncodeSpec serializes an arena and demand map back to the JSON format
+// (entries in deterministic support order).
+func EncodeSpec(arena *grid.Grid, m *Map) ([]byte, error) {
+	if m.Dim() != arena.Dim() {
+		return nil, fmt.Errorf("demand: dimension mismatch %d vs %d", m.Dim(), arena.Dim())
+	}
+	spec := Spec{}
+	for i := 0; i < arena.Dim(); i++ {
+		spec.Arena = append(spec.Arena, arena.Size(i))
+	}
+	for _, p := range m.Support() {
+		if !arena.Contains(p) {
+			return nil, fmt.Errorf("demand: position %v outside arena", p)
+		}
+		at := make([]int, arena.Dim())
+		for i := range at {
+			at[i] = p.Coord(i)
+		}
+		spec.Demands = append(spec.Demands, SpecDemand{At: at, Jobs: m.At(p)})
+	}
+	return json.MarshalIndent(spec, "", "  ")
 }

@@ -129,9 +129,6 @@ func New(cfg Config) (*Engine, error) {
 	return &Engine{cfg: cfg, state: Waiting, par: sim.None, child: sim.None, init: sim.None}, nil
 }
 
-// State returns the node's current message-transfer state.
-func (e *Engine) State() State { return e.state }
-
 // Reset restores the engine to its freshly constructed state (Waiting, no
 // parent/child/initiator, sequence counter at zero) without reallocating.
 // A reset engine behaves bit-for-bit like one returned by New: part of the

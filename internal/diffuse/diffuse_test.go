@@ -416,8 +416,8 @@ func TestStateTransitions(t *testing.T) {
 	edges := [][2]int{{0, 1}, {1, 2}}
 	net, hosts := buildNetwork(t, 13, edges, 3, map[int]bool{2: true}, 0)
 	for _, h := range hosts {
-		if h.eng.State() != Waiting {
-			t.Fatalf("node %d initial state %v", h.id, h.eng.State())
+		if h.eng.state != Waiting {
+			t.Fatalf("node %d initial state %v", h.id, h.eng.state)
 		}
 	}
 	net.Inject(0, startMsg())
@@ -426,8 +426,8 @@ func TestStateTransitions(t *testing.T) {
 	}
 	// After quiescence everyone is back to waiting (Figure 3.1's cycle).
 	for _, h := range hosts {
-		if h.eng.State() != Waiting {
-			t.Errorf("node %d final state %v, want waiting", h.id, h.eng.State())
+		if h.eng.state != Waiting {
+			t.Errorf("node %d final state %v, want waiting", h.id, h.eng.state)
 		}
 	}
 }

@@ -265,12 +265,6 @@ func TestWorkloadUnknown(t *testing.T) {
 	}
 }
 
-func TestOmegaScaleCheck(t *testing.T) {
-	if omegaScaleCheck(1000) <= 0 {
-		t.Error("scale check should be positive")
-	}
-}
-
 func TestBisect(t *testing.T) {
 	root := bisect(func(x float64) float64 { return x*x - 9 }, 0, 1, 1e-9)
 	if root < 2.999999 || root > 3.000001 {
@@ -316,7 +310,8 @@ func TestSweepExperimentsDeterministicAcrossWorkerCounts(t *testing.T) {
 // renders a byte-identical table at SimShards 1, 2, 4, and 8 (the CI
 // determinism gate runs the same comparison on the full -quick output).
 // Legacy (shards=0) is a different schedule family and is NOT expected to
-// match; EXPERIMENTS.md stays pinned to it via the default -shards 0.
+// match; the default `go run ./cmd/experiments` tables stay pinned to it via
+// -shards 0.
 func TestSimExperimentsDeterministicAcrossShardCounts(t *testing.T) {
 	builders := map[string]func(shards int) (*Table, error){
 		"E7":  func(s int) (*Table, error) { return E7Online(8, 80, 13, 1, s) },

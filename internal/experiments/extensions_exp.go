@@ -93,15 +93,16 @@ func E10Transfers(lineLens []int, d int64) (*Table, error) {
 	return t, nil
 }
 
-// All runs every experiment with the default deterministic parameters used
-// by EXPERIMENTS.md and returns the tables in index order. quick shrinks the
-// instance sizes (used by tests; the full set runs in cmd/experiments).
+// All runs every experiment with the default deterministic parameters of
+// `go run ./cmd/experiments` and returns the tables in index order. quick
+// shrinks the instance sizes (used by tests; the full set runs in
+// cmd/experiments).
 // workers is the sweep width threaded through the sweep-built experiments
 // (E4, E5, E7, E11, E13): every table is byte-identical for every width, so
 // it only changes wall-clock (cmd/experiments pins a default). shards is
 // online.Options.SimShards for every simulator-backed experiment (E7, E8,
-// E11, E13, E14, E15): 0 keeps the legacy scheduler that produced the
-// recorded EXPERIMENTS.md tables; any value >= 1 selects the sealed-round
+// E11, E13, E14, E15): 0 keeps the legacy scheduler of the default
+// `go run ./cmd/experiments` tables; any value >= 1 selects the sealed-round
 // scheduler, whose tables are byte-identical for every such value — the CI
 // determinism gate diffs -shards 1/2/4/8 against each other.
 func All(quick bool, workers, shards int) ([]*Table, error) {
@@ -174,14 +175,4 @@ func Some(id string, quick bool, workers, shards int) ([]*Table, error) {
 		tables = append(tables, tbl)
 	}
 	return tables, nil
-}
-
-// omegaScaleCheck is a shared helper for tests: the grid package's solver on
-// a unit box, exported through the experiments lens.
-func omegaScaleCheck(d float64) float64 {
-	b, err := grid.NewBox(2, grid.P(0, 0), grid.P(0, 0))
-	if err != nil {
-		return 0
-	}
-	return grid.SolveOmega(b, d)
 }

@@ -2,9 +2,9 @@
 // — the worked examples of Section 2.1, the duality chain of Section 2.2,
 // Algorithm 1's approximation quality and runtime, the online strategy of
 // Chapter 3, the broken-vehicle gap of Chapter 4, and the transfer results
-// of Chapter 5 — as deterministic, printable tables. Experiment IDs E1..E13
-// are indexed in DESIGN.md and recorded against the thesis in
-// EXPERIMENTS.md. Both cmd/experiments and the repository benchmarks call
+// of Chapter 5 — as deterministic, printable tables. Experiment IDs E1..E15
+// are indexed in DESIGN.md's "Experiment index"; `go run ./cmd/experiments`
+// prints them. Both cmd/experiments and the repository benchmarks call
 // into this package so the published numbers and the benchmarked code paths
 // are identical. The multi-scenario experiments (E4, E5, E7, E11, E13) are
 // sweep declarations over package sweep's deterministic parallel engine:

@@ -92,9 +92,6 @@ func resize(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// N returns the node count.
-func (nw *Network) N() int { return nw.n }
-
 // AddNodes appends count fresh, edge-less nodes and returns the id of the
 // first one. Existing nodes, edges, ids, and any retained flow are untouched
 // — this is what lets lpchar's radius differencing extend a supply graph in
@@ -121,7 +118,7 @@ func (nw *Network) AddNodes(count int) (int, error) {
 
 // AddEdge adds a directed edge u->v with the given capacity (and an implicit
 // residual reverse edge of capacity 0). Returns the edge id, usable with
-// Flow after a MaxFlow run and with SetCapacity.
+// SetCapacity.
 func (nw *Network) AddEdge(u, v int, capacity float64) (int, error) {
 	if u < 0 || u >= nw.n || v < 0 || v >= nw.n {
 		return 0, fmt.Errorf("flow: edge (%d,%d) out of range [0,%d)", u, v, nw.n)
@@ -138,9 +135,6 @@ func (nw *Network) AddEdge(u, v int, capacity float64) (int, error) {
 	nw.heads[v] = int32(id + 1)
 	return id, nil
 }
-
-// Flow returns the flow currently pushed through edge id (after MaxFlow).
-func (nw *Network) Flow(id int) float64 { return nw.cap[id^1] }
 
 // Reset restores every edge to its base capacity, discarding all flow. The
 // structure is untouched and nothing is allocated: Reset followed by MaxFlow
@@ -168,39 +162,6 @@ func (nw *Network) SetCapacity(id int, capacity float64) error {
 	return nil
 }
 
-// ValidateFlow checks that the retained flow (the state MaxFlow leaves
-// behind) is a valid s-t flow: every forward edge carries flow within
-// [0, capacity] up to Eps, and net flow is conserved at every node other
-// than s and t. A diagnostic for tests, not a hot call — it allocates one
-// scratch slice per invocation.
-func (nw *Network) ValidateFlow(s, t int) error {
-	if s < 0 || s >= nw.n || t < 0 || t >= nw.n || s == t {
-		return fmt.Errorf("flow: bad terminals s=%d t=%d", s, t)
-	}
-	net := make([]float64, nw.n)
-	for id := 0; id < len(nw.cap); id += 2 {
-		f := nw.cap[id^1] - nw.base[id^1] // base of the reverse slot is always 0
-		u, v := int(nw.to[id^1]), int(nw.to[id])
-		if f < -Eps {
-			return fmt.Errorf("flow: edge %d (%d->%d) carries negative flow %v", id, u, v, f)
-		}
-		if f > nw.base[id]+Eps {
-			return fmt.Errorf("flow: edge %d (%d->%d) flow %v exceeds capacity %v", id, u, v, f, nw.base[id])
-		}
-		net[u] -= f
-		net[v] += f
-	}
-	for i := 0; i < nw.n; i++ {
-		if i == s || i == t {
-			continue
-		}
-		if math.Abs(net[i]) > 1e-6 {
-			return fmt.Errorf("flow: conservation violated at node %d: net %v", i, net[i])
-		}
-	}
-	return nil
-}
-
 // MinCutReachable reports whether node v lies on the source side of the
 // minimum cut the last MaxFlow call left behind: v was reachable from s in
 // the final residual BFS (the phase that failed to reach t). The partition
@@ -213,9 +174,9 @@ func (nw *Network) MinCutReachable(v int) bool {
 }
 
 // MaxFlow computes the maximum s-t flow with Dinic's algorithm and returns
-// its value. The network retains the flow (inspect with Flow); calling
-// MaxFlow again continues from the current residual state — call Reset first
-// to solve from scratch. A warm call performs zero allocations.
+// its value. The network retains the flow; calling MaxFlow again continues
+// from the current residual state — call Reset first to solve from scratch.
+// A warm call performs zero allocations.
 func (nw *Network) MaxFlow(s, t int) (float64, error) {
 	if s < 0 || s >= nw.n || t < 0 || t >= nw.n || s == t {
 		return 0, fmt.Errorf("flow: bad terminals s=%d t=%d", s, t)

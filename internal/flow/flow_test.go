@@ -66,8 +66,9 @@ func TestSingleEdge(t *testing.T) {
 	if math.Abs(f-3.5) > Eps {
 		t.Errorf("flow %v, want 3.5", f)
 	}
-	if math.Abs(nw.Flow(id)-3.5) > Eps {
-		t.Errorf("edge flow %v", nw.Flow(id))
+	// An edge's flow is the residual capacity of its reverse slot.
+	if math.Abs(nw.cap[id^1]-3.5) > Eps {
+		t.Errorf("edge flow %v", nw.cap[id^1])
 	}
 }
 
@@ -168,7 +169,7 @@ func TestFlowConservationRandom(t *testing.T) {
 		}
 		net := make([]float64, n)
 		for _, e := range edges {
-			f := nw.Flow(e.id)
+			f := nw.cap[e.id^1]
 			if f < -Eps || f > e.c+Eps {
 				t.Fatalf("edge (%d,%d) flow %v out of [0,%v]", e.u, e.v, f, e.c)
 			}

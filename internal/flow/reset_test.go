@@ -37,7 +37,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 		freshFlows := make([]float64, len(ids))
 		for i, id := range ids {
-			freshFlows[i] = nw.Flow(id)
+			freshFlows[i] = nw.cap[id^1]
 		}
 		for rep := 0; rep < 3; rep++ {
 			nw.Reset()
@@ -49,9 +49,9 @@ func TestResetMatchesFresh(t *testing.T) {
 				t.Fatalf("trial %d rep %d: warm flow %v != fresh %v", trial, rep, warm, fresh)
 			}
 			for i, id := range ids {
-				if nw.Flow(id) != freshFlows[i] {
+				if nw.cap[id^1] != freshFlows[i] {
 					t.Fatalf("trial %d rep %d: edge %d flow %v != fresh %v",
-						trial, rep, id, nw.Flow(id), freshFlows[i])
+						trial, rep, id, nw.cap[id^1], freshFlows[i])
 				}
 			}
 		}
@@ -106,7 +106,7 @@ func TestSetCapacity(t *testing.T) {
 	if err := nw.SetCapacity(id, 2); err != nil {
 		t.Fatal(err)
 	}
-	if f := nw.Flow(id); f != 0 {
+	if f := nw.cap[id^1]; f != 0 {
 		t.Errorf("flow on rewritten edge = %v, want 0", f)
 	}
 }

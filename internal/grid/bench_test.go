@@ -5,19 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkNeighborhoodCount(b *testing.B) {
-	box, err := NewBox(2, P(0, 0), P(15, 15))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := NeighborhoodCount(box, int64(i%1000)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSolveOmega(b *testing.B) {
 	box, err := NewBox(2, P(0, 0), P(7, 7))
 	if err != nil {

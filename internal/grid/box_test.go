@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -193,4 +195,86 @@ func TestExpandContainsNeighborhood(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// NeighborhoodCount returns |N_r(b)| exactly: the number of lattice points of
+// Z^dim within L1 distance r of the box b. This is the central counting
+// primitive of the thesis (the denominator of omega_T in eq. 1.1).
+//
+// Derivation: a point at offset vector t (t_i = distance outside the box
+// along axis i, 0 if within the slab) is in N_r iff sum t_i <= r. Axis i
+// contributes a_i positions when t_i = 0 and exactly 2 positions (one per
+// side) for each t_i >= 1. Grouping by the set S of axes with t_i >= 1:
+//
+//	|N_r(b)| = sum over k=0..dim of 2^k * C(r, k) * e_{dim-k}(a)
+//
+// where e_j is the elementary symmetric polynomial of the side lengths a and
+// C(r, k) counts positive integer k-vectors with sum <= r.
+func NeighborhoodCount(b Box, r int64) (int64, error) {
+	if r < 0 {
+		return 0, fmt.Errorf("grid: negative radius %d", r)
+	}
+	sides := make([]int64, b.Dim)
+	for i := range sides {
+		sides[i] = b.Side(i)
+	}
+	elem := elementarySymmetric(sides)
+	total := int64(0)
+	pow2 := int64(1)
+	for k := 0; k <= b.Dim; k++ {
+		c, err := binomial(r, k)
+		if err != nil {
+			return 0, err
+		}
+		e := elem[b.Dim-k]
+		term, err := mulChecked(pow2, c)
+		if err != nil {
+			return 0, err
+		}
+		term, err = mulChecked(term, e)
+		if err != nil {
+			return 0, err
+		}
+		if total > math.MaxInt64-term {
+			return 0, ErrOverflow
+		}
+		total += term
+		pow2 *= 2
+	}
+	return total, nil
+}
+
+// binomial returns C(n, k) as int64, or an overflow error. k is tiny
+// (k <= MaxDim) so the product form is exact with intermediate checks.
+func binomial(n int64, k int) (int64, error) {
+	if k < 0 || n < 0 {
+		return 0, nil
+	}
+	if int64(k) > n {
+		return 0, nil
+	}
+	result := int64(1)
+	for i := 1; i <= k; i++ {
+		// Multiply before divide stays exact because result always holds
+		// C(n, i-1) * (partial numerator), and C(n,i)*i! fits whenever the
+		// final product fits; guard multiplication against overflow.
+		f := n - int64(k-i)
+		if result > math.MaxInt64/f {
+			return 0, ErrOverflow
+		}
+		result = result * f / int64(i)
+	}
+	return result, nil
+}
+
+// elementarySymmetric returns [e_0, e_1, ..., e_n] for the given values.
+func elementarySymmetric(vals []int64) []int64 {
+	e := make([]int64, len(vals)+1)
+	e[0] = 1
+	for _, v := range vals {
+		for j := len(vals); j >= 1; j-- {
+			e[j] += e[j-1] * v
+		}
+	}
+	return e
 }

@@ -1,9 +1,7 @@
 package grid
 
-import "fmt"
-
 // BoxIndex is a dense row-major offset indexer over a Box: it maps every
-// lattice point of the box to an offset in [0, Volume) and back. It is the
+// lattice point of the box to an offset in [0, Volume). It is the
 // bounded-region counterpart of Grid.Index — the identity that lets solvers
 // working on a box neighborhood (the LP (2.1) supply graphs) replace
 // map[Point] lookups with slice indexing, per the dense-index invariant in
@@ -25,14 +23,8 @@ func NewBoxIndex(b Box) BoxIndex {
 	return ix
 }
 
-// Box returns the indexed box.
-func (ix BoxIndex) Box() Box { return ix.box }
-
 // Len returns the number of lattice points indexed (the box volume).
 func (ix BoxIndex) Len() int64 { return ix.vol }
-
-// Contains reports whether p lies inside the indexed box.
-func (ix BoxIndex) Contains(p Point) bool { return ix.box.Contains(p) }
 
 // Offset returns the row-major offset of p. The caller must ensure p is
 // inside the box (checked in tests; hot path in solvers).
@@ -42,17 +34,4 @@ func (ix BoxIndex) Offset(p Point) int64 {
 		off += int64(p[i]-ix.box.Lo[i]) * ix.stride[i]
 	}
 	return off
-}
-
-// PointAt inverts Offset.
-func (ix BoxIndex) PointAt(off int64) (Point, error) {
-	if off < 0 || off >= ix.vol {
-		return Point{}, fmt.Errorf("grid: offset %d out of range [0,%d)", off, ix.vol)
-	}
-	p := ix.box.Lo
-	for i := 0; i < ix.box.Dim; i++ {
-		p[i] += int32(off / ix.stride[i])
-		off %= ix.stride[i]
-	}
-	return p, nil
 }

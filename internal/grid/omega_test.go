@@ -107,3 +107,12 @@ func TestSolveOmegaSquareApproachesDemand(t *testing.T) {
 		}
 	}
 }
+
+// OmegaLHS evaluates omega * |N_floor(omega)(T)|, the left-hand side of
+// equation (1.1), for diagnostics and tests.
+func OmegaLHS(b Box, omega float64) float64 {
+	if omega <= 0 {
+		return 0
+	}
+	return omega * NeighborhoodCountFloat(b, math.Floor(omega))
+}

@@ -121,9 +121,6 @@ func Manhattan(a, b Point) int {
 	return d
 }
 
-// Adjacent reports whether a and b are lattice neighbors (distance exactly 1).
-func Adjacent(a, b Point) bool { return Manhattan(a, b) == 1 }
-
 // Color is the chessboard color of a vertex per Section 3.2 of the thesis.
 type Color int
 

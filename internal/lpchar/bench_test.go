@@ -31,8 +31,9 @@ func BenchmarkFlowValueCold(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowValueWarm is the shipped path: one Solver construction plus
-// ~60 construction-free probes on reset residual state.
+// BenchmarkFlowValueWarm is the pooled one-shot path OmegaStarFlow takes:
+// one Bind of a retained Solver plus ~60 construction-free probes on reset
+// residual state.
 func BenchmarkFlowValueWarm(b *testing.B) {
 	m := benchDemand(b, 12)
 	b.ReportAllocs()
@@ -117,9 +118,10 @@ func BenchmarkOmegaStarCubes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ps := cubePrefix(b, m, arena)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OmegaStarCubes(m, arena); err != nil {
+		if _, err := OmegaStarCubesPS(ps); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,21 +1,22 @@
 // Package lpchar computes the value of the thesis' linear program (2.1) —
 // the minimal vehicle capacity omega that lets supply omega at every lattice
-// point cover the demand d(j) when transports are limited to radius r — by
-// three independent routes:
+// point cover the demand d(j) when transports are limited to radius r. The
+// production route is Solver: a bisection on omega with a Dinic max-flow
+// feasibility oracle (exact up to the bisection tolerance). Two independent
+// routes check it:
 //
-//  1. FlowValue: binary search on omega with a Dinic max-flow feasibility
-//     oracle (exact up to binary-search tolerance);
-//  2. SubsetValue: Lemma 2.2.2's closed form max_T sum(d)/|N_r(T)| by
+//  1. SubsetValue: Lemma 2.2.2's closed form max_T sum(d)/|N_r(T)| by
 //     brute-force enumeration of subsets T of the demand support (exact,
 //     tiny instances only);
-//  3. MaxOverCubes / MaxOverBoxes: the same maximization restricted to the
-//     cube family Gamma of Corollary 2.2.6 using the closed-form
-//     neighborhood count.
+//  2. MaxOverBoxes: the same maximization restricted to axis-aligned boxes,
+//     with the closed-form neighborhood count (a lower bound; Corollary
+//     2.2.6's family enlarged from cubes).
 //
-// Agreement of (1) and (2) on random instances is the reproduction of the
-// duality chain Lemmas 2.2.1-2.2.3 (experiment E4). The package also solves
-// the self-consistent program (2.8), where the radius equals the capacity,
-// yielding omega* = max_T omega_T (Lemma 2.2.3).
+// Agreement of Solver.Value and SubsetValue on random instances is the
+// reproduction of the duality chain Lemmas 2.2.1-2.2.3 (experiment E4). The
+// package also solves the self-consistent program (2.8), where the radius
+// equals the capacity, yielding omega* = max_T omega_T (Lemma 2.2.3), and its
+// cube form over a summed-area table (OmegaStarCubesPS).
 package lpchar
 
 import (
@@ -28,15 +29,13 @@ import (
 	"repro/internal/grid"
 )
 
-// solverPool recycles Solvers across the one-shot entry points (FlowValue,
-// OmegaStarFlow), extending the sweep workers' one-solver-per-worker
-// discipline to callers without a natural place to retain one: network
-// arrays, supply index buffers, and the coarse witness bounds all survive
-// between calls. Rebinding a pooled solver is pinned indistinguishable from
-// constructing a fresh one (TestSolverWarmEqualsCold), and the witness
-// bounds revalidate their instance before reuse, so results are unaffected;
-// callers probing one demand map repeatedly — E4 walks the same grid at
-// five radii — skip the witness rebuild entirely.
+// solverPool recycles Solvers across OmegaStarFlow calls, extending the
+// sweep workers' one-solver-per-worker discipline to callers without a
+// natural place to retain one: network arrays, supply index buffers, and the
+// coarse witness bounds all survive between calls. Rebinding a pooled solver
+// is pinned indistinguishable from constructing a fresh one
+// (TestSolverWarmEqualsCold), and the witness bounds revalidate their
+// instance before reuse, so results are unaffected.
 var solverPool = sync.Pool{New: func() any { return new(Solver) }}
 
 // ErrTooLarge is returned when an instance exceeds a solver's exact-method
@@ -45,39 +44,6 @@ var ErrTooLarge = errors.New("lpchar: instance too large for exact method")
 
 // maxSubsetSupport bounds SubsetValue's 2^k enumeration.
 const maxSubsetSupport = 18
-
-// Feasible reports whether capacity omega suffices for radius-r transports:
-// the transportation polytope of LP (2.1) with the given omega is nonempty.
-// One-shot convenience over Solver — callers probing many omegas on one
-// instance should build the Solver once and use FeasibleAt.
-func Feasible(m *demand.Map, r int, omega float64) (bool, error) {
-	if m.Total() == 0 {
-		return true, nil
-	}
-	if omega <= 0 {
-		return false, nil
-	}
-	s, err := NewSolver(m, r)
-	if err != nil {
-		return false, err
-	}
-	return s.FeasibleAt(omega)
-}
-
-// FlowValue computes the exact value of LP (2.1) for radius r by binary
-// search on omega with the max-flow feasibility oracle: one Solver
-// construction plus ~60 warm probes on reset residual state.
-func FlowValue(m *demand.Map, r int) (float64, error) {
-	if m.Total() == 0 {
-		return 0, nil
-	}
-	s := solverPool.Get().(*Solver)
-	defer solverPool.Put(s)
-	if err := s.Bind(m, r); err != nil {
-		return 0, err
-	}
-	return s.Value()
-}
 
 // SubsetValue computes max over all subsets T of the support of
 // sum_{x in T} d(x) / |N_r(T)| — the closed form of Lemma 2.2.2 — by exact
@@ -104,6 +70,9 @@ func SubsetValue(m *demand.Map, r int) (float64, error) {
 	bbox, ok := m.BoundingBox()
 	if !ok {
 		return 0, nil
+	}
+	if err := checkRadius(m.Dim(), r); err != nil {
+		return 0, err
 	}
 	box := bbox.Expand(r)
 	var deltaCache supplyIndex
@@ -334,52 +303,21 @@ func OmegaStarFlow(m *demand.Map) (float64, error) {
 	return v, nil
 }
 
-// OmegaStarCubes computes max over all cubes T (every side length s >= 1,
-// every position inside the arena) of omega_T, the cube form of the thesis'
-// lower bound (Corollaries 2.2.4 + 2.2.6). For a fixed side length only the
-// maximal cube sum matters, because omega_T is monotone in the demand for a
-// fixed shape, so one prefix-sum sweep per side length suffices.
-//
-// This convenience form densifies (m, arena) itself; pipelines that already
-// hold a shared summed-area table — offline.Dense.Prefix(), the
-// one-densification-per-pipeline rule — should call OmegaStarCubesPS.
-func OmegaStarCubes(m *demand.Map, arena *grid.Grid) (float64, error) {
-	ps, err := densify(m, arena)
-	if err != nil {
-		return 0, err
-	}
-	return OmegaStarCubesPS(ps)
-}
-
-// OmegaStarCubesPS is OmegaStarCubes on a prebuilt summed-area table.
+// OmegaStarCubesPS computes max over all cubes T (every side length s >= 1,
+// every position inside the table's arena) of omega_T, the cube form of the
+// thesis' lower bound (Corollaries 2.2.4 + 2.2.6). For a fixed side length
+// only the maximal cube sum matters, because omega_T is monotone in the
+// demand for a fixed shape, so one sweep of the shared summed-area table per
+// side length suffices (offline.Dense.Prefix builds it once per pipeline).
 func OmegaStarCubesPS(ps *grid.PrefixSum) (float64, error) {
 	return cubeOmegaScan(ps, func(s int) int { return s + 1 })
 }
 
-// OmegaStarCubesDoubling is OmegaStarCubes restricted to power-of-two side
-// lengths — the granularity Algorithm 1 actually inspects. Exposed for the
-// ablation comparing full against doubling granularity.
-func OmegaStarCubesDoubling(m *demand.Map, arena *grid.Grid) (float64, error) {
-	ps, err := densify(m, arena)
-	if err != nil {
-		return 0, err
-	}
-	return OmegaStarCubesDoublingPS(ps)
-}
-
-// OmegaStarCubesDoublingPS is OmegaStarCubesDoubling on a prebuilt
-// summed-area table.
+// OmegaStarCubesDoublingPS is OmegaStarCubesPS restricted to power-of-two
+// side lengths — the granularity Algorithm 1 actually inspects. Exposed for
+// the ablation comparing full against doubling granularity.
 func OmegaStarCubesDoublingPS(ps *grid.PrefixSum) (float64, error) {
 	return cubeOmegaScan(ps, func(s int) int { return s * 2 })
-}
-
-// densify renders (m, arena) into a fresh summed-area table.
-func densify(m *demand.Map, arena *grid.Grid) (*grid.PrefixSum, error) {
-	vals, err := m.Values(arena)
-	if err != nil {
-		return nil, err
-	}
-	return grid.NewPrefixSum(arena, vals)
 }
 
 // cubeOmegaScan is the shared core of the cube omega* variants: walk side

@@ -24,16 +24,38 @@ func randDemand(rng *rand.Rand, dim, extent, points int, maxD int64) *demand.Map
 	return m
 }
 
+// cubePrefix densifies m over arena into the summed-area table the cube
+// omega* scans read.
+func cubePrefix(t testing.TB, m *demand.Map, arena *grid.Grid) *grid.PrefixSum {
+	t.Helper()
+	vals, err := m.Values(arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := grid.NewPrefixSum(arena, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
+
 func TestFeasibleTrivial(t *testing.T) {
 	m := demand.NewMap(2)
-	ok, err := Feasible(m, 3, 0)
+	s, err := NewSolver(m, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := s.FeasibleAt(0)
 	if err != nil || !ok {
 		t.Fatalf("empty demand should be feasible: %v %v", ok, err)
 	}
 	if err := m.Add(grid.P(0, 0), 5); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := Feasible(m, 3, 0); ok {
+	if err := s.Bind(m, 3); err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := s.FeasibleAt(0); ok {
 		t.Error("zero capacity with demand should be infeasible")
 	}
 }
@@ -168,7 +190,8 @@ func TestOmegaStarCubesLowerBoundsSubsetFamily(t *testing.T) {
 	arena := grid.MustNew(8, 8)
 	for trial := 0; trial < 10; trial++ {
 		m := randDemand(rng, 2, 8, 4+rng.Intn(4), 40)
-		cubeV, err := OmegaStarCubes(m, arena)
+		ps := cubePrefix(t, m, arena)
+		cubeV, err := OmegaStarCubesPS(ps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +207,7 @@ func TestOmegaStarCubesLowerBoundsSubsetFamily(t *testing.T) {
 			t.Errorf("trial %d: cube omega* %v unreasonably below subset omega* %v",
 				trial, cubeV, flowV)
 		}
-		dblV, err := OmegaStarCubesDoubling(m, arena)
+		dblV, err := OmegaStarCubesDoublingPS(ps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,15 +234,5 @@ func TestFlowValueMonotoneInRadius(t *testing.T) {
 			t.Fatalf("LP value increased with radius: r=%d %v > %v", r, v, prev)
 		}
 		prev = v
-	}
-}
-
-func TestOmegaStarCubesOutsideArena(t *testing.T) {
-	m, err := demand.PointMass(2, grid.P(50, 50), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OmegaStarCubes(m, grid.MustNew(8, 8)); err == nil {
-		t.Error("demand outside arena should fail")
 	}
 }

@@ -1,20 +1,17 @@
-// Package simplex implements a dense two-phase primal simplex solver for
-// small linear programs in standard inequality form:
-//
-//	maximize  c^T x   subject to  A x <= b,  x >= 0.
-//
-// The thesis' entire offline analysis is a chain of LPs (programs 2.1-2.8
-// and their duals in Table 1); packages flow/lpchar solve them by
-// combinatorial reductions. This package provides the direct LP route, used
-// in tests as a third independent check on small instances — if the duality
-// chain in Section 2.2 is transcribed correctly, all three must agree.
-package simplex
+package lpchar
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"testing"
 )
+
+// A dense two-phase primal simplex solver for small LPs in standard
+// inequality form, maximize c^T x subject to A x <= b, x >= 0: the direct LP
+// route behind SimplexValue, the third independent check on LP (2.1) next to
+// the max-flow Solver and the Lemma 2.2.2 closed form SubsetValue.
 
 // Eps is the pivoting tolerance.
 const Eps = 1e-9
@@ -286,4 +283,188 @@ func (t *tableau) objective(c, x []float64) float64 {
 		v += c[j] * x[j]
 	}
 	return v
+}
+
+func solve(t *testing.T, p Problem) *Solution {
+	t.Helper()
+	s, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func TestSimplexBadShapes(t *testing.T) {
+	if _, err := Solve(Problem{C: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}}); err == nil {
+		t.Error("row width mismatch should fail")
+	}
+	if _, err := Solve(Problem{C: []float64{1}, A: [][]float64{{1}}, B: []float64{1, 2}}); err == nil {
+		t.Error("rhs length mismatch should fail")
+	}
+	if _, err := Solve(Problem{C: []float64{math.NaN()}, A: nil, B: nil}); err == nil {
+		t.Error("NaN objective should fail")
+	}
+}
+
+func TestSimplexTextbookOptimal(t *testing.T) {
+	// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  -> 36 at (2, 6).
+	s := solve(t, Problem{
+		C: []float64{3, 5},
+		A: [][]float64{{1, 0}, {0, 2}, {3, 2}},
+		B: []float64{4, 12, 18},
+	})
+	if s.Status != Optimal || math.Abs(s.Value-36) > 1e-6 {
+		t.Fatalf("status %v value %v", s.Status, s.Value)
+	}
+	if math.Abs(s.X[0]-2) > 1e-6 || math.Abs(s.X[1]-6) > 1e-6 {
+		t.Fatalf("x = %v", s.X)
+	}
+}
+
+func TestSimplexUnbounded(t *testing.T) {
+	s := solve(t, Problem{C: []float64{1}, A: [][]float64{{-1}}, B: []float64{0}})
+	if s.Status != Unbounded {
+		t.Fatalf("status %v", s.Status)
+	}
+}
+
+func TestSimplexInfeasible(t *testing.T) {
+	// x <= 1 and -x <= -3 (x >= 3): infeasible.
+	s := solve(t, Problem{
+		C: []float64{1},
+		A: [][]float64{{1}, {-1}},
+		B: []float64{1, -3},
+	})
+	if s.Status != Infeasible {
+		t.Fatalf("status %v", s.Status)
+	}
+}
+
+func TestSimplexPhase1Feasible(t *testing.T) {
+	// Requires phase 1: x + y >= 2 (as -x-y <= -2), x,y <= 3; max x+y = 6.
+	s := solve(t, Problem{
+		C: []float64{1, 1},
+		A: [][]float64{{-1, -1}, {1, 0}, {0, 1}},
+		B: []float64{-2, 3, 3},
+	})
+	if s.Status != Optimal || math.Abs(s.Value-6) > 1e-6 {
+		t.Fatalf("status %v value %v x %v", s.Status, s.Value, s.X)
+	}
+}
+
+func TestSimplexEqualityViaPairedInequalities(t *testing.T) {
+	// x + y = 5 (two inequalities), max 2x + y with x <= 3: optimum 8 at
+	// (3, 2).
+	s := solve(t, Problem{
+		C: []float64{2, 1},
+		A: [][]float64{{1, 1}, {-1, -1}, {1, 0}},
+		B: []float64{5, -5, 3},
+	})
+	if s.Status != Optimal || math.Abs(s.Value-8) > 1e-6 {
+		t.Fatalf("status %v value %v x %v", s.Status, s.Value, s.X)
+	}
+}
+
+func TestSimplexDegeneratePivotsTerminate(t *testing.T) {
+	// A classically degenerate instance (Beale-like); Bland's rule must
+	// terminate with the right optimum.
+	s := solve(t, Problem{
+		C: []float64{0.75, -150, 0.02, -6},
+		A: [][]float64{
+			{0.25, -60, -0.04, 9},
+			{0.5, -90, -0.02, 3},
+			{0, 0, 1, 0},
+		},
+		B: []float64{0, 0, 1},
+	})
+	if s.Status != Optimal || math.Abs(s.Value-0.05) > 1e-6 {
+		t.Fatalf("status %v value %v", s.Status, s.Value)
+	}
+}
+
+// TestSimplexRandomAgainstVertexEnumeration cross-checks simplex on random
+// 2-var LPs against brute-force vertex enumeration.
+func TestSimplexRandomAgainstVertexEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 200; trial++ {
+		m := 2 + rng.Intn(4)
+		p := Problem{C: []float64{float64(rng.Intn(11) - 5), float64(rng.Intn(11) - 5)}}
+		for i := 0; i < m; i++ {
+			p.A = append(p.A, []float64{float64(rng.Intn(7) - 2), float64(rng.Intn(7) - 2)})
+			p.B = append(p.B, float64(rng.Intn(10)))
+		}
+		// Bound the region so brute force is exact and unboundedness is
+		// impossible.
+		p.A = append(p.A, []float64{1, 0}, []float64{0, 1})
+		p.B = append(p.B, 20, 20)
+		s := solve(t, p)
+		if s.Status != Optimal {
+			t.Fatalf("trial %d: status %v", trial, s.Status)
+		}
+		best := bruteForce2D(p)
+		if math.Abs(s.Value-best) > 1e-5 {
+			t.Fatalf("trial %d: simplex %v vs brute force %v (problem %+v)",
+				trial, s.Value, best, p)
+		}
+		// The returned X must be feasible and achieve Value.
+		for i := range p.A {
+			if p.A[i][0]*s.X[0]+p.A[i][1]*s.X[1] > p.B[i]+1e-6 {
+				t.Fatalf("trial %d: X %v violates row %d", trial, s.X, i)
+			}
+		}
+		if s.X[0] < -1e-9 || s.X[1] < -1e-9 {
+			t.Fatalf("trial %d: negative X %v", trial, s.X)
+		}
+	}
+}
+
+// bruteForce2D enumerates all constraint-pair intersections plus axis
+// intersections and returns the best feasible objective.
+func bruteForce2D(p Problem) float64 {
+	// Add x >= 0, y >= 0 as lines too.
+	type line struct{ a, b, c float64 } // a*x + b*y = c
+	var lines []line
+	for i := range p.A {
+		lines = append(lines, line{p.A[i][0], p.A[i][1], p.B[i]})
+	}
+	lines = append(lines, line{1, 0, 0}, line{0, 1, 0})
+	feasible := func(x, y float64) bool {
+		if x < -1e-9 || y < -1e-9 {
+			return false
+		}
+		for i := range p.A {
+			if p.A[i][0]*x+p.A[i][1]*y > p.B[i]+1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	best := math.Inf(-1)
+	for i := 0; i < len(lines); i++ {
+		for j := i + 1; j < len(lines); j++ {
+			det := lines[i].a*lines[j].b - lines[j].a*lines[i].b
+			if math.Abs(det) < 1e-12 {
+				continue
+			}
+			x := (lines[i].c*lines[j].b - lines[j].c*lines[i].b) / det
+			y := (lines[i].a*lines[j].c - lines[j].a*lines[i].c) / det
+			if feasible(x, y) {
+				if v := p.C[0]*x + p.C[1]*y; v > best {
+					best = v
+				}
+			}
+		}
+	}
+	if feasible(0, 0) && best < 0 {
+		best = 0
+	}
+	return best
+}
+
+func TestSimplexStatusString(t *testing.T) {
+	for _, s := range []Status{Optimal, Infeasible, Unbounded, Status(9)} {
+		if s.String() == "" {
+			t.Errorf("empty string for %d", int(s))
+		}
+	}
 }

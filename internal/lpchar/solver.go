@@ -12,7 +12,7 @@ import (
 // Probe tolerances shared by the fresh oracle (Reset+MaxFlow) and the
 // cut-certified probe path, hoisted so the two cannot drift.
 // feasSlackRel/feasSlackAbs are the relative and absolute slack under
-// which FeasibleAt treats the max flow as saturating the total demand;
+// which a probe treats the max flow as saturating the total demand;
 // bisectMaxIters/bisectTolRel bound Value()'s bisection on omega.
 const (
 	feasSlackRel   = 1e-9
@@ -47,6 +47,24 @@ const probeGuardRel = 1e-8
 // discovery order — dense for the compact instances every hot path probes,
 // never worse than the suppliers themselves for spread ones.
 const maxSupplyBoxVolume = 1 << 22
+
+// checkRadius rejects, without allocating, a radius whose L1-ball offsets
+// the supply index cannot list: ballOffsets and ringOffsets scan the ball's
+// (2r+1)^dim bounding box, so that box may hold at most maxSupplyBoxVolume
+// points — which also keeps r far below the int32 coordinate range that
+// Box.Expand works in.
+func checkRadius(dim, r int) error {
+	if r < 0 {
+		return fmt.Errorf("lpchar: negative radius %d", r)
+	}
+	for i, vol := 0, 1; i < dim; i++ {
+		if r > maxSupplyBoxVolume || vol > maxSupplyBoxVolume/(2*r+1) {
+			return fmt.Errorf("%w: radius %d in %d-D scans more than %d ball points", ErrTooLarge, r, dim, maxSupplyBoxVolume)
+		}
+		vol *= 2*r + 1
+	}
+	return nil
+}
 
 // denseIndexVolume is the dense-vs-map decision shared by the supply index
 // and SubsetValue's cover pass: it returns the box volume and whether a
@@ -254,7 +272,7 @@ func (si *supplyIndex) ringOffsets(dim, rr int) ([]grid.Point, error) {
 
 // Solver answers LP (2.1) feasibility probes for one (demand, radius) pair
 // without rebuilding anything: the supply graph is constructed once through
-// the dense offset index, the source-edge ids are recorded, and FeasibleAt
+// the dense offset index, the source-edge ids are recorded, and a probe
 // rewrites only those capacities before re-running max-flow on reset
 // residual state. A probe allocates nothing; a full Value() is one
 // construction plus ~60 warm probes (versus ~60 cold graph builds before).
@@ -320,10 +338,11 @@ func NewSolver(m *demand.Map, r int) (*Solver, error) {
 
 // Bind (re)builds the solver for a new instance, reusing all retained
 // storage. The resulting solver is indistinguishable from a freshly
-// constructed one (TestSolverWarmEqualsCold pins this).
+// constructed one (TestSolverWarmEqualsCold pins this). A radius whose ball
+// the supply index cannot list returns an error wrapping ErrTooLarge.
 func (s *Solver) Bind(m *demand.Map, r int) error {
-	if r < 0 {
-		return fmt.Errorf("lpchar: negative radius %d", r)
+	if err := checkRadius(m.Dim(), r); err != nil {
+		return err
 	}
 	s.total = float64(m.Total())
 	s.maxD = float64(m.Max())
@@ -331,8 +350,8 @@ func (s *Solver) Bind(m *demand.Map, r int) error {
 	s.m = m
 	s.cutOK = false
 	if s.total == 0 {
-		// Clear per-instance state so accessors don't report the previous
-		// binding.
+		// Clear per-instance state so no stale binding survives an empty
+		// one.
 		s.sup.suppliers = s.sup.suppliers[:0]
 		s.srcEdges = s.srcEdges[:0]
 		s.support = s.support[:0]
@@ -388,36 +407,10 @@ func (s *Solver) Bind(m *demand.Map, r int) error {
 	return nil
 }
 
-// Suppliers returns the number of supply positions in the bound instance.
-func (s *Solver) Suppliers() int { return len(s.sup.suppliers) }
-
-// Radius returns the bound transport radius.
-func (s *Solver) Radius() int { return s.r }
-
 // saturated is the feasibility verdict shared by the fresh and incremental
 // paths: the max-flow value covers the total demand within slack.
 func (s *Solver) saturated(val float64) bool {
 	return val >= s.total*(1-feasSlackRel)-feasSlackAbs
-}
-
-// FeasibleAt reports whether capacity omega suffices for the bound instance:
-// the transportation polytope of LP (2.1) with the given omega is nonempty.
-// A warm probe rewrites only the source capacities and allocates nothing.
-// This is the from-scratch oracle (Reset + MaxFlow from zero flow); Value()
-// answers the same question through probe(), which skips the oracle when a
-// retained cut already determines its verdict.
-func (s *Solver) FeasibleAt(omega float64) (bool, error) {
-	if s.total == 0 {
-		return true, nil
-	}
-	if omega <= 0 {
-		return false, nil
-	}
-	val, err := s.freshProbe(omega)
-	if err != nil {
-		return false, err
-	}
-	return s.saturated(val), nil
 }
 
 // freshProbe is the canonical oracle computation: Reset to zero flow, set
@@ -433,7 +426,7 @@ func (s *Solver) freshProbe(omega float64) (float64, error) {
 }
 
 // probe answers one bisection probe at omega > 0, returning exactly the
-// verdict FeasibleAt would (pinned by TestLadderVerdictsMatchFresh and the
+// verdict of the fresh oracle (pinned by TestLadderVerdictsMatchFresh and the
 // golden E4 pins) while keeping certifiably infeasible probes off the flow
 // network entirely: when the retained cut — or the trivial all-sources cut
 // |srcEdges|*omega — bounds the achievable flow a full guard below the
@@ -552,10 +545,16 @@ func (s *Solver) Value() (float64, error) {
 // visits every such pair exactly once. The extended graph therefore has
 // exactly the edge set a fresh Bind(m, newR) builds, with the additions
 // appended rather than interleaved; Value() on the two orderings is pinned
-// equal by TestExtendRadiusMatchesFresh. Shrinking requires a full Bind.
+// equal by TestExtendRadiusMatchesFresh. Shrinking requires a full Bind, and
+// a radius Bind would reject returns the same error, leaving s unchanged.
 func (s *Solver) ExtendRadius(newR int) error {
 	if newR < s.r {
 		return fmt.Errorf("lpchar: ExtendRadius to %d below bound radius %d (rebind to shrink)", newR, s.r)
+	}
+	if s.m != nil {
+		if err := checkRadius(s.m.Dim(), newR); err != nil {
+			return err
+		}
 	}
 	if s.total == 0 || newR == s.r {
 		s.r = newR

@@ -1,6 +1,7 @@
 package lpchar
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strconv"
@@ -9,6 +10,41 @@ import (
 	"repro/internal/demand"
 	"repro/internal/grid"
 )
+
+// FlowValue computes the exact value of LP (2.1) for radius r by binary
+// search on omega with the max-flow feasibility oracle: one Solver
+// construction plus ~60 warm probes on reset residual state.
+func FlowValue(m *demand.Map, r int) (float64, error) {
+	if m.Total() == 0 {
+		return 0, nil
+	}
+	s := solverPool.Get().(*Solver)
+	defer solverPool.Put(s)
+	if err := s.Bind(m, r); err != nil {
+		return 0, err
+	}
+	return s.Value()
+}
+
+// FeasibleAt reports whether capacity omega suffices for the bound instance:
+// the transportation polytope of LP (2.1) with the given omega is nonempty.
+// A warm probe rewrites only the source capacities and allocates nothing.
+// This is the from-scratch oracle (Reset + MaxFlow from zero flow); Value()
+// answers the same question through probe(), which skips the oracle when a
+// retained cut already determines its verdict.
+func (s *Solver) FeasibleAt(omega float64) (bool, error) {
+	if s.total == 0 {
+		return true, nil
+	}
+	if omega <= 0 {
+		return false, nil
+	}
+	val, err := s.freshProbe(omega)
+	if err != nil {
+		return false, err
+	}
+	return s.saturated(val), nil
+}
 
 // coldFlowValue is the pre-solver reference implementation: binary search
 // where every probe builds a fresh network (the shape FlowValue had before
@@ -67,7 +103,11 @@ func TestSolverWarmEqualsCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldOK, err := Feasible(m, r, omega)
+			cold, err := NewSolver(m, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldOK, err := cold.FeasibleAt(omega)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,8 +145,9 @@ func TestSolverWarmEqualsCold(t *testing.T) {
 	}
 }
 
-// TestSolverMatchesFlowValue pins that the exported FlowValue (one solver,
-// warm probes) agrees bit-for-bit with Solver.Value.
+// TestSolverMatchesFlowValue pins that the pooled one-shot path (FlowValue:
+// a pooled solver rebound per call) agrees bit-for-bit with a fresh
+// Solver.Value.
 func TestSolverMatchesFlowValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 10; trial++ {
@@ -296,8 +337,8 @@ func TestSolverVolumeOverflowTakesSparsePath(t *testing.T) {
 	}
 }
 
-// TestSolverBindEmptyClearsState guards the accessor contract: rebinding to
-// an empty demand must not report the previous instance's suppliers.
+// TestSolverBindEmptyClearsState: rebinding to an empty demand must not keep
+// the previous instance's suppliers.
 func TestSolverBindEmptyClearsState(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	m := randDemand(rng, 2, 6, 6, 30)
@@ -305,13 +346,13 @@ func TestSolverBindEmptyClearsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Suppliers() == 0 {
+	if len(s.sup.suppliers) == 0 {
 		t.Fatal("nonempty instance should have suppliers")
 	}
 	if err := s.Bind(demand.NewMap(2), 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Suppliers(); got != 0 {
+	if got := len(s.sup.suppliers); got != 0 {
 		t.Errorf("Suppliers after empty rebind = %d, want 0", got)
 	}
 	if v, err := s.Value(); err != nil || v != 0 {
@@ -330,5 +371,43 @@ func TestSolverEmptyDemand(t *testing.T) {
 	}
 	if v, err := s.Value(); err != nil || v != 0 {
 		t.Errorf("empty demand Value = %v, %v", v, err)
+	}
+}
+
+// TestSolverRejectsUnlistableRadius pins the radius limit: Bind,
+// ExtendRadius and SubsetValue refuse a radius whose ball the supply index
+// cannot list with ErrTooLarge, the solver is left as it was, the largest
+// accepted radius per dimension sits far above the ones in use (64 in 1-D,
+// 32 in 2-D, 1 in 3-D), and an accepted radius is checked without
+// allocating.
+func TestSolverRejectsUnlistableRadius(t *testing.T) {
+	m, err := demand.PointMass(2, grid.P(0, 0), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSolver(m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Value()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, subsetErr := SubsetValue(m, 1<<24)
+	for _, err := range []error{s.Bind(m, 1<<32), s.ExtendRadius(1 << 40), subsetErr} {
+		if !errors.Is(err, ErrTooLarge) {
+			t.Errorf("got %v, want ErrTooLarge", err)
+		}
+	}
+	if got, err := s.Value(); err != nil || got != want || s.r != 2 {
+		t.Errorf("after rejected radii: Value %v, %v at radius %d; want %v at 2", got, err, s.r, want)
+	}
+	for dim, maxR := range map[int]int{1: 2097151, 2: 1023, 3: 80, 4: 22} {
+		if checkRadius(dim, maxR) != nil || !errors.Is(checkRadius(dim, maxR+1), ErrTooLarge) {
+			t.Errorf("%d-D: largest accepted radius is not %d", dim, maxR)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = checkRadius(4, 22) }); allocs != 0 {
+		t.Errorf("accepted radius check allocated %v times, want 0", allocs)
 	}
 }

@@ -45,9 +45,6 @@ func NewDense(m *demand.Map, arena *grid.Grid) (*Dense, error) {
 	return &Dense{m: m, arena: arena, vals: vals}, nil
 }
 
-// Arena returns the arena the view was built over.
-func (d *Dense) Arena() *grid.Grid { return d.arena }
-
 // At returns the demand at p through the dense array (no map lookup).
 func (d *Dense) At(p grid.Point) int64 { return d.vals[d.arena.Index(p)] }
 

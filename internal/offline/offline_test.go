@@ -269,10 +269,14 @@ func TestBuildScheduleWithOmegaTooSmallFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildScheduleWithChar(m, arena, CubeChar{Omega: 0.5, Side: 1}); err == nil {
+	d, err := NewDense(m, arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.BuildSchedule(CubeChar{Omega: 0.5, Side: 1}); err == nil {
 		t.Error("starving the construction should fail, not mis-schedule")
 	}
-	if _, err := BuildScheduleWithChar(m, arena, CubeChar{Omega: -1, Side: 1}); err == nil {
+	if _, err := d.BuildSchedule(CubeChar{Omega: -1, Side: 1}); err == nil {
 		t.Error("negative omega should fail")
 	}
 }

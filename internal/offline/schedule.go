@@ -67,18 +67,6 @@ func BuildSchedule(m *demand.Map, arena *grid.Grid) (*Schedule, error) {
 	return d.BuildSchedule(char)
 }
 
-// BuildScheduleWithChar is BuildSchedule with an explicit characterization
-// (exposed so experiments can feed in other omegas, e.g. the exact omega*).
-// The cube side must be the one whose density check the omega passed, i.e.
-// omega * (3*Side)^l must upper-bound every Side-cube demand sum.
-func BuildScheduleWithChar(m *demand.Map, arena *grid.Grid, char CubeChar) (*Schedule, error) {
-	d, err := NewDense(m, arena)
-	if err != nil {
-		return nil, err
-	}
-	return d.BuildSchedule(char)
-}
-
 // BuildSchedule is the Lemma 2.2.5 construction on the shared dense view:
 // cube demand sums and per-cell lookups go through the dense value array, so
 // the full SolveOffline pipeline touches the point-keyed demand map only at

@@ -295,7 +295,7 @@ func TestFleetDefaultAssignmentIsPartitionAware(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &Fleet{Classes: []VehicleClass{{Name: "a"}, {Name: "b"}, {Name: "c"}}}
-	for cube := 0; cube < part.NumCubes(); cube++ {
+	for cube := 0; cube < len(part.cubePairs); cube++ {
 		pairs := part.CubePairs(cube)
 		for i, pid := range pairs {
 			pr := part.Pairs()[pid]

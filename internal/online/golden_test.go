@@ -12,7 +12,8 @@ import (
 // preceded the dense arena-indexed core, on the exact scenarios of this
 // file. The dense refactor reproduces them bit for bit: any drift in these
 // values means the delivery schedule (and hence every fixed-seed experiment
-// in EXPERIMENTS.md) has silently changed.
+// of DESIGN.md's "Experiment index", as `go run ./cmd/experiments` prints
+// it) has silently changed.
 
 type goldenCounters struct {
 	served         int64

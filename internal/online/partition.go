@@ -26,14 +26,6 @@ type Pair struct {
 // replacement vehicle is sent). Cells[0] is the black vertex when possible.
 func (p Pair) ServicePos() grid.Point { return p.Cells[0] }
 
-// Covers reports whether position x belongs to the pair.
-func (p Pair) Covers(x grid.Point) bool {
-	if p.Cells[0] == x {
-		return true
-	}
-	return !p.Single && p.Cells[1] == x
-}
-
 // Partition is the static geometry of the online strategy: the cube
 // decomposition, the pairing, and the intra-cube communication graph.
 // Per-cell lookups are dense slices indexed by Arena.Index — the cell's
@@ -56,7 +48,6 @@ type Partition struct {
 	cubePairs [][]int   // cube -> pair indices (snake order)
 	commIdx   [][]int32 // arena index -> same-cube cells within distance 2
 	watchIdx  []int32   // pair -> the pair it watches (inverse of WatcherPair)
-	numCubes  int
 }
 
 // NewPartition decomposes the arena into aligned side-s cubes (clipped at
@@ -114,8 +105,7 @@ func (p *Partition) walkCubes(corner [grid.MaxDim]int, axis int) error {
 	if err != nil {
 		return err
 	}
-	cubeIdx := p.numCubes
-	p.numCubes++
+	cubeIdx := len(p.cubePairs)
 	cells := snakeOrder(cube)
 	var pairIdxs []int
 	for i := 0; i < len(cells); i += 2 {
@@ -204,12 +194,6 @@ func snakeOrder(b grid.Box) []grid.Point {
 	return out
 }
 
-// Arena returns the grid this partition decomposes.
-func (p *Partition) Arena() *grid.Grid { return p.arena }
-
-// CubeSide returns the partition granularity it was built with.
-func (p *Partition) CubeSide() int { return p.cubeSide }
-
 // Pairs returns the pair table (shared slice; callers must not mutate).
 func (p *Partition) Pairs() []Pair { return p.pairs }
 
@@ -227,37 +211,8 @@ func (p *Partition) PairOf(x grid.Point) (int, bool) {
 // index (which is also the cell's sim.NodeID).
 func (p *Partition) PairAt(idx int64) int { return int(p.pairIdx[idx]) }
 
-// CubeOf returns the cube index of cell x.
-func (p *Partition) CubeOf(x grid.Point) (int, bool) {
-	if !p.arena.Contains(x) {
-		return 0, false
-	}
-	i := p.cubeIdx[p.arena.Index(x)]
-	return int(i), i >= 0
-}
-
 // CubePairs returns the pair indices of one cube in snake order.
 func (p *Partition) CubePairs(cube int) []int { return p.cubePairs[cube] }
-
-// NumCubes returns the number of cubes in the partition.
-func (p *Partition) NumCubes() int { return p.numCubes }
-
-// CommNeighbors returns the same-cube communication neighbors of cell x as
-// points (diagnostic boundary; the runner uses CommNeighborIndices).
-func (p *Partition) CommNeighbors(x grid.Point) []grid.Point {
-	if !p.arena.Contains(x) {
-		return nil
-	}
-	idxs := p.commIdx[p.arena.Index(x)]
-	if len(idxs) == 0 {
-		return nil
-	}
-	out := make([]grid.Point, len(idxs))
-	for i, idx := range idxs {
-		out[i] = p.arena.PointAt(int64(idx))
-	}
-	return out
-}
 
 // CommNeighborIndices returns the same-cube communication neighbors of the
 // cell with the given arena index, as arena indices (shared slice; callers

@@ -89,12 +89,8 @@ func TestPartitionCoversArenaWithValidPairs(t *testing.T) {
 				if !ok || got != pi {
 					t.Errorf("%v: PairOf(%v) = %d,%v want %d", tc, c, got, ok, pi)
 				}
-				if !pr.Covers(c) {
-					t.Errorf("%v: pair %d does not Covers(%v)", tc, pi, c)
-				}
-				cube, ok := part.CubeOf(c)
-				if !ok || cube != pr.Cube {
-					t.Errorf("%v: CubeOf(%v) = %d,%v want %d", tc, c, cube, ok, pr.Cube)
+				if cube := int(part.cubeIdx[arena.Index(c)]); cube != pr.Cube {
+					t.Errorf("%v: cell %v in cube %d, want %d", tc, c, cube, pr.Cube)
 				}
 			}
 		}
@@ -110,25 +106,24 @@ func TestCommGraphWithinCubeAndConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cell := range arena.Bounds().Points() {
-		myCube, _ := part.CubeOf(cell)
-		for _, nb := range part.CommNeighbors(cell) {
-			if d := grid.Manhattan(cell, nb); d < 1 || d > 2 {
-				t.Errorf("neighbor %v of %v at distance %d", nb, cell, d)
+	for idx := int64(0); idx < arena.Len(); idx++ {
+		cell := arena.PointAt(idx)
+		for _, nb := range part.CommNeighborIndices(idx) {
+			if d := grid.Manhattan(cell, arena.PointAt(int64(nb))); d < 1 || d > 2 {
+				t.Errorf("neighbor %d of %v at distance %d", nb, cell, d)
 			}
-			if c, _ := part.CubeOf(nb); c != myCube {
-				t.Errorf("neighbor %v of %v crosses cube boundary", nb, cell)
+			if part.cubeIdx[nb] != part.cubeIdx[idx] {
+				t.Errorf("neighbor %d of %v crosses cube boundary", nb, cell)
 			}
 		}
 	}
 	// BFS inside cube 0 must reach all 16 cells.
-	start := grid.P(0, 0)
-	visited := map[grid.Point]bool{start: true}
-	queue := []grid.Point{start}
+	visited := map[int32]bool{0: true}
+	queue := []int32{0}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range part.CommNeighbors(cur) {
+		for _, nb := range part.CommNeighborIndices(int64(cur)) {
 			if !visited[nb] {
 				visited[nb] = true
 				queue = append(queue, nb)
@@ -146,7 +141,7 @@ func TestWatcherPairRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cube := 0; cube < part.NumCubes(); cube++ {
+	for cube := 0; cube < len(part.cubePairs); cube++ {
 		pairs := part.CubePairs(cube)
 		watchedBy := make(map[int]int)
 		for _, p := range pairs {
@@ -175,9 +170,6 @@ func TestSinglePairOddCube(t *testing.T) {
 	for _, pr := range part.Pairs() {
 		if pr.Single {
 			singles++
-			if pr.Covers(grid.P(-1, -1)) {
-				t.Error("single pair covers a foreign point")
-			}
 		}
 	}
 	if singles != 1 {

@@ -433,8 +433,8 @@ func TestSharedPartitionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part.Arena() != arena || part.CubeSide() != 2 {
-		t.Fatalf("accessors: arena %p side %d", part.Arena(), part.CubeSide())
+	if part.arena != arena || part.cubeSide != 2 {
+		t.Fatalf("partition: arena %p side %d", part.arena, part.cubeSide)
 	}
 	other := grid.MustNew(4, 4)
 	if _, err := NewRunner(Options{Arena: other, Partition: part, Capacity: 5}); err == nil {

@@ -12,6 +12,27 @@ import (
 	"repro/internal/grid"
 )
 
+// SliceTracer accumulates events in memory.
+type SliceTracer struct {
+	Events []Event
+}
+
+var _ Tracer = (*SliceTracer)(nil)
+
+// Emit implements Tracer.
+func (s *SliceTracer) Emit(e Event) { s.Events = append(s.Events, e) }
+
+// Count returns how many events of the given kind were recorded.
+func (s *SliceTracer) Count(kind EventKind) int {
+	n := 0
+	for _, e := range s.Events {
+		if e.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
 func TestTraceCapturesLifecycle(t *testing.T) {
 	arena := grid.MustNew(4, 4)
 	tracer := &SliceTracer{}

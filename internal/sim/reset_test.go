@@ -40,9 +40,9 @@ func TestResetIdenticalToFresh(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		n.Reset(3)
-		if n.Delivered() != 0 || n.Sent() != 0 || n.Pending() != 0 {
+		if n.Delivered() != 0 || n.sent != 0 || n.Pending() != 0 {
 			t.Fatalf("reset %d left counters: delivered=%d sent=%d pending=%d",
-				i, n.Delivered(), n.Sent(), n.Pending())
+				i, n.Delivered(), n.sent, n.Pending())
 		}
 		if got := drive(n); got != want {
 			t.Fatalf("reset run %d delivered %d, want %d", i, got, want)
@@ -71,9 +71,9 @@ func TestResetMidFlight(t *testing.T) {
 		t.Fatal("test needs pending messages before reset")
 	}
 	n.Reset(1)
-	if n.Pending() != 0 || n.Delivered() != 0 || n.Sent() != 0 {
+	if n.Pending() != 0 || n.Delivered() != 0 || n.sent != 0 {
 		t.Fatalf("reset left state: pending=%d delivered=%d sent=%d",
-			n.Pending(), n.Delivered(), n.Sent())
+			n.Pending(), n.Delivered(), n.sent)
 	}
 	// The dropped messages must never arrive; new traffic flows normally.
 	sink.got = nil

@@ -66,9 +66,6 @@ func (n *Network) SetSealed(on bool) error {
 	return nil
 }
 
-// Sealed reports whether the sealed-round scheduler is selected.
-func (n *Network) Sealed() bool { return n.sealed }
-
 // seedCells derives the stream state of cells [from, len(cellRNG)) from
 // (seed, cell id): the splitmix64 finalizer over seed + (cell+1)*golden, so
 // streams are decorrelated across cells and across seeds while staying a pure

@@ -78,7 +78,7 @@ func runFlood(t testing.TB, w, h int, seed int64) ([][]deliveryRecord, int64, in
 	if err := n.Run(200_000); err != nil {
 		t.Fatal(err)
 	}
-	return logs, n.Delivered(), n.Sent()
+	return logs, n.Delivered(), n.sent
 }
 
 func diffLogs(t *testing.T, label string, want, got [][]deliveryRecord) {
@@ -148,8 +148,8 @@ func TestShardWarmResetMatchesFresh(t *testing.T) {
 		if err := n.Run(200_000); err != nil {
 			t.Fatal(err)
 		}
-		if n.Delivered() != freshDel || n.Sent() != freshSent {
-			t.Fatalf("warm: delivered=%d sent=%d, want %d/%d", n.Delivered(), n.Sent(), freshDel, freshSent)
+		if n.Delivered() != freshDel || n.sent != freshSent {
+			t.Fatalf("warm: delivered=%d sent=%d, want %d/%d", n.Delivered(), n.sent, freshDel, freshSent)
 		}
 		diffLogs(t, "warm", freshLogs, logs)
 	}
@@ -296,13 +296,13 @@ func TestSetShardsRequiresQuiescence(t *testing.T) {
 	if err := n.SetSealed(true); err != nil {
 		t.Fatalf("SetSealed after quiescence: %v", err)
 	}
-	if !n.Sealed() {
+	if !n.sealed {
 		t.Fatal("Sealed() = false after SetSealed(true)")
 	}
 	if err := n.SetSealed(false); err != nil {
 		t.Fatal(err)
 	}
-	if n.Sealed() {
+	if n.sealed {
 		t.Fatal("Sealed() = true after SetSealed(false)")
 	}
 }

@@ -34,15 +34,11 @@ type NodeID int32
 // None is the null node id (used for "no parent" and similar sentinels).
 const None NodeID = -1
 
-// KindInvalid is the reserved zero message kind. No protocol layer may use
-// it, which makes the zero Msg detectable as "no message" and lets hosts
-// treat kind 0 as a wiring bug.
-const KindInvalid uint8 = 0
-
 // Msg is a compact tagged message: a kind byte plus integer operands,
 // delivered by value. Each layer owns a globally unique range of kinds
 // (package diffuse: 1..15, package online: 16..31; tests use 32..127;
-// 128..255 are unowned) and defines what the operands mean per kind.
+// 128..255 are unowned) and defines what the operands mean per kind. Kind 0
+// is reserved, so the zero Msg reads as "no message".
 //
 // A and B are the primary operands; every single-phase message in the
 // system fits in them (a node id, a sequence number, an arena cell index, a
@@ -770,9 +766,6 @@ func (n *Network) Run(maxSteps int64) error {
 // Delivered returns the number of messages delivered so far — the message
 // complexity metric for experiment E8.
 func (n *Network) Delivered() int64 { return n.delivered }
-
-// Sent returns the number of messages enqueued so far.
-func (n *Network) Sent() int64 { return n.sent }
 
 // Pending returns the number of undelivered messages.
 func (n *Network) Pending() int64 { return n.sent - n.delivered }

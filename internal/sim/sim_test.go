@@ -200,8 +200,8 @@ func TestInjectUnknownLatchesDeferredError(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.Inject(bad, text(1))
-		if n.Sent() != 0 {
-			t.Errorf("id %d: inject enqueued: sent=%d, want 0", bad, n.Sent())
+		if n.sent != 0 {
+			t.Errorf("id %d: inject enqueued: sent=%d, want 0", bad, n.sent)
 		}
 		if _, err := n.Step(); err == nil {
 			t.Errorf("id %d: Step after the inject must surface the latched error", bad)
@@ -209,8 +209,8 @@ func TestInjectUnknownLatchesDeferredError(t *testing.T) {
 		// Run must also report it rather than declaring quiescence, with a
 		// valid injection pending behind the latch.
 		n.Inject(0, text(2))
-		if n.Sent() != 1 {
-			t.Errorf("id %d: sent = %d after a valid inject, want 1", bad, n.Sent())
+		if n.sent != 1 {
+			t.Errorf("id %d: sent = %d after a valid inject, want 1", bad, n.sent)
 		}
 		if err := n.Run(100); err == nil {
 			t.Errorf("id %d: Run after the inject must error, not quiesce", bad)

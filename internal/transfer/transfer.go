@@ -45,16 +45,6 @@ func (a Accounting) String() string {
 	}
 }
 
-// Retention returns the thesis' decay factor: the largest fraction of W
-// units of energy that survives being moved a given distance when no tank
-// can hold more than W (Theorem 5.1.1's computation).
-func Retention(w float64, dist int) float64 {
-	if w <= 1 || dist < 0 {
-		return 0
-	}
-	return math.Pow(1-1/w, float64(dist))
-}
-
 // SquareImportBudget returns the Theorem 5.1.1 budget: the total energy that
 // can ever be brought into (plus held inside) an s x s square when every
 // vehicle starts with W, counting the geometric decay of imports:

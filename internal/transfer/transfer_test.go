@@ -9,27 +9,6 @@ import (
 	"repro/internal/lpchar"
 )
 
-func TestRetention(t *testing.T) {
-	if Retention(10, 0) != 1 {
-		t.Error("distance 0 should retain everything")
-	}
-	if got, want := Retention(10, 1), 0.9; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Retention(10,1) = %v", got)
-	}
-	if Retention(1, 5) != 0 || Retention(10, -1) != 0 {
-		t.Error("degenerate retention should be 0")
-	}
-	// Monotone decreasing in distance.
-	prev := 1.0
-	for d := 1; d < 50; d++ {
-		r := Retention(7, d)
-		if r >= prev {
-			t.Fatalf("retention not decreasing at %d", d)
-		}
-		prev = r
-	}
-}
-
 func TestSquareImportBudgetMatchesExpansion(t *testing.T) {
 	// The budget is W*(s^2 + 4W^2 + 4sW - 8W - 4s + 4); spot-check the
 	// algebra against a direct evaluation.
