@@ -8,11 +8,14 @@ import (
 
 // benchHost is a minimal engine host for benchmarks.
 type benchHost struct {
-	eng       *Engine
-	adj       []sim.NodeID
+	eng       Engine
 	candidate bool
 	done      bool
 }
+
+func (h *benchHost) IsCandidate() bool                { return h.candidate }
+func (h *benchHost) OnComplete(sim.Sender, int, bool) { h.done = true }
+func (h *benchHost) OnPayload(sim.Sender, Payload)    {}
 
 func (h *benchHost) OnMessage(ctx *sim.Context, from sim.NodeID, msg sim.Msg) {
 	if h.eng.Handle(ctx, from, msg) {
@@ -47,16 +50,10 @@ func BenchmarkSearchGrid(b *testing.B) {
 						}
 					}
 				}
-				h := &benchHost{adj: adj, candidate: x == k-1 && y == k-1}
-				eng, err := New(Config{
-					Neighbors:   func() []sim.NodeID { return h.adj },
-					IsCandidate: func() bool { return h.candidate },
-					OnComplete:  func(sim.Sender, int, bool) { h.done = true },
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				h.eng = eng
+				h := &benchHost{candidate: x == k-1 && y == k-1}
+				h.eng.Host = h
+				h.eng.Neighbors = adj
+				h.eng.Reset()
 				hosts[id(x, y)] = h
 				if err := net.Add(id(x, y), h); err != nil {
 					b.Fatal(err)

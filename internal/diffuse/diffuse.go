@@ -7,7 +7,7 @@
 // success the child pointers from initiator to candidate form a path, along
 // which Phase II (thesis Section 3.2.4) forwards an arbitrary payload.
 //
-// Peer choice is the engine's only policy (Config.Fanout). Fanout 0 floods
+// Peer choice is the engine's only policy (Engine.Fanout). Fanout 0 floods
 // every neighbor, exactly Algorithm 2. A fanout f below a node's degree
 // makes the flood a derandomized gossip in the tunable family of De Florio &
 // Blondia: a node that joins forwards the query to only f neighbors, so the
@@ -18,9 +18,11 @@
 // reproducible. Acknowledgement and termination detection are unchanged: a
 // fanout-limited search always completes.
 //
-// The engine is embedded in a host process (the online strategy's vehicle):
-// the host routes diffusion messages into Handle and receives callbacks when
-// a computation it initiated completes and when a payload reaches it as the
+// The engine is plain data embedded by value in a host process (the online
+// strategy's vehicle): the host sets the engine's Host, Neighbors and Fanout
+// fields, calls Reset, routes diffusion messages into Handle, and through
+// the Host interface answers the search predicate and hears when a
+// computation it initiated completes and when a payload reaches it as the
 // found candidate.
 package diffuse
 
@@ -81,30 +83,33 @@ func (s State) String() string {
 	}
 }
 
-// Config wires an Engine to its host.
-type Config struct {
-	// Neighbors returns the nodes to flood queries to (for the online
-	// strategy: vehicles within communication range in the same cube).
-	Neighbors func() []sim.NodeID
+// Host is the process an Engine is embedded in: the search predicate and
+// the two protocol events the engine reports.
+type Host interface {
 	// IsCandidate reports whether this node satisfies the search predicate
 	// (for the online strategy: the vehicle is idle).
-	IsCandidate func() bool
-	// Fanout returns the per-node forwarding bound: 0 (or at least the
-	// neighbor count) floods every neighbor. Read per flood, so a pooled
-	// host can re-tune it between episodes without rebuilding engines. Nil
-	// means 0.
-	Fanout func() int
+	IsCandidate() bool
 	// OnComplete fires at the initiator when its computation terminates.
 	// found reports whether a candidate was located.
-	OnComplete func(ctx sim.Sender, seq int, found bool)
+	OnComplete(ctx sim.Sender, seq int, found bool)
 	// OnPayload fires at the candidate when a Phase II payload arrives.
-	OnPayload func(ctx sim.Sender, payload Payload)
+	OnPayload(ctx sim.Sender, payload Payload)
 }
 
 // Engine holds the per-node Phase I/II protocol state (the local data of
-// thesis Section 3.2.3.2: num, par, child, init).
+// thesis Section 3.2.3.2: num, par, child, init) behind three plain
+// configuration fields. To set one up, assign the fields and call Reset.
 type Engine struct {
-	cfg Config
+	// Host receives the engine's predicate queries and events. Required.
+	Host Host
+	// Neighbors are the nodes to flood queries to (for the online strategy:
+	// vehicles within communication range in the same cube). The engine
+	// only reads the slice, so hosts may share it.
+	Neighbors []sim.NodeID
+	// Fanout is the per-node forwarding bound: 0 (or at least the neighbor
+	// count) floods every neighbor. Read per flood, so a host can re-tune it
+	// between computations.
+	Fanout int
 
 	state State
 	num   int        // outstanding replies
@@ -116,23 +121,11 @@ type Engine struct {
 	nextSeq int // local counter for computations this node initiates
 }
 
-// New creates an engine. Neighbors and IsCandidate are required; Fanout and
-// the callbacks may be nil (the callbacks when the host never initiates / is
-// never a candidate).
-func New(cfg Config) (*Engine, error) {
-	if cfg.Neighbors == nil {
-		return nil, fmt.Errorf("diffuse: Neighbors is required")
-	}
-	if cfg.IsCandidate == nil {
-		return nil, fmt.Errorf("diffuse: IsCandidate is required")
-	}
-	return &Engine{cfg: cfg, state: Waiting, par: sim.None, child: sim.None, init: sim.None}, nil
-}
-
-// Reset restores the engine to its freshly constructed state (Waiting, no
-// parent/child/initiator, sequence counter at zero) without reallocating.
-// A reset engine behaves bit-for-bit like one returned by New: part of the
-// online layer's warm-start contract for reused runners.
+// Reset puts the protocol state in its initial form (Waiting, no
+// parent/child/initiator, sequence counter at zero) and leaves the three
+// configuration fields alone. It both arms a newly configured engine and
+// re-arms a used one, so a reset engine behaves bit-for-bit like a new one:
+// part of the online layer's warm-start contract for reused runners.
 func (e *Engine) Reset() {
 	e.state = Waiting
 	e.num = 0
@@ -163,12 +156,9 @@ func replyMsg(init sim.NodeID, seq int, found bool) sim.Msg {
 // peer selection. No slice is built: the warm search path stays
 // allocation-free.
 func (e *Engine) flood(ctx sim.Sender, init sim.NodeID, seq int) int {
-	neigh := e.cfg.Neighbors()
+	neigh := e.Neighbors
 	n := len(neigh)
-	f := 0
-	if e.cfg.Fanout != nil {
-		f = e.cfg.Fanout()
-	}
+	f := e.Fanout
 	// One inline query value fans out to every chosen neighbor: each send
 	// copies three words into the link's ring buffer.
 	msg := queryMsg(init, seq)
@@ -200,9 +190,7 @@ func (e *Engine) StartSearch(ctx sim.Sender) int {
 	e.num = e.flood(ctx, ctx.Self(), seq)
 	if e.num == 0 {
 		e.state = Waiting
-		if e.cfg.OnComplete != nil {
-			e.cfg.OnComplete(ctx, seq, false)
-		}
+		e.Host.OnComplete(ctx, seq, false)
 	}
 	return seq
 }
@@ -235,7 +223,7 @@ func (e *Engine) onQuery(ctx sim.Sender, from, init sim.NodeID, seq int) {
 	e.init = init
 	e.seq = seq
 	e.child = sim.None
-	if e.cfg.IsCandidate() {
+	if e.Host.IsCandidate() {
 		// An idle node answers immediately and stays waiting; it becomes
 		// the leaf of the search path.
 		ctx.Send(from, replyMsg(init, seq, true))
@@ -266,9 +254,7 @@ func (e *Engine) onReply(ctx sim.Sender, from, init sim.NodeID, seq int, found b
 		wasInitiator := e.state == Initiator
 		e.state = Waiting
 		if wasInitiator {
-			if e.cfg.OnComplete != nil {
-				e.cfg.OnComplete(ctx, seq, e.child != sim.None)
-			}
+			e.Host.OnComplete(ctx, seq, e.child != sim.None)
 			return
 		}
 		if e.child == sim.None {
@@ -304,7 +290,5 @@ func (e *Engine) onForward(ctx sim.Sender, m sim.Msg) {
 		ctx.Send(e.child, m)
 		return
 	}
-	if e.cfg.OnPayload != nil {
-		e.cfg.OnPayload(ctx, Payload{A: m.C, B: m.D})
-	}
+	e.Host.OnPayload(ctx, Payload{A: m.C, B: m.D})
 }

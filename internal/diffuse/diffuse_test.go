@@ -16,12 +16,11 @@ func startMsg() sim.Msg { return sim.Msg{Kind: kindStart} }
 
 // host is a minimal process wrapping an Engine over a fixed graph.
 type host struct {
+	t         *testing.T
 	id        sim.NodeID
-	eng       *Engine
+	eng       Engine
 	net       *sim.Network
-	adj       []sim.NodeID
 	candidate bool
-	fanout    int
 
 	completions []bool    // found flags, in completion order
 	pending     []int64   // net.Pending() at each completion
@@ -31,31 +30,20 @@ type host struct {
 	autoPayload Payload
 }
 
-func newHost(t *testing.T, id sim.NodeID, adj []sim.NodeID, candidate bool) *host {
-	t.Helper()
-	h := &host{id: id, adj: adj, candidate: candidate}
-	eng, err := New(Config{
-		Neighbors:   func() []sim.NodeID { return h.adj },
-		IsCandidate: func() bool { return h.candidate },
-		Fanout:      func() int { return h.fanout },
-		OnComplete: func(ctx sim.Sender, seq int, found bool) {
-			h.completions = append(h.completions, found)
-			h.pending = append(h.pending, h.net.Pending())
-			if found && h.autoForward {
-				if err := h.eng.ForwardPayload(ctx, seq, h.autoPayload); err != nil {
-					t.Errorf("forward: %v", err)
-				}
-			}
-		},
-		OnPayload: func(_ sim.Sender, payload Payload) {
-			h.payloads = append(h.payloads, payload)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+func (h *host) IsCandidate() bool { return h.candidate }
+
+func (h *host) OnComplete(ctx sim.Sender, seq int, found bool) {
+	h.completions = append(h.completions, found)
+	h.pending = append(h.pending, h.net.Pending())
+	if found && h.autoForward {
+		if err := h.eng.ForwardPayload(ctx, seq, h.autoPayload); err != nil {
+			h.t.Errorf("forward: %v", err)
+		}
 	}
-	h.eng = eng
-	return h
+}
+
+func (h *host) OnPayload(_ sim.Sender, payload Payload) {
+	h.payloads = append(h.payloads, payload)
 }
 
 func (h *host) OnMessage(ctx *sim.Context, from sim.NodeID, msg sim.Msg) {
@@ -79,23 +67,17 @@ func buildNetwork(t *testing.T, seed int64, edges [][2]int, n int, candidates ma
 	net := sim.NewNetwork(seed)
 	hosts := make([]*host, n)
 	for i := 0; i < n; i++ {
-		hosts[i] = newHost(t, sim.NodeID(i), adj[i], candidates[i])
-		hosts[i].net = net
-		hosts[i].fanout = fanout
-		if err := net.Add(sim.NodeID(i), hosts[i]); err != nil {
+		h := &host{t: t, id: sim.NodeID(i), net: net, candidate: candidates[i]}
+		h.eng.Host = h
+		h.eng.Neighbors = adj[i]
+		h.eng.Fanout = fanout
+		h.eng.Reset()
+		hosts[i] = h
+		if err := net.Add(sim.NodeID(i), h); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return net, hosts
-}
-
-func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{IsCandidate: func() bool { return false }}); err == nil {
-		t.Error("missing Neighbors should fail")
-	}
-	if _, err := New(Config{Neighbors: func() []sim.NodeID { return nil }}); err == nil {
-		t.Error("missing IsCandidate should fail")
-	}
 }
 
 func TestSearchFindsReachableCandidate(t *testing.T) {

@@ -128,26 +128,31 @@ func TestWarmResetEpisodeAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedNewRunnerAllocsFlat pins that a runner's construction cost
-// does not grow with Options.SimShards: every value >= 1 selects the same
-// single-goroutine scheduler, so building at 1000 allocates no more than
-// building at 1.
-func TestShardedNewRunnerAllocsFlat(t *testing.T) {
-	arena := grid.MustNew(8, 8)
-	part, err := NewPartition(arena, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func(shards int) float64 {
-		return testing.AllocsPerRun(3, func() {
-			if _, err := NewRunner(Options{
-				Arena: arena, Partition: part, Capacity: 24, Seed: 1, SimShards: shards,
-			}); err != nil {
-				t.Fatal(err)
+// TestNewRunnerAllocsFlat pins that building a runner on a shared partition
+// takes a near-constant number of allocations, whatever the arena size and
+// scheduler: the vehicles live in one slab with their engines embedded, each
+// engine floods the partition's own neighbor row, and no closure is built
+// per vehicle. What growth remains is the network's node table doubling.
+func TestNewRunnerAllocsFlat(t *testing.T) {
+	const ceiling = 24
+	for _, side := range []int{8, 16, 32} {
+		arena := grid.MustNew(side, side)
+		part, err := NewPartition(arena, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{0, 1, 1000} {
+			got := testing.AllocsPerRun(3, func() {
+				if _, err := NewRunner(Options{
+					Arena: arena, Partition: part, Capacity: 24, Seed: 1, SimShards: shards,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > ceiling {
+				t.Errorf("%dx%d, SimShards %d: NewRunner allocated %.0f objects, ceiling %d",
+					side, side, shards, got, ceiling)
 			}
-		})
-	}
-	if one, many := build(1), build(1000); many > one {
-		t.Fatalf("NewRunner allocates %.0f objects at SimShards 1000, %.0f at 1", many, one)
+		}
 	}
 }

@@ -72,39 +72,43 @@ func TestLongevityOutOfRangeEager(t *testing.T) {
 }
 
 // TestResetEpisodeValidatesBeforeMutating pins that a bad episode config is
-// rejected up front and leaves the pooled runner fully usable.
+// rejected up front and leaves the runner unchanged: after rejected
+// ResetEpisode and Reset calls, the runner still plays the episode it was
+// built for, result for result like a fresh runner.
 func TestResetEpisodeValidatesBeforeMutating(t *testing.T) {
-	good := Options{Arena: grid.MustNew(4, 4), CubeSide: 4, Capacity: 10, Seed: 1}
+	good := eventfulOptions()
 	r := mustRunner(t, good)
 	for _, bad := range []Options{
-		{Arena: good.Arena, CubeSide: 4, Capacity: 10, Seed: 1,
+		{Arena: good.Arena, CubeSide: 6, Capacity: 10, Seed: 1,
 			Failure: &FailureModel{FailInitiate: map[grid.Point]bool{grid.P(9, 9): true}}},
-		{Arena: good.Arena, CubeSide: 4, Capacity: 10, Seed: 1,
+		{Arena: good.Arena, CubeSide: 6, Capacity: 10, Seed: 1,
 			Failure: &FailureModel{Longevity: map[grid.Point]float64{grid.P(9, 9): 0.5}}},
-		{Arena: good.Arena, CubeSide: 4, Capacity: 10, Seed: 1,
+		{Arena: good.Arena, CubeSide: 6, Capacity: 10, Seed: 1,
 			Failure: &FailureModel{Byzantine: map[grid.Point]bool{grid.P(9, 9): true}}},
-		{Arena: good.Arena, CubeSide: 4, Capacity: 10, Seed: 1,
+		{Arena: good.Arena, CubeSide: 6, Capacity: 10, Seed: 1,
 			GossipFanout: 2}, // fanout without SearchGossip
-		{Arena: good.Arena, CubeSide: 4, Capacity: 10, Seed: 1,
+		{Arena: good.Arena, CubeSide: 6, Capacity: 10, Seed: 1,
 			Fleet: &Fleet{}}, // no classes
-		{Arena: good.Arena, CubeSide: 4, Capacity: 10, Seed: 1, MaxSteps: -1},
-		{Arena: good.Arena, CubeSide: 4, Capacity: 10, Seed: 1, SimShards: -1},
+		{Arena: good.Arena, CubeSide: 6, Capacity: 10, Seed: 1, MaxSteps: -1},
+		{Arena: good.Arena, CubeSide: 6, Capacity: 10, Seed: 1, SimShards: -1},
+		{Arena: good.Arena, CubeSide: 6, Capacity: math.NaN(), Seed: 1},
 	} {
 		if err := r.ResetEpisode(bad); err == nil {
 			t.Errorf("ResetEpisode(%+v) should fail", bad)
 		}
 	}
-	// The runner survives rejected episodes unchanged.
-	if err := r.ResetEpisode(good); err != nil {
-		t.Fatal(err)
+	if err := r.Reset(0, 2); err == nil {
+		t.Error("Reset at capacity 0 should fail")
 	}
-	res, err := r.Run(demand.NewSequence([]grid.Point{grid.P(0, 0)}))
+	res, err := r.Run(failureJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.OK() {
-		t.Errorf("post-rejection run failed: %+v", res)
+	want, err := mustRunner(t, good).Run(failureJobs())
+	if err != nil {
+		t.Fatal(err)
 	}
+	resultsEqual(t, "after rejected re-arms", want, res)
 }
 
 // --- satellite 2: the precomputed watched-by index --------------------------

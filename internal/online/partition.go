@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/grid"
+	"repro/internal/sim"
 )
 
 // Pair is one black/white vertex pair of Section 3.2. A pair with Single set
@@ -45,9 +46,9 @@ type Partition struct {
 	pairIdx []int32 // arena index -> pair index
 	cubeIdx []int32 // arena index -> cube index
 
-	cubePairs [][]int   // cube -> pair indices (snake order)
-	commIdx   [][]int32 // arena index -> same-cube cells within distance 2
-	watchIdx  []int32   // pair -> the pair it watches (inverse of WatcherPair)
+	cubePairs [][]int        // cube -> pair indices (snake order)
+	commIdx   [][]sim.NodeID // arena index -> same-cube cells within distance 2
+	watchIdx  []int32        // pair -> the pair it watches (inverse of WatcherPair)
 }
 
 // NewPartition decomposes the arena into aligned side-s cubes (clipped at
@@ -68,7 +69,7 @@ func NewPartition(arena *grid.Grid, cubeSide int) (*Partition, error) {
 		cubeSide: cubeSide,
 		pairIdx:  make([]int32, arena.Len()),
 		cubeIdx:  make([]int32, arena.Len()),
-		commIdx:  make([][]int32, arena.Len()),
+		commIdx:  make([][]sim.NodeID, arena.Len()),
 	}
 	for i := range p.pairIdx {
 		p.pairIdx[i] = -1
@@ -140,13 +141,14 @@ func (p *Partition) walkCubes(corner [grid.MaxDim]int, axis int) error {
 		p.watchIdx[pairIdxs[(i+1)%len(pairIdxs)]] = int32(pid)
 	}
 	// Communication graph: same-cube cells within L1 distance 2, in snake
-	// order (the order is part of the deterministic message schedule).
+	// order (the order is part of the deterministic message schedule), as
+	// node ids. Each runner's search engines flood these rows directly.
 	for _, a := range cells {
 		ai := p.arena.Index(a)
 		p.cubeIdx[ai] = int32(cubeIdx)
 		for _, b := range cells {
 			if a != b && grid.Manhattan(a, b) <= 2 {
-				p.commIdx[ai] = append(p.commIdx[ai], int32(p.arena.Index(b)))
+				p.commIdx[ai] = append(p.commIdx[ai], sim.NodeID(p.arena.Index(b)))
 			}
 		}
 	}
@@ -213,11 +215,6 @@ func (p *Partition) PairAt(idx int64) int { return int(p.pairIdx[idx]) }
 
 // CubePairs returns the pair indices of one cube in snake order.
 func (p *Partition) CubePairs(cube int) []int { return p.cubePairs[cube] }
-
-// CommNeighborIndices returns the same-cube communication neighbors of the
-// cell with the given arena index, as arena indices (shared slice; callers
-// must not mutate).
-func (p *Partition) CommNeighborIndices(idx int64) []int32 { return p.commIdx[idx] }
 
 // WatcherPair returns the pair that monitors pair `id` in the Section 3.2.5
 // monitoring ring: pairs of a cube watch each other cyclically, so every

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/sim"
 )
 
 func TestNewPartitionValidation(t *testing.T) {
@@ -108,7 +109,7 @@ func TestCommGraphWithinCubeAndConnected(t *testing.T) {
 	}
 	for idx := int64(0); idx < arena.Len(); idx++ {
 		cell := arena.PointAt(idx)
-		for _, nb := range part.CommNeighborIndices(idx) {
+		for _, nb := range part.commIdx[idx] {
 			if d := grid.Manhattan(cell, arena.PointAt(int64(nb))); d < 1 || d > 2 {
 				t.Errorf("neighbor %d of %v at distance %d", nb, cell, d)
 			}
@@ -118,12 +119,12 @@ func TestCommGraphWithinCubeAndConnected(t *testing.T) {
 		}
 	}
 	// BFS inside cube 0 must reach all 16 cells.
-	visited := map[int32]bool{0: true}
-	queue := []int32{0}
+	visited := map[sim.NodeID]bool{0: true}
+	queue := []sim.NodeID{0}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range part.CommNeighborIndices(int64(cur)) {
+		for _, nb := range part.commIdx[cur] {
 			if !visited[nb] {
 				visited[nb] = true
 				queue = append(queue, nb)

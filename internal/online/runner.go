@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"repro/internal/demand"
-	"repro/internal/diffuse"
 	"repro/internal/grid"
 	"repro/internal/sim"
 )
@@ -148,7 +147,9 @@ type Runner struct {
 	part *Partition
 	net  *sim.Network
 
-	vehicles   []*vehicle   // dense, indexed by arena index (= sim.NodeID)
+	// vehicles is one slab indexed by arena index (= sim.NodeID). It is
+	// never resized: the network and every engine's Host point into it.
+	vehicles   []vehicle
 	pairActive []sim.NodeID // pair -> node currently responsible
 	// pendingReplace guards against duplicate concurrent searches per pair.
 	pendingReplace []bool
@@ -243,8 +244,7 @@ func (r *Runner) failf(format string, args ...interface{}) {
 
 // checkCapacity rejects an episode capacity that is not positive and
 // finite. NaN and +Inf would make every energy test (used+cost > capacity)
-// false, giving every vehicle unlimited energy. NewRunner, Reset and
-// ResetEpisode share it.
+// false, giving every vehicle unlimited energy.
 func checkCapacity(c float64) error {
 	if !(c > 0) || math.IsInf(c, 1) {
 		return fmt.Errorf("online: capacity %v must be positive and finite", c)
@@ -252,127 +252,97 @@ func checkCapacity(c float64) error {
 	return nil
 }
 
-// NewRunner builds the network: one vehicle per arena cell, initially active
-// on the pair's black vertex and idle on the white one. When
-// Options.Partition is set the prebuilt geometry is reused; otherwise one is
-// constructed for Arena and CubeSide.
+// NewRunner builds the geometry of a run — the partition (or the prebuilt
+// Options.Partition, checked against Arena and CubeSide), one vehicle per
+// arena cell in a single slab, and the network — and then arms the first
+// episode with the same arm that Reset and ResetEpisode end in. Each pair
+// starts with its black vertex's vehicle active and the white one idle.
 func NewRunner(opts Options) (*Runner, error) {
 	if opts.Arena == nil {
 		return nil, errors.New("online: Arena is required")
 	}
-	if err := checkCapacity(opts.Capacity); err != nil {
-		return nil, err
-	}
 	part := opts.Partition
 	if part == nil {
 		var err error
-		part, err = NewPartition(opts.Arena, opts.CubeSide)
-		if err != nil {
+		if part, err = NewPartition(opts.Arena, opts.CubeSide); err != nil {
 			return nil, err
 		}
-	} else {
-		if part.arena != opts.Arena {
-			return nil, errors.New("online: Options.Partition was built for a different arena")
+	} else if part.arena != opts.Arena {
+		return nil, errors.New("online: Options.Partition was built for a different arena")
+	} else if opts.CubeSide != 0 && opts.CubeSide != part.cubeSide {
+		return nil, fmt.Errorf("online: Options.Partition has cube side %d, CubeSide asks for %d",
+			part.cubeSide, opts.CubeSide)
+	}
+	pairs := len(part.Pairs())
+	r := &Runner{
+		part:           part,
+		net:            sim.NewNetwork(opts.Seed),
+		vehicles:       make([]vehicle, opts.Arena.Len()),
+		pairActive:     make([]sim.NodeID, pairs),
+		pendingReplace: make([]bool, pairs),
+		pairDownAt:     make([]int, pairs),
+	}
+	for idx := range r.vehicles {
+		v := &r.vehicles[idx]
+		v.r, v.id, v.home = r, sim.NodeID(idx), opts.Arena.PointAt(int64(idx))
+		if part.pairIdx[idx] < 0 {
+			return nil, fmt.Errorf("online: cell %v not covered by partition", v.home)
 		}
-		if opts.CubeSide != 0 && opts.CubeSide != part.cubeSide {
-			return nil, fmt.Errorf("online: Options.Partition has cube side %d, CubeSide asks for %d",
-				part.cubeSide, opts.CubeSide)
+		// The engine floods the partition's own neighbor row.
+		v.ds.Host = v
+		v.ds.Neighbors = part.commIdx[idx]
+		if err := r.net.Add(v.id, v); err != nil {
+			return nil, err
 		}
+	}
+	if err := r.arm(opts); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// arm validates opts and then re-arms every episode-scoped piece of the
+// runner for it: it densifies the failure model and the fleet into vehicle
+// fields and the dead-event list, sets each engine's fanout, resets the
+// network, and restores the initial state — vehicle positions, working
+// states, energy, engines, the pair-ownership tables, the dead-event cursor
+// and all counters. NewRunner, Reset and ResetEpisode all end here, which is
+// what makes a reset run bit-for-bit identical to a fresh one. Nothing
+// changes before validation passes, so a rejected episode leaves the runner
+// as it was. The geometry is the callers' to check.
+func (r *Runner) arm(opts Options) error {
+	if err := checkCapacity(opts.Capacity); err != nil {
+		return err
+	}
+	// Unknown cells, bad multipliers and malformed fanouts are rejected
+	// here, matching the unknown-cell error DeadBeforeArrival surfaces when
+	// its event fires.
+	model, err := opts.validateExtensions(opts.Arena)
+	if err != nil {
+		return err
 	}
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = defaultMaxSteps
 	}
-	// Normalize and validate the failure, fleet, and search knobs before
-	// building anything: unknown cells, bad multipliers, and malformed
-	// fanouts are rejected here, matching the unknown-cell error
-	// DeadBeforeArrival surfaces when its event fires.
-	model, err := opts.validateExtensions(opts.Arena)
-	if err != nil {
-		return nil, err
-	}
-	r := &Runner{
-		opts:           opts,
-		part:           part,
-		net:            sim.NewNetwork(opts.Seed),
-		vehicles:       make([]*vehicle, opts.Arena.Len()),
-		pairActive:     make([]sim.NodeID, len(part.Pairs())),
-		pendingReplace: make([]bool, len(part.Pairs())),
-		pairDownAt:     make([]int, len(part.Pairs())),
-		evidence:       len(model.Byzantine) > 0,
-	}
-	// Densify the failure-injection maps once at the public boundary; the
-	// simulation itself never hashes a point again.
-	r.deadEvents = densifyDeadEvents(nil, opts.Arena, model.DeadBeforeArrival)
-	// One fanout reader for every engine: the search reads the episode's
-	// GossipFanout per flood, so ResetEpisode re-tunes it without a rebuild.
-	fanout := func() int { return r.opts.GossipFanout }
-	for idx := int64(0); idx < opts.Arena.Len(); idx++ {
-		cell := opts.Arena.PointAt(idx)
-		id := sim.NodeID(idx)
-		pairID := part.PairAt(idx)
-		if pairID < 0 {
-			return nil, fmt.Errorf("online: cell %v not covered by partition", cell)
-		}
-		longevity := 1.0
-		if p, ok := model.Longevity[cell]; ok {
-			longevity = p
-		}
-		// Resolve the communication neighborhood to node ids once; the
-		// search engines flood this exact slice on every Phase I search.
-		nidx := part.CommNeighborIndices(idx)
-		neighbors := make([]sim.NodeID, len(nidx))
-		for i, ni := range nidx {
-			neighbors[i] = sim.NodeID(ni)
-		}
-		v := &vehicle{
-			r:            r,
-			id:           id,
-			home:         cell,
-			failInitiate: model.FailInitiate[cell],
-			longevity:    longevity,
-			byzantine:    model.Byzantine[cell],
-			neighbors:    neighbors,
-		}
-		v.applyClass(opts.Fleet, part)
-		ds, err := diffuse.New(diffuse.Config{
-			Neighbors: func() []sim.NodeID { return v.neighbors },
-			IsCandidate: func() bool {
-				return v.state == Idle && v.untilBreak() >= v.reserveCost()
-			},
-			Fanout: fanout,
-			OnComplete: func(ctx sim.Sender, seq int, found bool) {
-				v.onSearchComplete(ctx, seq, found)
-			},
-			OnPayload: func(ctx sim.Sender, payload diffuse.Payload) {
-				v.onMoveOrder(ctx, moveOrder{
-					Dest:   opts.Arena.PointAt(int64(payload.A)),
-					PairID: int(payload.B),
-				})
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		v.ds = ds
-		r.vehicles[id] = v
-		if err := r.net.Add(id, v); err != nil {
-			return nil, err
-		}
-	}
+	r.opts = opts
+	r.deadEvents = densifyDeadEvents(r.deadEvents, opts.Arena, model.DeadBeforeArrival)
+	r.evidence = len(model.Byzantine) > 0
+	r.net.Reset(opts.Seed)
+	// Reset left nothing pending, so switching the scheduler cannot fail.
 	if err := r.net.SetSealed(opts.SimShards > 0); err != nil {
-		return nil, err
+		return err
 	}
-	r.restoreInitialState()
-	return r, nil
-}
-
-// restoreInitialState puts every mutable piece of the episode — vehicle
-// positions, working states, energy, the pair-ownership tables, the dead-
-// event cursor, and all counters — back to its just-constructed value. It is
-// the shared tail of NewRunner and Reset, which is what makes a reset run
-// bit-for-bit identical to a fresh one.
-func (r *Runner) restoreInitialState() {
-	for _, v := range r.vehicles {
+	for i := range r.vehicles {
+		v := &r.vehicles[i]
+		v.longevity = 1
+		if p, ok := model.Longevity[v.home]; ok {
+			v.longevity = p
+		}
+		v.failInitiate = model.FailInitiate[v.home]
+		v.byzantine = model.Byzantine[v.home]
+		v.applyClass(opts.Fleet, r.part)
+		v.ds.Fanout = opts.GossipFanout
+		v.ds.Reset()
 		v.pos = v.home
 		v.used = 0
 		v.pairID = r.part.PairAt(int64(v.id))
@@ -387,7 +357,6 @@ func (r *Runner) restoreInitialState() {
 		// warm monitored episodes allocation-free.
 		clear(v.heard)
 		clear(v.complaints)
-		v.ds.Reset()
 	}
 	// Activate the service vertex of every pair; fall back to the white
 	// partner when the black vertex's vehicle is broken from the start.
@@ -403,8 +372,6 @@ func (r *Runner) restoreInitialState() {
 		}
 		r.pairActive[i] = id
 		r.pendingReplace[i] = false
-	}
-	for i := range r.pairDownAt {
 		r.pairDownAt[i] = -1
 	}
 	r.nextDead = 0
@@ -414,6 +381,7 @@ func (r *Runner) restoreInitialState() {
 	r.fatal = nil
 	r.currentArrival = 0
 	r.consumed = false
+	return nil
 }
 
 // noteRestored settles the replacement-latency clock for a pair a Phase II
@@ -432,18 +400,15 @@ func (r *Runner) noteRestored(pairID int) {
 // Reset re-arms a consumed runner for another episode at the given capacity
 // and seed, reusing every structure NewRunner built: the partition, the
 // vehicles and their diffusion engines, the pair tables, and the network
-// with all its link tables and ring buffers. After Reset the runner behaves
+// with all its link tables and ring buffers. It is arm with the current
+// options' capacity and seed replaced, so after Reset the runner behaves
 // bit-for-bit like NewRunner(opts with Capacity/Seed replaced) — the
-// warm-start contract the capacity searches rely on.
+// warm-start contract the capacity searches rely on. On error the runner is
+// left unchanged.
 func (r *Runner) Reset(capacity float64, seed int64) error {
-	if err := checkCapacity(capacity); err != nil {
-		return err
-	}
-	r.opts.Capacity = capacity
-	r.opts.Seed = seed
-	r.net.Reset(seed)
-	r.restoreInitialState()
-	return nil
+	opts := r.opts
+	opts.Capacity, opts.Seed = capacity, seed
+	return r.arm(opts)
 }
 
 // ResetEpisode re-arms the runner for a new episode whose options may differ
@@ -453,9 +418,11 @@ func (r *Runner) Reset(capacity float64, seed int64) error {
 // link tables and ring buffers are all kept. Arena (pointer identity) and
 // cube side must match what the runner was built with — a geometry change
 // requires a new Runner, which is exactly the rebuild-vs-reset split the
-// sweep layer's Pool keys on. After a successful ResetEpisode the runner
-// behaves bit-for-bit like NewRunner(opts); on error the runner is left
-// unchanged.
+// sweep layer's Pool keys on. A different Partition of the same geometry is
+// accepted, but the runner keeps its own: a Partition is a deterministic
+// function of arena and cube side, and the engines' neighbor rows point into
+// the runner's. After a successful ResetEpisode the runner behaves
+// bit-for-bit like NewRunner(opts); on error the runner is left unchanged.
 func (r *Runner) ResetEpisode(opts Options) error {
 	if opts.Arena != r.opts.Arena {
 		return errors.New("online: ResetEpisode with a different arena; build a new Runner")
@@ -468,44 +435,7 @@ func (r *Runner) ResetEpisode(opts Options) error {
 		(opts.Partition.arena != r.part.arena || opts.Partition.cubeSide != r.part.cubeSide) {
 		return errors.New("online: ResetEpisode Partition differs in geometry")
 	}
-	if err := checkCapacity(opts.Capacity); err != nil {
-		return err
-	}
-	// Validate before mutating anything, so a rejected episode cannot leave
-	// the runner half-updated — the same construction-time checks NewRunner
-	// runs, covering the failure model, fleet, and search knobs.
-	model, err := opts.validateExtensions(opts.Arena)
-	if err != nil {
-		return err
-	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = defaultMaxSteps
-	}
-	// Re-densify the failure injections and fleet classes exactly as
-	// NewRunner does.
-	for _, v := range r.vehicles {
-		longevity := 1.0
-		if p, ok := model.Longevity[v.home]; ok {
-			longevity = p
-		}
-		v.longevity = longevity
-		v.failInitiate = model.FailInitiate[v.home]
-		v.byzantine = model.Byzantine[v.home]
-		v.applyClass(opts.Fleet, r.part)
-	}
-	r.deadEvents = densifyDeadEvents(r.deadEvents, opts.Arena, model.DeadBeforeArrival)
-	r.evidence = len(model.Byzantine) > 0
-	// Geometry is interchangeable by construction (a Partition is a
-	// deterministic function of arena and cube side), so keep the runner's
-	// own — the per-vehicle neighbor lists already point into it.
-	opts.Partition = r.part
-	r.opts = opts
-	r.net.Reset(opts.Seed)
-	if err := r.net.SetSealed(opts.SimShards > 0); err != nil {
-		return err
-	}
-	r.restoreInitialState()
-	return nil
+	return r.arm(opts)
 }
 
 // densifyDeadEvents converts the public DeadBeforeArrival map into a slice
@@ -539,7 +469,8 @@ func densifyDeadEvents(dst []deadEvent, arena *grid.Grid, dead map[grid.Point]in
 	return events
 }
 
-// Partition exposes the geometry (for tests and diagnostics).
+// Partition returns the runner's geometry (shared; callers must not mutate
+// it).
 func (r *Runner) Partition() *Partition { return r.part }
 
 // Run plays the arrival sequence: each job is routed to the vehicle

@@ -100,10 +100,18 @@ func MinCapacity(seq *demand.Sequence, base Options, lo float64, tol float64) (f
 		return 0, err
 	}
 	p := &prober{seq: seq, base: base}
-	run := p.probe
+	return bracketBisect(p.probe, lo, tol)
+}
+
+// bracketBisect is the serial search over a monotone feasibility oracle: it
+// doubles hi from lo until a probe succeeds, then bisects [lo, hi] down to
+// tol (relative) and returns the feasible end. Every capacity is probed at
+// most once: when the first probe, lo itself, succeeds, lo is the answer,
+// and otherwise lo is known infeasible and the bisection never probes it.
+func bracketBisect(feasible func(float64) (bool, error), lo, tol float64) (float64, error) {
 	hi := lo
 	for {
-		ok, err := run(hi)
+		ok, err := feasible(hi)
 		if err != nil {
 			return 0, err
 		}
@@ -115,14 +123,12 @@ func MinCapacity(seq *demand.Sequence, base Options, lo float64, tol float64) (f
 			return 0, errors.New("online: no feasible capacity below 1e12")
 		}
 	}
-	if okLo, err := run(lo); err != nil {
-		return 0, err
-	} else if okLo {
+	if hi == lo {
 		return lo, nil
 	}
 	for hi-lo > tol*math.Max(1, hi) {
 		mid := (lo + hi) / 2
-		ok, err := run(mid)
+		ok, err := feasible(mid)
 		if err != nil {
 			return 0, err
 		}

@@ -62,14 +62,6 @@ const (
 	msgEvidence
 )
 
-// moveOrder is the decoded Phase II payload: relocate to Dest and take over
-// service of pair PairID. On the wire it is a diffuse.Payload whose A word is
-// Dest's arena index and whose B word is PairID.
-type moveOrder struct {
-	Dest   grid.Point
-	PairID int
-}
-
 // serveCost is the worst-case energy for a *uniform* vehicle to process one
 // job: walk at most distance 1 to the partner vertex plus 1 unit of service
 // (Section 3.2.2). Classed vehicles use reserveCost, which reduces to this
@@ -77,8 +69,9 @@ type moveOrder struct {
 const serveCost = 2.0
 
 // vehicle is one depot's vehicle: a sim.Process whose node id equals its
-// home cell's arena index. Its position changes when it replaces a done
-// vehicle; its network identity does not (the radio stays with the robot).
+// home cell's arena index, and the diffuse.Host of its own search engine.
+// Its position changes when it replaces a done vehicle; its network identity
+// does not (the radio stays with the robot).
 type vehicle struct {
 	r    *Runner
 	id   sim.NodeID
@@ -89,14 +82,12 @@ type vehicle struct {
 	used   float64
 	pairID int // pair currently served (valid when Active) or home pair
 
-	// ds is the Phase I/II search engine. Its fanout is the episode's
-	// GossipFanout, so one engine serves both SearchDiffuse (fanout 0) and
-	// SearchGossip, and a pooled runner can flip protocols per ResetEpisode.
-	ds *diffuse.Engine
-	// neighbors is the communication neighborhood resolved to node ids once
-	// at construction (cell arena index = node id); the search engine reads
-	// it on every flood without re-deriving cell identity.
-	neighbors []sim.NodeID
+	// ds is the Phase I/II search engine, held by value. Its neighbors are
+	// the partition's communication row for this cell and its fanout is the
+	// episode's GossipFanout, so one engine serves both SearchDiffuse
+	// (fanout 0) and SearchGossip, and a pooled runner can flip protocols
+	// per ResetEpisode.
+	ds diffuse.Engine
 
 	// failInitiate simulates Section 3.2.5 scenario 2: on exhaustion the
 	// vehicle silently fails to start its replacement search.
@@ -126,12 +117,14 @@ type vehicle struct {
 	complaints map[int]bool
 }
 
-var _ sim.Process = (*vehicle)(nil)
+var (
+	_ sim.Process  = (*vehicle)(nil)
+	_ diffuse.Host = (*vehicle)(nil)
+)
 
 // applyClass densifies the vehicle's fleet class into flat multipliers (the
-// defaults when no fleet is configured). Called by NewRunner and
-// ResetEpisode; the values are episode constants, so restoreInitialState
-// leaves them alone.
+// defaults when no fleet is configured). Called by Runner.arm once per
+// episode.
 func (v *vehicle) applyClass(f *Fleet, part *Partition) {
 	v.stepCost, v.jobCost, v.capMult = 1, 1, 1
 	if f == nil {
@@ -250,7 +243,17 @@ func (v *vehicle) startReplacementSearch(ctx sim.Sender, pairID int, dest grid.P
 	v.ds.StartSearch(ctx)
 }
 
-func (v *vehicle) onSearchComplete(ctx sim.Sender, seq int, found bool) {
+// IsCandidate implements diffuse.Host: an idle vehicle that can afford one
+// more job before it breaks answers a search.
+func (v *vehicle) IsCandidate() bool {
+	return v.state == Idle && v.untilBreak() >= v.reserveCost()
+}
+
+// OnComplete implements diffuse.Host: the replacement search this vehicle
+// initiated terminated. On success Phase II sends the recruit a payload
+// whose A word is the destination's arena index and whose B word is the
+// pair to take over.
+func (v *vehicle) OnComplete(ctx sim.Sender, seq int, found bool) {
 	pairID := v.searchPair
 	if !found {
 		v.r.pendingReplace[pairID] = false
@@ -265,30 +268,33 @@ func (v *vehicle) onSearchComplete(ctx sim.Sender, seq int, found bool) {
 	}
 }
 
-func (v *vehicle) onMoveOrder(ctx sim.Sender, order moveOrder) {
+// OnPayload implements diffuse.Host: a Phase II move order reached this
+// recruit. It relocates to the order's destination and takes over service of
+// its pair.
+func (v *vehicle) OnPayload(ctx sim.Sender, order diffuse.Payload) {
+	dest, pairID := v.r.opts.Arena.PointAt(int64(order.A)), int(order.B)
 	if v.state != Idle {
 		// The protocol guarantees candidates are idle at recruitment time;
 		// a double recruit would be a bug, surface it.
 		v.r.failf("vehicle %v: move order while %v", v.home, v.state)
 		return
 	}
-	walk := float64(grid.Manhattan(v.pos, order.Dest)) * v.stepCost
+	walk := float64(grid.Manhattan(v.pos, dest)) * v.stepCost
 	if v.used+walk > v.capacity() {
-		v.r.recordFailure(order.Dest, moveReason(v.home, walk))
-		v.r.pendingReplace[order.PairID] = false
+		v.r.recordFailure(dest, moveReason(v.home, walk))
+		v.r.pendingReplace[pairID] = false
 		return
 	}
 	v.used += walk
 	v.r.noteEnergy(v.used)
-	v.pos = order.Dest
+	v.pos = dest
 	v.state = Active
-	v.pairID = order.PairID
-	v.r.pairActive[order.PairID] = v.id
-	v.r.pendingReplace[order.PairID] = false
+	v.pairID = pairID
+	v.r.pairActive[pairID] = v.id
+	v.r.pendingReplace[pairID] = false
 	v.r.res.Replacements++
-	v.r.noteRestored(order.PairID)
-	v.r.emit(Event{Kind: EventMove, Vehicle: v.home, Pos: order.Dest, Energy: v.used,
-		Pair: order.PairID})
+	v.r.noteRestored(pairID)
+	v.r.emit(Event{Kind: EventMove, Vehicle: v.home, Pos: dest, Energy: v.used, Pair: pairID})
 	if v.breaksNow() {
 		v.state = Dead
 		v.r.emit(Event{Kind: EventDead, Vehicle: v.home, Pos: v.pos, Energy: v.used,
