@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -474,4 +475,83 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 			t.Errorf("%s: still running after 5s", tc.name)
 		}
 	}
+}
+
+// FuzzRunOnline drives the RunOnline facade over small episodes: 1-3-D
+// arenas with sides 1-6, cube sides from -1 to far past the arena,
+// capacities in [0, 50), at most 40 in-arena arrivals, monitoring on or off,
+// either scheduler, and diffuse search or gossip with fanout 0-3. It must
+// never panic. When the run succeeds, every arrival is served or lost
+// exactly once (a lost job's reason starts with "vehicle "), every other
+// failure is a relocation its recruit could not afford ("recruit "), no
+// vehicle spends past the capacity, and a second run returns the same
+// Result.
+func FuzzRunOnline(f *testing.F) {
+	cubeSides := []int{-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, math.MaxInt32 + 1, math.MaxInt}
+	// The seeds vary TestFacadeRejectsMalformedInput's base options: a 4x4
+	// arena, cube side 2 (index 3), capacity 5, seed 1.
+	arrivals := []byte{1, 1, 2, 2, 0, 3, 3, 0, 1, 2, 2, 1, 1, 1, 3, 3}
+	for _, seed := range []struct {
+		cube     uint8
+		capacity float64
+	}{{3, 5}, {0, 5}, {1, 5}, {11, 5}, {3, 0}} {
+		f.Add(uint8(1), uint8(3), uint8(3), uint8(0), seed.cube, seed.capacity, int64(1),
+			false, false, uint8(0), arrivals)
+	}
+	f.Fuzz(func(t *testing.T, dim, s0, s1, s2, cube uint8, capacity float64, seed int64,
+		monitoring, sealed bool, search uint8, coords []byte) {
+		sizes := []int{1 + int(s0)%6, 1 + int(s1)%6, 1 + int(s2)%6}[:1+int(dim)%3]
+		arena, err := NewArena(sizes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jobs []Point
+		for i := 0; i+len(sizes) <= len(coords) && len(jobs) < 40; i += len(sizes) {
+			var pt Point
+			for j, size := range sizes {
+				pt[j] = int32(int(coords[i+j]) % size)
+			}
+			jobs = append(jobs, pt)
+		}
+		opts := OnlineOptions{
+			Arena:      arena,
+			CubeSide:   cubeSides[int(cube)%len(cubeSides)],
+			Capacity:   math.Mod(math.Abs(capacity), 50),
+			Seed:       seed,
+			Monitoring: monitoring,
+		}
+		if math.IsNaN(opts.Capacity) {
+			opts.Capacity = 0
+		}
+		if sealed {
+			opts.SimShards = 1
+		}
+		if search%5 > 0 {
+			opts.Search, opts.GossipFanout = SearchGossip, int(search%5)-1
+		}
+		seq := NewSequence(jobs)
+		res, err := RunOnline(seq, opts)
+		if err != nil {
+			return // rejected input: not panicking is the property
+		}
+		lost := int64(0)
+		for _, fl := range res.Failures {
+			switch {
+			case strings.HasPrefix(fl.Reason, "vehicle "):
+				lost++
+			case !strings.HasPrefix(fl.Reason, "recruit "):
+				t.Fatalf("failure %q is neither a lost job nor a relocation", fl.Reason)
+			}
+		}
+		if lost != int64(len(jobs))-res.Served {
+			t.Fatalf("%d arrivals, %d served, but %d lost-job failures", len(jobs), res.Served, lost)
+		}
+		if res.MaxEnergy > opts.Capacity {
+			t.Fatalf("max energy %v exceeds capacity %v", res.MaxEnergy, opts.Capacity)
+		}
+		again, err := RunOnline(seq, opts)
+		if err != nil || !reflect.DeepEqual(res, again) {
+			t.Fatalf("second run differs: %+v, %v; first %+v", again, err, res)
+		}
+	})
 }

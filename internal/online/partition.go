@@ -57,6 +57,11 @@ type Partition struct {
 // colors — and precomputes the communication graph: vehicles within L1
 // distance 2 in the same cube are neighbors (Section 3.2's "constant
 // distance... we use 2 here").
+//
+// Every table is sized before it is filled, so a build takes the same
+// handful of allocations on any arena: the communication rows are capped
+// sub-slices of one backing array, the cube pair lists of another, and the
+// snake walk reuses one buffer sized for the largest cube.
 func NewPartition(arena *grid.Grid, cubeSide int) (*Partition, error) {
 	if arena == nil {
 		return nil, fmt.Errorf("online: partition needs an arena")
@@ -64,136 +69,150 @@ func NewPartition(arena *grid.Grid, cubeSide int) (*Partition, error) {
 	if cubeSide < 1 {
 		return nil, fmt.Errorf("online: cube side %d must be >= 1", cubeSide)
 	}
-	p := &Partition{
-		arena:    arena,
-		cubeSide: cubeSide,
-		pairIdx:  make([]int32, arena.Len()),
-		cubeIdx:  make([]int32, arena.Len()),
-		commIdx:  make([][]sim.NodeID, arena.Len()),
-	}
-	for i := range p.pairIdx {
-		p.pairIdx[i] = -1
-		p.cubeIdx[i] = -1
-	}
-	var corner [grid.MaxDim]int
-	if err := p.walkCubes(corner, 0); err != nil {
-		return nil, err
+	p := &Partition{arena: arena, cubeSide: cubeSide}
+	cubes, pairs, links, maxVol := p.tableSizes()
+	p.pairs = make([]Pair, 0, pairs)
+	p.pairIdx = make([]int32, arena.Len())
+	p.cubeIdx = make([]int32, arena.Len())
+	p.cubePairs = make([][]int, cubes)
+	p.commIdx = make([][]sim.NodeID, arena.Len())
+	p.watchIdx = make([]int32, pairs)
+	ids := make([]int, pairs)              // backing of every cubePairs list
+	comm := make([]sim.NodeID, 0, links)   // backing of every commIdx row
+	cells := make([]grid.Point, 0, maxVol) // one cube's snake walk
+	for c := range p.cubePairs {
+		cells = snakeOrder(cells[:0], p.cube(c))
+		first := len(p.pairs)
+		for i := 0; i < len(cells); i += 2 {
+			pr := Pair{Cube: c}
+			if i+1 < len(cells) {
+				// Put the black vertex first so ServicePos is the initially
+				// active cell.
+				a, b := cells[i], cells[i+1]
+				if grid.ColorOf(a) != grid.Black {
+					a, b = b, a
+				}
+				pr.Cells = [2]grid.Point{a, b}
+				p.pairIdx[arena.Index(b)] = int32(len(p.pairs))
+			} else {
+				pr.Cells[0] = cells[i]
+				pr.Single = true
+			}
+			p.pairIdx[arena.Index(pr.Cells[0])] = int32(len(p.pairs))
+			p.pairs = append(p.pairs, pr)
+		}
+		// Pair ids are contiguous per cube. Monitoring ring inverse: pair
+		// list[i] is watched by list[(i+1)%n], so list[(i+1)%n] *watches*
+		// list[i]. Precomputing the inverse here turns the watcher's
+		// per-check-round scan into one table read (a one-pair cube watches
+		// itself, which the check path skips).
+		n := len(p.pairs) - first
+		p.cubePairs[c] = ids[first : first+n : first+n]
+		for i := range n {
+			ids[first+i] = first + i
+			p.watchIdx[first+(i+1)%n] = int32(first + i)
+		}
+		// Communication graph: same-cube cells within L1 distance 2, in snake
+		// order (the order is part of the deterministic message schedule), as
+		// node ids. Each runner's search engines flood these rows directly.
+		for _, a := range cells {
+			ai := arena.Index(a)
+			p.cubeIdx[ai] = int32(c)
+			start := len(comm)
+			for _, b := range cells {
+				if a != b && grid.Manhattan(a, b) <= 2 {
+					comm = append(comm, sim.NodeID(arena.Index(b)))
+				}
+			}
+			p.commIdx[ai] = comm[start:len(comm):len(comm)]
+		}
 	}
 	return p, nil
 }
 
-func (p *Partition) walkCubes(corner [grid.MaxDim]int, axis int) error {
-	if axis < p.arena.Dim() {
-		for c := 0; c < p.arena.Size(axis); c += p.cubeSide {
-			corner[axis] = c
-			if err := p.walkCubes(corner, axis+1); err != nil {
-				return err
-			}
-		}
-		return nil
+// tableSizes returns the number of cubes, pairs and communication links of
+// the partition and its largest cube volume, so NewPartition can size every
+// table exactly before it fills them. (size-1)/side + 1 cubes per axis
+// cannot overflow, and a side past the arena leaves one clipped cube.
+func (p *Partition) tableSizes() (cubes, pairs, links, maxVol int) {
+	cubes = 1
+	for i := 0; i < p.arena.Dim(); i++ {
+		cubes *= (p.arena.Size(i)-1)/p.cubeSide + 1
 	}
-	dim := p.arena.Dim()
-	var lo, hi grid.Point
-	for i := 0; i < dim; i++ {
-		lo[i] = int32(corner[i])
-		h := corner[i] + p.cubeSide - 1
-		if h >= p.arena.Size(i) {
-			h = p.arena.Size(i) - 1
-		}
-		hi[i] = int32(h)
+	for c := range cubes {
+		b := p.cube(c)
+		vol := int(b.Volume())
+		pairs += (vol + 1) / 2
+		links += commLinks(b)
+		maxVol = max(maxVol, vol)
 	}
-	cube, err := grid.NewBox(dim, lo, hi)
-	if err != nil {
-		return err
-	}
-	cubeIdx := len(p.cubePairs)
-	cells := snakeOrder(cube)
-	var pairIdxs []int
-	for i := 0; i < len(cells); i += 2 {
-		pr := Pair{Cube: cubeIdx}
-		if i+1 < len(cells) {
-			// Put the black vertex first so ServicePos is the initially
-			// active cell.
-			a, b := cells[i], cells[i+1]
-			if grid.ColorOf(a) != grid.Black {
-				a, b = b, a
-			}
-			pr.Cells = [2]grid.Point{a, b}
-		} else {
-			pr.Cells[0] = cells[i]
-			pr.Single = true
-		}
-		idx := len(p.pairs)
-		p.pairs = append(p.pairs, pr)
-		pairIdxs = append(pairIdxs, idx)
-		p.pairIdx[p.arena.Index(pr.Cells[0])] = int32(idx)
-		if !pr.Single {
-			p.pairIdx[p.arena.Index(pr.Cells[1])] = int32(idx)
-		}
-	}
-	p.cubePairs = append(p.cubePairs, pairIdxs)
-	// Monitoring ring inverse: pair list[i] is watched by list[(i+1)%n], so
-	// list[(i+1)%n] *watches* list[i]. Precomputing the inverse here turns
-	// the watcher's per-check-round scan into one table read (a one-pair
-	// cube watches itself, which the check path skips).
-	p.watchIdx = append(p.watchIdx, make([]int32, len(pairIdxs))...)
-	for i, pid := range pairIdxs {
-		p.watchIdx[pairIdxs[(i+1)%len(pairIdxs)]] = int32(pid)
-	}
-	// Communication graph: same-cube cells within L1 distance 2, in snake
-	// order (the order is part of the deterministic message schedule), as
-	// node ids. Each runner's search engines flood these rows directly.
-	for _, a := range cells {
-		ai := p.arena.Index(a)
-		p.cubeIdx[ai] = int32(cubeIdx)
-		for _, b := range cells {
-			if a != b && grid.Manhattan(a, b) <= 2 {
-				p.commIdx[ai] = append(p.commIdx[ai], sim.NodeID(p.arena.Index(b)))
-			}
-		}
-	}
-	return nil
+	return cubes, pairs, links, maxVol
 }
 
-// snakeOrder enumerates the box's cells along a Hamiltonian lattice path:
-// each digit of the mixed-radix counter reverses direction whenever the sum
-// of the more significant digits is odd, so consecutive cells always differ
-// by one step in exactly one axis.
-func snakeOrder(b grid.Box) []grid.Point {
-	dim := b.Dim
-	sizes := make([]int, dim)
+// cube returns cube c of the decomposition, clipped at the arena boundary.
+// Cubes are numbered with axis 0 as the most significant digit: the order of
+// nested per-axis loops with axis 0 outermost.
+func (p *Partition) cube(c int) grid.Box {
+	b := grid.Box{Dim: p.arena.Dim()}
+	for i := b.Dim - 1; i >= 0; i-- {
+		size := p.arena.Size(i)
+		per := (size-1)/p.cubeSide + 1
+		lo := c % per * p.cubeSide
+		c /= per
+		b.Lo[i] = int32(lo)
+		b.Hi[i] = int32(lo + min(p.cubeSide, size-lo) - 1)
+	}
+	return b
+}
+
+// commLinks counts the ordered pairs of distinct cells of b within L1
+// distance 2 of each other — one or two steps along one axis, or one step
+// along each of two axes — which is the total length of b's communication
+// rows.
+func commLinks(b grid.Box) int {
+	vol := int(b.Volume())
+	links := 0
+	for i := 0; i < b.Dim; i++ {
+		si := int(b.Side(i))
+		links += vol / si * 2 * (si - 1 + max(si-2, 0))
+		for j := i + 1; j < b.Dim; j++ {
+			sj := int(b.Side(j))
+			links += vol / si / sj * 4 * (si - 1) * (sj - 1)
+		}
+	}
+	return links
+}
+
+// snakeOrder appends the box's cells to dst along a Hamiltonian lattice path
+// and returns the extended slice: each digit of the mixed-radix counter
+// reverses direction whenever the sum of the more significant digits is odd,
+// so consecutive cells always differ by one step in exactly one axis. A dst
+// with room for the box's volume is filled without allocating.
+func snakeOrder(dst []grid.Point, b grid.Box) []grid.Point {
+	// block[i] is axis i's block size: the product of the sizes of the less
+	// significant axes i+1..dim-1.
+	var sizes, block [grid.MaxDim]int
 	total := 1
-	for i := 0; i < dim; i++ {
+	for i := b.Dim - 1; i >= 0; i-- {
 		sizes[i] = int(b.Side(i))
+		block[i] = total
 		total *= sizes[i]
 	}
-	out := make([]grid.Point, 0, total)
-	digits := make([]int, dim)
-	for k := 0; k < total; k++ {
-		rem := k
-		hiSum := 0
-		for i := 0; i < dim; i++ {
-			// Axis i's block size = product of sizes of less significant
-			// axes (i+1..dim-1).
-			block := 1
-			for j := i + 1; j < dim; j++ {
-				block *= sizes[j]
-			}
-			d := rem / block
-			rem %= block
+	for k := range total {
+		rem, hiSum := k, 0
+		pt := b.Lo
+		for i := 0; i < b.Dim; i++ {
+			d := rem / block[i]
+			rem %= block[i]
 			if hiSum%2 == 1 {
 				d = sizes[i] - 1 - d // reversed sweep
 			}
-			digits[i] = d
 			hiSum += d
+			pt[i] += int32(d)
 		}
-		var pt grid.Point
-		for i := 0; i < dim; i++ {
-			pt[i] = b.Lo[i] + int32(digits[i])
-		}
-		out = append(out, pt)
+		dst = append(dst, pt)
 	}
-	return out
+	return dst
 }
 
 // Pairs returns the pair table (shared slice; callers must not mutate).

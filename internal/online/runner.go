@@ -78,7 +78,9 @@ type Options struct {
 	SimShards int
 }
 
-// Failure records one unserved or mis-served job.
+// Failure records one lost job (Reason "vehicle ...") or one Phase II
+// relocation its recruit could not afford (Reason "recruit ...", Pos the
+// destination).
 type Failure struct {
 	Pos    grid.Point
 	Reason string
@@ -88,8 +90,12 @@ type Failure struct {
 type Result struct {
 	// Served counts successfully processed jobs.
 	Served int64
-	// Failures lists jobs that could not be served within capacity; empty
-	// Failures means the capacity was sufficient for this sequence.
+	// Failures lists, in the order they happened, the jobs that could not
+	// be served and the Phase II relocations whose recruit could not afford
+	// the walk. A failed relocation is not a lost arrival: the job that
+	// exhausted the server was served, so Served + len(Failures) exceeds
+	// the number of arrivals by the relocation failures. Empty Failures
+	// means the capacity was sufficient for this sequence.
 	Failures []Failure
 	// MaxEnergy is the largest energy any vehicle consumed (the empirical
 	// capacity requirement of this run).
@@ -128,7 +134,9 @@ func (r *Result) MeanReplaceLatency() float64 {
 	return float64(r.ReplaceLatencySum) / float64(r.ReplaceLatencyCount)
 }
 
-// OK reports whether every job was served.
+// OK reports whether the run recorded no failure: every job was served and
+// every Phase II relocation was affordable. The capacity searches treat a
+// failed relocation as infeasible, like a lost job.
 func (r *Result) OK() bool { return len(r.Failures) == 0 }
 
 // deadEvent is one densified FailureModel.DeadBeforeArrival entry: kill the
@@ -166,8 +174,11 @@ type Runner struct {
 	pairDownAt []int
 
 	// res accumulates the episode's outcome; Run returns a copy with
-	// Messages filled in.
+	// Messages and Failures filled in. failures collects the episode's
+	// Failure list in storage kept across episodes; Run hands out an
+	// exact-size copy.
 	res            Result
+	failures       []Failure
 	fatal          error
 	currentArrival int
 	// consumed latches after Run starts: the arrival cursor, counters, and
@@ -185,7 +196,7 @@ var ErrRunnerUsed = errors.New("online: Runner already ran; call Reset before ru
 const defaultMaxSteps = 50_000_000
 
 func (r *Runner) recordFailure(pos grid.Point, reason string) {
-	r.res.Failures = append(r.res.Failures, Failure{Pos: pos, Reason: reason})
+	r.failures = append(r.failures, Failure{Pos: pos, Reason: reason})
 	r.emit(Event{Kind: EventFailure, Vehicle: pos, Pos: pos, Reason: reason})
 }
 
@@ -375,9 +386,10 @@ func (r *Runner) arm(opts Options) error {
 		r.pairDownAt[i] = -1
 	}
 	r.nextDead = 0
-	// A fresh Result drops the failure list rather than truncating it: the
-	// previous run's Result aliases the old backing array.
+	// Truncating the failure buffer is safe: the previous run's Result holds
+	// its own copy.
 	r.res = Result{}
+	r.failures = r.failures[:0]
 	r.fatal = nil
 	r.currentArrival = 0
 	r.consumed = false
@@ -544,6 +556,9 @@ func (r *Runner) Run(seq *demand.Sequence) (*Result, error) {
 	}
 	res := r.res
 	res.Messages = r.net.Delivered()
+	if len(r.failures) > 0 {
+		res.Failures = slices.Clone(r.failures)
+	}
 	return &res, nil
 }
 

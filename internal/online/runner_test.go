@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/demand"
@@ -450,6 +451,23 @@ func TestSharedPartitionValidation(t *testing.T) {
 	}
 	if r.Partition() != part {
 		t.Error("runner should adopt the shared partition")
+	}
+}
+
+// TestFailedRelocationIsNotALostArrival pins that Result.Failures also
+// holds Phase II relocations: the one arrival is served and exhausts its
+// server, whose recruit cannot afford the walk to the pair. Served +
+// len(Failures) then exceeds the arrivals, and OK is false.
+func TestFailedRelocationIsNotALostArrival(t *testing.T) {
+	r := mustRunner(t, Options{Arena: grid.MustNew(3, 4), CubeSide: 4, Capacity: 2, Seed: 3})
+	res, err := r.Run(demand.NewSequence([]grid.Point{grid.P(1, 3)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Failure{{Pos: grid.P(1, 3), Reason: "recruit (2,1) cannot afford move of 3"}}
+	if res.Served != 1 || !slices.Equal(res.Failures, want) || res.OK() {
+		t.Fatalf("served %d, failures %v, OK %v; want 1 served, failures %v, not OK",
+			res.Served, res.Failures, res.OK(), want)
 	}
 }
 

@@ -115,6 +115,13 @@ type vehicle struct {
 	// customer complaint (msgEvidence) this round. Beacon presence clears
 	// nothing here — evidence outranks beacons.
 	complaints map[int]bool
+
+	// reason is the last stateReason this vehicle built and reasonState the
+	// state it names, so a vehicle that keeps losing jobs in one state
+	// builds its text once. The text depends only on the home cell, which
+	// never changes, so the cache outlives Reset and ResetEpisode.
+	reasonState WorkState
+	reason      string
 }
 
 var (
@@ -175,7 +182,10 @@ func (v *vehicle) OnMessage(ctx *sim.Context, from sim.NodeID, msg sim.Msg) {
 // pair, so at distance at most 1 from its position).
 func (v *vehicle) onServe(ctx *sim.Context, pos grid.Point) {
 	if v.state != Active {
-		v.r.recordFailure(pos, stateReason(v.home, v.state))
+		if v.reasonState != v.state {
+			v.reasonState, v.reason = v.state, stateReason(v.home, v.state)
+		}
+		v.r.recordFailure(pos, v.reason)
 		return
 	}
 	walk := float64(grid.Manhattan(v.pos, pos)) * v.stepCost

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+)
 
 // TestReadyListExactUnderDrainRefill is the regression test for the ready-
 // list maintenance bug class of the map-keyed simulator (stale entries after
@@ -136,5 +140,87 @@ func TestRingBufferWrap(t *testing.T) {
 	}
 	if len(sink.got) != int(next) {
 		t.Fatalf("delivered %d of %d", len(sink.got), next)
+	}
+}
+
+// TestLinkQueueIsOneCacheLine pins the link entry at one 64-byte cache line:
+// the ready list dereferences exactly one scattered entry per delivery, and
+// first-contact storage must not grow it.
+func TestLinkQueueIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(linkQueue{}); got != 64 {
+		t.Errorf("linkQueue is %d bytes, want 64", got)
+	}
+}
+
+// burster answers a kick (any kindPing) with a burst of three tokens to each
+// of its torus neighbours and swallows everything else.
+type burster struct{ nbrs [4]NodeID }
+
+func (b *burster) OnMessage(ctx *Context, _ NodeID, msg Msg) {
+	if msg.Kind != kindPing {
+		return
+	}
+	for _, to := range b.nbrs {
+		for k := range 3 {
+			ctx.Send(to, token(uint32(k)))
+		}
+	}
+}
+
+// firstContactAllocs builds side x side torus networks of bursters with
+// every node registered, then counts the allocations of their first
+// contacts only: each node in turn is kicked and run to quiescence, so every
+// link, slot-table entry and ring buffer is created here, while the ready
+// and round lists never hold more than one node's burst.
+func firstContactAllocs(t *testing.T, side int, sealed bool) float64 {
+	t.Helper()
+	const runs = 3
+	nets := make([]*Network, 0, runs+1)
+	for range runs + 1 {
+		n := NewNetwork(5)
+		for y := range side {
+			for x := range side {
+				b := &burster{nbrs: [4]NodeID{
+					NodeID(y*side + (x+1)%side), NodeID(y*side + (x+side-1)%side),
+					NodeID((y+1)%side*side + x), NodeID((y+side-1)%side*side + x),
+				}}
+				if err := n.Add(NodeID(y*side+x), b); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := n.SetSealed(sealed); err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, n)
+	}
+	// The first collection in a process starts the runtime's mark worker
+	// goroutines, whose allocations would otherwise land in the count.
+	runtime.GC()
+	return testing.AllocsPerRun(runs, func() {
+		n := nets[0]
+		nets = nets[1:]
+		for id := range side * side {
+			n.Inject(NodeID(id), ping())
+			if err := n.Run(1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestFirstContactAllocsFlat pins that first contacts take a number of
+// allocations that does not grow with the network, under both schedulers:
+// links, slot tables and ring buffers are carved from chunks sized from the
+// registered node count. Allocating them one by one cost eight or nine
+// allocations per node (8,221 legacy and 9,249 sealed on 1024 nodes).
+func TestFirstContactAllocsFlat(t *testing.T) {
+	const ceiling = 32
+	for _, sealed := range []bool{false, true} {
+		small, large := firstContactAllocs(t, 8, sealed), firstContactAllocs(t, 32, sealed)
+		if small != large || large > ceiling {
+			t.Errorf("sealed %v: first contacts allocated %.0f objects on 64 nodes and %.0f on 1024; want equal and at most %d",
+				sealed, small, large, ceiling)
+		}
 	}
 }

@@ -142,6 +142,7 @@ func FuzzLinkQueue(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 0, 0, 3})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var q linkQueue
+		var rings chunks[Msg]
 		var model []Msg
 		next := uint32(0)
 		for _, op := range ops {
@@ -149,7 +150,7 @@ func FuzzLinkQueue(f *testing.F) {
 			case 0, 1: // push (biased so queues actually fill, grow, and wrap)
 				m := Msg{Kind: kindToken, A: next, B: next * 3, C: ^next, D: 7}
 				next++
-				q.push(m)
+				q.push(&rings, m)
 				model = append(model, m)
 			case 2: // pop one, as Step does
 				if len(model) > 0 {

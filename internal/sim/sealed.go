@@ -114,7 +114,7 @@ func cellIntn(state *uint64, k int) int {
 // sealedInject queues an external event on link q, sealed at once: it is
 // deliverable in the next round played.
 func (n *Network) sealedInject(q *linkQueue, msg Msg) {
-	q.push(msg)
+	q.push(&n.rings, msg)
 	q.sealed++
 	if mb := &n.nodes[q.to]; !mb.pend {
 		mb.pend = true
@@ -130,7 +130,7 @@ func (n *Network) sealedSend(q *linkQueue, msg Msg) {
 	if q.count == q.sealed {
 		n.touched = append(n.touched, q)
 	}
-	q.push(msg)
+	q.push(&n.rings, msg)
 	if mb := &n.nodes[q.to]; !mb.pend {
 		mb.pend = true
 		n.next = append(n.next, q.to)
@@ -162,9 +162,10 @@ func (n *Network) playRound() {
 func (n *Network) playCell(c NodeID) {
 	mb := &n.nodes[c]
 	ready := n.pick[:0]
-	// The slice header is taken before any delivery, so mid-turn
-	// first-contact appends (which touch mb.linkQs, not this backing) cannot
-	// shift the scanned range.
+	// The slice header is taken before any delivery. A mid-turn first
+	// contact appends past its length or grows mb.linkQs into a fresh region
+	// (a region is never handed out twice), so the scanned range cannot
+	// shift.
 	qs := mb.linkQs
 	for i := range qs {
 		if qs[i].sealed > 0 {

@@ -109,20 +109,22 @@ type linkQueue struct {
 	buf  []Msg // ring buffer; len is a power of two
 }
 
-func (q *linkQueue) push(m Msg) {
+// push appends m to the ring, growing it with storage taken from rings.
+func (q *linkQueue) push(rings *chunks[Msg], m Msg) {
 	if int(q.count) == len(q.buf) {
-		q.grow()
+		q.grow(rings)
 	}
 	q.buf[uint32(q.head+q.count)&uint32(len(q.buf)-1)] = m
 	q.count++
 }
 
-// grow doubles the ring, unwrapping it to the front of the new buffer. Kept
-// out of push so push's frame stays small on the common no-grow path.
+// grow doubles the ring into a fresh region of rings, unwrapping it to the
+// front. Kept out of push so push's frame stays small on the common no-grow
+// path.
 //
 //go:noinline
-func (q *linkQueue) grow() {
-	grown := make([]Msg, max(4, 2*len(q.buf)))
+func (q *linkQueue) grow(rings *chunks[Msg]) {
+	grown := rings.take(max(4, 2*len(q.buf)))
 	for i := int32(0); i < q.count; i++ {
 		grown[i] = q.buf[uint32(q.head+i)&uint32(len(q.buf)-1)]
 	}
@@ -137,38 +139,61 @@ func (q *linkQueue) pop() Msg {
 	return m
 }
 
-// Link storage: a chunked, append-only arena.
+// First-contact storage: chunks the network owns.
 //
-// All linkQueues live in fixed-size chunks that never move once allocated,
-// so an arena index — and the pointer it resolves to — stays valid for the
-// network's lifetime. That retires the pointer-repair machinery the direct-
-// pointer ready list needed (links used to carry (to, slot) address fields
-// purely so repairReady could survive a per-node table reallocation). Only
-// the chunk table grows; the chunks it points to stay put.
+// A link, its slot in the receiver's slot table, and its ring buffer are all
+// created on first contact between a pair of nodes. Each kind of storage is
+// carved from chunks whose length is proportional to the registered node
+// count (Network.Add sets it), so a network's first contacts take a number
+// of allocations that does not grow with the network. Chunks are kept across
+// Reset, like the links that point into them. A region is never handed out
+// twice: a grown slot table or ring leaves its old region unused, so a
+// slot-table header taken before the growth (playCell's) still reads valid
+// entries. The per-node factors are small so that the unused tail of each
+// kind's last chunk, which a pooled runner keeps, stays at a few dozen bytes
+// per node.
 const (
-	linkChunkShift = 8
-	linkChunkSize  = 1 << linkChunkShift // links per chunk (16 KiB of 64-byte entries)
-	linkChunkMask  = linkChunkSize - 1
+	chunkLinksPerNode = 1 // linkQueue entries per node in a link chunk
+	chunkSlotsPerNode = 4 // slot-table entries per node in a slot chunk
+	chunkMsgsPerNode  = 2 // ring slots per node in a ring chunk
 )
 
-type linkChunk [linkChunkSize]linkQueue
-
-type linkArena struct {
-	chunks []*linkChunk
-	n      int32 // links allocated
+// chunks hands out regions of chunks of T.
+type chunks[T any] struct {
+	free []T // the unused tail of the current chunk
+	size int // length of the next chunk
 }
 
-// alloc appends one zeroed link and returns its (immobile) entry. Callers
-// hold the returned pointer — entries never move, so no index indirection
-// survives past this call (an early index-addressed ready list paid two
-// dependent loads per hot-path resolution; see DESIGN.md).
-func (a *linkArena) alloc() *linkQueue {
-	qi := a.n
-	a.n++
-	if int(qi)>>linkChunkShift == len(a.chunks) {
-		a.chunks = append(a.chunks, new(linkChunk))
+// take returns a fresh zeroed region of k entries, capped at k. When the
+// current chunk cannot hold it, the rest of that chunk is left unused and a
+// new one of max(k, size) entries is started.
+func (c *chunks[T]) take(k int) []T {
+	if len(c.free) < k {
+		c.free = make([]T, max(k, c.size))
 	}
-	return &a.chunks[qi>>linkChunkShift][qi&linkChunkMask]
+	r := c.free[:k:k]
+	c.free = c.free[k:]
+	return r
+}
+
+// linkArena holds every linkQueue of the network. Its chunks never move, so
+// a pointer to an entry stays valid for the network's lifetime: node slot
+// tables and the ready list hold direct pointers instead of arena indices
+// (an index-addressed ready list paid two dependent loads per hot-path
+// resolution; see DESIGN.md). The chunk list is kept so reset can sweep
+// every link in allocation order.
+type linkArena struct {
+	chunks[linkQueue]
+	all [][]linkQueue // every chunk, oldest first; the last is in use
+}
+
+// alloc hands out one zeroed link.
+func (a *linkArena) alloc() *linkQueue {
+	if len(a.free) == 0 {
+		a.free = make([]linkQueue, max(1, a.size))
+		a.all = append(a.all, a.free)
+	}
+	return &a.take(1)[0]
 }
 
 // reset restores every allocated link to its just-created queue state (ring
@@ -176,21 +201,16 @@ func (a *linkArena) alloc() *linkQueue {
 // sweep per chunk — the warm-reset path walks packed memory instead of
 // hopping across per-node link tables.
 func (a *linkArena) reset() {
-	left := a.n
-	for _, ch := range a.chunks {
-		k := left
-		if k > linkChunkSize {
-			k = linkChunkSize
+	for i, ch := range a.all {
+		if i == len(a.all)-1 {
+			ch = ch[:len(ch)-len(a.free)]
 		}
-		for i := int32(0); i < k; i++ {
-			q := &ch[i]
+		for j := range ch {
+			q := &ch[j]
 			q.listed = false
 			q.head = 0
 			q.count = 0
 			q.sealed = 0
-		}
-		if left -= k; left == 0 {
-			return
 		}
 	}
 }
@@ -331,9 +351,6 @@ func captureALFG(src rand.Source, f *alfg) bool {
 type Network struct {
 	src   rand.Source
 	nodes []node // dense, indexed by NodeID
-	// links is the chunked arena holding every linkQueue in the network;
-	// nodes and the ready list hold direct pointers into it (see linkArena).
-	links linkArena
 	// ready is the legacy scheduler's ready list: the exact set of nonempty
 	// links, as a dense hot array carrying each listed link's head message,
 	// dispatch ids, and backing-link pointer. Listing a link appends one
@@ -386,6 +403,15 @@ type Network struct {
 	touched []*linkQueue
 	pick    []int32
 	cellRNG []uint64
+	// First-contact storage, touched only when a link, slot table or ring
+	// is created and by Reset, so it sits after the delivery path's fields
+	// rather than between them. links is the chunked arena holding every
+	// linkQueue in the network; nodes and the ready list hold direct
+	// pointers into it (see linkArena). slots and rings hold the nodes'
+	// slot tables and the links' ring buffers.
+	links linkArena
+	slots chunks[*linkQueue]
+	rings chunks[Msg]
 }
 
 // NewNetwork creates an empty network with the given determinism seed. The
@@ -509,6 +535,9 @@ func (n *Network) Add(id NodeID, p Process) error {
 	if n.nodes[id].proc != nil {
 		return fmt.Errorf("sim: duplicate node id %d", id)
 	}
+	n.links.size = chunkLinksPerNode * len(n.nodes)
+	n.slots.size = chunkSlotsPerNode * len(n.nodes)
+	n.rings.size = chunkMsgsPerNode * len(n.nodes)
 	if n.sealed && len(n.cellRNG) < len(n.nodes) {
 		// New cells get fresh streams; existing cells keep their positions.
 		from := len(n.cellRNG)
@@ -579,7 +608,9 @@ func (n *Network) queueFor(to, from NodeID) (int32, *linkQueue) {
 }
 
 // addLink appends a link on first contact between a pair — once per pair, so
-// kept out of queueFor to leave the hot scan within the inlining budget.
+// kept out of queueFor to leave the hot scan within the inlining budget. A
+// full slot table doubles into a fresh region of the slot chunks; the first
+// region is one cache line of eight slots.
 //
 //go:noinline
 func (n *Network) addLink(to, from NodeID) (int32, *linkQueue) {
@@ -589,6 +620,10 @@ func (n *Network) addLink(to, from NodeID) (int32, *linkQueue) {
 	q.to = to
 	q.proc = mb.proc
 	slot := int32(len(mb.linkQs))
+	if len(mb.linkQs) == cap(mb.linkQs) {
+		grown := n.slots.take(max(8, 2*cap(mb.linkQs)))
+		mb.linkQs = grown[:copy(grown, mb.linkQs)]
+	}
 	mb.linkQs = append(mb.linkQs, q)
 	return slot, q
 }
@@ -647,7 +682,7 @@ func (n *Network) Inject(to NodeID, msg Msg) {
 // in the ring behind it.
 func (n *Network) post(q *linkQueue, msg Msg) {
 	if q.listed {
-		q.push(msg)
+		q.push(&n.rings, msg)
 		return
 	}
 	q.listed = true

@@ -9,9 +9,9 @@ import (
 	"repro/internal/online"
 )
 
-// benchScenarios is the multi-seed sweep BENCH_sweep.json records: 16
-// fixed-seed episodes of the hot-point workload on one geometry — the shape
-// of a robustness or seed-sensitivity study. The plain variant is
+// benchScenarios is a multi-seed sweep: 16 fixed-seed episodes of the
+// hot-point workload on one geometry — the shape of a robustness or
+// seed-sensitivity study. The plain variant is
 // construction-bound (where warm pooling pays most); the monitored one is
 // message-bound (where the zero-alloc rounds pay).
 func benchScenarios(b *testing.B, monitoring bool) []Scenario {
