@@ -154,12 +154,21 @@ type OfflineSolution struct {
 	Schedule *Schedule
 }
 
+// ErrBoundaryCube is wrapped by SolveOffline's error when a partition cube
+// clipped by the arena's far faces holds too few vehicles for its demand.
+var ErrBoundaryCube = offline.ErrBoundaryCube
+
 // SolveOffline runs the full offline pipeline of Chapter 2 on a demand
 // function: characterize, estimate, construct, and verify. The demand is
 // densified exactly once (offline.Dense): the characterization, the
 // Algorithm 1 estimate, and the schedule construction all share one value
 // array and summed-area table, and the schedule is built from the already-
 // computed characterization instead of re-deriving it.
+//
+// Lemma 2.2.5's construction assumes every cube of its partition is full,
+// as on the thesis' infinite grid. On a finite arena the cubes at the far
+// faces are clipped; when demand near those faces needs more helpers than
+// a clipped cube holds, the error wraps ErrBoundaryCube.
 func SolveOffline(m *Demand, arena *Arena) (*OfflineSolution, error) {
 	d, err := offline.NewDense(m, arena)
 	if err != nil {

@@ -90,6 +90,29 @@ func TestSolveOfflineSingleCharacterization(t *testing.T) {
 	}
 }
 
+// TestSolveOfflineBoundaryCube pins the known defect of Lemma 2.2.5's
+// construction on a finite arena: on 4 cells with 13 jobs at cell 3,
+// omega_c = 2 at cube side 3, so the budget is B = 6 and the clipped cube
+// [3,3] holds one vehicle, which covers 12 of the 13 jobs. The input is
+// valid, so the error must say the clipped cube is at fault.
+func TestSolveOfflineBoundaryCube(t *testing.T) {
+	arena, err := NewArena(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := PointDemand(1, P(3), 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	char, err := offline.OmegaC(m, arena)
+	if err != nil || char != (offline.CubeChar{Omega: 2, Side: 3}) {
+		t.Fatalf("OmegaC = %+v, %v; want omega 2 at side 3", char, err)
+	}
+	if _, err := SolveOffline(m, arena); !errors.Is(err, ErrBoundaryCube) {
+		t.Fatalf("SolveOffline error %v, want one wrapping ErrBoundaryCube", err)
+	}
+}
+
 // TestLPSolverFacade exercises the exported warm solver: its values, before
 // and after a rebind, match a freshly built solver bit-for-bit.
 func TestLPSolverFacade(t *testing.T) {
@@ -398,13 +421,15 @@ func TestMeasureWonRejectsBadTolerance(t *testing.T) {
 // TestFacadeRejectsMalformedInput pins that the facade returns an error, and
 // neither panics nor hangs, on nil or overflowing input and on non-finite
 // parameters. Every row used to misbehave: the arenas were accepted (the
-// first with Len 0, so RunOnline on it panicked), the nil inputs panicked
-// with a nil dereference, ZipfDemand never returned, Convoy returned a NaN
-// or infinite W with no error, and LP radii too large to list panicked
-// (makeslice, or an index past int32-wrapped coordinates) or wrapped in
-// int32 to another radius's answer. Each row runs in its own goroutine under
-// a deadline, with panics recovered, so a regression fails its row instead
-// of crashing or hanging the suite.
+// first with Len 0, so RunOnline on it panicked; on the 2^62-cell one
+// SolveOffline panicked in makeslice and NewOnlinePartition never returned,
+// because every dense layer indexes cells with int32), the nil inputs
+// panicked with a nil dereference, ZipfDemand never returned, Convoy
+// returned a NaN or infinite W with no error, and LP radii too large to list
+// panicked (makeslice, or an index past int32-wrapped coordinates) or
+// wrapped in int32 to another radius's answer. Each row runs in its own
+// goroutine under a deadline, with panics recovered, so a regression fails
+// its row instead of crashing or hanging the suite.
 func TestFacadeRejectsMalformedInput(t *testing.T) {
 	arena, err := NewArena(4, 4)
 	if err != nil {
@@ -423,6 +448,7 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 	}{
 		{"NewArena size product wraps", func() error { _, err := NewArena(1<<32, 1<<32); return err }},
 		{"NewArena axis beyond int32", func() error { _, err := NewArena(3_000_000_000); return err }},
+		{"NewArena 2^62 cells", func() error { _, err := NewArena(1<<31, 1<<31); return err }},
 		{"RunOnline nil sequence", func() error { _, err := RunOnline(nil, opts); return err }},
 		{"MeasureWon nil sequence", func() error { _, err := MeasureWon(nil, opts, 0.01); return err }},
 		{"RunSweep nil Seq", func() error { _, err := RunSweep([]SweepScenario{{Opts: opts}}, 1); return err }},
@@ -475,6 +501,62 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 			t.Errorf("%s: still running after 5s", tc.name)
 		}
 	}
+}
+
+// FuzzSolveOffline drives the SolveOffline facade over 1-4-D arenas with
+// sides 1-9 and at most 40 demand points of 0-255 jobs each; a coordinate
+// byte of 248 or more puts its point just outside the arena. It must never
+// panic. It may fail only where offline.OmegaC fails (demand outside the
+// arena, or no cube size that fits) or with ErrBoundaryCube. A vehicle
+// serves at most B = max(ceil(3^l*omega_c), 1) jobs at home and B at one
+// destination in its cube, so a solution's W is at most
+// 2B + l*(CubeSide-1), and a second run returns the same solution.
+func FuzzSolveOffline(f *testing.F) {
+	f.Add(uint8(0), uint8(3), uint8(0), uint8(0), uint8(0), []byte{3, 13}) // TestSolveOfflineBoundaryCube
+	f.Add(uint8(1), uint8(3), uint8(3), uint8(0), uint8(0), []byte{1, 1, 5})
+	f.Add(uint8(1), uint8(15), uint8(15), uint8(0), uint8(0), []byte{8, 8, 255, 3, 4, 40, 248, 2, 7})
+	f.Add(uint8(3), uint8(4), uint8(2), uint8(6), uint8(1), []byte{2, 1, 3, 0, 200, 4, 0, 5, 1, 90})
+	f.Fuzz(func(t *testing.T, dim, s0, s1, s2, s3 uint8, points []byte) {
+		sizes := []int{1 + int(s0)%9, 1 + int(s1)%9, 1 + int(s2)%9, 1 + int(s3)%9}[:1+int(dim)%4]
+		arena, err := NewArena(sizes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := len(sizes)
+		m := NewDemand(l)
+		for i := 0; i+l < len(points) && i < 40*(l+1); i += l + 1 {
+			var p Point
+			for j, size := range sizes {
+				switch b := int(points[i+j]); {
+				case b < 248:
+					p[j] = int32(b % size)
+				case b%2 == 0:
+					p[j] = int32(size + (b-248)/2)
+				default:
+					p[j] = int32(-1 - (b-248)/2)
+				}
+			}
+			if err := m.Add(p, int64(points[i+l])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sol, err := SolveOffline(m, arena)
+		if err != nil {
+			if _, cerr := offline.OmegaC(m, arena); cerr == nil && !errors.Is(err, ErrBoundaryCube) {
+				t.Fatalf("SolveOffline failed on a characterized input: %v", err)
+			}
+			return
+		}
+		budget := max(math.Ceil(math.Pow(3, float64(l))*sol.OmegaC), 1)
+		if bound := 2*budget + float64(l*max(sol.Schedule.CubeSide-1, 0)); sol.Schedule.W > bound {
+			t.Fatalf("schedule W %v exceeds 2B + l(s-1) = %v (omega_c %v, side %d)",
+				sol.Schedule.W, bound, sol.OmegaC, sol.Schedule.CubeSide)
+		}
+		again, err := SolveOffline(m, arena)
+		if err != nil || !reflect.DeepEqual(sol, again) {
+			t.Fatalf("second run differs: %+v, %v; first %+v", again, err, sol)
+		}
+	})
 }
 
 // FuzzRunOnline drives the RunOnline facade over small episodes: 1-3-D

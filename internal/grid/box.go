@@ -14,8 +14,9 @@ type Box struct {
 	Dim    int
 }
 
-// ErrOverflow is returned when an exact lattice count exceeds int64 range.
-var ErrOverflow = errors.New("grid: lattice count overflows int64")
+// ErrOverflow is returned when a lattice count exceeds the range it is held
+// in: int64 for exact counts, 2^31 cells for a grid.
+var ErrOverflow = errors.New("grid: lattice count overflows")
 
 // NewBox constructs a box spanning lo..hi inclusive in dimension dim.
 func NewBox(dim int, lo, hi Point) (Box, error) {
@@ -111,12 +112,15 @@ func (b Box) Expand(r int) Box {
 }
 
 // Points enumerates all lattice points in the box in row-major order.
-func (b Box) Points() []Point {
-	n := b.Volume()
-	out := make([]Point, 0, n)
+func (b Box) Points() []Point { return b.AppendPoints(make([]Point, 0, b.Volume())) }
+
+// AppendPoints appends the box's lattice points to dst in row-major order
+// and returns the extended slice, so a caller visiting many boxes can fill
+// one buffer.
+func (b Box) AppendPoints(dst []Point) []Point {
 	p := b.Lo
 	for {
-		out = append(out, p)
+		dst = append(dst, p)
 		axis := b.Dim - 1
 		for axis >= 0 {
 			p[axis]++
@@ -127,7 +131,7 @@ func (b Box) Points() []Point {
 			axis--
 		}
 		if axis < 0 {
-			return out
+			return dst
 		}
 	}
 }

@@ -81,6 +81,11 @@ func TestBoxPoints(t *testing.T) {
 		}
 		seen[p] = true
 	}
+	// AppendPoints extends the buffer it is given and keeps its prefix.
+	buf := b.AppendPoints([]Point{P(9, 9)})
+	if len(buf) != 1+len(pts) || buf[0] != P(9, 9) || buf[1] != pts[0] || buf[len(buf)-1] != pts[len(pts)-1] {
+		t.Errorf("AppendPoints = %v, want P(9, 9) then %v", buf, pts)
+	}
 }
 
 func TestNeighborhoodCountKnownValues(t *testing.T) {

@@ -1,6 +1,9 @@
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Grid is a finite axis-aligned region of Z^l with per-axis sizes, used as
 // the simulation arena. Coordinates run 0..Size[i]-1. The thesis works on
@@ -13,9 +16,12 @@ type Grid struct {
 	total int64
 }
 
+// maxCells is the most cells a grid may hold: every dense layer indexes
+// cells with int32 (sim.NodeID, the online partition's tables).
+const maxCells = 1 << 31
+
 // New constructs a finite grid of the given dimension and per-axis sizes.
-// Coordinates are int32, so an axis holds at most 2³¹ points, and the point
-// count must fit in an int64; sizes beyond either limit return ErrOverflow.
+// A grid holds at most maxCells points; larger sizes return ErrOverflow.
 func New(sizes ...int) (*Grid, error) {
 	if len(sizes) < 1 || len(sizes) > MaxDim {
 		return nil, fmt.Errorf("grid: dimension %d out of range [1,%d]", len(sizes), MaxDim)
@@ -26,14 +32,11 @@ func New(sizes ...int) (*Grid, error) {
 		if s < 1 {
 			return nil, fmt.Errorf("grid: size %d in axis %d must be >= 1", s, i)
 		}
-		if int64(s) > 1<<31 {
-			return nil, fmt.Errorf("grid: size %d in axis %d exceeds 2^31: %w", s, i, ErrOverflow)
+		if int64(s) > maxCells/total {
+			return nil, fmt.Errorf("grid: sizes %v exceed 2^31 cells: %w", sizes, ErrOverflow)
 		}
 		g.size[i] = s
-		var err error
-		if total, err = mulChecked(total, int64(s)); err != nil {
-			return nil, fmt.Errorf("grid: size %d in axis %d: %w", s, i, err)
-		}
+		total *= int64(s)
 	}
 	g.total = total
 	// Row-major strides.
@@ -59,6 +62,15 @@ func (g *Grid) Dim() int { return g.dim }
 
 // Size returns the extent along axis i.
 func (g *Grid) Size(i int) int { return g.size[i] }
+
+// MinSize returns the shortest axis: the largest side of a cube that fits.
+func (g *Grid) MinSize() int {
+	m := g.size[0]
+	for i := 1; i < g.dim; i++ {
+		m = min(m, g.size[i])
+	}
+	return m
+}
 
 // Len returns the number of lattice points in the grid.
 func (g *Grid) Len() int64 { return g.total }
@@ -141,110 +153,88 @@ func NewPrefixSum(g *Grid, values []int64) (*PrefixSum, error) {
 	}
 	ps.sum = make([]int64, total)
 	// Fill: sum at (x0+1, ..., x_{l-1}+1) = inclusive prefix sum up to x.
-	// First copy values shifted by +1 in every axis, then do one running sum
-	// pass per axis.
-	for idx := int64(0); idx < g.Len(); idx++ {
-		p := g.PointAt(idx)
-		si := int64(0)
+	// First copy each row of values shifted by +1 in every axis, then do one
+	// running sum pass per axis: along axis a the table splits into blocks
+	// of ext[a] slices of str[a] entries, and each slice adds the one before.
+	n := int64(g.size[g.dim-1])
+	for src := int64(0); src < g.Len(); src += n {
+		p := g.PointAt(src)
+		dst := int64(0)
 		for i := 0; i < g.dim; i++ {
-			si += int64(p[i]+1) * ps.str[i]
+			dst += int64(p[i]+1) * ps.str[i]
 		}
-		ps.sum[si] = values[idx]
+		copy(ps.sum[dst:dst+n], values[src:src+n])
 	}
 	for axis := 0; axis < g.dim; axis++ {
 		step := ps.str[axis]
-		n := int64(ext[axis])
-		// Iterate over all lines along this axis.
-		var iterate func(axisIdx int, base int64)
-		iterate = func(axisIdx int, base int64) {
-			if axisIdx == g.dim {
-				for k := int64(1); k < n; k++ {
-					ps.sum[base+k*step] += ps.sum[base+(k-1)*step]
-				}
-				return
-			}
-			if axisIdx == axis {
-				iterate(axisIdx+1, base)
-				return
-			}
-			for k := 0; k < ext[axisIdx]; k++ {
-				iterate(axisIdx+1, base+int64(k)*ps.str[axisIdx])
+		block := step * int64(ext[axis])
+		for b := int64(0); b < total; b += block {
+			for i := b + step; i < b+block; i++ {
+				ps.sum[i] += ps.sum[i-step]
 			}
 		}
-		iterate(0, 0)
 	}
 	return ps, nil
 }
 
-// BoxSum returns the sum of values over the box clipped to the grid.
-func (ps *PrefixSum) BoxSum(b Box) int64 {
+// MaxCubeSum returns the largest sum over the side-s cubes inside the grid
+// (the family Gamma_omega of Corollary 2.2.7), or 0 when s < 1 or s exceeds
+// the shortest axis. It walks the cubes' low corners in row-major order
+// through the table: the 2^l corner offsets of a cube, and which of them
+// add or subtract, are fixed once per side, so a cube costs 2^l loads.
+func (ps *PrefixSum) MaxCubeSum(s int) int64 {
 	g := ps.g
-	var lo, hi [MaxDim]int64
-	for i := 0; i < g.dim; i++ {
-		l := int64(b.Lo[i])
-		h := int64(b.Hi[i]) + 1
-		if l < 0 {
-			l = 0
-		}
-		if h > int64(g.size[i]) {
-			h = int64(g.size[i])
-		}
-		if l >= h {
-			return 0
-		}
-		lo[i], hi[i] = l, h
+	if s < 1 || s > g.MinSize() {
+		return 0
 	}
-	// Inclusion-exclusion over the 2^dim corners.
-	total := int64(0)
+	// The cube with low corner c sums over the table entries at c + off
+	// for the offsets off with coordinates in {0, s}: an even number of
+	// zero coordinates adds, an odd number subtracts.
+	var add, sub [1 << (MaxDim - 1)]int64
+	na, ns := 0, 0
 	for mask := 0; mask < 1<<g.dim; mask++ {
-		idx := int64(0)
-		bits := 0
+		off, zeros := int64(0), 0
 		for i := 0; i < g.dim; i++ {
 			if mask&(1<<i) != 0 {
-				idx += lo[i] * ps.str[i]
-				bits++
+				off += int64(s) * ps.str[i]
 			} else {
-				idx += hi[i] * ps.str[i]
+				zeros++
 			}
 		}
-		if bits%2 == 0 {
-			total += ps.sum[idx]
+		if zeros%2 == 0 {
+			add[na], na = off, na+1
 		} else {
-			total -= ps.sum[idx]
+			sub[ns], ns = off, ns+1
 		}
 	}
-	return total
-}
-
-// MaxCubeSum returns the maximum sum over all side-length-s cubes fully
-// inside the grid, along with one achieving corner. Cubes are the family
-// Gamma_omega of Corollary 2.2.7. Returns ok=false when s exceeds an axis.
-func (ps *PrefixSum) MaxCubeSum(s int) (best int64, corner Point, ok bool) {
-	g := ps.g
-	for i := 0; i < g.dim; i++ {
-		if s > g.size[i] {
-			return 0, Point{}, false
-		}
-	}
-	best = -1
-	var rec func(axis int, c Point)
-	rec = func(axis int, c Point) {
-		if axis == g.dim {
-			b, err := Cube(g.dim, c, s)
-			if err != nil {
-				return
+	last := g.dim - 1
+	row := int64(g.size[last] - s + 1) // corners along the innermost axis
+	best := int64(math.MinInt64)
+	var c [MaxDim]int // corner coordinates on the outer axes
+	base := int64(0)  // table index of the current row's first corner
+	for {
+		for i := base; i < base+row; i++ {
+			sum := int64(0)
+			for _, o := range add[:na] {
+				sum += ps.sum[i+o]
 			}
-			if v := ps.BoxSum(b); v > best {
-				best, corner = v, c
+			for _, o := range sub[:ns] {
+				sum -= ps.sum[i+o]
 			}
-			return
+			best = max(best, sum)
 		}
-		for x := 0; x <= g.size[axis]-s; x++ {
-			c[axis] = int32(x)
-			rec(axis+1, c)
+		axis := last - 1
+		for ; axis >= 0; axis-- {
+			if c[axis] < g.size[axis]-s {
+				c[axis]++
+				base += ps.str[axis]
+				break
+			}
+			base -= int64(c[axis]) * ps.str[axis]
+			c[axis] = 0
 		}
-		c[axis] = 0
+		if axis < 0 {
+			return best
+		}
 	}
-	rec(0, Point{})
-	return best, corner, true
 }

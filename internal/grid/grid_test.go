@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -14,6 +15,16 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(1, 2, 3, 4, 5); err == nil {
 		t.Error("too many dims should fail")
+	}
+	// Every dense layer indexes cells with int32: 2^31 cells fit, one more
+	// axis of 2 does not.
+	if _, err := New(1 << 31); err != nil {
+		t.Errorf("2^31 cells: %v", err)
+	}
+	for _, sizes := range [][]int{{1 << 31, 2}, {2, 1 << 31}, {1 << 31, 1 << 31}, {1 << 32}, {1 << 16, 1 << 16, 1 << 16}} {
+		if _, err := New(sizes...); !errors.Is(err, ErrOverflow) {
+			t.Errorf("New(%v) = %v, want ErrOverflow", sizes, err)
+		}
 	}
 }
 
@@ -61,9 +72,43 @@ func TestContains(t *testing.T) {
 	}
 }
 
+// boxSum is the table oracle: the sum of values over b clipped to the
+// grid, by inclusion-exclusion over the box's 2^l table corners.
+func boxSum(ps *PrefixSum, b Box) int64 {
+	g := ps.g
+	var lo, hi [MaxDim]int64
+	for i := 0; i < g.dim; i++ {
+		l := max(int64(b.Lo[i]), 0)
+		h := min(int64(b.Hi[i])+1, int64(g.size[i]))
+		if l >= h {
+			return 0
+		}
+		lo[i], hi[i] = l, h
+	}
+	total := int64(0)
+	for mask := 0; mask < 1<<g.dim; mask++ {
+		idx := int64(0)
+		bits := 0
+		for i := 0; i < g.dim; i++ {
+			if mask&(1<<i) != 0 {
+				idx += lo[i] * ps.str[i]
+				bits++
+			} else {
+				idx += hi[i] * ps.str[i]
+			}
+		}
+		if bits%2 == 0 {
+			total += ps.sum[idx]
+		} else {
+			total -= ps.sum[idx]
+		}
+	}
+	return total
+}
+
 func TestPrefixSumMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, sizes := range [][]int{{8}, {6, 7}, {4, 3, 5}} {
+	for _, sizes := range [][]int{{8}, {6, 7}, {4, 3, 5}, {3, 4, 2, 5}} {
 		g := MustNew(sizes...)
 		vals := make([]int64, g.Len())
 		for i := range vals {
@@ -93,8 +138,8 @@ func TestPrefixSumMatchesBruteForce(t *testing.T) {
 					want += vals[g.Index(p)]
 				}
 			}
-			if got := ps.BoxSum(box); got != want {
-				t.Fatalf("sizes=%v box=%v..%v: BoxSum=%d brute=%d",
+			if got := boxSum(ps, box); got != want {
+				t.Fatalf("sizes=%v box=%v..%v: boxSum=%d brute=%d",
 					sizes, lo, hi, got, want)
 			}
 		}
@@ -118,25 +163,65 @@ func TestMaxCubeSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, _, ok := ps.MaxCubeSum(1)
-	if !ok || best != 100 {
-		t.Errorf("side 1: best=%d ok=%v", best, ok)
+	for _, tt := range []struct {
+		s    int
+		want int64
+	}{{1, 100}, {2, 150}, {5, 160}, {6, 0}, {0, 0}} {
+		if got := ps.MaxCubeSum(tt.s); got != tt.want {
+			t.Errorf("side %d: MaxCubeSum = %d, want %d", tt.s, got, tt.want)
+		}
 	}
-	best, corner, ok := ps.MaxCubeSum(2)
-	if !ok || best != 150 {
-		t.Errorf("side 2: best=%d corner=%v", best, corner)
+}
+
+// TestMaxCubeSumMatchesEnumeration pins the strided scan to a brute-force
+// maximum over every in-grid cube, summed cell by cell from the values, on
+// random 1-4-D grids whose values in {-1, ..., 2} give many ties and
+// negative maxima. Sides 0 and MinSize()+1 admit no cube and must read 0.
+func TestMaxCubeSumMatchesEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		sizes := make([]int, 1+rng.Intn(MaxDim))
+		for i := range sizes {
+			sizes[i] = 1 + rng.Intn(7)
+		}
+		g := MustNew(sizes...)
+		vals := make([]int64, g.Len())
+		for i := range vals {
+			vals[i] = int64(rng.Intn(4) - 1)
+		}
+		ps, err := NewPrefixSum(g, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s <= g.MinSize()+1; s++ {
+			want, found := int64(0), false
+			for _, c := range g.Bounds().Points() {
+				cube, err := Cube(g.Dim(), c, s)
+				if err != nil || !g.Contains(cube.Hi) {
+					continue
+				}
+				sum := int64(0)
+				for _, p := range cube.Points() {
+					sum += vals[g.Index(p)]
+				}
+				if !found || sum > want {
+					want, found = sum, true
+				}
+			}
+			if got := ps.MaxCubeSum(s); got != want {
+				t.Fatalf("sizes %v side %d: MaxCubeSum = %d, enumeration %d", sizes, s, got, want)
+			}
+		}
 	}
-	c, err := Cube(2, corner, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Contains(P(2, 2)) || !c.Contains(P(2, 3)) {
-		t.Errorf("winning cube %v misses the mass", corner)
-	}
-	if best, _, ok = ps.MaxCubeSum(5); !ok || best != 160 {
-		t.Errorf("side 5: best=%d ok=%v", best, ok)
-	}
-	if _, _, ok = ps.MaxCubeSum(6); ok {
-		t.Error("side 6 should not fit")
+}
+
+func TestMinSize(t *testing.T) {
+	for _, tt := range []struct {
+		sizes []int
+		want  int
+	}{{[]int{7}, 7}, {[]int{4, 3}, 3}, {[]int{5, 6, 2, 9}, 2}} {
+		if got := MustNew(tt.sizes...).MinSize(); got != tt.want {
+			t.Errorf("MinSize(%v) = %d, want %d", tt.sizes, got, tt.want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package lpchar
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/demand"
 	"repro/internal/grid"
@@ -110,12 +109,8 @@ func (cb *coarseBounds) build(m *demand.Map) error {
 		return nil
 	}
 	sizes := make([]int, dim)
-	minSide := math.MaxInt
 	for i := 0; i < dim; i++ {
 		sizes[i] = int(bbox.Side(i))
-		if sizes[i] < minSide {
-			minSide = sizes[i]
-		}
 	}
 	g, err := grid.New(sizes...)
 	if err != nil {
@@ -129,9 +124,9 @@ func (cb *coarseBounds) build(m *demand.Map) error {
 	if err != nil {
 		return err
 	}
-	for s := 1; s <= minSide; s *= 2 {
-		sum, _, ok := ps.MaxCubeSum(s)
-		if !ok || sum <= 0 {
+	for s := 1; s <= g.MinSize(); s *= 2 {
+		sum := ps.MaxCubeSum(s)
+		if sum <= 0 {
 			continue
 		}
 		cube, err := grid.Cube(dim, grid.Point{}, s)

@@ -325,16 +325,10 @@ func OmegaStarCubesDoublingPS(ps *grid.PrefixSum) (float64, error) {
 // table, and solve the omega_T equation for it.
 func cubeOmegaScan(ps *grid.PrefixSum, step func(int) int) (float64, error) {
 	arena := ps.Grid()
-	maxSide := arena.Size(0)
-	for i := 1; i < arena.Dim(); i++ {
-		if s := arena.Size(i); s < maxSide {
-			maxSide = s
-		}
-	}
 	best := 0.0
-	for s := 1; s <= maxSide; s = step(s) {
-		sum, _, ok := ps.MaxCubeSum(s)
-		if !ok || sum <= 0 {
+	for s := 1; s <= arena.MinSize(); s = step(s) {
+		sum := ps.MaxCubeSum(s)
+		if sum <= 0 {
 			continue
 		}
 		cube, err := grid.Cube(arena.Dim(), grid.Point{}, s)

@@ -103,19 +103,14 @@ func (d *Dense) OmegaC() (CubeChar, error) {
 		return CubeChar{}, err
 	}
 	l := arena.Dim()
-	maxSide := arena.Size(0)
-	for i := 1; i < l; i++ {
-		if s := arena.Size(i); s < maxSide {
-			maxSide = s
-		}
-	}
+	maxSide := arena.MinSize()
 	best := CubeChar{Omega: math.Inf(1)}
 	for s := 1; s <= maxSide; s++ {
 		if float64(s-1) >= best.Omega {
 			break
 		}
-		sum, _, ok := ps.MaxCubeSum(s)
-		if !ok || sum <= 0 {
+		sum := ps.MaxCubeSum(s)
+		if sum <= 0 {
 			continue
 		}
 		f := float64(sum) / float64(pow(3*s, l))

@@ -1,6 +1,7 @@
 package offline
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -273,8 +274,9 @@ func TestBuildScheduleWithOmegaTooSmallFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.BuildSchedule(CubeChar{Omega: 0.5, Side: 1}); err == nil {
-		t.Error("starving the construction should fail, not mis-schedule")
+	// Side 1 clips no cube, so the shortage is not a boundary effect.
+	if _, err := d.BuildSchedule(CubeChar{Omega: 0.5, Side: 1}); err == nil || errors.Is(err, ErrBoundaryCube) {
+		t.Errorf("starving the construction should fail, not mis-schedule, with a full-cube error: %v", err)
 	}
 	if _, err := d.BuildSchedule(CubeChar{Omega: -1, Side: 1}); err == nil {
 		t.Error("negative omega should fail")

@@ -1,8 +1,10 @@
 package offline
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/demand"
 	"repro/internal/grid"
@@ -50,8 +52,8 @@ type Schedule struct {
 // B = 3^l * omega_c jobs at its own position, then assigns surplus demand to
 // helper vehicles from the same cube, each of which moves once and serves up
 // to B jobs at its destination. The thesis guarantees enough helpers exist
-// because the demand in each cube is at most omega_c*(3*ceil(omega_c))^l =
-// B * cubeVolume.
+// in every full cube because the demand in each cube is at most
+// omega_c*(3*ceil(omega_c))^l = B * cubeVolume.
 func BuildSchedule(m *demand.Map, arena *grid.Grid) (*Schedule, error) {
 	if m.Total() == 0 {
 		return &Schedule{}, nil
@@ -70,7 +72,9 @@ func BuildSchedule(m *demand.Map, arena *grid.Grid) (*Schedule, error) {
 // BuildSchedule is the Lemma 2.2.5 construction on the shared dense view:
 // cube demand sums and per-cell lookups go through the dense value array, so
 // the full SolveOffline pipeline touches the point-keyed demand map only at
-// its API boundary (the verifier).
+// its API boundary (the verifier). The lemma assumes full cubes: when a cube
+// clipped by the arena's far faces runs out of helpers, the error wraps
+// ErrBoundaryCube.
 func (d *Dense) BuildSchedule(char CubeChar) (*Schedule, error) {
 	m, arena := d.m, d.arena
 	if m.Total() == 0 {
@@ -89,122 +93,95 @@ func (d *Dense) BuildSchedule(char CubeChar) (*Schedule, error) {
 	}
 	// The per-vehicle budget covers a cube's worst-case demand share:
 	// demand <= omega*(3s)^l spread over s^l vehicles each serving up to B
-	// at home and B away, so B = omega*3^l.
-	budget := float64(pow(3, l)) * char.Omega
-	sched := &Schedule{CubeSide: s, OmegaC: char.Omega}
-	// Process each aligned cube independently (clipped at arena edges).
-	var corner [grid.MaxDim]int
-	if err := d.buildCubes(sched, s, budget, corner, 0, l); err != nil {
-		return nil, err
-	}
-	return sched, nil
-}
-
-func (d *Dense) buildCubes(sched *Schedule, s int,
-	budget float64, corner [grid.MaxDim]int, axis, l int) error {
-	arena := d.arena
-	if axis < l {
-		for c := 0; c < arena.Size(axis); c += s {
-			corner[axis] = c
-			if err := d.buildCubes(sched, s, budget, corner, axis+1, l); err != nil {
-				return err
+	// at home and B away, so B = omega*3^l. Round it *up*: the helper count
+	// guarantee sum ceil(L(x)/Bi) <= cubeVolume needs B/Bi <= 1.
+	b := cubeBuilder{d: d, sched: &Schedule{CubeSide: s, OmegaC: char.Omega}}
+	b.budget = max(int64(math.Ceil(float64(pow(3, l))*char.Omega)), 1)
+	// Visit the aligned cubes in row-major order of their low corners,
+	// clipping each at the arena's far faces.
+	cube := grid.Box{Dim: l}
+	for {
+		full := true
+		for i := 0; i < l; i++ {
+			hi := int(cube.Lo[i]) + s - 1
+			if hi >= arena.Size(i) {
+				hi, full = arena.Size(i)-1, false
 			}
+			cube.Hi[i] = int32(hi)
 		}
-		return nil
-	}
-	var lo, hi grid.Point
-	for i := 0; i < l; i++ {
-		lo[i] = int32(corner[i])
-		h := corner[i] + s - 1
-		if h >= arena.Size(i) {
-			h = arena.Size(i) - 1
+		if err := b.build(cube, full); err != nil {
+			return nil, err
 		}
-		hi[i] = int32(h)
+		axis := l - 1
+		for ; axis >= 0; axis-- {
+			if next := int(cube.Lo[axis]) + s; next < arena.Size(axis) {
+				cube.Lo[axis] = int32(next)
+				break
+			}
+			cube.Lo[axis] = 0
+		}
+		if axis < 0 {
+			return b.sched, nil
+		}
 	}
-	cube, err := grid.NewBox(l, lo, hi)
-	if err != nil {
-		return err
-	}
-	return d.buildOneCube(cube, sched, budget)
 }
 
-// buildOneCube runs the two-phase assignment inside one cube.
-func (d *Dense) buildOneCube(cube grid.Box, sched *Schedule, budget float64) error {
-	cells := cube.Points()
-	// Round the per-vehicle service budget B = 3^l*omega *up*: the helper
-	// count guarantee sum ceil(L(x)/Bi) <= cubeVolume needs B/Bi <= 1.
-	ibudget := int64(math.Ceil(budget))
-	if ibudget < 1 {
-		ibudget = 1
-	}
+// ErrBoundaryCube reports that a cube clipped by the arena's far faces has
+// too few vehicles for its demand. Lemma 2.2.5 counts helpers in full
+// cubes, so a finite arena can break its construction there.
+var ErrBoundaryCube = errors.New("offline: a boundary cube clipped by the arena has too few vehicles")
+
+// cubeBuilder runs Lemma 2.2.5's two phases cube by cube, reusing one buffer
+// of cells and one plan slot per cell across the cubes of a schedule.
+type cubeBuilder struct {
+	d      *Dense
+	sched  *Schedule
+	budget int64 // jobs one vehicle serves at home, and again at its destination
+	cells  []grid.Point
+	plans  []VehiclePlan // plans[k] belongs to the vehicle at cells[k]
+}
+
+// build assigns the vehicles of one cube, appending the plans of those that
+// serve or move to the schedule in the cube's row-major cell order.
+func (b *cubeBuilder) build(cube grid.Box, full bool) error {
+	b.cells = cube.AppendPoints(b.cells[:0])
+	b.plans = slices.Grow(b.plans[:0], len(b.cells))[:len(b.cells)]
 	// Phase 1: serve at home.
-	leftover := make(map[grid.Point]int64)
-	plans := make(map[grid.Point]*VehiclePlan, len(cells))
 	anyDemand := false
-	for _, p := range cells {
-		dp := d.At(p)
-		if dp > 0 {
-			anyDemand = true
-		}
-		serve := dp
-		if serve > ibudget {
-			serve = ibudget
-		}
-		if serve > 0 {
-			plans[p] = &VehiclePlan{Home: p, ServeHome: serve}
-		}
-		if rest := dp - serve; rest > 0 {
-			leftover[p] = rest
-		}
+	for k, p := range b.cells {
+		dp := b.d.At(p)
+		anyDemand = anyDemand || dp > 0
+		b.plans[k] = VehiclePlan{Home: p, ServeHome: min(dp, b.budget)}
 	}
 	if !anyDemand {
 		return nil
 	}
 	// Phase 2: helpers. Iterate cells deterministically; a helper is any
-	// vehicle not yet assigned a move. Each helper serves up to ibudget jobs
+	// vehicle not yet assigned a move. Each helper serves up to the budget
 	// at one leftover position.
-	helperIdx := 0
-	for _, x := range cells {
-		rest := leftover[x]
-		for rest > 0 {
-			// Find the next unmoved vehicle.
-			var helper grid.Point
-			found := false
-			for ; helperIdx < len(cells); helperIdx++ {
-				h := cells[helperIdx]
-				if pl, ok := plans[h]; ok && pl.Moved {
-					continue
-				}
-				helper = h
-				found = true
-				helperIdx++
-				break
+	helper := 0
+	for k, x := range b.cells {
+		for rest := b.d.At(x) - b.plans[k].ServeHome; rest > 0; helper++ {
+			for helper < len(b.plans) && b.plans[helper].Moved {
+				helper++
 			}
-			if !found {
+			if helper == len(b.plans) {
+				if !full {
+					return fmt.Errorf("offline: cube %v..%v ran out of helpers (leftover %d at %v): %w",
+						cube.Lo, cube.Hi, rest, x, ErrBoundaryCube)
+				}
 				return fmt.Errorf("offline: cube %v..%v ran out of helpers (omega too small: leftover %d at %v)",
 					cube.Lo, cube.Hi, rest, x)
 			}
-			serve := rest
-			if serve > ibudget {
-				serve = ibudget
-			}
-			pl := plans[helper]
-			if pl == nil {
-				pl = &VehiclePlan{Home: helper}
-				plans[helper] = pl
-			}
-			pl.Moved = true
-			pl.Dest = x
-			pl.ServeDest = serve
-			rest -= serve
+			pl := &b.plans[helper]
+			pl.Moved, pl.Dest, pl.ServeDest = true, x, min(rest, b.budget)
+			rest -= pl.ServeDest
 		}
 	}
-	for _, p := range cells {
-		if pl, ok := plans[p]; ok {
-			sched.Plans = append(sched.Plans, *pl)
-			if e := pl.Energy(); e > sched.W {
-				sched.W = e
-			}
+	for _, pl := range b.plans {
+		if pl.ServeHome > 0 || pl.Moved {
+			b.sched.Plans = append(b.sched.Plans, pl)
+			b.sched.W = max(b.sched.W, pl.Energy())
 		}
 	}
 	return nil
