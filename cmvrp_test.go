@@ -425,9 +425,11 @@ func TestMeasureWonRejectsBadTolerance(t *testing.T) {
 // SolveOffline panicked in makeslice and NewOnlinePartition never returned,
 // because every dense layer indexes cells with int32), the nil inputs
 // panicked with a nil dereference, ZipfDemand never returned, Convoy
-// returned a NaN or infinite W with no error, and LP radii too large to list
+// returned a NaN or infinite W with no error, LP radii too large to list
 // panicked (makeslice, or an index past int32-wrapped coordinates) or
-// wrapped in int32 to another radius's answer. Each row runs in its own
+// wrapped in int32 to another radius's answer, and BrokenLowerBound with its
+// one long-lived vehicle 10,000 cells out doubled its radius until it tried
+// to list a box of 2.7e8 points (4.3 GB). Each row runs in its own
 // goroutine under a deadline, with panics recovered, so a regression fails
 // its row instead of crashing or hanging the suite.
 func TestFacadeRejectsMalformedInput(t *testing.T) {
@@ -442,6 +444,11 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	origin, err := PointDemand(2, P(0, 0), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	farVehicle := Longevity{Default: 1e-6, Override: map[Point]float64{P(10000, 0): 1}}
 	for _, tc := range []struct {
 		name string
 		call func() error
@@ -477,7 +484,7 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 		{"NewLPSolver radius 2^24", func() error { _, err := NewLPSolver(point, 1<<24); return err }},
 		{"NewLPSolver radius 2^32 wraps to 0", func() error { _, err := NewLPSolver(point, 1<<32); return err }},
 		{"NewLPSolver radius 2^32+1", func() error { _, err := NewLPSolver(point, 1<<32+1); return err }},
-		{"LPSolver.ExtendRadius 2^40", func() error { s, _ := NewLPSolver(point, 2); return s.ExtendRadius(1 << 40) }},
+		{"BrokenLowerBound vehicle 10,000 out", func() error { _, err := BrokenLowerBound(origin, farVehicle); return err }},
 	} {
 		done := make(chan error, 1)
 		go func() {
@@ -636,4 +643,125 @@ func FuzzRunOnline(f *testing.F) {
 			t.Fatalf("second run differs: %+v, %v; first %+v", again, err, res)
 		}
 	})
+}
+
+// FuzzNewLPSolver drives the LP (2.1) facade over 1-2-D demand of at most 8
+// points with coordinates 0-7 and 1-30 jobs each; a nonzero far byte moves
+// point far-1 2,000 cells out on every axis, which sends the supply index to
+// its sparse map, and huge sets the radius to 2^24, past the listable limit
+// (otherwise the radius is 0-5). It must never panic, and NewLPSolver fails
+// exactly on the huge radius, with an error wrapping lpchar.ErrTooLarge. A
+// solver bound to another instance and then rebound to (m, r) returns the
+// fresh solver's Value exactly, that Value agrees with Lemma 2.2.2's closed
+// form lpchar.SubsetValue (experiment E4's check), and ExactLowerBound equals
+// the per-radius fresh reference omegaStarPerRadius.
+func FuzzNewLPSolver(f *testing.F) {
+	// TestSolverSparseSpreadFallback's two disjoint unit balls, close and
+	// 2,000 cells apart, and the NewLPSolver row of
+	// TestFacadeRejectsMalformedInput: 5 jobs at (1, 1), radius 2^24.
+	f.Add(uint8(1), uint8(0), uint8(1), false, []byte{0, 0, 5, 7, 7, 5})
+	f.Add(uint8(1), uint8(2), uint8(1), false, []byte{0, 0, 5, 7, 7, 5})
+	f.Add(uint8(1), uint8(0), uint8(2), true, []byte{1, 1, 5})
+	f.Add(uint8(0), uint8(1), uint8(3), false, []byte{0, 29, 3, 12, 7, 20})
+	f.Fuzz(func(t *testing.T, dim, far, radius uint8, huge bool, points []byte) {
+		l := 1 + int(dim)%2
+		build := func(moved int) *Demand {
+			m := NewDemand(l)
+			for i, n := 0, 0; i+l < len(points) && n < 8; i, n = i+l+1, n+1 {
+				var p Point
+				for j := 0; j < l; j++ {
+					p[j] = int32(points[i+j] % 8)
+					if n == moved {
+						p[j] += 2000
+					}
+				}
+				if err := m.Add(p, 1+int64(points[i+l]%30)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return m
+		}
+		moved, otherMoved := int(far)-1, -1
+		if far == 0 {
+			otherMoved = 0
+		}
+		m := build(moved)
+		if got, err := ExactLowerBound(m); err != nil || got != omegaStarPerRadius(t, m) {
+			t.Fatalf("ExactLowerBound = %v, %v; per-radius fresh reference %v", got, err, omegaStarPerRadius(t, m))
+		}
+		r := int(radius) % 6
+		if huge {
+			r = 1 << 24
+		}
+		fresh, err := NewLPSolver(m, r)
+		if huge != (err != nil) || err != nil && !errors.Is(err, lpchar.ErrTooLarge) {
+			t.Fatalf("NewLPSolver(radius %d) = %v; want an error wrapping ErrTooLarge exactly past the limit", r, err)
+		}
+		if err != nil {
+			return
+		}
+		want, err := fresh.Value()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewLPSolver(build(otherMoved), 5-r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Value(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Bind(m, r); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.Value(); err != nil || got != want {
+			t.Fatalf("rebound Value = %v, %v; fresh %v", got, err, want)
+		}
+		sub, err := lpchar.SubsetValue(m, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(want-sub) > 1e-6*math.Max(1, want) {
+			t.Fatalf("LP value %v != Lemma 2.2.2 closed form %v", want, sub)
+		}
+	})
+}
+
+// omegaStarPerRadius is the route to program (2.8) that ExactLowerBound's
+// memo and witness pruning replaced, as lpchar's
+// TestOmegaStarFlowMatchesPerRadiusFresh transcribes it: a fresh solver per
+// radius, and a bracket and bisection on the integer radius that evaluate
+// LP (2.1) at every radius they visit.
+func omegaStarPerRadius(t *testing.T, m *Demand) float64 {
+	t.Helper()
+	if m.Total() == 0 {
+		return 0
+	}
+	value := func(r int) float64 {
+		s, err := NewLPSolver(m, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := s.Value()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	hi := 1
+	for value(hi) > float64(hi+1) {
+		hi *= 2
+		if int64(hi) > m.Max()+1 {
+			break
+		}
+	}
+	lo := 0
+	for lo < hi {
+		if mid := (lo + hi) / 2; value(mid) <= float64(mid+1) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return min(max(value(lo), float64(lo)), float64(lo+1))
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/demand"
 	"repro/internal/flow"
 	"repro/internal/grid"
+	"repro/internal/lpchar"
 )
 
 // Longevity maps positions to p_i. Positions absent from Override get
@@ -55,10 +56,11 @@ func feasible(m *demand.Map, lon Longevity, omega float64) (bool, error) {
 	if omega <= 0 {
 		return false, nil
 	}
-	support := m.Support()
 	// Suppliers: lattice points i with p_i*omega >= dist(i, some demand).
 	// The candidate region is the support's neighborhoods of radius
-	// maxP*omega.
+	// maxP*omega, each listed by scanning its (2r+1)^dim box, so a radius
+	// whose box LP (2.1)'s solver could not list either is refused before
+	// anything is allocated.
 	maxP := lon.Default
 	for _, v := range lon.Override {
 		if v > maxP {
@@ -66,6 +68,10 @@ func feasible(m *demand.Map, lon Longevity, omega float64) (bool, error) {
 		}
 	}
 	maxR := int(math.Floor(maxP * omega))
+	if err := lpchar.CheckRadius(m.Dim(), maxR); err != nil {
+		return false, fmt.Errorf("broken: capacity %v: %w", omega, err)
+	}
+	support := m.Support()
 	seen := make(map[grid.Point]bool)
 	var suppliers []grid.Point
 	for _, s := range support {

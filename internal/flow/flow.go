@@ -12,11 +12,8 @@
 // extends the repo's "reset ≡ fresh" discipline (DESIGN.md) to the offline
 // LP core.
 //
-// A Network can also grow in place: AddNodes and AddEdge extend it without
-// touching existing edges or retained flow, which is how lpchar widens a
-// supply graph across radii, and MinCutReachable exposes the minimum cut
-// each solve leaves behind, which lpchar keeps as an infeasibility
-// certificate.
+// MinCutReachable exposes the minimum cut each solve leaves behind, which
+// lpchar keeps as an infeasibility certificate.
 package flow
 
 import (
@@ -90,30 +87,6 @@ func resize(s []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return s[:n]
-}
-
-// AddNodes appends count fresh, edge-less nodes and returns the id of the
-// first one. Existing nodes, edges, ids, and any retained flow are untouched
-// — this is what lets lpchar's radius differencing extend a supply graph in
-// place (nested L1 balls only ever add suppliers) instead of rebuilding it.
-func (nw *Network) AddNodes(count int) (int, error) {
-	if count < 0 {
-		return 0, fmt.Errorf("flow: negative node count %d", count)
-	}
-	first := nw.n
-	nw.n += count
-	for i := 0; i < count; i++ {
-		nw.heads = append(nw.heads, -1)
-	}
-	nw.level = resize(nw.level, nw.n)
-	nw.iter = resize(nw.iter, nw.n)
-	if cap(nw.queue) < nw.n {
-		nw.queue = make([]int32, 0, nw.n)
-	}
-	if cap(nw.path) < nw.n {
-		nw.path = make([]int32, 0, nw.n)
-	}
-	return first, nil
 }
 
 // AddEdge adds a directed edge u->v with the given capacity (and an implicit

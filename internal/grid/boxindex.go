@@ -9,12 +9,11 @@ package grid
 type BoxIndex struct {
 	box    Box
 	stride [MaxDim]int64
-	vol    int64
 }
 
 // NewBoxIndex builds the indexer for b.
 func NewBoxIndex(b Box) BoxIndex {
-	ix := BoxIndex{box: b, vol: b.Volume()}
+	ix := BoxIndex{box: b}
 	stride := int64(1)
 	for i := b.Dim - 1; i >= 0; i-- {
 		ix.stride[i] = stride
@@ -22,9 +21,6 @@ func NewBoxIndex(b Box) BoxIndex {
 	}
 	return ix
 }
-
-// Len returns the number of lattice points indexed (the box volume).
-func (ix BoxIndex) Len() int64 { return ix.vol }
 
 // Offset returns the row-major offset of p. The caller must ensure p is
 // inside the box (checked in tests; hot path in solvers).

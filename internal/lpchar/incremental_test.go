@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/demand"
-	"repro/internal/grid"
 )
 
 // TestLadderVerdictsMatchFresh is the certified probe's core contract:
@@ -64,105 +63,8 @@ func TestLadderVerdictsMatchFresh(t *testing.T) {
 	}
 }
 
-// TestExtendRadiusMatchesFresh pins the radius-differencing rule: a solver
-// extended from r to r' (rings appended onto the retained graph) returns the
-// same Value() — and indexes the same supplier set — as a solver freshly
-// bound at r', across chained extensions and both index modes (dense offset
-// array and the sparse map fallback).
-func TestExtendRadiusMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	var ext, fresh Solver
-	for trial := 0; trial < 15; trial++ {
-		dim := 1 + rng.Intn(2)
-		m := randDemand(rng, dim, 6, 2+rng.Intn(5), 25)
-		r0 := rng.Intn(3)
-		r1 := r0 + 1 + rng.Intn(3)
-		if err := ext.Bind(m, r0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ext.Value(); err != nil {
-			t.Fatal(err)
-		}
-		if err := ext.ExtendRadius(r1); err != nil {
-			t.Fatal(err)
-		}
-		if got := ext.r; got != r1 {
-			t.Fatalf("trial %d: Radius after extend = %d, want %d", trial, got, r1)
-		}
-		v1, err := ext.Value()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Bind(m, r1); err != nil {
-			t.Fatal(err)
-		}
-		if len(ext.sup.suppliers) != len(fresh.sup.suppliers) {
-			t.Fatalf("trial %d: extended suppliers %d != fresh %d", trial, len(ext.sup.suppliers), len(fresh.sup.suppliers))
-		}
-		fv1, err := fresh.Value()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v1 != fv1 {
-			t.Fatalf("trial %d: extended Value(r=%d) %v != fresh %v", trial, r1, v1, fv1)
-		}
-		// Chain a second extension on the already-extended graph.
-		r2 := r1 + 1 + rng.Intn(2)
-		if err := ext.ExtendRadius(r2); err != nil {
-			t.Fatal(err)
-		}
-		v2, err := ext.Value()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fv2, err := FlowValue(m, r2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v2 != fv2 {
-			t.Fatalf("trial %d: chained extended Value(r=%d) %v != fresh %v", trial, r2, v2, fv2)
-		}
-		// Shrinking must be refused (a rebind is required).
-		if err := ext.ExtendRadius(r2 - 1); err == nil {
-			t.Fatalf("trial %d: ExtendRadius below bound radius must fail", trial)
-		}
-	}
-	// The sparse map fallback extends too: a spread support whose bounding
-	// box is overwhelmingly padding.
-	spread := demand.NewMap(2)
-	if err := spread.Add(grid.P(0, 0), 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := spread.Add(grid.P(2100, 2100), 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := ext.Bind(spread, 1); err != nil {
-		t.Fatal(err)
-	}
-	if ext.sup.dense {
-		t.Fatal("spread instance should take the sparse fallback")
-	}
-	if err := ext.ExtendRadius(3); err != nil {
-		t.Fatal(err)
-	}
-	if ext.sup.dense {
-		t.Fatal("extension must retake the sparse decision for the spread instance")
-	}
-	sv, err := ext.Value()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fv, err := FlowValue(spread, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sv != fv {
-		t.Fatalf("sparse extended Value %v != fresh %v", sv, fv)
-	}
-}
-
 // TestOmegaStarFlowMatchesPerRadiusFresh pins the reworked OmegaStarFlow —
-// one extended/memoized solver plus witness-bound certificates — against a
+// one pooled, memoized solver plus witness-bound certificates — against a
 // reference transcription of the retired algorithm: a fresh solver per radius
 // and a plain bisection that evaluates the LP at every visited radius.
 func TestOmegaStarFlowMatchesPerRadiusFresh(t *testing.T) {

@@ -58,57 +58,36 @@ func SubsetValue(m *demand.Map, r int) (float64, error) {
 	if k > maxSubsetSupport {
 		return 0, fmt.Errorf("%w: support %d > %d", ErrTooLarge, k, maxSubsetSupport)
 	}
-	// For each lattice point p near the support, record the bitmask of
-	// support points within distance r. |N_r(T)| = number of points whose
-	// mask intersects T = total - #points whose mask avoids T, and the
-	// avoid-counts come from a subset-sum (SOS) transform. For compact
-	// supports the masks live in a dense array over the support's
-	// r-neighborhood bounding box (offset index): untouched offsets keep
-	// mask 0 and are exactly the box points outside N_r(support). Spatially
-	// spread supports whose box would be mostly padding fall back to a map,
-	// like the supply index.
-	bbox, ok := m.BoundingBox()
-	if !ok {
-		return 0, nil
-	}
-	if err := checkRadius(m.Dim(), r); err != nil {
+	if err := CheckRadius(m.Dim(), r); err != nil {
 		return 0, err
 	}
-	box := bbox.Expand(r)
-	var deltaCache supplyIndex
-	deltas, err := deltaCache.ballOffsets(m.Dim(), r)
+	// For each supplier p in N_r(support), record the bitmask of support
+	// points within distance r. |N_r(T)| = number of suppliers whose mask
+	// intersects T = total - #suppliers whose mask avoids T, and the
+	// avoid-counts come from a subset-sum (SOS) transform. The suppliers and
+	// their ids come from the supply index Solver.Bind builds its network
+	// from; the slice is sized for the most suppliers the balls can hold, so
+	// the one-shot build appends without regrowing.
+	var si supplyIndex
+	deltas, err := si.ballOffsets(m.Dim(), r)
 	if err != nil {
 		return 0, err
 	}
-	cnt := make([]int64, 1<<k)
-	totalPoints := int64(0)
-	maxCovered := int64(k) * int64(len(deltas))
-	if _, dense := denseIndexVolume(box, maxCovered); dense {
-		ix := grid.NewBoxIndex(box)
-		cover := make([]uint32, ix.Len())
-		for i, s := range support {
-			for _, d := range deltas {
-				cover[ix.Offset(s.Add(d))] |= 1 << i
-			}
-		}
-		for _, mask := range cover {
-			if mask != 0 {
-				cnt[mask]++
-				totalPoints++
-			}
-		}
-	} else {
-		cover := make(map[grid.Point]uint32, maxCovered)
-		for i, s := range support {
-			for _, d := range deltas {
-				cover[s.Add(d)] |= 1 << i
-			}
-		}
-		for _, mask := range cover {
-			cnt[mask]++
-		}
-		totalPoints = int64(len(cover))
+	si.suppliers = make([]grid.Point, 0, k*len(deltas))
+	if err := si.build(m, r, support); err != nil {
+		return 0, err
 	}
+	cover := make([]uint32, len(si.suppliers))
+	for i, s := range support {
+		for _, d := range deltas {
+			cover[si.supplierAt(s.Add(d))] |= 1 << i
+		}
+	}
+	cnt := make([]int64, 1<<k)
+	for _, mask := range cover {
+		cnt[mask]++
+	}
+	totalPoints := int64(len(cover))
 	// f[S] = number of points whose mask is a subset of S.
 	f := make([]int64, 1<<k)
 	copy(f, cnt)
@@ -192,10 +171,9 @@ func MaxOverBoxes(m *demand.Map, r int) (float64, grid.Box, error) {
 // LPvalue(r) - r is strictly decreasing and a binary search on the integer
 // radius bracket followed by one LP evaluation pins the fixed point.
 //
-// One solver serves every radius the search visits: ascending steps extend
-// the supply graph in place (ExtendRadius — nested L1 balls only add
-// suppliers), descending steps rebind, and per-radius values are memoized so
-// a revisited radius costs a map lookup. Radius segments the shared witness
+// One pooled solver serves every radius the search visits: each radius not
+// yet evaluated rebinds it from scratch, and per-radius values are memoized
+// so a revisited radius costs a map lookup. Radius segments the shared witness
 // bounds prove irrelevant — LPvalue(r) certifiably above r+1 — are skipped
 // without evaluating the LP at all; the certificate threshold sits a safety
 // margin above r+1, so every skipped evaluation is one the bisection test
@@ -211,25 +189,12 @@ func OmegaStarFlow(m *demand.Map) (float64, error) {
 		return 0, err
 	}
 	memo := make(map[int]float64)
-	bound := false
 	value := func(r int) (float64, error) {
 		if v, ok := memo[r]; ok {
 			return v, nil
 		}
-		switch {
-		case !bound:
-			if err := sol.Bind(m, r); err != nil {
-				return 0, err
-			}
-			bound = true
-		case r > sol.r:
-			if err := sol.ExtendRadius(r); err != nil {
-				return 0, err
-			}
-		case r < sol.r:
-			if err := sol.Bind(m, r); err != nil {
-				return 0, err
-			}
+		if err := sol.Bind(m, r); err != nil {
+			return 0, err
 		}
 		v, err := sol.Value()
 		if err != nil {

@@ -48,12 +48,12 @@ const probeGuardRel = 1e-8
 // never worse than the suppliers themselves for spread ones.
 const maxSupplyBoxVolume = 1 << 22
 
-// checkRadius rejects, without allocating, a radius whose L1-ball offsets
-// the supply index cannot list: ballOffsets and ringOffsets scan the ball's
-// (2r+1)^dim bounding box, so that box may hold at most maxSupplyBoxVolume
-// points — which also keeps r far below the int32 coordinate range that
-// Box.Expand works in.
-func checkRadius(dim, r int) error {
+// CheckRadius rejects, without allocating, a radius whose L1 ball cannot be
+// listed: ballOffsets, like package broken's supplier scan, enumerates the
+// ball through its (2r+1)^dim bounding box, so that box may hold at most
+// maxSupplyBoxVolume points — which also keeps r far below the int32
+// coordinate range that Box.Expand works in. The error wraps ErrTooLarge.
+func CheckRadius(dim, r int) error {
 	if r < 0 {
 		return fmt.Errorf("lpchar: negative radius %d", r)
 	}
@@ -66,27 +66,15 @@ func checkRadius(dim, r int) error {
 	return nil
 }
 
-// denseIndexVolume is the dense-vs-map decision shared by the supply index
-// and SubsetValue's cover pass: it returns the box volume and whether a
-// dense array over the box beats a map holding up to covered entries (the
-// volume may exceed the entry count by at most 8x padding). Volumes that
-// overflow int64 are by definition sparse.
-func denseIndexVolume(box grid.Box, covered int64) (int64, bool) {
-	vol, err := box.VolumeChecked()
-	if err != nil {
-		return 0, false
-	}
-	return vol, vol <= maxSupplyBoxVolume && vol <= 1024+8*covered
-}
-
 // supplyIndex indexes the supply positions of LP (2.1): every lattice point
-// within distance r of the demand support — exactly the vehicles that can
-// participate — mapped to a dense supplier id. For compact supports (all
-// hot paths) the index is a []int32 over the r-neighborhood bounding box,
-// replacing the map[grid.Point] lookups of the construction path; supports
-// whose bounding box is overwhelmingly empty fall back to a map so sparse
-// spread instances stay exactly as feasible as before the dense refactor.
-// Buffers are retained across builds so a warm rebind reuses them.
+// within distance r of the demand support — N_r(support), exactly the
+// vehicles that can participate — mapped to a dense supplier id. It is the
+// one construction of that set: Solver.Bind turns it into a flow network and
+// SubsetValue into Lemma 2.2.2's cover masks. For compact supports (all hot
+// paths) the index is a []int32 over the r-neighborhood bounding box;
+// supports whose bounding box is overwhelmingly empty fall back to a map,
+// which discovers the suppliers in the same order without allocating the
+// padding. Buffers are retained across builds so a warm rebind reuses them.
 type supplyIndex struct {
 	ix        grid.BoxIndex
 	dense     bool
@@ -117,7 +105,10 @@ func (si *supplyIndex) ballOffsets(dim, r int) ([]grid.Point, error) {
 }
 
 // build indexes the suppliers of (m, r). support must be m.Support() (passed
-// in so callers that already have it avoid a second sort).
+// in so callers that already have it avoid a second sort). The index is
+// dense when the box volume is within maxSupplyBoxVolume and at most 8x the
+// supplier bound |support| * |ball| (plus 1024 of slack); a volume that
+// overflows int64 is by definition sparse.
 func (si *supplyIndex) build(m *demand.Map, r int, support []grid.Point) error {
 	bbox, ok := m.BoundingBox()
 	if !ok {
@@ -131,8 +122,8 @@ func (si *supplyIndex) build(m *demand.Map, r int, support []grid.Point) error {
 	// Both modes discover suppliers in the same order, so the built graph —
 	// and every value computed from it — is identical either way.
 	maxSuppliers := int64(len(support)) * int64(len(deltas))
-	var vol int64
-	vol, si.dense = denseIndexVolume(box, maxSuppliers)
+	vol, err := box.VolumeChecked()
+	si.dense = err == nil && vol <= maxSupplyBoxVolume && vol <= 1024+8*maxSuppliers
 	si.suppliers = si.suppliers[:0]
 	if si.dense {
 		si.idMap = nil
@@ -182,94 +173,6 @@ func (si *supplyIndex) supplierAt(p grid.Point) int32 {
 	return -1
 }
 
-// relayout re-indexes the existing suppliers over the support's expanded
-// r-neighborhood bounding box, preserving supplier ids, so findOrAdd can
-// discover radius-extension suppliers against the full existing set. The
-// dense/sparse decision is retaken with the same rule a fresh build at r
-// applies (the ball volume comes from the closed form — extension walks
-// rings, never materializing the full ball), so an extended index and a
-// fresh one always agree on mode.
-func (si *supplyIndex) relayout(m *demand.Map, r int, supportLen int) error {
-	bbox, ok := m.BoundingBox()
-	if !ok {
-		return fmt.Errorf("lpchar: empty support")
-	}
-	box := bbox.Expand(r)
-	origin, err := grid.NewBox(m.Dim(), grid.Point{}, grid.Point{})
-	if err != nil {
-		return err
-	}
-	covered := int64(math.MaxInt64)
-	if f := float64(supportLen) * grid.NeighborhoodCountFloat(origin, float64(r)); f < float64(math.MaxInt64)/2 {
-		covered = int64(f)
-	}
-	var vol int64
-	vol, si.dense = denseIndexVolume(box, covered)
-	if si.dense {
-		si.idMap = nil
-		si.ix = grid.NewBoxIndex(box)
-		if int64(cap(si.id)) < vol {
-			si.id = make([]int32, vol)
-		}
-		si.id = si.id[:vol]
-		for i := range si.id {
-			si.id[i] = -1
-		}
-		for i, p := range si.suppliers {
-			si.id[si.ix.Offset(p)] = int32(i)
-		}
-		return nil
-	}
-	si.id = si.id[:0]
-	si.idMap = make(map[grid.Point]int32, len(si.suppliers))
-	for i, p := range si.suppliers {
-		si.idMap[p] = int32(i)
-	}
-	return nil
-}
-
-// findOrAdd returns p's supplier id, registering it as a fresh supplier (and
-// reporting fresh=true) when unseen. In dense mode p must lie inside the
-// relayout box.
-func (si *supplyIndex) findOrAdd(p grid.Point) (int32, bool) {
-	if si.dense {
-		off := si.ix.Offset(p)
-		if si.id[off] >= 0 {
-			return si.id[off], false
-		}
-		id := int32(len(si.suppliers))
-		si.id[off] = id
-		si.suppliers = append(si.suppliers, p)
-		return id, true
-	}
-	if id, ok := si.idMap[p]; ok {
-		return id, false
-	}
-	id := int32(len(si.suppliers))
-	si.idMap[p] = id
-	si.suppliers = append(si.suppliers, p)
-	return id, true
-}
-
-// ringOffsets returns the offsets at L1 distance exactly rr from the origin
-// — the shell ball(rr) adds over ball(rr-1) — in the row-major order the
-// full-ball enumeration visits them.
-func (si *supplyIndex) ringOffsets(dim, rr int) ([]grid.Point, error) {
-	origin, err := grid.NewBox(dim, grid.Point{}, grid.Point{})
-	if err != nil {
-		return nil, err
-	}
-	var zero grid.Point
-	all := grid.NeighborhoodPoints(origin, rr)
-	ring := all[:0]
-	for _, d := range all {
-		if grid.Manhattan(d, zero) == rr {
-			ring = append(ring, d)
-		}
-	}
-	return ring, nil
-}
-
 // Solver answers LP (2.1) feasibility probes for one (demand, radius) pair
 // without rebuilding anything: the supply graph is constructed once through
 // the dense offset index, the source-edge ids are recorded, and a probe
@@ -310,18 +213,17 @@ type Solver struct {
 	// probe rewrites.
 	srcEdges []int
 	sup      supplyIndex
-	// Instance handles for radius extension and the coarse bounds.
+	// Instance handles for the cut certificate and the coarse bounds.
 	m       *demand.Map
 	support []grid.Point // bind-time support (sorted); demand j is support[j]
-	supNode []int32      // supplier id -> network node
-	demBase int          // node of demand j is demBase + j
+	demBase int          // node of demand j is demBase + j; supplier i is 1 + i
 	cb      coarseBounds // radius-independent lower-bound witnesses
 	// Retained cut certificate: the max flow at source capacity omega is at
 	// most cutFix + cutSrc*omega (cutSrc source edges cross the cut at
 	// capacity omega; cutFix is the demand capacity crossing elsewhere).
 	// Captured from the minimum cut of the last infeasible oracle run; valid
-	// for the bound graph structure, so Bind and ExtendRadius reset it. The
-	// all-sources cut |srcEdges|*omega is always available alongside.
+	// for the bound graph structure, so Bind resets it. The all-sources cut
+	// |srcEdges|*omega is always available alongside.
 	cutOK  bool
 	cutFix float64
 	cutSrc float64
@@ -341,7 +243,7 @@ func NewSolver(m *demand.Map, r int) (*Solver, error) {
 // constructed one (TestSolverWarmEqualsCold pins this). A radius whose ball
 // the supply index cannot list returns an error wrapping ErrTooLarge.
 func (s *Solver) Bind(m *demand.Map, r int) error {
-	if err := checkRadius(m.Dim(), r); err != nil {
+	if err := CheckRadius(m.Dim(), r); err != nil {
 		return err
 	}
 	s.total = float64(m.Total())
@@ -355,7 +257,6 @@ func (s *Solver) Bind(m *demand.Map, r int) error {
 		s.sup.suppliers = s.sup.suppliers[:0]
 		s.srcEdges = s.srcEdges[:0]
 		s.support = s.support[:0]
-		s.supNode = s.supNode[:0]
 		return nil
 	}
 	support := m.Support()
@@ -378,14 +279,12 @@ func (s *Solver) Bind(m *demand.Map, r int) error {
 	s.src, s.sink = 0, n-1
 	s.demBase = 1 + len(s.sup.suppliers)
 	s.srcEdges = s.srcEdges[:0]
-	s.supNode = s.supNode[:0]
 	for i := range s.sup.suppliers {
 		id, err := s.nw.AddEdge(s.src, 1+i, 0)
 		if err != nil {
 			return err
 		}
 		s.srcEdges = append(s.srcEdges, id)
-		s.supNode = append(s.supNode, int32(1+i))
 	}
 	deltas, err := s.sup.ballOffsets(m.Dim(), r)
 	if err != nil {
@@ -467,8 +366,8 @@ func (s *Solver) probe(omega float64) (bool, error) {
 // one on all future probes and is adopted unconditionally.
 func (s *Solver) adoptCut() {
 	src := 0.0
-	for _, node := range s.supNode {
-		if !s.nw.MinCutReachable(int(node)) {
+	for i := range s.sup.suppliers {
+		if !s.nw.MinCutReachable(1 + i) {
 			src++
 		}
 	}
@@ -536,62 +435,4 @@ func (s *Solver) Value() (float64, error) {
 		}
 	}
 	return hi, nil
-}
-
-// ExtendRadius grows the bound radius in place. L1 balls are nested, so the
-// radius-newR supply graph is the radius-r graph plus (a) suppliers at ring
-// distance exactly r+1..newR from the support and (b) supplier->demand arcs
-// for pairs at exactly those distances — and enumerating support x ring
-// visits every such pair exactly once. The extended graph therefore has
-// exactly the edge set a fresh Bind(m, newR) builds, with the additions
-// appended rather than interleaved; Value() on the two orderings is pinned
-// equal by TestExtendRadiusMatchesFresh. Shrinking requires a full Bind, and
-// a radius Bind would reject returns the same error, leaving s unchanged.
-func (s *Solver) ExtendRadius(newR int) error {
-	if newR < s.r {
-		return fmt.Errorf("lpchar: ExtendRadius to %d below bound radius %d (rebind to shrink)", newR, s.r)
-	}
-	if s.m != nil {
-		if err := checkRadius(s.m.Dim(), newR); err != nil {
-			return err
-		}
-	}
-	if s.total == 0 || newR == s.r {
-		s.r = newR
-		return nil
-	}
-	oldR := s.r
-	if err := s.sup.relayout(s.m, newR, len(s.support)); err != nil {
-		return err
-	}
-	for rr := oldR + 1; rr <= newR; rr++ {
-		ring, err := s.sup.ringOffsets(s.m.Dim(), rr)
-		if err != nil {
-			return err
-		}
-		for j, q := range s.support {
-			dj := s.demBase + j
-			for _, d := range ring {
-				sid, fresh := s.sup.findOrAdd(q.Add(d))
-				if fresh {
-					node, err := s.nw.AddNodes(1)
-					if err != nil {
-						return err
-					}
-					eid, err := s.nw.AddEdge(s.src, node, 0)
-					if err != nil {
-						return err
-					}
-					s.supNode = append(s.supNode, int32(node))
-					s.srcEdges = append(s.srcEdges, eid)
-				}
-				if _, err := s.nw.AddEdge(int(s.supNode[sid]), dj, math.Inf(1)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	s.r = newR
-	s.cutOK = false // the retained cut does not cover the appended suppliers
-	return nil
 }

@@ -374,9 +374,9 @@ func TestSolverEmptyDemand(t *testing.T) {
 	}
 }
 
-// TestSolverRejectsUnlistableRadius pins the radius limit: Bind,
-// ExtendRadius and SubsetValue refuse a radius whose ball the supply index
-// cannot list with ErrTooLarge, the solver is left as it was, the largest
+// TestSolverRejectsUnlistableRadius pins the radius limit: Bind and
+// SubsetValue refuse a radius whose ball the supply index cannot list with
+// ErrTooLarge, the solver is left as it was, the largest
 // accepted radius per dimension sits far above the ones in use (64 in 1-D,
 // 32 in 2-D, 1 in 3-D), and an accepted radius is checked without
 // allocating.
@@ -394,7 +394,7 @@ func TestSolverRejectsUnlistableRadius(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, subsetErr := SubsetValue(m, 1<<24)
-	for _, err := range []error{s.Bind(m, 1<<32), s.ExtendRadius(1 << 40), subsetErr} {
+	for _, err := range []error{s.Bind(m, 1<<32), subsetErr} {
 		if !errors.Is(err, ErrTooLarge) {
 			t.Errorf("got %v, want ErrTooLarge", err)
 		}
@@ -403,11 +403,11 @@ func TestSolverRejectsUnlistableRadius(t *testing.T) {
 		t.Errorf("after rejected radii: Value %v, %v at radius %d; want %v at 2", got, err, s.r, want)
 	}
 	for dim, maxR := range map[int]int{1: 2097151, 2: 1023, 3: 80, 4: 22} {
-		if checkRadius(dim, maxR) != nil || !errors.Is(checkRadius(dim, maxR+1), ErrTooLarge) {
+		if CheckRadius(dim, maxR) != nil || !errors.Is(CheckRadius(dim, maxR+1), ErrTooLarge) {
 			t.Errorf("%d-D: largest accepted radius is not %d", dim, maxR)
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = checkRadius(4, 22) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { _ = CheckRadius(4, 22) }); allocs != 0 {
 		t.Errorf("accepted radius check allocated %v times, want 0", allocs)
 	}
 }

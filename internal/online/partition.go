@@ -238,15 +238,12 @@ func (p *Partition) CubePairs(cube int) []int { return p.cubePairs[cube] }
 // WatcherPair returns the pair that monitors pair `id` in the Section 3.2.5
 // monitoring ring: pairs of a cube watch each other cyclically, so every
 // pair is watched by exactly one other pair (or itself in a one-pair cube).
+// Cube pair ids are contiguous, so the ring successor is an index
+// subtraction, not a scan of the cube's pair list.
 func (p *Partition) WatcherPair(id int) int {
-	cube := p.pairs[id].Cube
-	list := p.cubePairs[cube]
-	for i, pid := range list {
-		if pid == id {
-			return list[(i+1)%len(list)]
-		}
-	}
-	return id // unreachable for a consistent partition
+	list := p.cubePairs[p.pairs[id].Cube]
+	first := list[0]
+	return first + (id-first+1)%len(list)
 }
 
 // WatchedPair returns the pair that pair `watcher` monitors — the
