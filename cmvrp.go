@@ -10,7 +10,7 @@
 //     the linear-time Algorithm 1 estimate, and a constructively verified
 //     vehicle schedule realizing Lemma 2.2.5's upper bound;
 //   - ExactLowerBound: the exact LP (2.1) value omega* = max_T omega_T via
-//     max-flow (small instances);
+//     max-flow and minimum cuts (small instances);
 //   - RunOnline / MeasureWon: the decentralized Chapter 3 strategy built on
 //     Dijkstra-Scholten diffusing computations, with optional monitoring
 //     (Section 3.2.5) and failure injection;
@@ -194,20 +194,27 @@ func SolveOffline(m *Demand, arena *Arena) (*OfflineSolution, error) {
 }
 
 // ExactLowerBound computes omega* = max_T omega_T, the exact value of the
-// thesis' self-consistent program (2.8), via max-flow. Cost grows with the
-// demand's spatial spread; intended for small instances and validation.
+// thesis' self-consistent program (2.8): one integer max-flow per radius
+// test, then Newton steps on the minimum cut at the final radius, whose
+// value is d(T)/|N_r(T)| for Lemma 2.2.2's maximizer T, rounded once. Cost
+// grows with the demand's spatial spread; intended for small instances and
+// validation. Total demand times |N_r(support)| must stay below 2^53 at every
+// radius the search visits; past it ExactLowerBound returns an error.
 func ExactLowerBound(m *Demand) (float64, error) {
 	return lpchar.OmegaStarFlow(m)
 }
 
 // LPSolver is the reusable warm-start solver for the thesis' LP (2.1): built
-// once per (demand, radius), its Value() runs the exact bisection on
-// construction-free capacity probes (each probe rewrites only source
-// capacities on reset residual state). Bind rebuilds it in place for a new
-// instance, reusing all retained storage — keep one per worker in custom
-// sweeps, mirroring the one-runner-per-worker rule of the online layer. Not
-// safe for concurrent use; results are bit-identical to fresh construction
-// per probe. A radius whose L1 ball is too large to list is an error.
+// once per (demand, radius), its Value() returns the exact value
+// d(T)/|N_r(T)| of Lemma 2.2.2's maximizing subset T, found by Newton steps
+// on the minimum cut of one supply network (each step rewrites only source
+// and sink capacities on reset residual state; a warm Value allocates
+// nothing). Bind rebuilds it in place for a new instance, reusing all
+// retained storage — keep one per worker in custom sweeps, mirroring the
+// one-runner-per-worker rule of the online layer. Not safe for concurrent
+// use; results are bit-identical to fresh construction. A radius whose L1
+// ball is too large to list, or total demand times |N_r(support)| of 2^53 or
+// more, is an error.
 type LPSolver = lpchar.Solver
 
 // NewLPSolver builds a warm-reusable LP (2.1) solver for (m, r).

@@ -420,7 +420,10 @@ func TestMeasureWonRejectsBadTolerance(t *testing.T) {
 
 // TestFacadeRejectsMalformedInput pins that the facade returns an error, and
 // neither panics nor hangs, on nil or overflowing input and on non-finite
-// parameters. Every row used to misbehave: the arenas were accepted (the
+// parameters. The row with 2^51 jobs pins a limit: those jobs times the five
+// suppliers within radius 1 reach 2^53, past which the LP's integer
+// max-flows would round. Every other row used to misbehave: the arenas were
+// accepted (the
 // first with Len 0, so RunOnline on it panicked; on the 2^62-cell one
 // SolveOffline panicked in makeslice and NewOnlinePartition never returned,
 // because every dense layer indexes cells with int32), the nil inputs
@@ -449,6 +452,10 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	farVehicle := Longevity{Default: 1e-6, Override: map[Point]float64{P(10000, 0): 1}}
+	inexact, err := PointDemand(2, P(0, 0), 1<<51)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		call func() error
@@ -484,6 +491,7 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 		{"NewLPSolver radius 2^24", func() error { _, err := NewLPSolver(point, 1<<24); return err }},
 		{"NewLPSolver radius 2^32 wraps to 0", func() error { _, err := NewLPSolver(point, 1<<32); return err }},
 		{"NewLPSolver radius 2^32+1", func() error { _, err := NewLPSolver(point, 1<<32+1); return err }},
+		{"NewLPSolver 2^51 jobs at one point, radius 1", func() error { _, err := NewLPSolver(inexact, 1); return err }},
 		{"BrokenLowerBound vehicle 10,000 out", func() error { _, err := BrokenLowerBound(origin, farVehicle); return err }},
 	} {
 		done := make(chan error, 1)
@@ -652,9 +660,9 @@ func FuzzRunOnline(f *testing.F) {
 // (otherwise the radius is 0-5). It must never panic, and NewLPSolver fails
 // exactly on the huge radius, with an error wrapping lpchar.ErrTooLarge. A
 // solver bound to another instance and then rebound to (m, r) returns the
-// fresh solver's Value exactly, that Value agrees with Lemma 2.2.2's closed
-// form lpchar.SubsetValue (experiment E4's check), and ExactLowerBound equals
-// the per-radius fresh reference omegaStarPerRadius.
+// fresh solver's Value exactly, that Value equals Lemma 2.2.2's closed form
+// lpchar.SubsetValue exactly (experiment E4's check), and ExactLowerBound
+// equals the per-radius fresh reference omegaStarPerRadius.
 func FuzzNewLPSolver(f *testing.F) {
 	// TestSolverSparseSpreadFallback's two disjoint unit balls, close and
 	// 2,000 cells apart, and the NewLPSolver row of
@@ -721,17 +729,17 @@ func FuzzNewLPSolver(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(want-sub) > 1e-6*math.Max(1, want) {
+		if want != sub {
 			t.Fatalf("LP value %v != Lemma 2.2.2 closed form %v", want, sub)
 		}
 	})
 }
 
-// omegaStarPerRadius is the route to program (2.8) that ExactLowerBound's
-// memo and witness pruning replaced, as lpchar's
+// omegaStarPerRadius is the reference route to program (2.8), as lpchar's
 // TestOmegaStarFlowMatchesPerRadiusFresh transcribes it: a fresh solver per
 // radius, and a bracket and bisection on the integer radius that evaluate
-// LP (2.1) at every radius they visit.
+// LP (2.1) in full at every radius they visit, where ExactLowerBound runs
+// one max-flow per radius test.
 func omegaStarPerRadius(t *testing.T, m *Demand) float64 {
 	t.Helper()
 	if m.Total() == 0 {

@@ -58,9 +58,9 @@ func feasible(m *demand.Map, lon Longevity, omega float64) (bool, error) {
 	}
 	// Suppliers: lattice points i with p_i*omega >= dist(i, some demand).
 	// The candidate region is the support's neighborhoods of radius
-	// maxP*omega, each listed by scanning its (2r+1)^dim box, so a radius
-	// whose box LP (2.1)'s solver could not list either is refused before
-	// anything is allocated.
+	// maxP*omega, the ball's offsets listed once and translated to each
+	// support point, so a radius whose ball LP (2.1)'s solver could not list
+	// either is refused before anything is allocated.
 	maxP := lon.Default
 	for _, v := range lon.Override {
 		if v > maxP {
@@ -72,14 +72,12 @@ func feasible(m *demand.Map, lon Longevity, omega float64) (bool, error) {
 		return false, fmt.Errorf("broken: capacity %v: %w", omega, err)
 	}
 	support := m.Support()
+	ball := grid.AppendBall(nil, m.Dim(), maxR)
 	seen := make(map[grid.Point]bool)
 	var suppliers []grid.Point
 	for _, s := range support {
-		b, err := grid.NewBox(m.Dim(), s, s)
-		if err != nil {
-			return false, err
-		}
-		for _, p := range grid.NeighborhoodPoints(b, maxR) {
+		for _, d := range ball {
+			p := s.Add(d)
 			if seen[p] {
 				continue
 			}
@@ -194,12 +192,8 @@ func NewFig41(r1, r2 int) (*Fig41, error) {
 	// Vehicles inside the circle of radius r2 around k are broken (p=0),
 	// except k itself.
 	over := make(map[grid.Point]float64)
-	kb, err := grid.NewBox(2, k, k)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range grid.NeighborhoodPoints(kb, r2) {
-		over[p] = 0
+	for _, d := range grid.AppendBall(nil, 2, r2) {
+		over[k.Add(d)] = 0
 	}
 	over[k] = 1
 	return &Fig41{

@@ -62,6 +62,20 @@ func TestLowerBoundAllBrokenFails(t *testing.T) {
 	}
 }
 
+// TestLowerBoundRejectsBadDimension pins an error, not a panic in the ball
+// lister, for demand in a dimension outside [1, grid.MaxDim].
+func TestLowerBoundRejectsBadDimension(t *testing.T) {
+	for _, dim := range []int{0, grid.MaxDim + 1} {
+		m := demand.NewMap(dim)
+		if err := m.Add(grid.P(1, 1), 5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LowerBound(m, Longevity{Default: 1}); err == nil {
+			t.Errorf("%d-D demand: no error", dim)
+		}
+	}
+}
+
 func TestLowerBoundEmpty(t *testing.T) {
 	if v, err := LowerBound(demand.NewMap(2), Longevity{Default: 1}); err != nil || v != 0 {
 		t.Errorf("empty: %v %v", v, err)

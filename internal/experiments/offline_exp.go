@@ -76,8 +76,7 @@ func E4Duality(trials int, seed int64, workers int) (*Table, error) {
 			if err != nil {
 				return verdict{}, err
 			}
-			equal := math.Abs(flowV-subsetV) <= 1e-6*math.Max(1, subsetV)
-			return verdict{flowV: flowV, subsetV: subsetV, boxV: boxV, equal: equal}, nil
+			return verdict{flowV: flowV, subsetV: subsetV, boxV: boxV, equal: flowV == subsetV}, nil
 		})
 	if err != nil {
 		return nil, err

@@ -13,7 +13,8 @@
 // LP core.
 //
 // MinCutReachable exposes the minimum cut each solve leaves behind, which
-// lpchar keeps as an infeasibility certificate.
+// lpchar reads as its next witness: the demands a short max-flow leaves
+// unreachable are the next subset T of Lemma 2.2.2's maximization.
 package flow
 
 import (
@@ -137,11 +138,10 @@ func (nw *Network) SetCapacity(id int, capacity float64) error {
 
 // MinCutReachable reports whether node v lies on the source side of the
 // minimum cut the last MaxFlow call left behind: v was reachable from s in
-// the final residual BFS (the phase that failed to reach t). The partition
-// is a certificate — for ANY capacity assignment, the sum of capacities on
-// edges crossing it bounds the max flow from above — which is what lets a
-// parametric search certify infeasible capacity probes without running
-// augmentation. Valid until the next MaxFlow; meaningless before the first.
+// the final residual BFS (the phase that failed to reach t). That side is
+// the same for every maximum flow, and the capacities leaving it sum to the
+// max flow; lpchar reads the unreachable demands as the next witness of its
+// Newton steps. Valid until the next MaxFlow; meaningless before the first.
 func (nw *Network) MinCutReachable(v int) bool {
 	return v >= 0 && v < nw.n && nw.level[v] >= 0
 }

@@ -85,20 +85,6 @@ func (b Box) Contains(p Point) bool {
 	return true
 }
 
-// Dist returns the L1 distance from p to the box (0 if p is inside).
-func (b Box) Dist(p Point) int {
-	d := 0
-	for i := 0; i < b.Dim; i++ {
-		switch {
-		case p[i] < b.Lo[i]:
-			d += int(b.Lo[i] - p[i])
-		case p[i] > b.Hi[i]:
-			d += int(p[i] - b.Hi[i])
-		}
-	}
-	return d
-}
-
 // Expand returns the box grown by r lattice steps in every axis direction.
 // Note Expand(r) is the *bounding box* of N_r(b), not N_r(b) itself (the L1
 // neighborhood has diamond-shaped corners).
@@ -140,25 +126,13 @@ func (b Box) AppendPoints(dst []Point) []Point {
 // Z^dim within L1 distance floor(r) of the box b (the denominator of omega_T
 // in eq. 1.1), in float64 arithmetic: the omega solvers need it at radii
 // where a relative error of ~1e-12 is irrelevant next to the thesis'
-// constant factors. The tests pin it to an exact integer evaluation of the
-// closed form and to NeighborhoodPoints.
+// constant factors. It evaluates NeighborhoodCount's closed form without
+// allocating; the tests pin it to an exact integer evaluation of that form
+// and to an enumeration of the points.
 func NeighborhoodCountFloat(b Box, r float64) float64 {
-	return CompileNeighborhood(b).Count(r)
-}
-
-// NeighborhoodPoly is |N_r(b)| for one fixed box, precompiled as a
-// polynomial in the radius (the elementary symmetric coefficients of the
-// side lengths). Count evaluates it without allocating, which lets lpchar's
-// coarse infeasibility bound screen every bisection rung off the heap.
-// NeighborhoodCountFloat delegates here, so the two can never drift.
-type NeighborhoodPoly struct {
-	dim  int
-	elem [MaxDim + 1]float64
-}
-
-// CompileNeighborhood precompiles the closed-form count for b.
-func CompileNeighborhood(b Box) NeighborhoodPoly {
-	np := NeighborhoodPoly{dim: b.Dim}
+	if r < 0 {
+		return 0
+	}
 	var elem [MaxDim + 1]int64
 	elem[0] = 1
 	for i := 0; i < b.Dim; i++ {
@@ -167,22 +141,10 @@ func CompileNeighborhood(b Box) NeighborhoodPoly {
 			elem[j] += elem[j-1] * v
 		}
 	}
-	for j := 0; j <= b.Dim; j++ {
-		np.elem[j] = float64(elem[j])
-	}
-	return np
-}
-
-// Count evaluates |N_r(b)| in float64 — the same arithmetic, in the same
-// order, as the pre-compilation NeighborhoodCountFloat, and allocation-free.
-func (np NeighborhoodPoly) Count(r float64) float64 {
-	if r < 0 {
-		return 0
-	}
 	rf := math.Floor(r)
 	total := 0.0
 	pow2 := 1.0
-	for k := 0; k <= np.dim; k++ {
+	for k := 0; k <= b.Dim; k++ {
 		c := 1.0
 		for i := 1; i <= k; i++ {
 			c *= (rf - float64(k-i)) / float64(i)
@@ -190,7 +152,7 @@ func (np NeighborhoodPoly) Count(r float64) float64 {
 		if c < 0 {
 			c = 0
 		}
-		total += pow2 * c * np.elem[np.dim-k]
+		total += pow2 * c * float64(elem[b.Dim-k])
 		pow2 *= 2
 	}
 	return total
@@ -206,16 +168,32 @@ func mulChecked(a, b int64) (int64, error) {
 	return a * b, nil
 }
 
-// NeighborhoodPoints enumerates N_r(b) explicitly by scanning the bounding
-// box. It is O(volume of Expand(r)) and exists to cross-check the closed
-// form in tests and to drive small exact LP instances.
-func NeighborhoodPoints(b Box, r int) []Point {
-	bound := b.Expand(r)
-	var out []Point
-	for _, p := range bound.Points() {
-		if b.Dist(p) <= r {
-			out = append(out, p)
+// AppendBall appends to dst the offsets d of Z^dim with |d|_1 <= r, in
+// row-major order (last axis fastest), and returns the extended slice.
+// Translated by q, the offsets list N_r(q) in the order a row-major scan of
+// its (2r+1)^dim bounding box meets them, without visiting the box: dst
+// grows at most once, sized by the ball's closed-form count. dim must lie in
+// [1, MaxDim]; a negative r appends nothing.
+func AppendBall(dst []Point, dim, r int) []Point {
+	if r < 0 {
+		return dst
+	}
+	if n := int(NeighborhoodCountFloat(Box{Dim: dim}, float64(r))); cap(dst)-len(dst) < n {
+		dst = append(make([]Point, 0, len(dst)+n), dst...)
+	}
+	return appendBallAxis(dst, Point{}, 0, dim, r)
+}
+
+// appendBallAxis appends the ball points that agree with p before axis and
+// spend at most budget on the remaining axes.
+func appendBallAxis(dst []Point, p Point, axis, dim, budget int) []Point {
+	for x := -budget; x <= budget; x++ {
+		p[axis] = int32(x)
+		if axis == dim-1 {
+			dst = append(dst, p)
+		} else {
+			dst = appendBallAxis(dst, p, axis+1, dim, budget-max(x, -x))
 		}
 	}
-	return out
+	return dst
 }

@@ -88,6 +88,80 @@ func TestBoxPoints(t *testing.T) {
 	}
 }
 
+// Dist returns the L1 distance from p to the box (0 if p is inside).
+func (b Box) Dist(p Point) int {
+	d := 0
+	for i := 0; i < b.Dim; i++ {
+		switch {
+		case p[i] < b.Lo[i]:
+			d += int(b.Lo[i] - p[i])
+		case p[i] > b.Hi[i]:
+			d += int(p[i] - b.Hi[i])
+		}
+	}
+	return d
+}
+
+// NeighborhoodPoints enumerates N_r(b) by scanning the bounding box
+// Expand(r) in row-major order: the oracle for the closed-form counts and
+// for AppendBall's points and their order.
+func NeighborhoodPoints(b Box, r int) []Point {
+	bound := b.Expand(r)
+	var out []Point
+	for _, p := range bound.Points() {
+		if b.Dist(p) <= r {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestAppendBallMatchesNeighborhoodPoints pins the ball lister to the box
+// scan in 1-4-D: translated by a point q, AppendBall's offsets are
+// NeighborhoodPoints around q, point for point and in the same order, and
+// the prefix of the buffer it is given is kept.
+func TestAppendBallMatchesNeighborhoodPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for dim := 1; dim <= MaxDim; dim++ {
+		for r := 0; r <= 7-dim; r++ {
+			var q Point
+			for i := 0; i < dim; i++ {
+				q[i] = int32(rng.Intn(21) - 10)
+			}
+			want := NeighborhoodPoints(mustBox(t, dim, q, q), r)
+			got := AppendBall([]Point{P(9, 9)}, dim, r)
+			if len(got) != 1+len(want) || got[0] != P(9, 9) {
+				t.Fatalf("%d-D r=%d: %d offsets after the prefix, want %d", dim, r, len(got)-1, len(want))
+			}
+			for i, d := range got[1:] {
+				if p := q.Add(d); p != want[i] {
+					t.Fatalf("%d-D r=%d: point %d is %v, want %v", dim, r, i, p, want[i])
+				}
+			}
+		}
+	}
+	if got := AppendBall(nil, 2, -1); len(got) != 0 {
+		t.Errorf("negative radius listed %v", got)
+	}
+}
+
+// TestAppendBallAllocs pins the lister's growth to one allocation, and none
+// into a buffer that already holds the ball; the closed-form float count it
+// sizes with allocates nothing.
+func TestAppendBallAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(10, func() { _ = AppendBall(nil, 3, 5) }); got != 1 {
+		t.Errorf("AppendBall into nil allocated %v times, want 1", got)
+	}
+	buf := AppendBall(nil, 3, 5)
+	if got := testing.AllocsPerRun(10, func() { buf = AppendBall(buf[:0], 3, 5) }); got != 0 {
+		t.Errorf("AppendBall into a sized buffer allocated %v times, want 0", got)
+	}
+	b := mustBox(t, 3, P(0, 0, 0), P(4, 2, 7))
+	if got := testing.AllocsPerRun(10, func() { _ = NeighborhoodCountFloat(b, 6) }); got != 0 {
+		t.Errorf("NeighborhoodCountFloat allocated %v times, want 0", got)
+	}
+}
+
 func TestNeighborhoodCountKnownValues(t *testing.T) {
 	// L1 ball sizes around a single point: 1-D: 2r+1; 2-D: 2r^2+2r+1.
 	pt := mustBox(t, 2, P(0, 0), P(0, 0))

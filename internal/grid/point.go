@@ -55,15 +55,6 @@ func (p Point) Add(q Point) Point {
 	return r
 }
 
-// Sub returns p - q component-wise.
-func (p Point) Sub(q Point) Point {
-	var r Point
-	for i := range p {
-		r[i] = p[i] - q[i]
-	}
-	return r
-}
-
 // CoordSum returns the sum of all coordinates. The online strategy's
 // chessboard coloring (Section 3.2) colors a vertex black when the sum of its
 // coordinates is even.

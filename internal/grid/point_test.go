@@ -69,8 +69,8 @@ func TestAddSub(t *testing.T) {
 	if got := a.Add(b); got != P(5, -3, 9) {
 		t.Errorf("Add = %v", got)
 	}
-	if got := a.Add(b).Sub(b); got != a {
-		t.Errorf("Add then Sub = %v, want %v", got, a)
+	if got := a.Add(b).Add(P(-4, 5, -6)); got != a {
+		t.Errorf("Add then add the negation = %v, want %v", got, a)
 	}
 }
 

@@ -21,8 +21,8 @@ func benchDemand(b *testing.B, points int) *demand.Map {
 	return m
 }
 
-// BenchmarkFlowValueCold is the pre-refactor baseline shape: every bisection
-// probe constructs a fresh supply graph (see coldFlowValue in solver_test).
+// BenchmarkFlowValueCold times the float bisection Value replaced, every
+// probe on a freshly built supply graph (coldFlowValue in solver_test).
 func BenchmarkFlowValueCold(b *testing.B) {
 	m := benchDemand(b, 12)
 	b.ReportAllocs()
@@ -31,9 +31,8 @@ func BenchmarkFlowValueCold(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowValueWarm is the pooled one-shot path OmegaStarFlow takes:
-// one Bind of a retained Solver plus ~60 construction-free probes on reset
-// residual state.
+// BenchmarkFlowValueWarm is the pooled one-shot path: one Bind of a retained
+// Solver plus Value's few max-flows on reset residual state.
 func BenchmarkFlowValueWarm(b *testing.B) {
 	m := benchDemand(b, 12)
 	b.ReportAllocs()
@@ -62,8 +61,8 @@ func BenchmarkFlowValueRebound(b *testing.B) {
 	}
 }
 
-// BenchmarkOmegaStarFlow times the self-consistent program (2.8) with the
-// per-radius solver cache across its bracket and bisection.
+// BenchmarkOmegaStarFlow times the self-consistent program (2.8): one
+// max-flow per radius of its bracket and bisection, then Value.
 func BenchmarkOmegaStarFlow(b *testing.B) {
 	m := benchDemand(b, 12)
 	b.ReportAllocs()
@@ -76,9 +75,7 @@ func BenchmarkOmegaStarFlow(b *testing.B) {
 
 // BenchmarkOmegaStarFlowLarge scales the self-consistent program to roughly
 // ten times E4's support: 120 demand points over a 32x32 patch, where the
-// bracket's large radii make the per-radius supply graphs expensive enough
-// that the incremental machinery (witness certificates, radius extension,
-// ladder resumes) dominates the measurement.
+// bracket's large radii make the per-radius supply graphs expensive.
 func BenchmarkOmegaStarFlowLarge(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	m := demand.NewMap(2)

@@ -1,9 +1,10 @@
 // Package lpchar computes the value of the thesis' linear program (2.1) —
 // the minimal vehicle capacity omega that lets supply omega at every lattice
 // point cover the demand d(j) when transports are limited to radius r. The
-// production route is Solver: a bisection on omega with a Dinic max-flow
-// feasibility oracle (exact up to the bisection tolerance). Two independent
-// routes check it:
+// production route is Solver: Newton's method on the minimum cut of a Dinic
+// max-flow, exact in integer arithmetic, which returns Lemma 2.2.2's
+// d(T)/|N_r(T)| for the maximizing subset T. Two independent routes check
+// it:
 //
 //  1. SubsetValue: Lemma 2.2.2's closed form max_T sum(d)/|N_r(T)| by
 //     brute-force enumeration of subsets T of the demand support (exact,
@@ -31,11 +32,10 @@ import (
 
 // solverPool recycles Solvers across OmegaStarFlow calls, extending the
 // sweep workers' one-solver-per-worker discipline to callers without a
-// natural place to retain one: network arrays, supply index buffers, and the
-// coarse witness bounds all survive between calls. Rebinding a pooled solver
-// is pinned indistinguishable from constructing a fresh one
-// (TestSolverWarmEqualsCold), and the witness bounds revalidate their
-// instance before reuse, so results are unaffected.
+// natural place to retain one: network arrays and supply index buffers
+// survive between calls. Rebinding a pooled solver is pinned
+// indistinguishable from constructing a fresh one (TestSolverWarmEqualsCold),
+// so results are unaffected.
 var solverPool = sync.Pool{New: func() any { return new(Solver) }}
 
 // ErrTooLarge is returned when an instance exceeds a solver's exact-method
@@ -69,10 +69,7 @@ func SubsetValue(m *demand.Map, r int) (float64, error) {
 	// from; the slice is sized for the most suppliers the balls can hold, so
 	// the one-shot build appends without regrowing.
 	var si supplyIndex
-	deltas, err := si.ballOffsets(m.Dim(), r)
-	if err != nil {
-		return 0, err
-	}
+	deltas := si.ballOffsets(m.Dim(), r)
 	si.suppliers = make([]grid.Point, 0, k*len(deltas))
 	if err := si.build(m, r, support); err != nil {
 		return 0, err
@@ -171,44 +168,32 @@ func MaxOverBoxes(m *demand.Map, r int) (float64, grid.Box, error) {
 // LPvalue(r) - r is strictly decreasing and a binary search on the integer
 // radius bracket followed by one LP evaluation pins the fixed point.
 //
-// One pooled solver serves every radius the search visits: each radius not
-// yet evaluated rebinds it from scratch, and per-radius values are memoized
-// so a revisited radius costs a map lookup. Radius segments the shared witness
-// bounds prove irrelevant — LPvalue(r) certifiably above r+1 — are skipped
-// without evaluating the LP at all; the certificate threshold sits a safety
-// margin above r+1, so every skipped evaluation is one the bisection test
-// was guaranteed to fail, and the search trajectory (and result) is
-// identical to evaluating everywhere.
+// One pooled solver, rebound per radius, serves the whole search, and the
+// support is sorted once. The search only asks whether LPvalue(r) <= r+1,
+// which one max-flow with supply r+1 at every supplier answers exactly;
+// Value's Newton steps run at the final radius alone.
 func OmegaStarFlow(m *demand.Map) (float64, error) {
 	if m.Total() == 0 {
 		return 0, nil
 	}
 	sol := solverPool.Get().(*Solver)
 	defer solverPool.Put(sol)
-	if err := sol.cb.ensure(m); err != nil {
-		return 0, err
-	}
-	memo := make(map[int]float64)
-	value := func(r int) (float64, error) {
-		if v, ok := memo[r]; ok {
-			return v, nil
+	return sol.omegaStar(m)
+}
+
+// omegaStar is OmegaStarFlow on s, for a demand with positive total; it
+// leaves s bound to m at the final radius.
+func (s *Solver) omegaStar(m *demand.Map) (float64, error) {
+	support := m.Support()
+	// fits binds s at radius r and reports whether LPvalue(r) <= r+1;
+	// bound remembers the radius s is bound at.
+	bound := -1
+	fits := func(r int) (bool, error) {
+		if err := s.bind(m, r, support); err != nil {
+			return false, err
 		}
-		if err := sol.Bind(m, r); err != nil {
-			return 0, err
-		}
-		v, err := sol.Value()
-		if err != nil {
-			return 0, err
-		}
-		memo[r] = v
-		return v, nil
-	}
-	// exceeds(r) certifies LPvalue(r) > r+1 from the witness bounds alone:
-	// lowerAt already retreats by the safety margin, and Value() can only
-	// land above it (probes below are certified-infeasible), so the
-	// bisection's "v <= r+1" test is known false without evaluating.
-	exceeds := func(r int) bool {
-		return sol.cb.lowerAt(float64(r)) > float64(r+1)
+		bound = r
+		return s.saturates(int64(r+1), 1)
 	}
 	// Find smallest integer R with LPvalue(R) <= R+1; the fixed point lies
 	// in radius segment [R, R+1). Bracket exponentially from small radii:
@@ -217,14 +202,12 @@ func OmegaStarFlow(m *demand.Map) (float64, error) {
 	// concentrated demands.
 	hi := 1
 	for {
-		if !exceeds(hi) {
-			v, err := value(hi)
-			if err != nil {
-				return 0, err
-			}
-			if v <= float64(hi+1) {
-				break
-			}
+		ok, err := fits(hi)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			break
 		}
 		hi *= 2
 		if int64(hi) > m.Max()+1 {
@@ -234,38 +217,29 @@ func OmegaStarFlow(m *demand.Map) (float64, error) {
 	lo := 0
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if exceeds(mid) {
-			lo = mid + 1
-			continue
-		}
-		v, err := value(mid)
+		ok, err := fits(mid)
 		if err != nil {
 			return 0, err
 		}
-		if v <= float64(mid+1) {
+		if ok {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
 	r := lo
-	if exceeds(r) {
-		// v > r+1 certified: the clamp below would return r+1.
-		return float64(r + 1), nil
+	if bound != r {
+		if err := s.bind(m, r, support); err != nil {
+			return 0, err
+		}
 	}
-	v, err := value(r)
+	v, err := s.Value()
 	if err != nil {
 		return 0, err
 	}
 	// Within the segment the LP value is the constant v (radius floor(omega)
 	// = r); the self-consistent solution is omega = v clamped to [r, r+1].
-	if v < float64(r) {
-		return float64(r), nil
-	}
-	if v > float64(r+1) {
-		return float64(r + 1), nil
-	}
-	return v, nil
+	return min(max(v, float64(r)), float64(r+1)), nil
 }
 
 // OmegaStarCubesPS computes max over all cubes T (every side length s >= 1,

@@ -36,10 +36,7 @@ func SimplexValue(m *demand.Map, r int) (float64, error) {
 		return 0, err
 	}
 	suppliers := sup.suppliers
-	deltas, err := sup.ballOffsets(m.Dim(), r)
-	if err != nil {
-		return 0, err
-	}
+	deltas := sup.ballOffsets(m.Dim(), r)
 	type arc struct{ i, j int }
 	var arcs []arc
 	for j, q := range support {
