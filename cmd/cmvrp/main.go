@@ -153,12 +153,9 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "served %d/%d jobs, %d replacements, %d messages\n",
 				res.Served, seq.Len(), res.Replacements, res.Messages)
 		}
-		// Pinned worker count: the parallel search's answer depends on the
-		// probe grid, so a fixed pool keeps the printed Won machine-
-		// independent for a given seed.
-		won, err := online.MinCapacityParallel(seq, online.Options{
+		won, err := online.MinCapacity(seq, online.Options{
 			Arena: arena, CubeSide: char.Side, Partition: part,
-			Seed: *seed, SearchWorkers: 4, SimShards: *shards,
+			Seed: *seed, SimShards: *shards,
 			Search: protocol, GossipFanout: *fanout,
 		}, 1, 0.05)
 		if err != nil {

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/demand"
+	"repro/internal/online"
 )
 
 func writeSpec(t *testing.T, content string) string {
@@ -77,6 +80,39 @@ func TestRunTraceFlag(t *testing.T) {
 	}
 	if got := out.String(); got != string(want) {
 		t.Errorf("-trace output drifted from testdata/trace_4x4.txt:\n%s", got)
+	}
+}
+
+// TestTraceWonIsThreshold checks that the Won which testdata/trace_4x4.txt
+// pins, 9, is the instance's threshold within the search's 5% tolerance: a
+// fresh runner at capacity 9 serves all 20 jobs with no failed search, and
+// one at 9 - 0.05*9 = 8.55 does not.
+func TestTraceWonIsThreshold(t *testing.T) {
+	arena, m, err := demand.ParseSpec([]byte(`{"arena": [4, 4], "demands": [{"at": [2, 2], "jobs": 20}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := demand.SequenceOf(m, demand.OrderSorted, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		capacity float64
+		feasible bool
+	}{{9, true}, {8.55, false}} {
+		r, err := online.NewRunner(online.Options{Arena: arena, CubeSide: 2, Capacity: tc.capacity, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Run(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok := res.Served == int64(seq.Len()) && res.OK() && res.SearchFailures == 0
+		if ok != tc.feasible {
+			t.Errorf("capacity %v: served %d/%d, %d failures, %d failed searches; feasible %v, want %v",
+				tc.capacity, res.Served, seq.Len(), len(res.Failures), res.SearchFailures, ok, tc.feasible)
+		}
 	}
 }
 

@@ -26,9 +26,9 @@ import (
 	"repro/internal/experiments"
 )
 
-// defaultSweepWorkers pins the sweep width (like E7 pins its search
-// workers): not for reproducible values — those are width-independent — but
-// so the shipped command behaves identically on every host by default.
+// defaultSweepWorkers pins the sweep width: not for reproducible values —
+// those are width-independent — but so the shipped command behaves
+// identically on every host by default.
 const defaultSweepWorkers = 4
 
 func main() {

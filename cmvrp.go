@@ -259,18 +259,9 @@ func RunSweep(scenarios []SweepScenario, workers int) ([]*OnlineResult, error) {
 
 // MeasureWon finds the smallest capacity (within relative tol) at which the
 // online strategy serves the whole sequence — the empirical Won. The
-// feasibility probes are independent fixed-seed runs sharing one immutable
-// partition and warm-started runners (each probe resets a long-lived runner
-// instead of rebuilding the world); set opts.SearchWorkers >= 2 to race
-// that many concurrently (online.MinCapacityParallel), each worker owning
-// one such runner. The default is the serial bisection, whose answer
-// depends only on the inputs — never on the host's core count.
-// The parallel path ignores opts.Tracer: probes run concurrently and a
-// shared tracer would race.
+// feasibility probes are fixed-seed runs on one warm runner, reset per probe
+// instead of rebuilt, so the answer depends only on the inputs.
 func MeasureWon(seq *Sequence, opts OnlineOptions, tol float64) (float64, error) {
-	if opts.SearchWorkers > 1 {
-		return online.MinCapacityParallel(seq, opts, 1, tol)
-	}
 	return online.MinCapacity(seq, opts, 1, tol)
 }
 

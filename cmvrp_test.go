@@ -384,36 +384,33 @@ func TestOnlineRejectsNonFiniteCapacity(t *testing.T) {
 }
 
 // TestMeasureWonRejectsBadTolerance pins that MeasureWon returns an error
-// for a tolerance that is not positive and finite, on the serial and the
-// parallel search. At tol <= 0 it used to bisect forever once the bracket
-// was two adjacent floats, so each call runs under a deadline and a
-// regression fails instead of hanging the suite.
+// for a tolerance that is not positive and finite. At tol <= 0 it used to
+// bisect forever once the bracket was two adjacent floats, so each call runs
+// under a deadline and a regression fails instead of hanging the suite.
 func TestMeasureWonRejectsBadTolerance(t *testing.T) {
 	arena, err := NewArena(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := NewSequence([]Point{P(0, 0), P(1, 1), P(2, 2), P(3, 3)})
+	opts := OnlineOptions{Arena: arena, CubeSide: 2, Seed: 3}
 	for _, tol := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		for _, workers := range []int{0, 2} {
-			opts := OnlineOptions{Arena: arena, CubeSide: 2, Seed: 3, SearchWorkers: workers}
-			type answer struct {
-				won float64
-				err error
+		type answer struct {
+			won float64
+			err error
+		}
+		done := make(chan answer, 1)
+		go func() {
+			won, err := MeasureWon(seq, opts, tol)
+			done <- answer{won, err}
+		}()
+		select {
+		case a := <-done:
+			if a.err == nil {
+				t.Errorf("tol %v: MeasureWon returned %v with no error", tol, a.won)
 			}
-			done := make(chan answer, 1)
-			go func() {
-				won, err := MeasureWon(seq, opts, tol)
-				done <- answer{won, err}
-			}()
-			select {
-			case a := <-done:
-				if a.err == nil {
-					t.Errorf("tol %v, workers %d: MeasureWon returned %v with no error", tol, workers, a.won)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("tol %v, workers %d: MeasureWon still running after 5s", tol, workers)
-			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("tol %v: MeasureWon still running after 5s", tol)
 		}
 	}
 }
@@ -432,7 +429,9 @@ func TestMeasureWonRejectsBadTolerance(t *testing.T) {
 // panicked (makeslice, or an index past int32-wrapped coordinates) or
 // wrapped in int32 to another radius's answer, and BrokenLowerBound with its
 // one long-lived vehicle 10,000 cells out doubled its radius until it tried
-// to list a box of 2.7e8 points (4.3 GB). Each row runs in its own
+// to list a box of 2.7e8 points (4.3 GB). A NaN longevity passed
+// validation: as an override it gave p = 0's bound with no error, and as the
+// default it failed only on the radius it made. Each row runs in its own
 // goroutine under a deadline, with panics recovered, so a regression fails
 // its row instead of crashing or hanging the suite.
 func TestFacadeRejectsMalformedInput(t *testing.T) {
@@ -452,6 +451,10 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	farVehicle := Longevity{Default: 1e-6, Override: map[Point]float64{P(10000, 0): 1}}
+	origin1D, err := PointDemand(1, P(0), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inexact, err := PointDemand(2, P(0, 0), 1<<51)
 	if err != nil {
 		t.Fatal(err)
@@ -493,6 +496,14 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 		{"NewLPSolver radius 2^32+1", func() error { _, err := NewLPSolver(point, 1<<32+1); return err }},
 		{"NewLPSolver 2^51 jobs at one point, radius 1", func() error { _, err := NewLPSolver(inexact, 1); return err }},
 		{"BrokenLowerBound vehicle 10,000 out", func() error { _, err := BrokenLowerBound(origin, farVehicle); return err }},
+		{"BrokenLowerBound NaN override", func() error {
+			_, err := BrokenLowerBound(origin1D, Longevity{Default: 1, Override: map[Point]float64{P(0): math.NaN()}})
+			return err
+		}},
+		{"BrokenLowerBound NaN default", func() error {
+			_, err := BrokenLowerBound(origin1D, Longevity{Default: math.NaN()})
+			return err
+		}},
 	} {
 		done := make(chan error, 1)
 		go func() {

@@ -33,13 +33,13 @@ func (l Longevity) At(x grid.Point) float64 {
 	return l.Default
 }
 
-// Validate checks all parameters lie in [0,1].
+// Validate checks all parameters lie in [0,1]; NaN does not.
 func (l Longevity) Validate() error {
-	if l.Default < 0 || l.Default > 1 {
+	if !(l.Default >= 0 && l.Default <= 1) {
 		return fmt.Errorf("broken: default longevity %v outside [0,1]", l.Default)
 	}
 	for p, v := range l.Override {
-		if v < 0 || v > 1 {
+		if !(v >= 0 && v <= 1) {
 			return fmt.Errorf("broken: longevity %v at %v outside [0,1]", v, p)
 		}
 	}

@@ -20,6 +20,13 @@ func TestLongevityValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative override should fail")
 	}
+	if err := (Longevity{Default: math.NaN()}).Validate(); err == nil {
+		t.Error("NaN default should fail")
+	}
+	nan := Longevity{Default: 1, Override: map[grid.Point]float64{grid.P(0, 0): math.NaN()}}
+	if err := nan.Validate(); err == nil {
+		t.Error("NaN override should fail")
+	}
 }
 
 func TestLongevityAt(t *testing.T) {

@@ -6,7 +6,7 @@ package demand
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/grid"
 )
@@ -62,7 +62,7 @@ func (m *Map) Support() []grid.Point {
 	for p := range m.d {
 		pts = append(pts, p)
 	}
-	sort.Slice(pts, func(i, j int) bool { return lessPoint(pts[i], pts[j]) })
+	slices.SortFunc(pts, grid.Point.Compare)
 	return pts
 }
 
@@ -123,5 +123,3 @@ func (m *Map) Values(g *grid.Grid) ([]int64, error) {
 	}
 	return vals, nil
 }
-
-func lessPoint(a, b grid.Point) bool { return a.Less(b) }

@@ -45,9 +45,23 @@ func TestSupportSorted(t *testing.T) {
 	}
 	sup := m.Support()
 	for i := 1; i < len(sup); i++ {
-		if !lessPoint(sup[i-1], sup[i]) {
+		if !sup[i-1].Less(sup[i]) {
 			t.Fatalf("support not sorted: %v", sup)
 		}
+	}
+}
+
+// TestSupportAllocs pins Support to one allocation, the returned slice: the
+// sort takes a static comparison function, so it allocates nothing.
+func TestSupportAllocs(t *testing.T) {
+	m := NewMap(2)
+	for i := 0; i < 60; i++ {
+		if err := m.Add(grid.P(i%8, i/8), int64(1+i%3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() { _ = m.Support() }); got != 1 {
+		t.Errorf("Support allocated %v times, want 1", got)
 	}
 }
 

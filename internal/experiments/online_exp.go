@@ -13,9 +13,6 @@ import (
 	"repro/internal/sweep"
 )
 
-// e7SearchWorkers is the pinned concurrency of E7's capacity searches.
-const e7SearchWorkers = 4
-
 // E7Online measures the empirical Won (smallest capacity at which the
 // Chapter 3 strategy serves everything) against omega_c and the Theorem
 // 1.4.2 guarantee (4*3^l+l)*omega_c, plus the greedy dispatcher baseline.
@@ -29,9 +26,9 @@ func E7Online(n int, jobs int64, seed int64, workers, shards int) (*Table, error
 		Notes: "Theorem 1.4.2: Won = Theta(Woff); the measured ratio stays below the 38x analytic constant (and far below it in practice).",
 	}
 	arena := grid.MustNew(n, n)
-	// One scenario per workload; each runs its own pinned-width capacity
-	// search (the search owns its probe runners, so the sweep worker's pool
-	// is not involved — fan-out here is across workloads).
+	// One scenario per workload; each runs its own capacity search (the
+	// search owns its probe runner, so the sweep worker's pool is not
+	// involved — fan-out here is across workloads).
 	type row struct {
 		omega, won, greedyW float64
 	}
@@ -51,17 +48,8 @@ func E7Online(n int, jobs int64, seed int64, workers, shards int) (*Table, error
 			if err != nil {
 				return row{}, err
 			}
-			// Fixed search worker count: the parallel search's answer depends
-			// on the probe grid, so pinning it keeps tables machine-
-			// independent. The prebuilt partition is shared by every probe
-			// runner of the search.
-			part, err := online.NewPartition(arena, char.Side)
-			if err != nil {
-				return row{}, err
-			}
-			won, err := online.MinCapacityParallel(seq, online.Options{
-				Arena: arena, CubeSide: char.Side, Partition: part, Seed: seed,
-				SearchWorkers: e7SearchWorkers, SimShards: shards,
+			won, err := online.MinCapacity(seq, online.Options{
+				Arena: arena, CubeSide: char.Side, Seed: seed, SimShards: shards,
 			}, 1, 0.05)
 			if err != nil {
 				return row{}, err

@@ -6,6 +6,7 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 )
@@ -35,16 +36,20 @@ func P(coords ...int) Point {
 // Coord returns the i-th coordinate as an int.
 func (p Point) Coord(i int) int { return int(p[i]) }
 
-// Less orders points lexicographically by coordinate — a total order used
-// to make collections derived from map iteration deterministic.
-func (p Point) Less(q Point) bool {
-	for i := 0; i < MaxDim; i++ {
-		if p[i] != q[i] {
-			return p[i] < q[i]
+// Compare orders points lexicographically by coordinate, returning -1, 0 or
+// +1 — a total order used to make collections derived from map iteration
+// deterministic.
+func (p Point) Compare(q Point) int {
+	for i := range p {
+		if c := cmp.Compare(p[i], q[i]); c != 0 {
+			return c
 		}
 	}
-	return false
+	return 0
 }
+
+// Less reports whether p orders before q under Compare.
+func (p Point) Less(q Point) bool { return p.Compare(q) < 0 }
 
 // Add returns p translated by q (component-wise sum).
 func (p Point) Add(q Point) Point {
@@ -103,7 +108,7 @@ func (p Point) Append(dst []byte) []byte {
 func Manhattan(a, b Point) int {
 	d := 0
 	for i := range a {
-		delta := int(a[i] - b[i])
+		delta := int(a[i]) - int(b[i])
 		if delta < 0 {
 			delta = -delta
 		}

@@ -36,6 +36,7 @@ func TestManhattan(t *testing.T) {
 		{"diagonal", P(0, 0), P(3, 4), 7},
 		{"negative coords", P(-2, -3), P(2, 3), 10},
 		{"3d", P(1, 1, 1), P(2, 3, 5), 7},
+		{"difference beyond int32", P(-2e9, 0), P(2e9, 0), 4_000_000_000},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

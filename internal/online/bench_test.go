@@ -62,10 +62,9 @@ func BenchmarkOnlineRunMonitoring(b *testing.B) {
 	}
 }
 
-// BenchmarkMinCapacitySerial and ...Parallel compare the capacity search's
-// wall-clock: the probes are embarrassingly parallel, so the parallel
-// variant should win on any multi-core machine.
-func BenchmarkMinCapacitySerial(b *testing.B) {
+// BenchmarkMinCapacity times the capacity search on the hot-point golden
+// instance: one warm runner reset per probe.
+func BenchmarkMinCapacity(b *testing.B) {
 	arena := grid.MustNew(8, 8)
 	jobs := make([]grid.Point, 60)
 	for i := range jobs {
@@ -75,21 +74,6 @@ func BenchmarkMinCapacitySerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := MinCapacity(seq, Options{Arena: arena, CubeSide: 8, Seed: 1}, 1, 0.05); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMinCapacityParallel(b *testing.B) {
-	arena := grid.MustNew(8, 8)
-	jobs := make([]grid.Point, 60)
-	for i := range jobs {
-		jobs[i] = grid.P(4, 4)
-	}
-	seq := demand.NewSequence(jobs)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := MinCapacityParallel(seq, Options{Arena: arena, CubeSide: 8, Seed: 1}, 1, 0.05); err != nil {
 			b.Fatal(err)
 		}
 	}

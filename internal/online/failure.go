@@ -239,9 +239,6 @@ func validateSearch(protocol SearchProtocol, fanout int) error {
 // Shared by NewRunner and ResetEpisode so both boundaries reject exactly the
 // same inputs (ResetEpisode validates before mutating anything).
 func (o *Options) validateExtensions(arena *grid.Grid) (FailureModel, error) {
-	if o.MaxSteps < 0 {
-		return FailureModel{}, fmt.Errorf("online: MaxSteps %d must be >= 0", o.MaxSteps)
-	}
 	if o.SimShards < 0 {
 		return FailureModel{}, fmt.Errorf("online: SimShards %d must be >= 0", o.SimShards)
 	}

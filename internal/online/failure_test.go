@@ -89,7 +89,6 @@ func TestResetEpisodeValidatesBeforeMutating(t *testing.T) {
 			GossipFanout: 2}, // fanout without SearchGossip
 		{Arena: good.Arena, CubeSide: 6, Capacity: 10, Seed: 1,
 			Fleet: &Fleet{}}, // no classes
-		{Arena: good.Arena, CubeSide: 6, Capacity: 10, Seed: 1, MaxSteps: -1},
 		{Arena: good.Arena, CubeSide: 6, Capacity: 10, Seed: 1, SimShards: -1},
 		{Arena: good.Arena, CubeSide: 6, Capacity: math.NaN(), Seed: 1},
 	} {

@@ -23,9 +23,8 @@ type Options struct {
 	// Partition, when set, is a prebuilt geometry to reuse instead of
 	// constructing one: it must have been built for this exact Arena (and
 	// CubeSide, when that is nonzero). Partitions are immutable, so one can
-	// be shared by any number of runners, including concurrent search
-	// workers — the capacity searches build one per sweep and every probe
-	// reuses it.
+	// be shared by any number of runners, including the sweep's concurrent
+	// workers.
 	Partition *Partition
 	// Capacity is the per-vehicle energy budget W being tested.
 	Capacity float64
@@ -53,17 +52,6 @@ type Options struct {
 	// Monitoring enables the Section 3.2.5 heartbeat ring. Without it,
 	// scenario 2/3 failures go unrepaired.
 	Monitoring bool
-	// MaxSteps bounds message deliveries per quiescence run (0 = default).
-	MaxSteps int64
-	// SearchWorkers sets the number of concurrent feasibility probes used
-	// by capacity searches (MinCapacityParallel / cmvrp.MeasureWon): each
-	// probe is an independent fixed-seed run, so values >= 2 race them on
-	// a worker pool. The search's answer depends on the probe grid and
-	// hence on this count, so MeasureWon treats anything <= 1 as the
-	// serial bisection — reproducible regardless of host core count —
-	// while MinCapacityParallel maps <= 0 to runtime.NumCPU(). A single
-	// Run ignores this field.
-	SearchWorkers int
 	// Tracer, when set, receives structured simulation events (serves,
 	// exhaustions, searches, moves, rescues, failures).
 	Tracer Tracer
@@ -191,9 +179,9 @@ type Runner struct {
 // sequence and has not been Reset since.
 var ErrRunnerUsed = errors.New("online: Runner already ran; call Reset before running again")
 
-// defaultMaxSteps is the per-quiescence delivery budget when Options.MaxSteps
-// is zero.
-const defaultMaxSteps = 50_000_000
+// stepLimit is the delivery budget of one quiescence run; a run that reaches
+// it fails with sim.ErrStepLimit.
+const stepLimit = 50_000_000
 
 func (r *Runner) recordFailure(pos grid.Point, reason string) {
 	r.failures = append(r.failures, Failure{Pos: pos, Reason: reason})
@@ -332,9 +320,6 @@ func (r *Runner) arm(opts Options) error {
 	if err != nil {
 		return err
 	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = defaultMaxSteps
-	}
 	r.opts = opts
 	r.deadEvents = densifyDeadEvents(r.deadEvents, opts.Arena, model.DeadBeforeArrival)
 	r.evidence = len(model.Byzantine) > 0
@@ -425,8 +410,8 @@ func (r *Runner) Reset(capacity float64, seed int64) error {
 
 // ResetEpisode re-arms the runner for a new episode whose options may differ
 // in everything *except* geometry: capacity, seed, the failure model,
-// fleet, search protocol, Monitoring, MaxSteps, and Tracer are re-applied in
-// place, while the partition, vehicles, diffusion engines, and the network's
+// fleet, search protocol, Monitoring, and Tracer are re-applied in place,
+// while the partition, vehicles, diffusion engines, and the network's
 // link tables and ring buffers are all kept. Arena (pointer identity) and
 // cube side must match what the runner was built with — a geometry change
 // requires a new Runner, which is exactly the rebuild-vs-reset split the
@@ -468,15 +453,10 @@ func densifyDeadEvents(dst []deadEvent, arena *grid.Grid, dead map[grid.Point]in
 		events = append(events, deadEvent{at: at, id: id, home: home})
 	}
 	slices.SortFunc(events, func(a, b deadEvent) int {
-		switch {
-		case a.at != b.at:
-			return cmp.Compare(a.at, b.at)
-		case a.home.Less(b.home):
-			return -1
-		case b.home.Less(a.home):
-			return 1
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return 0
+		return a.home.Compare(b.home)
 	})
 	return events
 }
@@ -563,7 +543,7 @@ func (r *Runner) Run(seq *demand.Sequence) (*Result, error) {
 }
 
 func (r *Runner) quiesce() error {
-	return r.net.Run(r.opts.MaxSteps)
+	return r.net.Run(stepLimit)
 }
 
 // monitorRound performs one heartbeat exchange followed by one check pass
@@ -585,5 +565,4 @@ func (r *Runner) monitorRound() error {
 	return nil
 }
 
-// MinCapacity and MinCapacityParallel (the capacity-search layer) live in
-// search.go.
+// MinCapacity, the capacity search, lives in search.go.

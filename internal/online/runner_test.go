@@ -32,9 +32,6 @@ func TestNewRunnerValidation(t *testing.T) {
 	if _, err := NewRunner(Options{Arena: grid.MustNew(4, 4), CubeSide: 0, Capacity: 5}); err == nil {
 		t.Error("cube side 0 should fail")
 	}
-	if _, err := NewRunner(Options{Arena: grid.MustNew(4, 4), CubeSide: 4, Capacity: 5, MaxSteps: -1}); err == nil {
-		t.Error("negative MaxSteps should fail")
-	}
 	if _, err := NewRunner(Options{Arena: grid.MustNew(4, 4), CubeSide: 4, Capacity: 5, SimShards: -1}); err == nil {
 		t.Error("negative SimShards should fail")
 	}

@@ -20,48 +20,13 @@ func hotPointSeq(n int) (*grid.Grid, *demand.Sequence) {
 	return arena, demand.NewSequence(jobs)
 }
 
-// TestMinCapacityParallelMatchesSerial checks that the parallel search lands
-// within tolerance of the serial answer, across worker counts (including the
-// fallback paths), and is deterministic for a fixed worker count. Run with
-// -race this also exercises the worker pool for data races.
-func TestMinCapacityParallelMatchesSerial(t *testing.T) {
-	arena, seq := hotPointSeq(60)
-	base := Options{Arena: arena, CubeSide: 8, Seed: 1}
-	const tol = 0.05
-	serial, err := MinCapacity(seq, base, 1, tol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 4, 7} {
-		opts := base
-		opts.SearchWorkers = workers
-		got, err := MinCapacityParallel(seq, opts, 1, tol)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		// Both answers are feasible points within relative tol of the
-		// infeasibility boundary, so they agree up to 2*tol.
-		if math.Abs(got-serial) > 2*tol*math.Max(1, serial) {
-			t.Errorf("workers=%d: parallel Won %v vs serial %v", workers, got, serial)
-		}
-		again, err := MinCapacityParallel(seq, opts, 1, tol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != again {
-			t.Errorf("workers=%d: nondeterministic answer %v vs %v", workers, got, again)
-		}
-	}
-}
-
-// TestMinCapacityParallelLoFeasible covers the bracket's k=0 short-circuit:
-// when the starting capacity already serves everything, lo itself comes
-// back, as in the serial search.
-func TestMinCapacityParallelLoFeasible(t *testing.T) {
+// TestMinCapacityLoFeasible covers the bracket's short-circuit: when the
+// starting capacity already serves everything, lo itself comes back.
+func TestMinCapacityLoFeasible(t *testing.T) {
 	arena := grid.MustNew(4, 4)
 	seq := demand.NewSequence([]grid.Point{grid.P(0, 0), grid.P(3, 3)})
-	base := Options{Arena: arena, CubeSide: 2, Seed: 3, SearchWorkers: 4}
-	got, err := MinCapacityParallel(seq, base, 50, 0.05)
+	base := Options{Arena: arena, CubeSide: 2, Seed: 3}
+	got, err := MinCapacity(seq, base, 50, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +35,14 @@ func TestMinCapacityParallelLoFeasible(t *testing.T) {
 	}
 }
 
-// TestMinCapacityParallelInfeasible checks the 1e12 cap error path with a
-// demand no capacity can serve: the only vehicle on a 1-cell arena is dead
-// before the first arrival and monitoring is off, so every probe fails.
-func TestMinCapacityParallelInfeasible(t *testing.T) {
+// TestMinCapacityInfeasible checks the 1e12 cap error path with a demand no
+// capacity can serve: the only vehicle on a 1-cell arena is dead before the
+// first arrival and monitoring is off, so every probe fails.
+func TestMinCapacityInfeasible(t *testing.T) {
 	arena := grid.MustNew(1, 1)
 	jobs := []grid.Point{grid.P(0)}
-	_, err := MinCapacityParallel(demand.NewSequence(jobs), Options{
-		Arena: arena, CubeSide: 1, Seed: 1, SearchWorkers: 4,
+	_, err := MinCapacity(demand.NewSequence(jobs), Options{
+		Arena: arena, CubeSide: 1, Seed: 1,
 		Failure: &FailureModel{DeadBeforeArrival: map[grid.Point]int{grid.P(0): 0}},
 	}, 1, 0.05)
 	if err == nil {
@@ -85,14 +50,15 @@ func TestMinCapacityParallelInfeasible(t *testing.T) {
 	}
 }
 
-// TestCapacitySearchRejectsBadBounds pins that both searches return an error
+// TestCapacitySearchRejectsBadBounds pins that the search returns an error
 // for a non-finite start capacity or a tolerance the bisection cannot meet.
-// They used to return NaN for lo = NaN, the top of the bracket for
-// tol = NaN, and to bisect forever at tol <= 0 once the bracket was two
-// adjacent floats. Each call runs under a deadline, so a regression fails
-// instead of hanging the suite.
+// It used to return NaN for lo = NaN, the top of the bracket for tol = NaN,
+// and to bisect forever at tol <= 0 once the bracket was two adjacent
+// floats. Each call runs under a deadline, so a regression fails instead of
+// hanging the suite.
 func TestCapacitySearchRejectsBadBounds(t *testing.T) {
 	arena, seq := hotPointSeq(20)
+	opts := Options{Arena: arena, CubeSide: 8, Seed: 1}
 	for _, tc := range []struct {
 		name    string
 		lo, tol float64
@@ -106,29 +72,22 @@ func TestCapacitySearchRejectsBadBounds(t *testing.T) {
 		{"tol -1", 1, -1},
 		{"tol below float spacing", 1, 1e-300},
 	} {
-		for _, workers := range []int{1, 2} {
-			opts := Options{Arena: arena, CubeSide: 8, Seed: 1, SearchWorkers: workers}
-			search := MinCapacity
-			if workers > 1 {
-				search = MinCapacityParallel
+		type answer struct {
+			won float64
+			err error
+		}
+		done := make(chan answer, 1)
+		go func() {
+			won, err := MinCapacity(seq, opts, tc.lo, tc.tol)
+			done <- answer{won, err}
+		}()
+		select {
+		case a := <-done:
+			if a.err == nil {
+				t.Errorf("%s: returned %v with no error", tc.name, a.won)
 			}
-			type answer struct {
-				won float64
-				err error
-			}
-			done := make(chan answer, 1)
-			go func() {
-				won, err := search(seq, opts, tc.lo, tc.tol)
-				done <- answer{won, err}
-			}()
-			select {
-			case a := <-done:
-				if a.err == nil {
-					t.Errorf("%s, workers %d: returned %v with no error", tc.name, workers, a.won)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("%s, workers %d: search still running after 5s", tc.name, workers)
-			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: search still running after 5s", tc.name)
 		}
 	}
 }
@@ -171,11 +130,10 @@ func doubleProbeSearch(feasible func(float64) (bool, error), lo, tol float64) (f
 	return hi, nil
 }
 
-// TestBracketBisectProbesOnce drives the serial search with threshold
-// oracles over random starts, tolerances and thresholds — including
-// thresholds at lo, at a bracket point and beyond the 1e12 cap. No capacity
-// may be probed twice, and the answer (or error) must equal the reference
-// loop's.
+// TestBracketBisectProbesOnce drives the search with threshold oracles over
+// random starts, tolerances and thresholds — including thresholds at lo, at
+// a bracket point and beyond the 1e12 cap. No capacity may be probed twice,
+// and the answer (or error) must equal the reference loop's.
 func TestBracketBisectProbesOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 2000; trial++ {

@@ -5,8 +5,7 @@
 // A sweep evaluates n independent scenarios — cells of a grid such as
 // workload × geometry × seed × failure fraction × monitoring on/off — on a
 // pool of workers and returns the results ordered by scenario index. Two
-// disciplines make the output bit-for-bit identical for any worker count,
-// the same ones online.MinCapacityParallel proved out:
+// disciplines make the output bit-for-bit identical for any worker count:
 //
 //   - scenarios are pure: each is a deterministic function of its index
 //     (fixed-seed simulations, closed-form solves), so *which* worker
