@@ -135,7 +135,10 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		if *trace {
-			w := float64(4*9+2) * math.Max(char.Omega, 1)
+			// Theorem 1.4.2's capacity, (4*3^l+l)*max(omega_c,1) for the
+			// arena's dimension l.
+			l := float64(arena.Dim())
+			w := (4*math.Pow(3, l) + l) * math.Max(char.Omega, 1)
 			fmt.Fprintf(out, "\nonline event trace at W = %.4g:\n", w)
 			r, err := online.NewRunner(online.Options{
 				Arena: arena, CubeSide: char.Side, Partition: part,

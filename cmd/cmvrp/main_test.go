@@ -83,6 +83,28 @@ func TestRunTraceFlag(t *testing.T) {
 	}
 }
 
+// TestRunTraceCapacityFollowsDimension checks that -trace runs at Theorem
+// 1.4.2's capacity (4*3^l+l)*max(omega_c,1) for the spec's own dimension l:
+// 13 for a 1-D spec and 111 for a 3-D one, where omega_c is at most 1.
+func TestRunTraceCapacityFollowsDimension(t *testing.T) {
+	for _, tc := range []struct {
+		spec, want string
+	}{
+		{`{"arena": [16], "demands": [{"at": [8], "jobs": 6}, {"at": [3], "jobs": 2}]}`,
+			"online event trace at W = 13:\n"},
+		{`{"arena": [4, 4, 4], "demands": [{"at": [2, 2, 2], "jobs": 3}]}`,
+			"online event trace at W = 111:\n"},
+	} {
+		var out bytes.Buffer
+		if err := run([]string{"-spec", writeSpec(t, tc.spec), "-trace"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%s: output lacks %q:\n%s", tc.spec, tc.want, out.String())
+		}
+	}
+}
+
 // TestTraceWonIsThreshold checks that the Won which testdata/trace_4x4.txt
 // pins, 9, is the instance's threshold within the search's 5% tolerance: a
 // fresh runner at capacity 9 serves all 20 jobs with no failed search, and

@@ -26,6 +26,9 @@ type GreedyResult struct {
 // OK reports whether every job was served.
 func (r *GreedyResult) OK() bool { return r.Failed == 0 }
 
+// errNoArena is the error of a greedy run or search without an arena.
+var errNoArena = errors.New("baseline: arena is required")
+
 // Greedy simulates the centralized nearest-available dispatcher: each
 // arrival is served by the vehicle (one per arena cell initially) whose
 // current position is closest among those with enough remaining energy to
@@ -33,29 +36,43 @@ func (r *GreedyResult) OK() bool { return r.Failed == 0 }
 // arena index for determinism.
 func Greedy(seq *demand.Sequence, arena *grid.Grid, capacity float64) (*GreedyResult, error) {
 	if arena == nil {
-		return nil, errors.New("baseline: arena is required")
+		return nil, errNoArena
 	}
+	res, err := greedy(seq, arena, capacity, make([]vehicle, arena.Len()), false)
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// vehicle is one greedy vehicle: where it stands and the energy it spent.
+type vehicle struct {
+	pos  grid.Point
+	used float64
+}
+
+// greedy is Greedy's dispatch loop on the caller's vehicle buffer, one entry
+// per arena cell, which it resets to a fresh vehicle at each cell before the
+// first arrival.
+// With stopAtFailure it returns at the first unserved job, the rest of the
+// sequence unplayed: no later arrival can make the run feasible again.
+func greedy(seq *demand.Sequence, arena *grid.Grid, capacity float64, vehicles []vehicle, stopAtFailure bool) (GreedyResult, error) {
 	if seq == nil {
-		return nil, errors.New("baseline: arrival sequence is required")
+		return GreedyResult{}, errors.New("baseline: arrival sequence is required")
 	}
 	// NaN and +Inf would make every energy test below false, serving every
 	// job with unlimited energy.
 	if !(capacity > 0) || math.IsInf(capacity, 1) {
-		return nil, fmt.Errorf("baseline: capacity %v must be positive and finite", capacity)
+		return GreedyResult{}, fmt.Errorf("baseline: capacity %v must be positive and finite", capacity)
 	}
-	type veh struct {
-		pos  grid.Point
-		used float64
+	for idx := range vehicles {
+		vehicles[idx] = vehicle{pos: arena.PointAt(int64(idx))}
 	}
-	vehicles := make([]veh, arena.Len())
-	for idx := int64(0); idx < arena.Len(); idx++ {
-		vehicles[idx] = veh{pos: arena.PointAt(idx)}
-	}
-	res := &GreedyResult{}
+	var res GreedyResult
 	for i := 0; i < seq.Len(); i++ {
 		pos := seq.At(i)
 		if !arena.Contains(pos) {
-			return nil, fmt.Errorf("baseline: arrival %v outside arena", pos)
+			return GreedyResult{}, fmt.Errorf("baseline: arrival %v outside arena", pos)
 		}
 		best := -1
 		bestDist := math.MaxInt64
@@ -71,6 +88,9 @@ func Greedy(seq *demand.Sequence, arena *grid.Grid, capacity float64) (*GreedyRe
 		}
 		if best < 0 {
 			res.Failed++
+			if stopAtFailure {
+				return res, nil
+			}
 			continue
 		}
 		v := &vehicles[best]
@@ -92,12 +112,22 @@ const minTol = 0x1p-52
 // GreedyMinCapacity measures the smallest capacity (within relative tol) for
 // which Greedy serves the whole sequence. tol must be finite and at least
 // 2^-52; a NaN tol would skip the bisection entirely.
+//
+// Every probe runs on one vehicle buffer sized for the search, and an
+// infeasible probe stops at its first unserved job; a feasible one plays the
+// whole sequence, as Greedy does. So an error that an infeasible probe would
+// raise only after its first unserved job, a later arrival outside the
+// arena, is not reached by that probe.
 func GreedyMinCapacity(seq *demand.Sequence, arena *grid.Grid, tol float64) (float64, error) {
 	if !(tol >= minTol) || math.IsInf(tol, 1) {
 		return 0, fmt.Errorf("baseline: tolerance %v must be finite and at least 2^-52", tol)
 	}
+	if arena == nil {
+		return 0, errNoArena
+	}
+	vehicles := make([]vehicle, arena.Len())
 	run := func(w float64) (bool, error) {
-		r, err := Greedy(seq, arena, w)
+		r, err := greedy(seq, arena, w, vehicles, true)
 		if err != nil {
 			return false, err
 		}

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -161,6 +163,133 @@ func TestGreedyMinCapacityTolerance(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("tol %v: search still running after 5s", tc.tol)
+		}
+	}
+}
+
+// bracketSearch is GreedyMinCapacity's bracket-and-bisect loop over a given
+// feasibility oracle: the reference search for the probe tests below.
+func bracketSearch(feasible func(float64) (bool, error), tol float64) (float64, error) {
+	lo, hi := 1.0, 2.0
+	for {
+		ok, err := feasible(hi)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			break
+		}
+		hi *= 2
+		if hi > 1e12 {
+			return 0, errors.New("baseline: no feasible greedy capacity below 1e12")
+		}
+	}
+	for hi-lo > tol*math.Max(1, hi) {
+		mid := (lo + hi) / 2
+		ok, err := feasible(mid)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, nil
+}
+
+// randomGreedyInstance draws a small 1-2-D arena and a sequence whose
+// arrivals mostly hit one to three hot cells.
+func randomGreedyInstance(rng *rand.Rand) (*grid.Grid, *demand.Sequence) {
+	var arena *grid.Grid
+	if rng.Intn(2) == 0 {
+		arena = grid.MustNew(2 + rng.Intn(14))
+	} else {
+		arena = grid.MustNew(2+rng.Intn(7), 2+rng.Intn(7))
+	}
+	cell := func() grid.Point { return arena.PointAt(rng.Int63n(arena.Len())) }
+	hot := []grid.Point{cell(), cell(), cell()}[:1+rng.Intn(3)]
+	jobs := make([]grid.Point, 5+rng.Intn(120))
+	for i := range jobs {
+		jobs[i] = hot[rng.Intn(len(hot))]
+		if rng.Intn(3) == 0 {
+			jobs[i] = cell()
+		}
+	}
+	return arena, demand.NewSequence(jobs)
+}
+
+// TestGreedyMinCapacityMatchesFullRuns pins that stopping infeasible greedy
+// probes at their first unserved job changes no answer: on random instances
+// each probe's verdict equals a full Greedy run's, and GreedyMinCapacity
+// equals the search whose probes are full Greedy runs with ==.
+func TestGreedyMinCapacityMatchesFullRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var infeasible, early int
+	for trial := 0; trial < 300; trial++ {
+		arena, seq := randomGreedyInstance(rng)
+		tol := 0.005 + 0.1*rng.Float64()
+		vehicles := make([]vehicle, arena.Len())
+		want, wantErr := bracketSearch(func(w float64) (bool, error) {
+			full, err := Greedy(seq, arena, w)
+			if err != nil {
+				return false, err
+			}
+			stopped, err := greedy(seq, arena, w, vehicles, true)
+			if err != nil {
+				t.Fatalf("trial %d, capacity %v: stopped probe failed: %v", trial, w, err)
+			}
+			if stopped.OK() != full.OK() {
+				t.Fatalf("trial %d, capacity %v: stopped probe %+v, full run %+v", trial, w, stopped, *full)
+			}
+			if !full.OK() {
+				infeasible++
+				if stopped.Served+stopped.Failed < int64(seq.Len()) {
+					early++
+				}
+			}
+			return full.OK(), nil
+		}, tol)
+		got, err := GreedyMinCapacity(seq, arena, tol)
+		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("trial %d: GreedyMinCapacity %v (%v), full-run search %v (%v)", trial, got, err, want, wantErr)
+		}
+	}
+	if early == 0 {
+		t.Fatalf("none of %d infeasible probes stopped before the last arrival", infeasible)
+	}
+}
+
+// TestGreedyMinCapacityAllocs guards that a greedy capacity search sizes
+// one vehicle buffer and reuses it for every probe: at most 2 allocations
+// per search, whatever the probe count, on E7-style shuffled cluster demand.
+func TestGreedyMinCapacityAllocs(t *testing.T) {
+	const ceiling = 2
+	for _, n := range []int{8, 16} {
+		arena := grid.MustNew(n, n)
+		rng := rand.New(rand.NewSource(13))
+		box, err := grid.NewBox(2, grid.P(n/4, n/4), grid.P(3*n/4-1, 3*n/4-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := demand.Clusters(rng, box, 3, int64(n*n)/3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := demand.SequenceOf(m, demand.OrderShuffled, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tol := range []float64{0.05, 1e-9} {
+			got := testing.AllocsPerRun(3, func() {
+				if _, err := GreedyMinCapacity(seq, arena, tol); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > ceiling {
+				t.Errorf("%dx%d, tol %v: GreedyMinCapacity allocated %.0f objects, ceiling %d", n, n, tol, got, ceiling)
+			}
 		}
 	}
 }

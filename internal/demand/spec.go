@@ -39,10 +39,14 @@ func ParseSpec(data []byte) (*grid.Grid, *Map, error) {
 			return nil, nil, fmt.Errorf("demand: spec entry %d has %d coordinates for a %d-D arena",
 				i, len(d.At), arena.Dim())
 		}
-		p := grid.P(d.At...)
-		if !arena.Contains(p) {
-			return nil, nil, fmt.Errorf("demand: spec entry %d at %v outside arena", i, p)
+		// Check the ints before grid.P narrows them to int32, which would
+		// wrap a coordinate such as 2^32+1 into the arena.
+		for axis, c := range d.At {
+			if c < 0 || c >= arena.Size(axis) {
+				return nil, nil, fmt.Errorf("demand: spec entry %d at %v outside arena", i, d.At)
+			}
 		}
+		p := grid.P(d.At...)
 		if err := m.Add(p, d.Jobs); err != nil {
 			return nil, nil, fmt.Errorf("demand: spec entry %d: %w", i, err)
 		}

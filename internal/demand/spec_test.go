@@ -31,8 +31,12 @@ func TestParseSpecErrors(t *testing.T) {
 		"empty arena":    `{"arena": [], "demands": []}`,
 		"coord mismatch": `{"arena": [8, 8], "demands": [{"at": [1], "jobs": 1}]}`,
 		"outside arena":  `{"arena": [8, 8], "demands": [{"at": [9, 9], "jobs": 1}]}`,
-		"negative jobs":  `{"arena": [8, 8], "demands": [{"at": [1, 1], "jobs": -1}]}`,
-		"too many axes":  `{"arena": [2,2,2,2,2], "demands": []}`,
+		// grid.P narrows coordinates to int32: without a range check on the
+		// ints, both rows would parse as 5 jobs at (1,0).
+		"coord 2^32+1":  `{"arena": [8, 8], "demands": [{"at": [4294967297, 0], "jobs": 5}]}`,
+		"coord -2^32+1": `{"arena": [8, 8], "demands": [{"at": [-4294967295, 0], "jobs": 5}]}`,
+		"negative jobs": `{"arena": [8, 8], "demands": [{"at": [1, 1], "jobs": -1}]}`,
+		"too many axes": `{"arena": [2,2,2,2,2], "demands": []}`,
 	}
 	for name, spec := range cases {
 		if _, _, err := ParseSpec([]byte(spec)); err == nil {

@@ -63,9 +63,10 @@ func E7Online(n int, jobs int64, seed int64, workers, shards int) (*Table, error
 	if err != nil {
 		return nil, err
 	}
+	l := float64(arena.Dim())
 	for i, r := range rows {
 		base := math.Max(r.omega, 1)
-		t.AddRow(names[i], r.omega, r.won, r.won/base, float64(4*9+2)*base, r.greedyW)
+		t.AddRow(names[i], r.omega, r.won, r.won/base, (4*math.Pow(3, l)+l)*base, r.greedyW)
 	}
 	return t, nil
 }

@@ -165,3 +165,59 @@ func TestNewRunnerAllocsFlat(t *testing.T) {
 		}
 	}
 }
+
+// TestCapacityProbeAllocs guards the capacity search's probe on a warm
+// runner. A feasible probe plays the whole sequence and allocates nothing:
+// it reads its verdict from the runner instead of copying out a Result. An
+// infeasible probe stops after the arrival of its first failure, so it
+// allocates only the reason texts of the energy or move failures recorded
+// at that arrival, however many jobs the full episode would have lost: one
+// without monitoring, and one more when the arrival's monitor round
+// recruits a second vehicle that cannot afford its move.
+func TestCapacityProbeAllocs(t *testing.T) {
+	hotArena, hotSeq := hotPointSeq(60)
+	hot := Options{Arena: hotArena, CubeSide: 8, Seed: 1}
+	monitored := hot
+	monitored.Monitoring = true
+	for _, tc := range []struct {
+		name     string
+		seq      *demand.Sequence
+		base     Options
+		w        float64
+		feasible bool
+		floats   int // energy or move failures at the stopping arrival
+	}{
+		{"hot point, feasible", hotSeq, hot, 24, true, 0},
+		{"hot point, monitored, feasible", hotSeq, monitored, 24, true, 0},
+		{"hot point, state failure", hotSeq, hot, 3, false, 0},
+		{"hot point, move failure", hotSeq, hot, 6, false, 1},
+		{"hot point, monitored, move failure", hotSeq, monitored, 6, false, 1},
+		{"hot point, monitored, two move failures", hotSeq, monitored, 3, false, 2},
+		{"failure injection, dead vehicle", failureJobs(), eventfulOptions(), 12, false, 0},
+	} {
+		p := &prober{seq: tc.seq, base: tc.base}
+		ok, err := p.probe(tc.w) // the first probe builds the runner and sizes every buffer
+		if err != nil {
+			t.Fatal(err)
+		}
+		floats := 0
+		for _, f := range p.r.failures {
+			if !strings.Contains(f.Reason, " in state ") {
+				floats++
+			}
+		}
+		if ok != tc.feasible || floats != tc.floats {
+			t.Fatalf("%s: capacity %v feasible %v with %d energy or move failures, want %v with %d",
+				tc.name, tc.w, ok, floats, tc.feasible, tc.floats)
+		}
+		got := testing.AllocsPerRun(5, func() {
+			if _, err := p.probe(tc.w); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > float64(floats) {
+			t.Errorf("%s: warm probe at capacity %v allocated %.0f objects, ceiling %d",
+				tc.name, tc.w, got, floats)
+		}
+	}
+}

@@ -62,21 +62,51 @@ func BenchmarkOnlineRunMonitoring(b *testing.B) {
 	}
 }
 
-// BenchmarkMinCapacity times the capacity search on the hot-point golden
-// instance: one warm runner reset per probe.
+// BenchmarkMinCapacity times the capacity search, one warm runner reset per
+// probe, on two instances. "hot-point" is the golden instance, whose
+// infeasible probes lose their jobs near the end of the sequence, so
+// stopping them at their first failure saves little. "won-search" is shaped
+// like the end-to-end benchmark's won-search workload: 300 shuffled
+// clustered arrivals on the central 8x8 box of a 16x16 arena, cube side
+// from omega_c, whose infeasible probes fail early.
 func BenchmarkMinCapacity(b *testing.B) {
-	arena := grid.MustNew(8, 8)
-	jobs := make([]grid.Point, 60)
-	for i := range jobs {
-		jobs[i] = grid.P(4, 4)
-	}
-	seq := demand.NewSequence(jobs)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := MinCapacity(seq, Options{Arena: arena, CubeSide: 8, Seed: 1}, 1, 0.05); err != nil {
+	b.Run("hot-point", func(b *testing.B) {
+		arena, seq := hotPointSeq(60)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := MinCapacity(seq, Options{Arena: arena, CubeSide: 8, Seed: 1}, 1, 0.05); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("won-search", func(b *testing.B) {
+		arena := grid.MustNew(16, 16)
+		box, err := grid.NewBox(2, grid.P(4, 4), grid.P(11, 11))
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		rng := rand.New(rand.NewSource(1))
+		m, err := demand.Clusters(rng, box, 4, 75, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		char, err := offline.OmegaC(m, arena)
+		if err != nil {
+			b.Fatal(err)
+		}
+		seq, err := demand.SequenceOf(m, demand.OrderShuffled, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := Options{Arena: arena, CubeSide: char.Side, Seed: rng.Int63()}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := MinCapacity(seq, opts, 1, 0.05); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkPartitionBuild times the static geometry construction.

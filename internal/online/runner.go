@@ -473,11 +473,33 @@ func (r *Runner) Partition() *Partition { return r.part }
 // A runner is single-use: Run consumes the vehicle states and counters, so
 // calling it again without an intervening Reset returns ErrRunnerUsed.
 func (r *Runner) Run(seq *demand.Sequence) (*Result, error) {
+	if err := r.play(seq, false); err != nil {
+		return nil, err
+	}
+	res := r.res
+	res.Messages = r.net.Delivered()
+	if len(r.failures) > 0 {
+		res.Failures = slices.Clone(r.failures)
+	}
+	return &res, nil
+}
+
+// failed reports whether the episode so far has recorded a failure or a
+// failed search. Both only accumulate, so once it is true no later arrival
+// can make the episode feasible again: it is the capacity searches'
+// infeasible verdict.
+func (r *Runner) failed() bool { return len(r.failures) > 0 || r.res.SearchFailures > 0 }
+
+// play is Run's arrival loop. With stopAtFailure it returns at the first
+// arrival after which the runner has failed, once that arrival's quiescence,
+// monitor round and fatal check are done, so every error the arrival raises
+// still surfaces; the rest of the sequence is not played.
+func (r *Runner) play(seq *demand.Sequence, stopAtFailure bool) error {
 	if seq == nil {
-		return nil, errors.New("online: arrival sequence is required")
+		return errors.New("online: arrival sequence is required")
 	}
 	if r.consumed {
-		return nil, ErrRunnerUsed
+		return ErrRunnerUsed
 	}
 	r.consumed = true
 	for i := 0; i < seq.Len(); i++ {
@@ -489,19 +511,19 @@ func (r *Runner) Run(seq *demand.Sequence) (*Result, error) {
 			ev := r.deadEvents[r.nextDead]
 			r.nextDead++
 			if ev.id < 0 {
-				return nil, fmt.Errorf("online: DeadBeforeArrival cell %v not in arena", ev.home)
+				return fmt.Errorf("online: DeadBeforeArrival cell %v not in arena", ev.home)
 			}
 			r.vehicles[ev.id].state = Dead
 		}
 		pairID, ok := r.part.PairOf(pos)
 		if !ok {
-			return nil, fmt.Errorf("online: arrival %v outside arena", pos)
+			return fmt.Errorf("online: arrival %v outside arena", pos)
 		}
 		servedBefore := r.res.Served
 		r.net.Inject(r.pairActive[pairID],
 			sim.Msg{Kind: msgServeJob, A: uint32(r.opts.Arena.Index(pos))})
 		if err := r.quiesce(); err != nil {
-			return nil, err
+			return err
 		}
 		// Replacement-latency clock: a lost arrival opens a lapse on its
 		// pair; a served one closes any lapse that healed without a
@@ -527,19 +549,17 @@ func (r *Runner) Run(seq *demand.Sequence) (*Result, error) {
 		}
 		if r.opts.Monitoring {
 			if err := r.monitorRound(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if r.fatal != nil {
-			return nil, r.fatal
+			return r.fatal
+		}
+		if stopAtFailure && r.failed() {
+			return nil
 		}
 	}
-	res := r.res
-	res.Messages = r.net.Delivered()
-	if len(r.failures) > 0 {
-		res.Failures = slices.Clone(r.failures)
-	}
-	return &res, nil
+	return nil
 }
 
 func (r *Runner) quiesce() error {

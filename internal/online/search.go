@@ -17,7 +17,9 @@ const maxSearchCapacity = 1e12
 // replacement searches? A prober owns one long-lived Runner, built on its
 // first probe and Reset — not rebuilt — for every probe after that, so the
 // partition, vehicles, diffusion engines, and the simulator's link tables
-// and ring buffers are constructed once per search.
+// and ring buffers are constructed once per search. A probe stops at the
+// first arrival that leaves a failure or a failed search, since no later
+// arrival can undo either, and reads its verdict from the runner.
 type prober struct {
 	seq  *demand.Sequence
 	base Options
@@ -36,11 +38,10 @@ func (p *prober) probe(w float64) (bool, error) {
 	} else if err := p.r.Reset(w, p.base.Seed); err != nil {
 		return false, err
 	}
-	res, err := p.r.Run(p.seq)
-	if err != nil {
+	if err := p.r.play(p.seq, true); err != nil {
 		return false, err
 	}
-	return res.OK() && res.SearchFailures == 0, nil
+	return !p.r.failed(), nil
 }
 
 // minSearchTol is the finest relative tolerance a bisection can meet:
@@ -65,10 +66,18 @@ func checkSearchBounds(lo, tol float64) error {
 }
 
 // MinCapacity measures the empirical Won for a sequence: the smallest
-// capacity (within tol, relative) for which the strategy serves every job.
-// The bracket grows exponentially from lo until a run succeeds. All probes
-// reuse one Runner, reset per probe, and so one Partition: base.Partition
-// when set, else the one the first probe builds.
+// capacity (within tol, relative) for which the strategy serves every job
+// with no failed search. The bracket grows exponentially from lo until a run
+// succeeds. All probes reuse one Runner, reset per probe, and so one
+// Partition: base.Partition when set, else the one the first probe builds.
+//
+// An infeasible probe stops at the first arrival that leaves a failure or a
+// failed search, after that arrival's quiescence and monitor round; a
+// feasible one plays the whole sequence, as Runner.Run does. So an error
+// that an infeasible probe would raise only after its first failure, such
+// as a step-limit livelock or a later arrival outside the arena, is not
+// reached, and a base.Tracer sees each infeasible probe only up to its
+// first failure.
 func MinCapacity(seq *demand.Sequence, base Options, lo float64, tol float64) (float64, error) {
 	if err := checkSearchBounds(lo, tol); err != nil {
 		return 0, err
