@@ -272,7 +272,11 @@ func MeasureWon(seq *Sequence, opts OnlineOptions, tol float64) (float64, error)
 }
 
 // BrokenLowerBound computes the Theorem 4.1.1 capacity lower bound when
-// vehicles break down according to the longevity parameters.
+// vehicles break down according to the longevity parameters: the value of
+// LP (4.1), found by the search ExactLowerBound runs, over segments between
+// the capacities at which a vehicle's reach grows. It is exact when every
+// longevity is 0 or 1 and within about 1e-9 relative otherwise, and an
+// error when no vehicle can reach the demand.
 func BrokenLowerBound(m *Demand, lon Longevity) (float64, error) {
 	return broken.LowerBound(m, lon)
 }

@@ -6,10 +6,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/grid"
 	"repro/internal/lpchar"
 	"repro/internal/offline"
 	"repro/internal/online"
@@ -416,24 +418,25 @@ func TestMeasureWonRejectsBadTolerance(t *testing.T) {
 }
 
 // TestFacadeRejectsMalformedInput pins that the facade returns an error, and
-// neither panics nor hangs, on nil or overflowing input and on non-finite
-// parameters. The row with 2^51 jobs pins a limit: those jobs times the five
-// suppliers within radius 1 reach 2^53, past which the LP's integer
-// max-flows would round. Every other row used to misbehave: the arenas were
-// accepted (the
-// first with Len 0, so RunOnline on it panicked; on the 2^62-cell one
-// SolveOffline panicked in makeslice and NewOnlinePartition never returned,
-// because every dense layer indexes cells with int32), the nil inputs
-// panicked with a nil dereference, ZipfDemand never returned, Convoy
-// returned a NaN or infinite W with no error, LP radii too large to list
-// panicked (makeslice, or an index past int32-wrapped coordinates) or
-// wrapped in int32 to another radius's answer, and BrokenLowerBound with its
-// one long-lived vehicle 10,000 cells out doubled its radius until it tried
-// to list a box of 2.7e8 points (4.3 GB). A NaN longevity passed
-// validation: as an override it gave p = 0's bound with no error, and as the
-// default it failed only on the radius it made. Each row runs in its own
-// goroutine under a deadline, with panics recovered, so a regression fails
-// its row instead of crashing or hanging the suite.
+// neither panics nor hangs, on nil, overflowing or off-lattice input and on
+// non-finite parameters. The row with 2^51 jobs pins a limit: those jobs
+// times the five suppliers within radius 1 reach 2^53, past which the LP's
+// integer max-flows would round. Every other row used to misbehave: the
+// arenas were accepted (the first with Len 0, so RunOnline on it panicked;
+// on the 2^62-cell one SolveOffline panicked in makeslice and
+// NewOnlinePartition never returned, because every dense layer indexes
+// cells with int32), the nil inputs panicked with a nil dereference,
+// ZipfDemand never returned, Convoy returned a NaN or infinite W with no
+// error, LP radii too large to list panicked (makeslice, or an index past
+// int32-wrapped coordinates) or wrapped in int32 to another radius's
+// answer, and a NaN longevity passed validation: as an override it gave
+// p = 0's bound with no error, and as the default it failed only on the
+// radius it made. Demand was accepted at points with a nonzero coordinate
+// past its dimension, and in dimensions outside [1, MaxDim]; the LP's
+// bounding box then took those axes from whichever point map iteration met
+// first, so ExactLowerBound answered 0 or 2 on the same input. Each row
+// runs in its own goroutine under a deadline, with panics recovered, so a
+// regression fails its row instead of crashing or hanging the suite.
 func TestFacadeRejectsMalformedInput(t *testing.T) {
 	arena, err := NewArena(4, 4)
 	if err != nil {
@@ -446,11 +449,6 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	origin, err := PointDemand(2, P(0, 0), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	farVehicle := Longevity{Default: 1e-6, Override: map[Point]float64{P(10000, 0): 1}}
 	origin1D, err := PointDemand(1, P(0), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -495,7 +493,14 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 		{"NewLPSolver radius 2^32 wraps to 0", func() error { _, err := NewLPSolver(point, 1<<32); return err }},
 		{"NewLPSolver radius 2^32+1", func() error { _, err := NewLPSolver(point, 1<<32+1); return err }},
 		{"NewLPSolver 2^51 jobs at one point, radius 1", func() error { _, err := NewLPSolver(inexact, 1); return err }},
-		{"BrokenLowerBound vehicle 10,000 out", func() error { _, err := BrokenLowerBound(origin, farVehicle); return err }},
+		{"NewDemand(1).Add at (3, 5)", func() error { return NewDemand(1).Add(P(3, 5), 5) }},
+		{"NewDemand(0).Add", func() error { return NewDemand(0).Add(P(1), 5) }},
+		{"NewDemand(MaxDim+1).Add", func() error { return NewDemand(grid.MaxDim+1).Add(P(1), 5) }},
+		{"PointDemand 1-D at (1, 2)", func() error { _, err := PointDemand(1, P(1, 2), 3); return err }},
+		{"BrokenLowerBound override at (0, 5) over 1-D demand", func() error {
+			_, err := BrokenLowerBound(origin1D, Longevity{Default: 1, Override: map[Point]float64{P(0, 5): 1}})
+			return err
+		}},
 		{"BrokenLowerBound NaN override", func() error {
 			_, err := BrokenLowerBound(origin1D, Longevity{Default: 1, Override: map[Point]float64{P(0): math.NaN()}})
 			return err
@@ -525,6 +530,49 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Errorf("%s: still running after 5s", tc.name)
+		}
+	}
+}
+
+// TestBrokenLowerBoundFarVehicle pins LP (4.1) for 100 jobs at the origin,
+// default longevity 1e-6 and one vehicle of longevity 1 out on the x axis:
+// the bound is that vehicle's distance, where it first reaches the demand
+// with supply enough for every job. The float bisection this replaced
+// listed every lattice point within reach on each probe: it took 1.39 s and
+// 1.15 GB for the vehicle 200 cells out, and at 10,000 cells it stopped with
+// an error before listing a box of 2.7e8 points. Each call runs under
+// TestFacadeRejectsMalformedInput's 5 s deadline, and the first must
+// allocate under 1 MB.
+func TestBrokenLowerBoundFarVehicle(t *testing.T) {
+	origin, err := PointDemand(2, P(0, 0), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		v     float64
+		err   error
+		bytes uint64
+	}
+	for _, x := range []int{200, 10000} {
+		lon := Longevity{Default: 1e-6, Override: map[Point]float64{P(x, 0): 1}}
+		done := make(chan answer, 1)
+		go func() {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			v, err := BrokenLowerBound(origin, lon)
+			runtime.ReadMemStats(&after)
+			done <- answer{v, err, after.TotalAlloc - before.TotalAlloc}
+		}()
+		select {
+		case a := <-done:
+			if a.err != nil || a.v != float64(x) {
+				t.Errorf("vehicle %d out: BrokenLowerBound = %v, %v; want %d", x, a.v, a.err, x)
+			}
+			if x == 200 && a.bytes >= 1<<20 {
+				t.Errorf("vehicle %d out: allocated %d bytes, want under 1 MB", x, a.bytes)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("vehicle %d out: still running after 5s", x)
 		}
 	}
 }

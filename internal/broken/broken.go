@@ -1,19 +1,17 @@
 // Package broken reproduces thesis Chapter 4: CMVRP when vehicles may break
 // down. Each vehicle i has a longevity parameter p_i in [0,1] and dies after
-// spending a fraction p_i of its initial energy. The package computes the
+// spending a fraction p_i of its initial energy. The package gives the
 // linear-programming lower bound of Theorem 4.1.1 (supply p_i*omega within
-// radius p_i*omega) and reconstructs the Figure 4.1 example showing that —
-// unlike the healthy case — the LP bound is not tight: arrival *order*
-// matters, and the true requirement grows quadratically while the LP bound
-// stays linear.
+// radius p_i*omega, solved by lpchar.FleetBound) and reconstructs the Figure
+// 4.1 example showing that — unlike the healthy case — the LP bound is not
+// tight: arrival *order* matters, and the true requirement grows
+// quadratically while the LP bound stays linear.
 package broken
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/demand"
-	"repro/internal/flow"
 	"repro/internal/grid"
 	"repro/internal/lpchar"
 )
@@ -23,14 +21,6 @@ import (
 type Longevity struct {
 	Default  float64
 	Override map[grid.Point]float64
-}
-
-// At returns p_i for the vehicle at x.
-func (l Longevity) At(x grid.Point) float64 {
-	if v, ok := l.Override[x]; ok {
-		return v
-	}
-	return l.Default
 }
 
 // Validate checks all parameters lie in [0,1]; NaN does not.
@@ -46,116 +36,13 @@ func (l Longevity) Validate() error {
 	return nil
 }
 
-// feasible reports whether capacity omega satisfies LP (4.1): every vehicle
-// i supplies at most p_i*omega within radius p_i*omega.
-func feasible(m *demand.Map, lon Longevity, omega float64) (bool, error) {
-	total := float64(m.Total())
-	if total == 0 {
-		return true, nil
-	}
-	if omega <= 0 {
-		return false, nil
-	}
-	// Suppliers: lattice points i with p_i*omega >= dist(i, some demand).
-	// The candidate region is the support's neighborhoods of radius
-	// maxP*omega, the ball's offsets listed once and translated to each
-	// support point, so a radius whose ball LP (2.1)'s solver could not list
-	// either is refused before anything is allocated.
-	maxP := lon.Default
-	for _, v := range lon.Override {
-		if v > maxP {
-			maxP = v
-		}
-	}
-	maxR := int(math.Floor(maxP * omega))
-	if err := lpchar.CheckRadius(m.Dim(), maxR); err != nil {
-		return false, fmt.Errorf("broken: capacity %v: %w", omega, err)
-	}
-	support := m.Support()
-	ball := grid.AppendBall(nil, m.Dim(), maxR)
-	seen := make(map[grid.Point]bool)
-	var suppliers []grid.Point
-	for _, s := range support {
-		for _, d := range ball {
-			p := s.Add(d)
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			if lon.At(p) > 0 {
-				suppliers = append(suppliers, p)
-			}
-		}
-	}
-	n := 2 + len(suppliers) + len(support)
-	nw, err := flow.NewNetwork(n)
-	if err != nil {
-		return false, err
-	}
-	src, sink := 0, n-1
-	for i, p := range suppliers {
-		if _, err := nw.AddEdge(src, 1+i, lon.At(p)*omega); err != nil {
-			return false, err
-		}
-	}
-	for j, q := range support {
-		dj := 1 + len(suppliers) + j
-		if _, err := nw.AddEdge(dj, sink, float64(m.At(q))); err != nil {
-			return false, err
-		}
-		for i, p := range suppliers {
-			if float64(grid.Manhattan(p, q)) <= lon.At(p)*omega {
-				if _, err := nw.AddEdge(1+i, dj, math.Inf(1)); err != nil {
-					return false, err
-				}
-			}
-		}
-	}
-	val, err := nw.MaxFlow(src, sink)
-	if err != nil {
-		return false, err
-	}
-	return val >= total*(1-1e-9)-1e-9, nil
-}
-
 // LowerBound computes the Theorem 4.1.1 lower bound on Woff-b: the value of
-// LP (4.1), found by binary search on omega with the flow feasibility
-// oracle. The search bracket doubles from 1 until feasible.
+// LP (4.1), with lpchar.FleetBound's precision and errors.
 func LowerBound(m *demand.Map, lon Longevity) (float64, error) {
 	if err := lon.Validate(); err != nil {
 		return 0, err
 	}
-	if m.Total() == 0 {
-		return 0, nil
-	}
-	hi := 1.0
-	for {
-		ok, err := feasible(m, lon, hi)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			break
-		}
-		hi *= 2
-		if hi > 1e12 {
-			return 0, fmt.Errorf("broken: no feasible omega below 1e12 (all longevities zero near demand?)")
-		}
-	}
-	lo := 0.0
-	for iter := 0; iter < 60 && hi-lo > 1e-9*math.Max(1, hi); iter++ {
-		mid := (lo + hi) / 2
-		ok, err := feasible(m, lon, mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
+	return lpchar.FleetBound(m, lon.Default, lon.Override)
 }
 
 // Fig41 is the thesis Figure 4.1 scenario: demand points i and j at mutual

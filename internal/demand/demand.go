@@ -26,8 +26,18 @@ func NewMap(dim int) *Map {
 // Dim returns the lattice dimension.
 func (m *Map) Dim() int { return m.dim }
 
-// Add adds n jobs at p. Negative n is rejected.
+// Add adds n jobs at p. Negative n is rejected, and so is a map dimension
+// outside [1, grid.MaxDim] or a point with a nonzero coordinate at an axis
+// >= the map's dimension.
 func (m *Map) Add(p grid.Point, n int64) error {
+	if m.dim < 1 || m.dim > grid.MaxDim {
+		return fmt.Errorf("demand: dimension %d out of range [1,%d]", m.dim, grid.MaxDim)
+	}
+	for a := m.dim; a < grid.MaxDim; a++ {
+		if p[a] != 0 {
+			return fmt.Errorf("demand: point %v off the %d-D lattice", p, m.dim)
+		}
+	}
 	if n < 0 {
 		return fmt.Errorf("demand: negative job count %d at %v", n, p)
 	}

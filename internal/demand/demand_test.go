@@ -35,6 +35,26 @@ func TestMapBasics(t *testing.T) {
 	}
 }
 
+// TestAddRejectsOffLattice pins Add's refusals: a map dimension outside
+// [1, grid.MaxDim], and a point with a nonzero coordinate at an axis >= the
+// map's dimension, whose extra axes BoundingBox used to take from whichever
+// point map iteration met first. A refused Add leaves the map as it was.
+func TestAddRejectsOffLattice(t *testing.T) {
+	for _, tc := range []struct {
+		dim int
+		p   grid.Point
+	}{{0, grid.P(1)}, {grid.MaxDim + 1, grid.P(1)}, {1, grid.P(3, 5)}, {2, grid.P(0, 1, 2)}, {3, grid.P(0, 0, 0, 7)}} {
+		m := NewMap(tc.dim)
+		if err := m.Add(tc.p, 5); err == nil || m.Total() != 0 || m.SupportSize() != 0 {
+			t.Errorf("%d-D map, Add at %v: err %v, total %d", tc.dim, tc.p, err, m.Total())
+		}
+	}
+	m := NewMap(grid.MaxDim)
+	if err := m.Add(grid.P(1, 2, 3, 4), 5); err != nil {
+		t.Errorf("%d-D point refused: %v", grid.MaxDim, err)
+	}
+}
+
 func TestSupportSorted(t *testing.T) {
 	m := NewMap(2)
 	pts := []grid.Point{grid.P(3, 1), grid.P(0, 2), grid.P(3, 0), grid.P(0, 1)}

@@ -1,10 +1,12 @@
 package lpchar
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/demand"
+	"repro/internal/grid"
 )
 
 // TestOmegaStarFlowMatchesPerRadiusFresh pins OmegaStarFlow — one pooled
@@ -105,11 +107,11 @@ func TestOmegaStarFlowWarmAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s Solver
-	if _, err := s.omegaStar(m); err != nil {
+	if _, err := s.omegaStar(m, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		v, err := s.omegaStar(m)
+		v, err := s.omegaStar(m, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,5 +121,47 @@ func TestOmegaStarFlowWarmAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("warm OmegaStarFlow allocated %v times, want at most 1", allocs)
+	}
+}
+
+// TestFleetBoundWarmEqualsCold pins that a solver carries nothing from one
+// LP (4.1) search into the next: one solver runs healthy, 0/1 and
+// fractional fleet searches in turn on random 1-2-D instances, and each
+// answer, or error, equals a fresh solver's bit for bit. The healthy
+// answers also equal OmegaStarFlow's.
+func TestFleetBoundWarmEqualsCold(t *testing.T) {
+	rng := rand.New(rand.NewSource(127))
+	var warm Solver
+	for trial := 0; trial < 90; trial++ {
+		dim := 1 + rng.Intn(2)
+		m := randDemand(rng, dim, 6, 1+rng.Intn(5), 25)
+		longevity := []func() float64{
+			func() float64 { return 1 },
+			func() float64 { return float64(rng.Intn(2)) },
+			func() float64 { return []float64{0, 1, 1e-3, rng.Float64()}[rng.Intn(4)] },
+		}[trial%3]
+		def := longevity()
+		var over map[grid.Point]float64
+		if trial%3 > 0 {
+			over = map[grid.Point]float64{}
+			for range rng.Intn(7) {
+				var p grid.Point
+				for a := 0; a < dim; a++ {
+					p[a] = int32(rng.Intn(13) - 3)
+				}
+				over[p] = longevity()
+			}
+		}
+		cold, coldErr := new(Solver).omegaStar(m, def, over)
+		got, err := warm.omegaStar(m, def, over)
+		if got != cold || fmt.Sprint(err) != fmt.Sprint(coldErr) {
+			t.Fatalf("trial %d (default %v, %d listed): warm %v, %v; fresh %v, %v",
+				trial, def, len(over), got, err, cold, coldErr)
+		}
+		if trial%3 == 0 {
+			if want, err := OmegaStarFlow(m); err != nil || got != want {
+				t.Fatalf("trial %d: healthy fleet %v; OmegaStarFlow %v, %v", trial, got, want, err)
+			}
+		}
 	}
 }

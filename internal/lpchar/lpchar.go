@@ -16,21 +16,26 @@
 // Agreement of Solver.Value and SubsetValue on random instances is the
 // reproduction of the duality chain Lemmas 2.2.1-2.2.3 (experiment E4). The
 // package also solves the self-consistent program (2.8), where the radius
-// equals the capacity, yielding omega* = max_T omega_T (Lemma 2.2.3), and its
-// cube form over a summed-area table (OmegaStarCubesPS).
+// equals the capacity, yielding omega* = max_T omega_T (Lemma 2.2.3), by the
+// same exact search as Chapter 4's LP (4.1) for broken-down fleets
+// (FleetBound), and its cube form over a summed-area table
+// (OmegaStarCubesPS).
 package lpchar
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/demand"
 	"repro/internal/grid"
 )
 
-// solverPool recycles Solvers across OmegaStarFlow calls, extending the
+// solverPool recycles Solvers across FleetBound calls, extending the
 // sweep workers' one-solver-per-worker discipline to callers without a
 // natural place to retain one: network arrays and supply index buffers
 // survive between calls. Rebinding a pooled solver is pinned
@@ -58,7 +63,7 @@ func SubsetValue(m *demand.Map, r int) (float64, error) {
 	if k > maxSubsetSupport {
 		return 0, fmt.Errorf("%w: support %d > %d", ErrTooLarge, k, maxSubsetSupport)
 	}
-	if err := CheckRadius(m.Dim(), r); err != nil {
+	if err := checkRadius(m.Dim(), r); err != nil {
 		return 0, err
 	}
 	// For each supplier p in N_r(support), record the bitmask of support
@@ -164,82 +169,116 @@ func MaxOverBoxes(m *demand.Map, r int) (float64, grid.Box, error) {
 
 // OmegaStarFlow solves the self-consistent program (2.8) — radius equals
 // capacity — exactly: the unique omega with omega = LPvalue(r=floor(omega)).
-// LPvalue(r) is non-increasing in r (Lemma 2.2.3's proof), so g(r) =
-// LPvalue(r) - r is strictly decreasing and a binary search on the integer
-// radius bracket followed by one LP evaluation pins the fixed point.
-//
-// One pooled solver, rebound per radius, serves the whole search, and the
-// support is sorted once. The search only asks whether LPvalue(r) <= r+1,
-// which one max-flow with supply r+1 at every supplier answers exactly;
-// Value's Newton steps run at the final radius alone.
+// It is LP (4.1) for the healthy fleet, whose segments are [r, r+1): the
+// search tests each radius r with one max-flow at supply r+1, and Value's
+// Newton steps run at the final radius alone.
 func OmegaStarFlow(m *demand.Map) (float64, error) {
+	return FleetBound(m, 1, nil)
+}
+
+// FleetBound solves LP (4.1) of Theorem 4.1.1 for longevity def in [0,1] at
+// every lattice point except where over lists one: the least omega at which
+// each vehicle's supply p*omega within distance p*omega covers the demand,
+// exact for 0/1 longevities and within about 1e-9 relative otherwise. No
+// vehicle reaching the demand, or a listed point off its lattice, is an error.
+func FleetBound(m *demand.Map, def float64, over map[grid.Point]float64) (float64, error) {
 	if m.Total() == 0 {
 		return 0, nil
 	}
 	sol := solverPool.Get().(*Solver)
-	defer solverPool.Put(sol)
-	return sol.omegaStar(m)
+	v, err := sol.omegaStar(m, def, over)
+	sol.fl.over = nil // the caller's map is not the pool's to keep
+	solverPool.Put(sol)
+	return v, err
 }
 
-// omegaStar is OmegaStarFlow on s, for a demand with positive total; it
-// leaves s bound to m at the final radius.
-func (s *Solver) omegaStar(m *demand.Map) (float64, error) {
+// omegaStar is FleetBound on s, for a demand with positive total. The edge
+// set changes only at breakpoints: k/def, where the default radius becomes
+// k, and each listed vehicle's dist/p. On a segment [left, right) between
+// two of them the LP value v is fixed; the answer is v clamped to [left,
+// right] on the first segment whose max-flow at supply p_i*right saturates.
+func (s *Solver) omegaStar(m *demand.Map, def float64, over map[grid.Point]float64) (float64, error) {
+	s.fl = fleet{def: def, over: over, listed: s.fl.listed[:0], exact: def == 0 || def == 1}
+	for x, p := range over {
+		for a := m.Dim(); a < grid.MaxDim; a++ {
+			if x[a] != 0 {
+				return 0, fmt.Errorf("lpchar: a longevity is listed off the demand's %d-D lattice", m.Dim())
+			}
+		}
+		if p > 0 {
+			s.fl.listed = append(s.fl.listed, vehicle{x, p})
+		}
+		s.fl.exact = s.fl.exact && (p == 0 || p == 1)
+	}
+	slices.SortFunc(s.fl.listed, func(a, b vehicle) int { return a.at.Compare(b.at) })
 	support := m.Support()
-	// fits binds s at radius r and reports whether LPvalue(r) <= r+1;
-	// bound remembers the radius s is bound at.
-	bound := -1
-	fits := func(r int) (bool, error) {
-		if err := s.bind(m, r, support); err != nil {
-			return false, err
-		}
-		bound = r
-		return s.saturates(int64(r+1), 1)
-	}
-	// Find smallest integer R with LPvalue(R) <= R+1; the fixed point lies
-	// in radius segment [R, R+1). Bracket exponentially from small radii:
-	// evaluating the LP at radius R costs O(R^l) supplier enumeration, so
-	// probing near the (small) fixed point first matters enormously for
-	// concentrated demands.
-	hi := 1
-	for {
-		ok, err := fits(hi)
+	// fits binds s at default radius r with the listed edges below reach
+	// and reports whether supply p_i*reach saturates. The first error ends
+	// the search: err keeps it, and every later probe fits at once.
+	var err error
+	bound, boundReach := -1, 0.0
+	fits := func(r int, reach float64) bool {
 		if err != nil {
-			return 0, err
+			return true
 		}
-		if ok {
-			break
+		if err = s.bind(m, r, reach, support); err != nil {
+			return true
 		}
-		hi *= 2
-		if int64(hi) > m.Max()+1 {
-			break // LPvalue(r) <= max demand always, so this cannot recur
+		bound, boundReach = r, reach
+		ok, serr := s.saturates(reach, 1)
+		err = serr
+		return ok || err != nil
+	}
+	// Find the default segment [r/def, (r+1)/def), or take [0, +Inf) without
+	// a default class. Bracket from small radii: binding radius R costs
+	// O(R^l), so probing near the (small) answer first matters.
+	r, left, right := 0, 0.0, math.Inf(1)
+	if def > 0 {
+		end := func(r int) float64 { return float64(r+1) / def }
+		hi := 1
+		for !fits(hi, end(hi)) {
+			hi *= 2
+			if len(over) == 0 && int64(hi) > m.Max()+1 {
+				break // LPvalue(r) <= max demand always, so this cannot recur
+			}
+		}
+		r = sort.Search(hi, func(k int) bool { return fits(k, end(k)) })
+		left, right = float64(r)/def, end(r)
+	}
+	// Then bisect the listed breakpoints inside that segment.
+	s.cuts = s.cuts[:0]
+	for _, x := range s.fl.listed {
+		for _, q := range support {
+			if b := x.breakpoint(q); left < b && b < right {
+				s.cuts = append(s.cuts, b)
+			}
 		}
 	}
-	lo := 0
-	for lo < hi {
-		mid := (lo + hi) / 2
-		ok, err := fits(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	slices.Sort(s.cuts)
+	s.cuts = slices.Compact(s.cuts)
+	i := sort.Search(len(s.cuts), func(i int) bool { return fits(r, s.cuts[i]) })
+	if i > 0 {
+		left = s.cuts[i-1]
 	}
-	r := lo
-	if bound != r {
-		if err := s.bind(m, r, support); err != nil {
-			return 0, err
-		}
+	if i < len(s.cuts) {
+		right = s.cuts[i]
+	}
+	if err == nil && (bound != r || boundReach != right) {
+		err = s.bind(m, r, right, support)
+	}
+	if err != nil {
+		return 0, err
 	}
 	v, err := s.Value()
 	if err != nil {
 		return 0, err
 	}
-	// Within the segment the LP value is the constant v (radius floor(omega)
-	// = r); the self-consistent solution is omega = v clamped to [r, r+1].
-	return min(max(v, float64(r)), float64(r+1)), nil
+	// Only a fleet without a default class has an unbounded segment, and its
+	// value is infinite when no vehicle is listed.
+	if omega := min(max(v, left), right); !math.IsInf(omega, 1) {
+		return omega, nil
+	}
+	return 0, errors.New("lpchar: no vehicle can reach the demand")
 }
 
 // OmegaStarCubesPS computes max over all cubes T (every side length s >= 1,

@@ -18,13 +18,13 @@ import (
 // never worse than the suppliers themselves for spread ones.
 const maxSupplyBoxVolume = 1 << 22
 
-// CheckRadius rejects, without allocating, a ball grid.AppendBall cannot
+// checkRadius rejects, without allocating, a ball grid.AppendBall cannot
 // list: a dimension outside [1, grid.MaxDim], a negative radius, or a radius
 // whose ball is too large, because its (2r+1)^dim bounding box holds more
 // than maxSupplyBoxVolume points, which also keeps r far below the int32
 // coordinate range that Box.Expand works in. Only the last error wraps
 // ErrTooLarge.
-func CheckRadius(dim, r int) error {
+func checkRadius(dim, r int) error {
 	if dim < 1 || dim > grid.MaxDim {
 		return fmt.Errorf("lpchar: dimension %d out of range [1,%d]", dim, grid.MaxDim)
 	}
@@ -145,7 +145,9 @@ func (si *supplyIndex) supplierAt(p grid.Point) int32 {
 // gives the value as max_T d(T)/|N_r(T)| over subsets T of the support, and
 // every max-flow that falls short of the demand names a subset with a larger
 // ratio in its minimum cut, so Value steps from witness to witness until a
-// max-flow saturates.
+// max-flow saturates. Inside omegaStar the network carries an LP (4.1)
+// fleet: each supply is scaled by the supplier's longevity, and |N_r(T)|
+// becomes the summed longevity of T's suppliers.
 //
 // Solvers are rebindable: Bind(m, r) rebuilds the network in place, reusing
 // the network arrays and index buffers — the "one solver per worker" rule
@@ -155,20 +157,47 @@ type Solver struct {
 	total int64
 	r     int
 	nw    *flow.Network
-	// srcEdges[i] is the source edge of supplier i (node 1+i), sinkEdges[j]
-	// the sink edge of demand j (node demBase+j), whose demand is
+	fl    fleet
+	// srcEdges[i] is the source edge of supplier i (node 1+i), of longevity
+	// weights[i]: the supply index's suppliers, then fl.listed. sinkEdges[j]
+	// is the sink edge of demand j (node demBase+j), whose demand is
 	// demands[j]: the only capacities a max-flow rewrites.
 	srcEdges  []int
+	weights   []float64
 	sinkEdges []int
 	demands   []int64
 	demBase   int
 	sink      int
 	sup       supplyIndex
+	cuts      []float64 // omegaStar's listed breakpoints inside its segment
 	// witness is Value's final T, as indices into the sorted support, with
-	// witnessSum = d(T) and witnessNeigh = |N_r(T)|: Lemma 2.2.2's maximizer.
-	witness      []int32
-	witnessSum   int64
-	witnessNeigh int64
+	// witnessSum = d(T) and witnessWeight = the summed weight of its
+	// suppliers, |N_r(T)| for LP (2.1): Lemma 2.2.2's maximizer.
+	witness       []int32
+	witnessSum    int64
+	witnessWeight float64
+}
+
+// fleet is the vehicles of LP (4.1): longevity def at every lattice point
+// except the positions over lists. LP (2.1) and program (2.8) use the
+// healthy fleet, def 1 with nothing listed.
+type fleet struct {
+	def    float64
+	over   map[grid.Point]float64
+	listed []vehicle // over's vehicles with p > 0, in position order
+	exact  bool      // every longevity is 0 or 1
+}
+
+// vehicle is a listed vehicle of longevity p > 0.
+type vehicle struct {
+	at grid.Point
+	p  float64
+}
+
+// breakpoint is the capacity dist(x, q)/p at which x first reaches q: the
+// one expression omegaStar sorts and bind compares.
+func (x vehicle) breakpoint(q grid.Point) float64 {
+	return float64(grid.Manhattan(x.at, q)) / x.p
 }
 
 // maxExact is 2^53: below it every integer is a float64, so the max-flows
@@ -188,17 +217,21 @@ func NewSolver(m *demand.Map, r int) (*Solver, error) {
 // Bind (re)builds the solver for a new instance, reusing all retained
 // storage. The resulting solver is indistinguishable from a freshly
 // constructed one (TestSolverWarmEqualsCold pins this). A dimension or
-// radius whose ball CheckRadius refuses, or an instance whose total demand
+// radius whose ball checkRadius refuses, or an instance whose total demand
 // times |N_r(support)| reaches 2^53 (an error wrapping ErrTooLarge), returns
 // an error and leaves the solver bound as it was.
 func (s *Solver) Bind(m *demand.Map, r int) error {
-	return s.bind(m, r, m.Support())
+	s.fl = fleet{def: 1, listed: s.fl.listed[:0], exact: true}
+	return s.bind(m, r, 0, m.Support())
 }
 
-// bind is Bind with the support already listed: m.Support(), which
-// OmegaStarFlow sorts once for all the radii it visits.
-func (s *Solver) bind(m *demand.Map, r int, support []grid.Point) error {
-	if err := CheckRadius(m.Dim(), r); err != nil {
+// bind builds the network of fleet s.fl on m: the supply index's suppliers
+// within radius r of the support, of longevity def except where over lists
+// the position, then the listed vehicles, each joined to the demands whose
+// breakpoint lies below reach. support must be m.Support(), which omegaStar
+// sorts once for all its binds.
+func (s *Solver) bind(m *demand.Map, r int, reach float64, support []grid.Point) error {
+	if err := checkRadius(m.Dim(), r); err != nil {
 		return err
 	}
 	total := m.Total()
@@ -208,19 +241,30 @@ func (s *Solver) bind(m *demand.Map, r int, support []grid.Point) error {
 		}
 		// Value reads neither the index nor anything else build touched,
 		// so an instance refused here leaves the bound one intact.
-		if n := int64(len(s.sup.suppliers)); total > (maxExact-1)/n {
+		if n := int64(len(s.sup.suppliers) + len(s.fl.listed)); total > (maxExact-1)/n {
 			return fmt.Errorf("%w: %d jobs times %d suppliers reaches 2^53", ErrTooLarge, total, n)
 		}
 	}
 	s.total, s.r = total, r
-	s.srcEdges, s.sinkEdges, s.demands = s.srcEdges[:0], s.sinkEdges[:0], s.demands[:0]
+	s.srcEdges, s.weights = s.srcEdges[:0], s.weights[:0]
+	s.sinkEdges, s.demands = s.sinkEdges[:0], s.demands[:0]
 	if total == 0 {
 		s.sup.suppliers = s.sup.suppliers[:0]
 		return nil
 	}
-	// Node layout: 0 = source, 1..len(suppliers) = suppliers, then demands,
+	for _, p := range s.sup.suppliers {
+		w := s.fl.def
+		if _, ok := s.fl.over[p]; ok {
+			w = 0 // broken, or one of fl.listed
+		}
+		s.weights = append(s.weights, w)
+	}
+	for _, x := range s.fl.listed {
+		s.weights = append(s.weights, x.p)
+	}
+	// Node layout: 0 = source, 1..len(weights) = suppliers, then demands,
 	// then sink. Source and sink capacities are set by each max-flow.
-	n := 2 + len(s.sup.suppliers) + len(support)
+	n := 2 + len(s.weights) + len(support)
 	if s.nw == nil {
 		nw, err := flow.NewNetwork(n)
 		if err != nil {
@@ -230,8 +274,8 @@ func (s *Solver) bind(m *demand.Map, r int, support []grid.Point) error {
 	} else if err := s.nw.Reinit(n); err != nil {
 		return err
 	}
-	s.demBase, s.sink = 1+len(s.sup.suppliers), n-1
-	for i := range s.sup.suppliers {
+	s.demBase, s.sink = 1+len(s.weights), n-1
+	for i := range s.weights {
 		id, err := s.nw.AddEdge(0, 1+i, 0)
 		if err != nil {
 			return err
@@ -254,29 +298,40 @@ func (s *Solver) bind(m *demand.Map, r int, support []grid.Point) error {
 				}
 			}
 		}
+		for i, x := range s.fl.listed {
+			if x.breakpoint(q) < reach {
+				if _, err := s.nw.AddEdge(1+len(s.sup.suppliers)+i, dj, math.Inf(1)); err != nil {
+					return err
+				}
+			}
+		}
 	}
 	return nil
 }
 
-// saturates reports whether supply p/q at every supplier covers the demand:
-// one max-flow with source capacities p and sink capacities q*d_j, which
-// saturates exactly when it carries q*total. Every capacity and partial sum
-// is an integer below 2^53 (Bind's guard), so the flow is exact. A warm call
-// allocates nothing.
-func (s *Solver) saturates(p, q int64) (bool, error) {
+// saturates reports whether supply weights[i]*p covers demand q*d_j: one
+// max-flow carrying q*total. For 0/1 longevities and integer p and q every
+// capacity and partial sum is an integer below 2^53 (bind's guard), so
+// saturation is equality; otherwise it keeps the float bisection's slack,
+// lest a flow rounding short skip a segment. A warm call allocates nothing.
+func (s *Solver) saturates(p, q float64) (bool, error) {
 	s.nw.Reset()
-	for _, id := range s.srcEdges {
-		if err := s.nw.SetCapacity(id, float64(p)); err != nil {
+	for i, id := range s.srcEdges {
+		if err := s.nw.SetCapacity(id, s.weights[i]*p); err != nil {
 			return false, err
 		}
 	}
 	for j, id := range s.sinkEdges {
-		if err := s.nw.SetCapacity(id, float64(q*s.demands[j])); err != nil {
+		if err := s.nw.SetCapacity(id, q*float64(s.demands[j])); err != nil {
 			return false, err
 		}
 	}
 	val, err := s.nw.MaxFlow(0, s.sink)
-	return val == float64(q*s.total), err
+	target := q * float64(s.total)
+	if s.fl.exact {
+		return val == target, err
+	}
+	return val >= target*(1-1e-9)-1e-9, err
 }
 
 // Value computes the exact value of LP (2.1) for the bound instance,
@@ -291,10 +346,15 @@ func (s *Solver) saturates(p, q int64) (bool, error) {
 // N_r(T). The cut then carries |N_r(T)|*omega + d(reachable) < total, so T's
 // ratio exceeds omega. Minimal minimum cuts are nested as omega grows (Gallo,
 // Grigoriadis and Tarjan), so the witnesses shrink strictly and Value stops
-// after at most |support| max-flows. A warm Value allocates nothing.
+// after at most |support| max-flows. With fractional longevities a flow can
+// fall short by Dinic's residual threshold alone, so Value also stops at a
+// cut that does not raise the ratio. A warm Value allocates nothing.
 func (s *Solver) Value() (float64, error) {
 	s.witness = s.witness[:0]
-	s.witnessSum, s.witnessNeigh = s.total, int64(len(s.srcEdges))
+	s.witnessSum, s.witnessWeight = s.total, 0
+	for _, w := range s.weights {
+		s.witnessWeight += w
+	}
 	if s.total == 0 {
 		return 0, nil
 	}
@@ -302,25 +362,36 @@ func (s *Solver) Value() (float64, error) {
 		s.witness = append(s.witness, int32(j))
 	}
 	for {
-		ok, err := s.saturates(s.witnessSum, s.witnessNeigh)
+		ok, err := s.saturates(float64(s.witnessSum), s.witnessWeight)
 		if err != nil {
 			return 0, err
 		}
 		if ok {
-			return float64(s.witnessSum) / float64(s.witnessNeigh), nil
+			return float64(s.witnessSum) / s.witnessWeight, nil
 		}
-		s.witness = s.witness[:0]
-		s.witnessSum, s.witnessNeigh = 0, 0
-		for i := range s.srcEdges {
+		var sum int64
+		var weight float64
+		for i, w := range s.weights {
 			if !s.nw.MinCutReachable(1 + i) {
-				s.witnessNeigh++
+				weight += w
 			}
 		}
 		for j, d := range s.demands {
 			if !s.nw.MinCutReachable(s.demBase + j) {
-				s.witness = append(s.witness, int32(j))
-				s.witnessSum += d
+				sum += d
 			}
 		}
+		// Cross-multiplied, this is exact for 0/1 longevities, where it
+		// never holds.
+		if float64(sum)*s.witnessWeight <= float64(s.witnessSum)*weight {
+			return float64(s.witnessSum) / s.witnessWeight, nil
+		}
+		s.witness = s.witness[:0]
+		for j := range s.demands {
+			if !s.nw.MinCutReachable(s.demBase + j) {
+				s.witness = append(s.witness, int32(j))
+			}
+		}
+		s.witnessSum, s.witnessWeight = sum, weight
 	}
 }

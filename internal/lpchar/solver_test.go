@@ -411,16 +411,16 @@ func TestSolverRejectsUnlistableRadius(t *testing.T) {
 		t.Errorf("after rejected radii: Value %v, %v at radius %d; want %v at 2", got, err, s.r, want)
 	}
 	for dim, maxR := range map[int]int{1: 2097151, 2: 1023, 3: 80, 4: 22} {
-		if CheckRadius(dim, maxR) != nil || !errors.Is(CheckRadius(dim, maxR+1), ErrTooLarge) {
+		if checkRadius(dim, maxR) != nil || !errors.Is(checkRadius(dim, maxR+1), ErrTooLarge) {
 			t.Errorf("%d-D: largest accepted radius is not %d", dim, maxR)
 		}
 	}
 	for _, dim := range []int{0, 5} {
-		if CheckRadius(dim, 1) == nil {
+		if checkRadius(dim, 1) == nil {
 			t.Errorf("%d-D: radius 1 accepted, want a dimension error", dim)
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = CheckRadius(4, 22) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { _ = checkRadius(4, 22) }); allocs != 0 {
 		t.Errorf("accepted radius check allocated %v times, want 0", allocs)
 	}
 }

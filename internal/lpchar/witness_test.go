@@ -53,9 +53,9 @@ func TestValueWitnessBruteForce(t *testing.T) {
 			T[i] = support[j]
 		}
 		sum, neigh := bruteWitness(t, m, r, T)
-		if sum != s.witnessSum || neigh != s.witnessNeigh || v != float64(sum)/float64(neigh) {
-			t.Fatalf("%s r=%d: value %v with witness d(T)=%d |N_r(T)|=%d; brute force %d/%d over %d points",
-				name, r, v, s.witnessSum, s.witnessNeigh, sum, neigh, len(T))
+		if sum != s.witnessSum || float64(neigh) != s.witnessWeight || v != float64(sum)/float64(neigh) {
+			t.Fatalf("%s r=%d: value %v with witness d(T)=%d |N_r(T)|=%v; brute force %d/%d over %d points",
+				name, r, v, s.witnessSum, s.witnessWeight, sum, neigh, len(T))
 		}
 		if ok, err := s.FeasibleAt(v); err != nil || !ok {
 			t.Fatalf("%s r=%d: value %v infeasible for the float reference (%v)", name, r, v, err)
