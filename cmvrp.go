@@ -276,7 +276,8 @@ func MeasureWon(seq *Sequence, opts OnlineOptions, tol float64) (float64, error)
 // LP (4.1), found by the search ExactLowerBound runs, over segments between
 // the capacities at which a vehicle's reach grows. It is exact when every
 // longevity is 0 or 1 and within about 1e-9 relative otherwise, and an
-// error when no vehicle can reach the demand.
+// error when no vehicle can reach the demand or the value exceeds the
+// float64 range.
 func BrokenLowerBound(m *Demand, lon Longevity) (float64, error) {
 	return broken.LowerBound(m, lon)
 }

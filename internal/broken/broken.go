@@ -23,15 +23,16 @@ type Longevity struct {
 	Override map[grid.Point]float64
 }
 
-// Validate checks all parameters lie in [0,1]; NaN does not.
+// Validate checks all parameters lie in [0,1]; NaN does not. Of several
+// bad Override entries it names the least position.
 func (l Longevity) Validate() error {
 	if !(l.Default >= 0 && l.Default <= 1) {
 		return fmt.Errorf("broken: default longevity %v outside [0,1]", l.Default)
 	}
-	for p, v := range l.Override {
-		if !(v >= 0 && v <= 1) {
-			return fmt.Errorf("broken: longevity %v at %v outside [0,1]", v, p)
-		}
+	if p, v, ok := grid.LeastKey(l.Override, func(_ grid.Point, v float64) bool {
+		return !(v >= 0 && v <= 1)
+	}); ok {
+		return fmt.Errorf("broken: longevity %v at %v outside [0,1]", v, p)
 	}
 	return nil
 }

@@ -155,6 +155,21 @@ func TestLongevityValidate(t *testing.T) {
 	}
 }
 
+// TestLongevityValidateNamesLeastOverride pins the error text of several
+// bad Override entries to the least position, whatever order map iteration
+// takes.
+func TestLongevityValidateNamesLeastOverride(t *testing.T) {
+	bad := Longevity{Default: 1, Override: map[grid.Point]float64{
+		grid.P(3, 0): 2, grid.P(0, 5): -1, grid.P(1, 1): 0.5, grid.P(2, 2): math.NaN(),
+	}}
+	const want = "broken: longevity -1 at (0,5) outside [0,1]"
+	for range 200 {
+		if err := bad.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("Validate = %v, want %q", err, want)
+		}
+	}
+}
+
 func TestLongevityAt(t *testing.T) {
 	l := Longevity{Default: 0.5, Override: map[grid.Point]float64{grid.P(1, 1): 0.9}}
 	if l.At(grid.P(1, 1)) != 0.9 || l.At(grid.P(2, 2)) != 0.5 {
@@ -191,6 +206,43 @@ func TestLowerBoundAllBrokenFails(t *testing.T) {
 	}
 	if _, err := LowerBound(m, Longevity{Default: 0}); err == nil {
 		t.Error("demand with all vehicles broken should be infeasible")
+	}
+}
+
+// TestLowerBoundVanishingDefault pins LP (4.1) for a default longevity so
+// small that every default segment end (r+1)/def is +Inf. A broken vehicle
+// inside the probed ball supplies nothing there, not 0*Inf = NaN: with the
+// long-lived vehicle 200 cells out the bound is 200, as without the broken
+// one. Without it the value only exceeds float64, which is the error, while
+// a fleet that reaches nothing keeps its own.
+func TestLowerBoundVanishingDefault(t *testing.T) {
+	m, err := demand.PointMass(2, grid.P(0, 0), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tiny = 1e-310
+	const overflow = "lpchar: the LP (4.1) value exceeds the float64 range"
+	for _, tc := range []struct {
+		lon     Longevity
+		want    float64
+		wantErr string
+	}{
+		{Longevity{Default: tiny, Override: map[grid.Point]float64{grid.P(0, 0): 0, grid.P(200, 0): 1}}, 200, ""},
+		{Longevity{Default: tiny, Override: map[grid.Point]float64{grid.P(200, 0): 1}}, 200, ""},
+		{Longevity{Default: tiny, Override: map[grid.Point]float64{grid.P(0, 0): 0}}, 0, overflow},
+		{Longevity{Default: tiny}, 0, overflow},
+		{Longevity{Default: 0}, 0, "lpchar: no vehicle can reach the demand"},
+	} {
+		got, err := LowerBound(m, tc.lon)
+		if tc.wantErr != "" {
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("%+v: LowerBound = %v, %v; want error %q", tc.lon, got, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("%+v: LowerBound = %v, %v; want %v", tc.lon, got, err, tc.want)
+		}
 	}
 }
 

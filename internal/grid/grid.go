@@ -75,6 +75,36 @@ func (g *Grid) MinSize() int {
 // Len returns the number of lattice points in the grid.
 func (g *Grid) Len() int64 { return g.total }
 
+// Tiles returns the number of aligned side-s cubes that tile the grid, the
+// last one on each axis clipped at the far face: (size-1)/s + 1 per axis,
+// which cannot overflow, so a side past the grid leaves one tile. s must be
+// at least 1. Lemma 2.2.5's schedule and the Chapter 3 partition both cut
+// the arena into these tiles.
+func (g *Grid) Tiles(s int) int {
+	n := 1
+	for i := 0; i < g.dim; i++ {
+		n *= (g.size[i]-1)/s + 1
+	}
+	return n
+}
+
+// Tile returns tile c of the side-s tiling, c in [0, Tiles(s)), and whether
+// it is a full cube rather than one clipped at a far face. Tiles are
+// numbered with axis 0 as the most significant digit, the row-major order
+// of their low corners.
+func (g *Grid) Tile(s, c int) (b Box, full bool) {
+	b.Dim, full = g.dim, true
+	for i := g.dim - 1; i >= 0; i-- {
+		per := (g.size[i]-1)/s + 1
+		lo := c % per * s
+		c /= per
+		side := min(s, g.size[i]-lo)
+		full = full && side == s
+		b.Lo[i], b.Hi[i] = int32(lo), int32(lo+side-1)
+	}
+	return b, full
+}
+
 // Bounds returns the grid as a Box.
 func (g *Grid) Bounds() Box {
 	var hi Point

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -210,6 +211,68 @@ func TestMaxCubeSumMatchesEnumeration(t *testing.T) {
 			}
 			if got := ps.MaxCubeSum(s); got != want {
 				t.Fatalf("sizes %v side %d: MaxCubeSum = %d, enumeration %d", sizes, s, got, want)
+			}
+		}
+	}
+}
+
+// odometerTiles lists the side-s tiles the way the offline schedule walked
+// them before the tiling moved into Grid: an odometer over the low corners
+// in row-major order, clipping each cube at the far faces.
+func odometerTiles(g *Grid, s int) (boxes []Box, full []bool) {
+	cube := Box{Dim: g.Dim()}
+	for {
+		f := true
+		for i := 0; i < g.Dim(); i++ {
+			hi := int(cube.Lo[i]) + s - 1
+			if hi >= g.Size(i) {
+				hi, f = g.Size(i)-1, false
+			}
+			cube.Hi[i] = int32(hi)
+		}
+		boxes, full = append(boxes, cube), append(full, f)
+		axis := g.Dim() - 1
+		for ; axis >= 0; axis-- {
+			if next := int(cube.Lo[axis]) + s; next < g.Size(axis) {
+				cube.Lo[axis] = int32(next)
+				break
+			}
+			cube.Lo[axis] = 0
+		}
+		if axis < 0 {
+			return boxes, full
+		}
+	}
+}
+
+// TestTilesMatchOdometer pins Tiles and Tile to the corner odometer: the
+// same count, boxes, order and full flags on random 1-4-D grids, at every
+// side from 1 to two past the longest axis (which covers 1 to MinSize()+2)
+// and at math.MaxInt, where a clip computed as lo+s-1 would overflow.
+func TestTilesMatchOdometer(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for range 300 {
+		sizes := make([]int, 1+rng.Intn(MaxDim))
+		longest := 0
+		for i := range sizes {
+			sizes[i] = 1 + rng.Intn(9)
+			longest = max(longest, sizes[i])
+		}
+		g := MustNew(sizes...)
+		sides := []int{math.MaxInt}
+		for s := 1; s <= longest+2; s++ {
+			sides = append(sides, s)
+		}
+		for _, s := range sides {
+			boxes, full := odometerTiles(g, s)
+			if n := g.Tiles(s); n != len(boxes) {
+				t.Fatalf("sizes %v side %d: %d tiles, odometer %d", sizes, s, n, len(boxes))
+			}
+			for c := range boxes {
+				if b, f := g.Tile(s, c); b != boxes[c] || f != full[c] {
+					t.Fatalf("sizes %v side %d: tile %d is %v full %v, odometer %v full %v",
+						sizes, s, c, b, f, boxes[c], full[c])
+				}
 			}
 		}
 	}

@@ -51,6 +51,22 @@ func (p Point) Compare(q Point) int {
 // Less reports whether p orders before q under Compare.
 func (p Point) Less(q Point) bool { return p.Compare(q) < 0 }
 
+// LeastKey returns the least key of m under Compare for which bad holds,
+// with its value, and false when bad holds for none. An error that names
+// the least offender of a map-keyed input reads the same whatever order
+// map iteration takes.
+func LeastKey[V any](m map[Point]V, bad func(Point, V) bool) (Point, V, bool) {
+	var key Point
+	var val V
+	found := false
+	for p, v := range m {
+		if bad(p, v) && (!found || p.Less(key)) {
+			key, val, found = p, v, true
+		}
+	}
+	return key, val, found
+}
+
 // Add returns p translated by q (component-wise sum).
 func (p Point) Add(q Point) Point {
 	var r Point

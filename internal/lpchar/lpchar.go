@@ -180,7 +180,8 @@ func OmegaStarFlow(m *demand.Map) (float64, error) {
 // every lattice point except where over lists one: the least omega at which
 // each vehicle's supply p*omega within distance p*omega covers the demand,
 // exact for 0/1 longevities and within about 1e-9 relative otherwise. No
-// vehicle reaching the demand, or a listed point off its lattice, is an error.
+// vehicle reaching the demand, a value past the float64 range, or a listed
+// point off its lattice, is an error.
 func FleetBound(m *demand.Map, def float64, over map[grid.Point]float64) (float64, error) {
 	if m.Total() == 0 {
 		return 0, nil
@@ -273,12 +274,17 @@ func (s *Solver) omegaStar(m *demand.Map, def float64, over map[grid.Point]float
 	if err != nil {
 		return 0, err
 	}
-	// Only a fleet without a default class has an unbounded segment, and its
-	// value is infinite when no vehicle is listed.
+	// The value is infinite when no vehicle reaches the demand: a fleet with
+	// neither a default class nor a listed vehicle. Otherwise an infinite
+	// omega is a finite value past float64, as when a default longevity
+	// below about 1e-308 makes every segment end (r+1)/def overflow.
 	if omega := min(max(v, left), right); !math.IsInf(omega, 1) {
 		return omega, nil
 	}
-	return 0, errors.New("lpchar: no vehicle can reach the demand")
+	if def == 0 && len(s.fl.listed) == 0 {
+		return 0, errors.New("lpchar: no vehicle can reach the demand")
+	}
+	return 0, errors.New("lpchar: the LP (4.1) value exceeds the float64 range")
 }
 
 // OmegaStarCubesPS computes max over all cubes T (every side length s >= 1,

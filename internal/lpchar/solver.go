@@ -155,7 +155,6 @@ func (si *supplyIndex) supplierAt(p grid.Point) int32 {
 // worker discipline. A Solver is not safe for concurrent use.
 type Solver struct {
 	total int64
-	r     int
 	nw    *flow.Network
 	fl    fleet
 	// srcEdges[i] is the source edge of supplier i (node 1+i), of longevity
@@ -245,7 +244,7 @@ func (s *Solver) bind(m *demand.Map, r int, reach float64, support []grid.Point)
 			return fmt.Errorf("%w: %d jobs times %d suppliers reaches 2^53", ErrTooLarge, total, n)
 		}
 	}
-	s.total, s.r = total, r
+	s.total = total
 	s.srcEdges, s.weights = s.srcEdges[:0], s.weights[:0]
 	s.sinkEdges, s.demands = s.sinkEdges[:0], s.demands[:0]
 	if total == 0 {
@@ -310,14 +309,19 @@ func (s *Solver) bind(m *demand.Map, r int, reach float64, support []grid.Point)
 }
 
 // saturates reports whether supply weights[i]*p covers demand q*d_j: one
-// max-flow carrying q*total. For 0/1 longevities and integer p and q every
-// capacity and partial sum is an integer below 2^53 (bind's guard), so
-// saturation is equality; otherwise it keeps the float bisection's slack,
-// lest a flow rounding short skip a segment. A warm call allocates nothing.
+// max-flow carrying q*total. A zero weight supplies nothing at any p, +Inf
+// included. For 0/1 longevities and integer p and q every capacity and
+// partial sum is an integer below 2^53 (bind's guard), so saturation is
+// equality; otherwise it keeps the float bisection's slack, lest a flow
+// rounding short skip a segment. A warm call allocates nothing.
 func (s *Solver) saturates(p, q float64) (bool, error) {
 	s.nw.Reset()
 	for i, id := range s.srcEdges {
-		if err := s.nw.SetCapacity(id, s.weights[i]*p); err != nil {
+		supply := 0.0
+		if w := s.weights[i]; w != 0 {
+			supply = w * p
+		}
+		if err := s.nw.SetCapacity(id, supply); err != nil {
 			return false, err
 		}
 	}

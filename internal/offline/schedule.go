@@ -97,33 +97,14 @@ func (d *Dense) BuildSchedule(char CubeChar) (*Schedule, error) {
 	// guarantee sum ceil(L(x)/Bi) <= cubeVolume needs B/Bi <= 1.
 	b := cubeBuilder{d: d, sched: &Schedule{CubeSide: s, OmegaC: char.Omega}}
 	b.budget = max(int64(math.Ceil(float64(pow(3, l))*char.Omega)), 1)
-	// Visit the aligned cubes in row-major order of their low corners,
-	// clipping each at the arena's far faces.
-	cube := grid.Box{Dim: l}
-	for {
-		full := true
-		for i := 0; i < l; i++ {
-			hi := int(cube.Lo[i]) + s - 1
-			if hi >= arena.Size(i) {
-				hi, full = arena.Size(i)-1, false
-			}
-			cube.Hi[i] = int32(hi)
-		}
-		if err := b.build(cube, full); err != nil {
+	// Visit the arena's side-s tiles in row-major order of their low
+	// corners, each clipped at the arena's far faces.
+	for c := range arena.Tiles(s) {
+		if err := b.build(arena.Tile(s, c)); err != nil {
 			return nil, err
 		}
-		axis := l - 1
-		for ; axis >= 0; axis-- {
-			if next := int(cube.Lo[axis]) + s; next < arena.Size(axis) {
-				cube.Lo[axis] = int32(next)
-				break
-			}
-			cube.Lo[axis] = 0
-		}
-		if axis < 0 {
-			return b.sched, nil
-		}
 	}
+	return b.sched, nil
 }
 
 // ErrBoundaryCube reports that a cube clipped by the arena's far faces has

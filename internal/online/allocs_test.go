@@ -1,6 +1,9 @@
 package online
 
 import (
+	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -162,6 +165,45 @@ func TestNewRunnerAllocsFlat(t *testing.T) {
 				t.Errorf("%dx%d, SimShards %d: NewRunner allocated %.0f objects, ceiling %d",
 					side, side, shards, got, ceiling)
 			}
+		}
+	}
+}
+
+// TestColdMonitoredEpisodeAllocs guards the first monitored episode on a
+// fresh runner: a watcher keeps the beacon and complaint of its one watched
+// pair in two bools, so the first Run allocates the same few objects on any
+// arena instead of one map per watcher. It counts the least of five single
+// runs, each on a fresh runner.
+func TestColdMonitoredEpisodeAllocs(t *testing.T) {
+	const ceiling = 24
+	// The first collection in a process starts the runtime's mark worker
+	// goroutines, whose allocations would otherwise land in a count.
+	runtime.GC()
+	for _, n := range []int{8, 16, 32} {
+		arena := grid.MustNew(n, n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		jobs := make([]grid.Point, 50)
+		for i := range jobs {
+			jobs[i] = grid.P(rng.Intn(n), rng.Intn(n))
+		}
+		seq := demand.NewSequence(jobs)
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			r := mustRunner(t, Options{Arena: arena, CubeSide: 4, Capacity: 24, Seed: 1, Monitoring: true})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := r.Run(seq)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.OK() {
+				t.Fatalf("%dx%d: run failed: %v", n, n, res.Failures[0])
+			}
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		if least > ceiling {
+			t.Errorf("%dx%d: first monitored Run allocated %d objects, ceiling %d", n, n, least, ceiling)
 		}
 	}
 }

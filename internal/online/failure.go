@@ -55,22 +55,12 @@ func (o *Options) failureModel() FailureModel {
 	return *o.Failure
 }
 
-// worstUnknown returns the smallest (Point.Less) key of m that lies outside
-// the arena. Scanning for the minimum keeps the reported cell — and hence
-// the error text — independent of map iteration order.
+// worstUnknown returns the least key of m that lies outside the arena, so
+// the reported cell — and hence the error text — does not depend on map
+// iteration order.
 func worstUnknown[V any](arena *grid.Grid, m map[grid.Point]V) (grid.Point, bool) {
-	var bad grid.Point
-	found := false
-	for p := range m {
-		if arena.Contains(p) {
-			continue
-		}
-		if !found || p.Less(bad) {
-			bad = p
-			found = true
-		}
-	}
-	return bad, found
+	p, _, ok := grid.LeastKey(m, func(p grid.Point, _ V) bool { return !arena.Contains(p) })
+	return p, ok
 }
 
 // validate checks every map key against the arena at construction time,
@@ -90,19 +80,10 @@ func (m FailureModel) validate(arena *grid.Grid) error {
 	if cell, ok := worstUnknown(arena, m.Byzantine); ok {
 		return fmt.Errorf("online: Byzantine cell %v not in arena", cell)
 	}
-	var badCell grid.Point
-	badP, found := 0.0, false
-	for cell, p := range m.Longevity {
-		if p >= 0 && p <= 1 {
-			continue
-		}
-		if !found || cell.Less(badCell) {
-			badCell, badP = cell, p
-			found = true
-		}
-	}
-	if found {
-		return fmt.Errorf("online: longevity %v at %v outside [0,1]", badP, badCell)
+	if cell, p, ok := grid.LeastKey(m.Longevity, func(_ grid.Point, p float64) bool {
+		return !(p >= 0 && p <= 1)
+	}); ok {
+		return fmt.Errorf("online: longevity %v at %v outside [0,1]", p, cell)
 	}
 	return nil
 }
@@ -170,20 +151,10 @@ func (f *Fleet) validate(arena *grid.Grid) error {
 	if cell, ok := worstUnknown(arena, f.Assign); ok {
 		return fmt.Errorf("online: Fleet.Assign cell %v not in arena", cell)
 	}
-	var badCell grid.Point
-	badIdx, found := 0, false
-	for cell, idx := range f.Assign {
-		if idx >= 0 && idx < len(f.Classes) {
-			continue
-		}
-		if !found || cell.Less(badCell) {
-			badCell, badIdx = cell, idx
-			found = true
-		}
-	}
-	if found {
-		return fmt.Errorf("online: Fleet.Assign class %d at %v outside [0,%d)",
-			badIdx, badCell, len(f.Classes))
+	if cell, idx, ok := grid.LeastKey(f.Assign, func(_ grid.Point, idx int) bool {
+		return idx < 0 || idx >= len(f.Classes)
+	}); ok {
+		return fmt.Errorf("online: Fleet.Assign class %d at %v outside [0,%d)", idx, cell, len(f.Classes))
 	}
 	return nil
 }
@@ -196,7 +167,7 @@ func (f *Fleet) classAt(part *Partition, cell grid.Point, pairID int) VehicleCla
 	if idx, ok := f.Assign[cell]; ok {
 		return f.Classes[idx]
 	}
-	first := part.CubePairs(part.Pairs()[pairID].Cube)[0]
+	first, _ := part.cubeRange(pairID)
 	return f.Classes[(pairID-first)%len(f.Classes)]
 }
 

@@ -103,14 +103,15 @@ func TestResetEpisodeValidatesBeforeMutating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mustRunner(t, good).Run(failureJobs())
+	checkPairOwnership(t, r)
+	want, err := runOwned(t, good, failureJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
 	resultsEqual(t, "after rejected re-arms", want, res)
 }
 
-// --- satellite 2: the precomputed watched-by index --------------------------
+// --- the watched-by inverse -------------------------------------------------
 
 func TestWatchedPairInvertsWatcherPair(t *testing.T) {
 	for _, dims := range [][2]int{{4, 4}, {6, 6}, {8, 8}, {5, 7}} {
@@ -146,7 +147,7 @@ func TestByzantineBeaconsFoolSilenceDetection(t *testing.T) {
 		DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
 	}
 
-	resSilent, err := mustRunner(t, silent).Run(failureJobs())
+	resSilent, err := runOwned(t, silent, failureJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestByzantineBeaconsFoolSilenceDetection(t *testing.T) {
 		t.Errorf("control: silent crash should not need the evidence channel: %+v", resSilent)
 	}
 
-	resLying, err := mustRunner(t, lying).Run(failureJobs())
+	resLying, err := runOwned(t, lying, failureJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestByzantineWithoutMonitoring(t *testing.T) {
 		DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
 		Byzantine:         map[grid.Point]bool{grid.P(2, 2): true},
 	}
-	res, err := mustRunner(t, opts).Run(failureJobs())
+	res, err := runOwned(t, opts, failureJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestUnitFleetIsBitIdenticalToBaseline(t *testing.T) {
 		DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
 		Longevity:         map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(1, 4): 0},
 	}
-	base, err := mustRunner(t, opts).Run(failureJobs())
+	base, err := runOwned(t, opts, failureJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestUnitFleetIsBitIdenticalToBaseline(t *testing.T) {
 		{Name: "standard"}, // zero multipliers mean 1.0
 		{Name: "explicit", Speed: 1, Energy: 1, Capacity: 1},
 	}}
-	got, err := mustRunner(t, classed).Run(failureJobs())
+	got, err := runOwned(t, classed, failureJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,13 +245,13 @@ func TestFastFleetChangesEnergyProfile(t *testing.T) {
 		jobs[i] = grid.P(4, 4)
 	}
 	opts := Options{Arena: arena, CubeSide: 8, Capacity: 24, Seed: 1}
-	base, err := mustRunner(t, opts).Run(demand.NewSequence(jobs))
+	base, err := runOwned(t, opts, demand.NewSequence(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fast := opts
 	fast.Fleet = &Fleet{Classes: []VehicleClass{{Name: "fast", Speed: 4}}}
-	res, err := mustRunner(t, fast).Run(demand.NewSequence(jobs))
+	res, err := runOwned(t, fast, demand.NewSequence(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +277,13 @@ func TestSmallTankFleetExhaustsSooner(t *testing.T) {
 		jobs[i] = grid.P(4, 4)
 	}
 	opts := Options{Arena: arena, CubeSide: 8, Capacity: 24, Seed: 1}
-	base, err := mustRunner(t, opts).Run(demand.NewSequence(jobs))
+	base, err := runOwned(t, opts, demand.NewSequence(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	small := opts
 	small.Fleet = &Fleet{Classes: []VehicleClass{{Name: "small", Capacity: 0.5}}}
-	res, err := mustRunner(t, small).Run(demand.NewSequence(jobs))
+	res, err := runOwned(t, small, demand.NewSequence(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +299,9 @@ func TestFleetDefaultAssignmentIsPartitionAware(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &Fleet{Classes: []VehicleClass{{Name: "a"}, {Name: "b"}, {Name: "c"}}}
-	for cube := 0; cube < len(part.cubePairs); cube++ {
-		pairs := part.CubePairs(cube)
-		for i, pid := range pairs {
+	for cube := range len(part.cubeStart) - 1 {
+		for pid := int(part.cubeStart[cube]); pid < int(part.cubeStart[cube+1]); pid++ {
+			i := pid - int(part.cubeStart[cube])
 			pr := part.Pairs()[pid]
 			got := f.classAt(part, pr.ServicePos(), pid)
 			want := f.Classes[i%len(f.Classes)]
@@ -349,7 +350,7 @@ func TestFullFloodGossipMatchesDiffuse(t *testing.T) {
 		DeadBeforeArrival: map[grid.Point]int{grid.P(2, 2): 10},
 		Longevity:         map[grid.Point]float64{grid.P(5, 5): 0.5, grid.P(1, 4): 0},
 	}
-	base, err := mustRunner(t, opts).Run(failureJobs())
+	base, err := runOwned(t, opts, failureJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestFullFloodGossipMatchesDiffuse(t *testing.T) {
 	}
 	gossiped := opts
 	gossiped.Search = SearchGossip
-	got, err := mustRunner(t, gossiped).Run(failureJobs())
+	got, err := runOwned(t, gossiped, failureJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +393,7 @@ func TestGossipFanoutLimitsTraffic(t *testing.T) {
 	run := func(fanout int) *Result {
 		o := opts
 		o.GossipFanout = fanout
-		res, err := mustRunner(t, o).Run(demand.NewSequence(jobs))
+		res, err := runOwned(t, o, demand.NewSequence(jobs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +437,7 @@ func stackedOptions() Options {
 }
 
 func TestStackedFailureModesAccounting(t *testing.T) {
-	res, err := mustRunner(t, stackedOptions()).Run(failureJobs())
+	res, err := runOwned(t, stackedOptions(), failureJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +472,7 @@ func TestStackedFailureModesAccounting(t *testing.T) {
 // stacked scenario bit-for-bit against a fresh construction.
 func TestStackedWarmResetMatchesFresh(t *testing.T) {
 	opts := stackedOptions()
-	fresh, err := mustRunner(t, opts).Run(failureJobs())
+	fresh, err := runOwned(t, opts, failureJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,6 +495,7 @@ func TestStackedWarmResetMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	if !reflect.DeepEqual(fresh, warm) {
 		t.Errorf("warm stacked run diverged:\nfresh %+v\nwarm  %+v", fresh, warm)
 	}
@@ -506,7 +508,8 @@ func TestStackedWarmResetMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshPlain, err := mustRunner(t, plain).Run(failureJobs())
+	checkPairOwnership(t, r)
+	freshPlain, err := runOwned(t, plain, failureJobs())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,6 +90,7 @@ func TestGoldenTraceFailureInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	checkGolden(t, res, goldenCounters{
 		served: 80, messages: 7616, replacements: 1, searches: 1,
 		monitorRescues: 1, maxEnergy: 11,
@@ -182,6 +183,7 @@ func TestGoldenResetMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkPairOwnership(t, r)
 		checkGolden(t, res, want)
 		// Monitoring, dead events, and longevity breakdowns all have cursor
 		// or per-vehicle state that Reset must restore.
@@ -193,6 +195,7 @@ func TestGoldenResetMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkPairOwnership(t, r)
 			checkGolden(t, res, want)
 		}
 	})

@@ -40,6 +40,7 @@ func TestLongevityBreaksMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	if !res.OK() || res.Replacements != 0 {
 		t.Fatalf("healthy baseline: %+v", res)
 	}
@@ -47,6 +48,7 @@ func TestLongevityBreaksMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r2)
 	// The breaking vehicle serves its last job, then the watcher recruits.
 	if !res2.OK() {
 		t.Fatalf("longevity run failures: %v", res2.Failures)
@@ -80,6 +82,7 @@ func TestLongevityZeroBrokenFromStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	if !res.OK() {
 		t.Fatalf("failures: %v", res.Failures)
 	}
@@ -113,6 +116,7 @@ func TestLongevityBrokenVehicleStillRelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	if res.Served < 14 {
 		t.Fatalf("served only %d of 20 through the broken band: %v",
 			res.Served, res.Failures)

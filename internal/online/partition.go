@@ -29,39 +29,38 @@ func (p Pair) ServicePos() grid.Point { return p.Cells[0] }
 
 // Partition is the static geometry of the online strategy: the cube
 // decomposition, the pairing, and the intra-cube communication graph.
-// Per-cell lookups are dense slices indexed by Arena.Index — the cell's
-// arena index doubles as its vehicle's sim.NodeID, so the hot layers above
-// never hash a point.
+// The cubes are the arena's side-cubeSide tiles (grid.Grid.Tile), the cut
+// Lemma 2.2.5's offline schedule makes too. Per-cell lookups are dense
+// slices indexed by Arena.Index — the cell's arena index doubles as its
+// vehicle's sim.NodeID, so the hot layers above never hash a point.
 //
 // A Partition is immutable after NewPartition returns and therefore safe to
-// share: a capacity search builds one and hands it to every probe runner
-// (including concurrent workers) via Options.Partition. Accessors returning
-// internal slices document that callers must not mutate them — that is the
-// whole sharing contract.
+// share: any number of runners of its arena and cube side, on any
+// goroutines, can take it via Options.Partition, and a capacity search's
+// probes all use one. Accessors returning internal slices document that
+// callers must not mutate them — that is the whole sharing contract.
 type Partition struct {
 	arena    *grid.Grid
 	cubeSide int
 
 	pairs   []Pair
-	pairIdx []int32 // arena index -> pair index
-	cubeIdx []int32 // arena index -> cube index
-
-	cubePairs [][]int        // cube -> pair indices (snake order)
-	commIdx   [][]sim.NodeID // arena index -> same-cube cells within distance 2
-	watchIdx  []int32        // pair -> the pair it watches (inverse of WatcherPair)
+	pairIdx []int32        // arena index -> pair index
+	commIdx [][]sim.NodeID // arena index -> same-cube cells within distance 2
+	// Pair ids are contiguous per cube: cube c holds pair ids cubeStart[c]
+	// to cubeStart[c+1]-1, in snake order.
+	cubeStart []int32
 }
 
-// NewPartition decomposes the arena into aligned side-s cubes (clipped at
-// the boundary), pairs each cube's cells along a boustrophedon (snake) walk
-// — consecutive snake cells are lattice-adjacent, hence opposite chessboard
-// colors — and precomputes the communication graph: vehicles within L1
-// distance 2 in the same cube are neighbors (Section 3.2's "constant
-// distance... we use 2 here").
+// NewPartition decomposes the arena into its side-s tiles, pairs each
+// tile's cells along a boustrophedon (snake) walk — consecutive snake cells
+// are lattice-adjacent, hence opposite chessboard colors — and precomputes
+// the communication graph: vehicles within L1 distance 2 in the same cube
+// are neighbors (Section 3.2's "constant distance... we use 2 here").
 //
 // Every table is sized before it is filled, so a build takes the same
 // handful of allocations on any arena: the communication rows are capped
-// sub-slices of one backing array, the cube pair lists of another, and the
-// snake walk reuses one buffer sized for the largest cube.
+// sub-slices of one backing array, and the snake walk reuses one buffer
+// sized for the largest cube.
 func NewPartition(arena *grid.Grid, cubeSide int) (*Partition, error) {
 	if arena == nil {
 		return nil, fmt.Errorf("online: partition needs an arena")
@@ -73,16 +72,13 @@ func NewPartition(arena *grid.Grid, cubeSide int) (*Partition, error) {
 	cubes, pairs, links, maxVol := p.tableSizes()
 	p.pairs = make([]Pair, 0, pairs)
 	p.pairIdx = make([]int32, arena.Len())
-	p.cubeIdx = make([]int32, arena.Len())
-	p.cubePairs = make([][]int, cubes)
 	p.commIdx = make([][]sim.NodeID, arena.Len())
-	p.watchIdx = make([]int32, pairs)
-	ids := make([]int, pairs)              // backing of every cubePairs list
+	p.cubeStart = make([]int32, cubes+1)
 	comm := make([]sim.NodeID, 0, links)   // backing of every commIdx row
 	cells := make([]grid.Point, 0, maxVol) // one cube's snake walk
-	for c := range p.cubePairs {
-		cells = snakeOrder(cells[:0], p.cube(c))
-		first := len(p.pairs)
+	for c := range cubes {
+		cube, _ := arena.Tile(cubeSide, c)
+		cells = snakeOrder(cells[:0], cube)
 		for i := 0; i < len(cells); i += 2 {
 			pr := Pair{Cube: c}
 			if i+1 < len(cells) {
@@ -101,30 +97,18 @@ func NewPartition(arena *grid.Grid, cubeSide int) (*Partition, error) {
 			p.pairIdx[arena.Index(pr.Cells[0])] = int32(len(p.pairs))
 			p.pairs = append(p.pairs, pr)
 		}
-		// Pair ids are contiguous per cube. Monitoring ring inverse: pair
-		// list[i] is watched by list[(i+1)%n], so list[(i+1)%n] *watches*
-		// list[i]. Precomputing the inverse here turns the watcher's
-		// per-check-round scan into one table read (a one-pair cube watches
-		// itself, which the check path skips).
-		n := len(p.pairs) - first
-		p.cubePairs[c] = ids[first : first+n : first+n]
-		for i := range n {
-			ids[first+i] = first + i
-			p.watchIdx[first+(i+1)%n] = int32(first + i)
-		}
+		p.cubeStart[c+1] = int32(len(p.pairs))
 		// Communication graph: same-cube cells within L1 distance 2, in snake
 		// order (the order is part of the deterministic message schedule), as
 		// node ids. Each runner's search engines flood these rows directly.
 		for _, a := range cells {
-			ai := arena.Index(a)
-			p.cubeIdx[ai] = int32(c)
 			start := len(comm)
 			for _, b := range cells {
 				if a != b && grid.Manhattan(a, b) <= 2 {
 					comm = append(comm, sim.NodeID(arena.Index(b)))
 				}
 			}
-			p.commIdx[ai] = comm[start:len(comm):len(comm)]
+			p.commIdx[arena.Index(a)] = comm[start:len(comm):len(comm)]
 		}
 	}
 	return p, nil
@@ -132,37 +116,17 @@ func NewPartition(arena *grid.Grid, cubeSide int) (*Partition, error) {
 
 // tableSizes returns the number of cubes, pairs and communication links of
 // the partition and its largest cube volume, so NewPartition can size every
-// table exactly before it fills them. (size-1)/side + 1 cubes per axis
-// cannot overflow, and a side past the arena leaves one clipped cube.
+// table exactly before it fills them.
 func (p *Partition) tableSizes() (cubes, pairs, links, maxVol int) {
-	cubes = 1
-	for i := 0; i < p.arena.Dim(); i++ {
-		cubes *= (p.arena.Size(i)-1)/p.cubeSide + 1
-	}
+	cubes = p.arena.Tiles(p.cubeSide)
 	for c := range cubes {
-		b := p.cube(c)
+		b, _ := p.arena.Tile(p.cubeSide, c)
 		vol := int(b.Volume())
 		pairs += (vol + 1) / 2
 		links += commLinks(b)
 		maxVol = max(maxVol, vol)
 	}
 	return cubes, pairs, links, maxVol
-}
-
-// cube returns cube c of the decomposition, clipped at the arena boundary.
-// Cubes are numbered with axis 0 as the most significant digit: the order of
-// nested per-axis loops with axis 0 outermost.
-func (p *Partition) cube(c int) grid.Box {
-	b := grid.Box{Dim: p.arena.Dim()}
-	for i := b.Dim - 1; i >= 0; i-- {
-		size := p.arena.Size(i)
-		per := (size-1)/p.cubeSide + 1
-		lo := c % per * p.cubeSide
-		c /= per
-		b.Lo[i] = int32(lo)
-		b.Hi[i] = int32(lo + min(p.cubeSide, size-lo) - 1)
-	}
-	return b
 }
 
 // commLinks counts the ordered pairs of distinct cells of b within L1
@@ -232,22 +196,27 @@ func (p *Partition) PairOf(x grid.Point) (int, bool) {
 // index (which is also the cell's sim.NodeID).
 func (p *Partition) PairAt(idx int64) int { return int(p.pairIdx[idx]) }
 
-// CubePairs returns the pair indices of one cube in snake order.
-func (p *Partition) CubePairs(cube int) []int { return p.cubePairs[cube] }
+// cubeRange returns the first pair id of pair id's cube and the cube's
+// number of pairs.
+func (p *Partition) cubeRange(id int) (first, n int) {
+	c := p.pairs[id].Cube
+	first = int(p.cubeStart[c])
+	return first, int(p.cubeStart[c+1]) - first
+}
 
 // WatcherPair returns the pair that monitors pair `id` in the Section 3.2.5
 // monitoring ring: pairs of a cube watch each other cyclically, so every
 // pair is watched by exactly one other pair (or itself in a one-pair cube).
-// Cube pair ids are contiguous, so the ring successor is an index
-// subtraction, not a scan of the cube's pair list.
+// Cube pair ids are contiguous, so the ring successor is index arithmetic.
 func (p *Partition) WatcherPair(id int) int {
-	list := p.cubePairs[p.pairs[id].Cube]
-	first := list[0]
-	return first + (id-first+1)%len(list)
+	first, n := p.cubeRange(id)
+	return first + (id-first+1)%n
 }
 
-// WatchedPair returns the pair that pair `watcher` monitors — the
-// precomputed inverse of WatcherPair. Every pair watches exactly one other
-// pair of its cube (itself in a one-pair cube), so the check round reads one
-// table entry instead of scanning the cube's pair list.
-func (p *Partition) WatchedPair(watcher int) int { return int(p.watchIdx[watcher]) }
+// WatchedPair returns the pair that pair `watcher` monitors, the inverse of
+// WatcherPair: the ring predecessor within the watcher's cube (itself in a
+// one-pair cube).
+func (p *Partition) WatchedPair(watcher int) int {
+	first, n := p.cubeRange(watcher)
+	return first + (watcher-first+n-1)%n
+}

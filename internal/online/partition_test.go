@@ -99,8 +99,8 @@ func TestPartitionCoversArenaWithValidPairs(t *testing.T) {
 				if !ok || got != pi {
 					t.Errorf("%v: PairOf(%v) = %d,%v want %d", tc, c, got, ok, pi)
 				}
-				if cube := int(part.cubeIdx[arena.Index(c)]); cube != pr.Cube {
-					t.Errorf("%v: cell %v in cube %d, want %d", tc, c, cube, pr.Cube)
+				if cube, _ := arena.Tile(tc.side, pr.Cube); !cube.Contains(c) {
+					t.Errorf("%v: cell %v outside its cube %d, %v", tc, c, pr.Cube, cube)
 				}
 			}
 		}
@@ -122,7 +122,7 @@ func TestCommGraphWithinCubeAndConnected(t *testing.T) {
 			if d := grid.Manhattan(cell, arena.PointAt(int64(nb))); d < 1 || d > 2 {
 				t.Errorf("neighbor %d of %v at distance %d", nb, cell, d)
 			}
-			if part.cubeIdx[nb] != part.cubeIdx[idx] {
+			if part.pairs[part.pairIdx[nb]].Cube != part.pairs[part.pairIdx[idx]].Cube {
 				t.Errorf("neighbor %d of %v crosses cube boundary", nb, cell)
 			}
 		}
@@ -151,10 +151,10 @@ func TestWatcherPairRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cube := 0; cube < len(part.cubePairs); cube++ {
-		pairs := part.CubePairs(cube)
+	for cube := range len(part.cubeStart) - 1 {
+		first, end := int(part.cubeStart[cube]), int(part.cubeStart[cube+1])
 		watchedBy := make(map[int]int)
-		for _, p := range pairs {
+		for p := first; p < end; p++ {
 			w := part.WatcherPair(p)
 			if part.Pairs()[w].Cube != cube {
 				t.Errorf("watcher of %d in wrong cube", p)
@@ -162,7 +162,7 @@ func TestWatcherPairRing(t *testing.T) {
 			watchedBy[w]++
 		}
 		// Cyclic ring: every pair is a watcher exactly once.
-		for _, p := range pairs {
+		for p := first; p < end; p++ {
 			if watchedBy[p] != 1 {
 				t.Errorf("cube %d: pair %d watches %d pairs, want 1", cube, p, watchedBy[p])
 			}
@@ -190,12 +190,29 @@ func TestSinglePairOddCube(t *testing.T) {
 	}
 }
 
+// refPartition is the per-cube walk NewPartition replaced, with the tables
+// that walk stored: besides the pairs, pair lookup and communication rows
+// it kept the cube of every cell, every cube's pair list and the inverse of
+// WatcherPair. The partition derives those three now, so they are oracle
+// tables here only.
+type refPartition struct {
+	arena    *grid.Grid
+	cubeSide int
+
+	pairs     []Pair
+	pairIdx   []int32
+	commIdx   [][]sim.NodeID
+	cubeIdx   []int32 // arena index -> cube index
+	cubePairs [][]int // cube -> pair ids (snake order)
+	watchIdx  []int32 // pair -> the pair it watches
+}
+
 // referencePartition builds a partition the way NewPartition did before it
 // sized its tables up front: walkCubes and referenceSnakeOrder below are
-// that walk, kept unchanged (bar the snake's name) as the oracle of
-// TestPartitionMatchesReferenceWalk.
-func referencePartition(arena *grid.Grid, cubeSide int) (*Partition, error) {
-	p := &Partition{
+// that walk, kept unchanged (bar the snake's name and the receiver) as the
+// oracle of TestPartitionMatchesReferenceWalk.
+func referencePartition(arena *grid.Grid, cubeSide int) (*refPartition, error) {
+	p := &refPartition{
 		arena:    arena,
 		cubeSide: cubeSide,
 		pairIdx:  make([]int32, arena.Len()),
@@ -213,7 +230,7 @@ func referencePartition(arena *grid.Grid, cubeSide int) (*Partition, error) {
 	return p, nil
 }
 
-func (p *Partition) walkCubes(corner [grid.MaxDim]int, axis int) error {
+func (p *refPartition) walkCubes(corner [grid.MaxDim]int, axis int) error {
 	if axis < p.arena.Dim() {
 		for c := 0; c < p.arena.Size(axis); c += p.cubeSide {
 			corner[axis] = c
@@ -328,10 +345,12 @@ func referenceSnakeOrder(b grid.Box) []grid.Point {
 }
 
 // checkMatchesReference builds NewPartition(arena, side) for each side and
-// compares every table with the reference walk's. It also checks that each
-// communication row and cube pair list is capped at its length, so an
-// append to one can never write into the next, and that the up-front sizes
-// are exact. A side at or past the arena's longest axis gives the same
+// compares it with the reference walk: pairs, pair lookup and communication
+// rows table by table, and the reference's cube-per-cell table, cube pair
+// lists and watch inverse with Pair.Cube, cubeStart and WatchedPair. It also
+// checks that each communication row is capped at its length, so an append
+// to one can never write into the next, and that the up-front sizes are
+// exact. A side at or past the arena's longest axis gives the same
 // single-cube partition as that axis length, so the reference is built once
 // for all of them.
 func checkMatchesReference(t *testing.T, arena *grid.Grid, sides ...int) {
@@ -340,7 +359,7 @@ func checkMatchesReference(t *testing.T, arena *grid.Grid, sides ...int) {
 	for i := 0; i < arena.Dim(); i++ {
 		longest = max(longest, arena.Size(i))
 	}
-	refs := make(map[int]*Partition)
+	refs := make(map[int]*refPartition)
 	for _, side := range sides {
 		got, err := NewPartition(arena, side)
 		if err != nil {
@@ -357,19 +376,29 @@ func checkMatchesReference(t *testing.T, arena *grid.Grid, sides ...int) {
 		if !slices.Equal(got.pairs, want.pairs) {
 			t.Fatalf("%s: pairs differ", name)
 		}
-		if !slices.Equal(got.pairIdx, want.pairIdx) || !slices.Equal(got.cubeIdx, want.cubeIdx) {
-			t.Fatalf("%s: pairIdx or cubeIdx differs", name)
+		if !slices.Equal(got.pairIdx, want.pairIdx) {
+			t.Fatalf("%s: pairIdx differs", name)
 		}
-		if !slices.Equal(got.watchIdx, want.watchIdx) {
-			t.Fatalf("%s: watchIdx differs", name)
+		for i, cube := range want.cubeIdx {
+			if got.pairs[got.pairIdx[i]].Cube != int(cube) {
+				t.Fatalf("%s: cell %d in cube %d, reference %d",
+					name, i, got.pairs[got.pairIdx[i]].Cube, cube)
+			}
 		}
-		if len(got.cubePairs) != len(want.cubePairs) {
-			t.Fatalf("%s: %d cubes, reference has %d", name, len(got.cubePairs), len(want.cubePairs))
+		if len(got.cubeStart) != len(want.cubePairs)+1 || got.cubeStart[0] != 0 {
+			t.Fatalf("%s: cube starts %v, reference has %d cubes", name, got.cubeStart, len(want.cubePairs))
 		}
-		for c, list := range got.cubePairs {
-			if !slices.Equal(list, want.cubePairs[c]) || cap(list) != len(list) {
-				t.Fatalf("%s: cube %d pairs %v (cap %d), reference %v",
-					name, c, list, cap(list), want.cubePairs[c])
+		for c, list := range want.cubePairs {
+			first, end := int(got.cubeStart[c]), int(got.cubeStart[c+1])
+			for k, id := range list {
+				if first+k != id || end-first != len(list) {
+					t.Fatalf("%s: cube %d holds pairs %d to %d, reference %v", name, c, first, end-1, list)
+				}
+			}
+		}
+		for w, watched := range want.watchIdx {
+			if got.WatchedPair(w) != int(watched) {
+				t.Fatalf("%s: pair %d watches %d, reference %d", name, w, got.WatchedPair(w), watched)
 			}
 		}
 		links := 0
@@ -412,10 +441,10 @@ func TestPartitionMatchesReferenceWalk(t *testing.T) {
 
 // TestNewPartitionAllocsFlat pins that building a partition takes the same
 // number of allocations on any arena: every table is sized up front, rows
-// and pair lists are sub-slices of shared backing arrays, and the snake walk
-// reuses one buffer.
+// are sub-slices of one backing array, and the snake walk reuses one
+// buffer. Seven is the partition itself and its six slices.
 func TestNewPartitionAllocsFlat(t *testing.T) {
-	const ceiling = 16
+	const ceiling = 7
 	// The first collection in a process starts the runtime's mark worker
 	// goroutines, whose allocations would otherwise land in a count.
 	runtime.GC()

@@ -348,11 +348,7 @@ func (r *Runner) arm(opts Options) error {
 		}
 		v.searchPair = 0
 		v.searchDest = grid.Point{}
-		// Clear, don't drop: an empty map is indistinguishable from the nil
-		// one a fresh vehicle starts with, and keeping the buckets makes
-		// warm monitored episodes allocation-free.
-		clear(v.heard)
-		clear(v.complaints)
+		v.heard, v.accused = false, false
 	}
 	// Activate the service vertex of every pair; fall back to the white
 	// partner when the black vertex's vehicle is broken from the start.

@@ -22,6 +22,33 @@ func mustRunner(t *testing.T, opts Options) *Runner {
 	return r
 }
 
+// checkPairOwnership asserts that pair ownership is unique: the vehicle
+// pairActive registers for pair P serves P, so no vehicle holds two pairs.
+// The watchers rely on it, since a beacon or complaint for P goes to
+// pairActive[WatcherPair(P)] and so names the one pair its receiver
+// watches.
+func checkPairOwnership(t *testing.T, r *Runner) {
+	t.Helper()
+	for p, id := range r.pairActive {
+		if got := r.vehicles[id].pairID; got != p {
+			t.Fatalf("pair %d is registered to the vehicle homed at %v, which serves pair %d",
+				p, r.vehicles[id].home, got)
+		}
+	}
+}
+
+// runOwned plays seq on a fresh runner for opts and checks pair ownership
+// after the run.
+func runOwned(t *testing.T, opts Options, seq *demand.Sequence) (*Result, error) {
+	t.Helper()
+	r := mustRunner(t, opts)
+	res, err := r.Run(seq)
+	if err == nil {
+		checkPairOwnership(t, r)
+	}
+	return res, err
+}
+
 func TestNewRunnerValidation(t *testing.T) {
 	if _, err := NewRunner(Options{}); err == nil {
 		t.Error("missing arena should fail")
@@ -46,6 +73,7 @@ func TestServeSingleJobAtActiveVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	if !res.OK() || res.Served != 1 {
 		t.Fatalf("result %+v", res)
 	}
@@ -73,6 +101,7 @@ func TestServeJobAtWhitePartnerCostsWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	if !res.OK() || res.MaxEnergy != 2 { // walk 1 + serve 1
 		t.Fatalf("result %+v", res)
 	}
@@ -93,6 +122,7 @@ func TestReplacementViaDiffusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	if !res.OK() {
 		t.Fatalf("failures: %v", res.Failures)
 	}
@@ -125,6 +155,7 @@ func TestCapacityExhaustionReportsFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	if res.OK() {
 		t.Fatal("50 jobs cannot fit in 4 vehicles x capacity 4")
 	}
@@ -157,6 +188,7 @@ func TestRunDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkPairOwnership(t, r)
 		return res
 	}
 	a, b2 := run(), run()
@@ -204,6 +236,7 @@ func TestTheorem142Bound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkPairOwnership(t, r)
 		if !res.OK() {
 			t.Errorf("trial %d: W=(4*3^l+l)*omega_c=%v insufficient: %v",
 				trial, w, res.Failures[0])
@@ -250,6 +283,7 @@ func TestScenario2FailedInitiatorRescuedByMonitoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	if !res.OK() {
 		t.Fatalf("monitoring on: failures %v", res.Failures)
 	}
@@ -262,6 +296,7 @@ func TestScenario2FailedInitiatorRescuedByMonitoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	if res.OK() {
 		t.Error("monitoring off with failed initiators should drop jobs")
 	}
@@ -286,6 +321,7 @@ func TestScenario3DeadVehicleRescuedByMonitoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	if !res.OK() {
 		t.Fatalf("baseline run failed: %v", res.Failures)
 	}
@@ -293,6 +329,7 @@ func TestScenario3DeadVehicleRescuedByMonitoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r2)
 	// The job arriving while the vehicle is dead is lost (arrival 3), but
 	// monitoring must recruit a replacement so later jobs succeed.
 	if len(res2.Failures) != 1 {
@@ -377,6 +414,7 @@ func TestRunnerSingleUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	if !res.OK() || res.Served != 1 {
 		t.Fatalf("post-reset run: %+v", res)
 	}
@@ -393,6 +431,29 @@ func TestResetValidation(t *testing.T) {
 	}
 }
 
+// TestResetClearsWatcherState pins that arming clears the watchers' round
+// state. An episode that errs between its heartbeat and check waves leaves
+// beacons heard and complaints filed; a reset runner must not act on them.
+func TestResetClearsWatcherState(t *testing.T) {
+	opts := eventfulOptions()
+	r := mustRunner(t, opts)
+	for i := range r.vehicles {
+		r.vehicles[i].heard, r.vehicles[i].accused = true, true
+	}
+	if err := r.ResetEpisode(opts); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Run(failureJobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := runOwned(t, opts, failureJobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsEqual(t, "reset after a cut monitor round", want, got)
+}
+
 // TestResetDoesNotClobberPriorResult guards the aliasing hazard: a Result's
 // failure list must survive the runner being reset and re-run.
 func TestResetDoesNotClobberPriorResult(t *testing.T) {
@@ -407,6 +468,7 @@ func TestResetDoesNotClobberPriorResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	if res.OK() {
 		t.Fatal("overload run should fail")
 	}
@@ -461,6 +523,7 @@ func TestFailedRelocationIsNotALostArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairOwnership(t, r)
 	want := []Failure{{Pos: grid.P(1, 3), Reason: "recruit (2,1) cannot afford move of 3"}}
 	if res.Served != 1 || !slices.Equal(res.Failures, want) || res.OK() {
 		t.Fatalf("served %d, failures %v, OK %v; want 1 served, failures %v, not OK",

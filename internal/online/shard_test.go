@@ -107,6 +107,7 @@ func TestShardedGoldenFailureInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkPairOwnership(t, r)
 		checkGolden(t, res, want)
 	}
 }
@@ -198,6 +199,7 @@ func TestShardedResetEpisodeFlipsScheduler(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
+		checkPairOwnership(t, r)
 		checkGolden(t, res, want)
 	}
 }

@@ -110,11 +110,13 @@ type vehicle struct {
 	searchPair int
 	searchDest grid.Point
 
-	heard map[int]bool // watcher state: pairs heard from this round
-	// complaints is the watcher's evidence ledger: pairs accused by a
-	// customer complaint (msgEvidence) this round. Beacon presence clears
-	// nothing here — evidence outranks beacons.
-	complaints map[int]bool
+	// heard and accused are the watcher's state for this round: a beacon
+	// (msgExisting) and a customer complaint (msgEvidence) arrived for the
+	// one pair it watches. Both messages are addressed to
+	// pairActive[WatcherPair(P)], whose pairID is always WatcherPair(P), so
+	// each names WatchedPair(pairID). Beacon presence clears nothing here —
+	// evidence outranks beacons.
+	heard, accused bool
 
 	// reason is the last stateReason this vehicle built and reasonState the
 	// state it names, so a vehicle that keeps losing jobs in one state
@@ -162,17 +164,11 @@ func (v *vehicle) OnMessage(ctx *sim.Context, from sim.NodeID, msg sim.Msg) {
 	case msgHeartbeatRound:
 		v.onHeartbeat(ctx)
 	case msgExisting:
-		if v.heard == nil {
-			v.heard = make(map[int]bool)
-		}
-		v.heard[int(msg.A)] = true
+		v.heard = true
 	case msgCheckRound:
 		v.onCheck(ctx)
 	case msgEvidence:
-		if v.complaints == nil {
-			v.complaints = make(map[int]bool)
-		}
-		v.complaints[int(msg.A)] = true
+		v.accused = true
 	default:
 		v.r.failf("vehicle %v: unexpected message kind %d", v.home, msg.Kind)
 	}
@@ -346,18 +342,18 @@ func (v *vehicle) onHeartbeat(ctx *sim.Context) {
 // served — the Byzantine case, where beacon presence alone would let a
 // lying casualty hold its pair hostage forever.
 func (v *vehicle) onCheck(ctx *sim.Context) {
+	heard, accused := v.heard, v.accused
+	v.heard, v.accused = false, false
 	if v.state != Active || v.r.pairActive[v.pairID] != v.id {
-		clear(v.heard)
-		clear(v.complaints)
 		return
 	}
-	// The ring is "pair i is watched by pair next(i)": the partition's
-	// precomputed inverse gives this watcher's single watched pair directly
-	// (a one-pair cube watches itself; nothing to do).
+	// The ring is "pair i is watched by pair next(i)", so this watcher's
+	// single watched pair is its ring predecessor (a one-pair cube watches
+	// itself; nothing to do).
 	if watched := v.r.part.WatchedPair(v.pairID); watched != v.pairID &&
 		!v.r.pendingReplace[watched] {
 		switch {
-		case !v.heard[watched]:
+		case !heard:
 			// Watched pair went silent: recruit a replacement on its behalf,
 			// directed at the pair's canonical service position.
 			v.r.res.MonitorRescues++
@@ -365,7 +361,7 @@ func (v *vehicle) onCheck(ctx *sim.Context) {
 				Pos: v.r.part.Pairs()[watched].ServicePos(), Energy: v.used,
 				Pair: watched, Cause: CauseSilent})
 			v.startReplacementSearch(ctx, watched, v.r.part.Pairs()[watched].ServicePos())
-		case v.complaints[watched]:
+		case accused:
 			// Beacons kept arriving but a job went unserved: evidence beats
 			// the (possibly forged) beacon.
 			v.r.res.EvidenceRescues++
@@ -375,9 +371,4 @@ func (v *vehicle) onCheck(ctx *sim.Context) {
 			v.startReplacementSearch(ctx, watched, v.r.part.Pairs()[watched].ServicePos())
 		}
 	}
-	// Clear rather than drop the maps: the watcher re-fills them every
-	// round, so reusing the buckets keeps steady-state monitoring
-	// allocation-free.
-	clear(v.heard)
-	clear(v.complaints)
 }
