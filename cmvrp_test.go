@@ -434,9 +434,13 @@ func TestMeasureWonRejectsBadTolerance(t *testing.T) {
 // radius it made. Demand was accepted at points with a nonzero coordinate
 // past its dimension, and in dimensions outside [1, MaxDim]; the LP's
 // bounding box then took those axes from whichever point map iteration met
-// first, so ExactLowerBound answered 0 or 2 on the same input. Each row
-// runs in its own goroutine under a deadline, with panics recovered, so a
-// regression fails its row instead of crashing or hanging the suite.
+// first, so ExactLowerBound answered 0 or 2 on the same input. SquareDemand
+// and LineDemand wrapped int32 coordinates (a side of 2^32+1 gave one
+// point, and the line went on from -2^31), and TransferLowerBound scanned
+// every square of a far-apart support's bounding box, past the deadline.
+// Each row runs in its own goroutine under a deadline, with panics
+// recovered, so a regression fails its row instead of crashing or hanging
+// the suite.
 func TestFacadeRejectsMalformedInput(t *testing.T) {
 	arena, err := NewArena(4, 4)
 	if err != nil {
@@ -456,6 +460,13 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 	inexact, err := PointDemand(2, P(0, 0), 1<<51)
 	if err != nil {
 		t.Fatal(err)
+	}
+	wide, across := NewDemand(2), NewDemand(2)
+	for _, err := range []error{wide.Add(P(0, 0), 1), wide.Add(P(2048, 2047), 1),
+		across.Add(P(math.MinInt32, 0), 1), across.Add(P(math.MaxInt32, 0), 1)} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, tc := range []struct {
 		name string
@@ -497,6 +508,10 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 		{"NewDemand(0).Add", func() error { return NewDemand(0).Add(P(1), 5) }},
 		{"NewDemand(MaxDim+1).Add", func() error { return NewDemand(grid.MaxDim+1).Add(P(1), 5) }},
 		{"PointDemand 1-D at (1, 2)", func() error { _, err := PointDemand(1, P(1, 2), 3); return err }},
+		{"SquareDemand side 2^32+1 wraps to 1", func() error { _, err := SquareDemand(P(0, 0), 1<<32+1, 7); return err }},
+		{"LineDemand past int32", func() error { _, err := LineDemand(P(2147483646, 0), 4, 1); return err }},
+		{"TransferLowerBound box of 2049x2048 cells", func() error { _, err := TransferLowerBound(wide); return err }},
+		{"TransferLowerBound across the int32 axis", func() error { _, err := TransferLowerBound(across); return err }},
 		{"BrokenLowerBound override at (0, 5) over 1-D demand", func() error {
 			_, err := BrokenLowerBound(origin1D, Longevity{Default: 1, Override: map[Point]float64{P(0, 5): 1}})
 			return err

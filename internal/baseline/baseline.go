@@ -104,14 +104,10 @@ func greedy(seq *demand.Sequence, arena *grid.Grid, capacity float64, vehicles [
 	return res, nil
 }
 
-// minTol is the finest relative tolerance GreedyMinCapacity's bisection can
-// meet: once the bracket is one ulp wide the midpoint stops moving, so a
-// smaller tol would bisect forever.
-const minTol = 0x1p-52
-
 // GreedyMinCapacity measures the smallest capacity (within relative tol) for
-// which Greedy serves the whole sequence. tol must be finite and at least
-// 2^-52; a NaN tol would skip the bisection entirely.
+// which Greedy serves the whole sequence, by grid.Least on the bracket
+// [1, 2], so capacity 1 itself is never probed. tol must be finite and at
+// least 2^-52.
 //
 // Every probe runs on one vehicle buffer sized for the search, and an
 // infeasible probe stops at its first unserved job; a feasible one plays the
@@ -119,45 +115,12 @@ const minTol = 0x1p-52
 // raise only after its first unserved job, a later arrival outside the
 // arena, is not reached by that probe.
 func GreedyMinCapacity(seq *demand.Sequence, arena *grid.Grid, tol float64) (float64, error) {
-	if !(tol >= minTol) || math.IsInf(tol, 1) {
-		return 0, fmt.Errorf("baseline: tolerance %v must be finite and at least 2^-52", tol)
-	}
 	if arena == nil {
 		return 0, errNoArena
 	}
 	vehicles := make([]vehicle, arena.Len())
-	run := func(w float64) (bool, error) {
+	return grid.Least(func(w float64) (bool, error) {
 		r, err := greedy(seq, arena, w, vehicles, true)
-		if err != nil {
-			return false, err
-		}
-		return r.OK(), nil
-	}
-	lo, hi := 1.0, 2.0
-	for {
-		ok, err := run(hi)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			break
-		}
-		hi *= 2
-		if hi > 1e12 {
-			return 0, errors.New("baseline: no feasible greedy capacity below 1e12")
-		}
-	}
-	for hi-lo > tol*math.Max(1, hi) {
-		mid := (lo + hi) / 2
-		ok, err := run(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
+		return r.OK(), err
+	}, 1, 2, tol)
 }

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -167,38 +166,6 @@ func TestGreedyMinCapacityTolerance(t *testing.T) {
 	}
 }
 
-// bracketSearch is GreedyMinCapacity's bracket-and-bisect loop over a given
-// feasibility oracle: the reference search for the probe tests below.
-func bracketSearch(feasible func(float64) (bool, error), tol float64) (float64, error) {
-	lo, hi := 1.0, 2.0
-	for {
-		ok, err := feasible(hi)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			break
-		}
-		hi *= 2
-		if hi > 1e12 {
-			return 0, errors.New("baseline: no feasible greedy capacity below 1e12")
-		}
-	}
-	for hi-lo > tol*math.Max(1, hi) {
-		mid := (lo + hi) / 2
-		ok, err := feasible(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
-}
-
 // randomGreedyInstance draws a small 1-2-D arena and a sequence whose
 // arrivals mostly hit one to three hot cells.
 func randomGreedyInstance(rng *rand.Rand) (*grid.Grid, *demand.Sequence) {
@@ -231,7 +198,7 @@ func TestGreedyMinCapacityMatchesFullRuns(t *testing.T) {
 		arena, seq := randomGreedyInstance(rng)
 		tol := 0.005 + 0.1*rng.Float64()
 		vehicles := make([]vehicle, arena.Len())
-		want, wantErr := bracketSearch(func(w float64) (bool, error) {
+		want, wantErr := grid.Least(func(w float64) (bool, error) {
 			full, err := Greedy(seq, arena, w)
 			if err != nil {
 				return false, err
@@ -250,7 +217,7 @@ func TestGreedyMinCapacityMatchesFullRuns(t *testing.T) {
 				}
 			}
 			return full.OK(), nil
-		}, tol)
+		}, 1, 2, tol)
 		got, err := GreedyMinCapacity(seq, arena, tol)
 		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("trial %d: GreedyMinCapacity %v (%v), full-run search %v (%v)", trial, got, err, want, wantErr)

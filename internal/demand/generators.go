@@ -34,6 +34,9 @@ func Line(start grid.Point, n int, d int64) (*Map, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("demand: line length %d must be >= 1", n)
 	}
+	if n-1 > math.MaxInt32-int(start[0]) {
+		return nil, fmt.Errorf("demand: line of length %d from %v has its far end past %d on axis 0", n, start, math.MaxInt32)
+	}
 	m := NewMap(2)
 	for i := 0; i < n; i++ {
 		p := start

@@ -25,9 +25,12 @@ func E1Square(sides []int, d int64) (*Table, error) {
 		}
 		af, df := float64(a), float64(d)
 		total := df * af * af
-		w1 := bisect(func(w float64) float64 {
-			return w*(2*w+af)*(2*w+af) - total
-		}, 0, 1, 1e-9)
+		w1, err := grid.Least(func(w float64) (bool, error) {
+			return w*(2*w+af)*(2*w+af) >= total, nil
+		}, 0, 1, 1e-12)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: W1 for a=%d: %w", a, err)
+		}
 		sq, err := grid.Cube(2, grid.P(0, 0), a)
 		if err != nil {
 			return nil, err
@@ -54,7 +57,10 @@ func E2Line(ds []int64, lineLen int) (*Table, error) {
 	}
 	for _, d := range ds {
 		df := float64(d)
-		w2 := bisect(func(w float64) float64 { return w*(2*w+1) - df }, 0, 1, 1e-9)
+		w2, err := grid.Least(func(w float64) (bool, error) { return w*(2*w+1) >= df, nil }, 0, 1, 1e-12)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: W2 for d=%d: %w", d, err)
+		}
 		line, err := grid.NewBox(2, grid.P(0, 0), grid.P(lineLen-1, 0))
 		if err != nil {
 			return nil, err
@@ -88,7 +94,10 @@ func E3Point(ds []int64) (*Table, error) {
 	}
 	for _, d := range ds {
 		df := float64(d)
-		w3 := bisect(func(w float64) float64 { return w*(2*w+1)*(2*w+1) - df }, 0, 1, 1e-9)
+		w3, err := grid.Least(func(w float64) (bool, error) { return w*(2*w+1)*(2*w+1) >= df, nil }, 0, 1, 1e-12)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: W3 for d=%d: %w", d, err)
+		}
 		pt, err := grid.NewBox(2, grid.P(0, 0), grid.P(0, 0))
 		if err != nil {
 			return nil, err

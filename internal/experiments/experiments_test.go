@@ -265,13 +265,6 @@ func TestWorkloadUnknown(t *testing.T) {
 	}
 }
 
-func TestBisect(t *testing.T) {
-	root := bisect(func(x float64) float64 { return x*x - 9 }, 0, 1, 1e-9)
-	if root < 2.999999 || root > 3.000001 {
-		t.Errorf("bisect root %v", root)
-	}
-}
-
 // TestSweepExperimentsDeterministicAcrossWorkerCounts pins the sweep
 // rewrite's contract on every sweep-built experiment: the rendered table is
 // byte-identical for workers=1 and workers=8.

@@ -57,24 +57,3 @@ func (t *Table) Markdown() string {
 	}
 	return b.String()
 }
-
-// bisect finds the root of the increasing function f (f(lo) < 0 < f(hi)
-// after bracket growth) to absolute tolerance tol.
-func bisect(f func(float64) float64, lo, hi, tol float64) float64 {
-	for f(hi) < 0 {
-		lo = hi
-		hi *= 2
-		if hi > 1e15 {
-			return hi
-		}
-	}
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		if f(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}

@@ -37,20 +37,23 @@ func NewBox(dim int, lo, hi Point) (Box, error) {
 }
 
 // Cube returns the dim-dimensional cube with the given corner and side
-// length. side must be >= 1.
+// length. side must be >= 1, and the far corner must lie within int32.
 func Cube(dim int, corner Point, side int) (Box, error) {
 	if side < 1 {
 		return Box{}, fmt.Errorf("grid: cube side %d must be >= 1", side)
 	}
 	hi := corner
 	for i := 0; i < dim; i++ {
+		if side-1 > math.MaxInt32-int(corner[i]) {
+			return Box{}, fmt.Errorf("grid: cube of side %d at %v has its far corner past %d on axis %d", side, corner, math.MaxInt32, i)
+		}
 		hi[i] += int32(side - 1)
 	}
 	return NewBox(dim, corner, hi)
 }
 
 // Side returns the number of lattice points along axis i.
-func (b Box) Side(i int) int64 { return int64(b.Hi[i]-b.Lo[i]) + 1 }
+func (b Box) Side(i int) int64 { return int64(b.Hi[i]) - int64(b.Lo[i]) + 1 }
 
 // Volume returns the number of lattice points in the box. The product can
 // overflow for enormous boxes; size-gating callers must use VolumeChecked.

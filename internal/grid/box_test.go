@@ -43,6 +43,24 @@ func TestCube(t *testing.T) {
 	if _, err := Cube(2, P(0, 0), 0); err == nil {
 		t.Error("side 0 should fail")
 	}
+	// The far corner is checked before it is narrowed to int32. Both used
+	// to wrap: the first into a one-point cube, the second into a far
+	// corner below the near one, which NewBox refused as lo > hi.
+	for _, tc := range []struct {
+		corner Point
+		side   int
+	}{{P(0, 0), 1<<32 + 1}, {P(0, math.MaxInt32-2), 4}} {
+		if c, err := Cube(2, tc.corner, tc.side); err == nil {
+			t.Errorf("side %d at %v: cube %v..%v, want an error", tc.side, tc.corner, c.Lo, c.Hi)
+		}
+	}
+	if c, err := Cube(1, P(math.MaxInt32-3), 4); err != nil || c.Hi != P(math.MaxInt32) {
+		t.Errorf("cube ending at MaxInt32: %v..%v, %v", c.Lo, c.Hi, err)
+	}
+	// A side spanning more than 2^31 points is counted in int64.
+	if got := (Box{Lo: P(math.MinInt32), Hi: P(math.MaxInt32), Dim: 1}).Side(0); got != 1<<32 {
+		t.Errorf("side of the whole int32 axis = %d", got)
+	}
 }
 
 func TestBoxDist(t *testing.T) {

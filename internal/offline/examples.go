@@ -131,21 +131,15 @@ func PointStrategy(p grid.Point, d int64) (*Schedule, *demand.Map, error) {
 	return sched, m, nil
 }
 
-// solveCubic returns the positive root of w*(2w+1)^2 = d by bisection.
+// solveCubic returns the positive root of w*(2w+1)^2 = d. PointStrategy's
+// demand is an int64, whose root is below 2^21, far inside grid.Least's
+// cap, so a search error can only be a bug and panics.
 func solveCubic(d float64) float64 {
-	lo, hi := 0.0, 1.0
-	for hi*(2*hi+1)*(2*hi+1) < d {
-		hi *= 2
+	w, err := grid.Least(func(w float64) (bool, error) { return w*(2*w+1)*(2*w+1) >= d, nil }, 0, 1, 1e-12)
+	if err != nil {
+		panic(err)
 	}
-	for i := 0; i < 200 && hi-lo > 1e-12*hi; i++ {
-		mid := (lo + hi) / 2
-		if mid*(2*mid+1)*(2*mid+1) < d {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
+	return w
 }
 
 func abs(x int) int {

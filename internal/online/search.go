@@ -1,16 +1,12 @@
 package online
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/demand"
+	"repro/internal/grid"
 )
-
-// maxSearchCapacity bounds the exponential bracket; beyond it the instance
-// is declared infeasible.
-const maxSearchCapacity = 1e12
 
 // prober is the warm-started feasibility oracle of the capacity search:
 // does the strategy serve the whole sequence at capacity w with no failed
@@ -44,31 +40,11 @@ func (p *prober) probe(w float64) (bool, error) {
 	return !p.r.failed(), nil
 }
 
-// minSearchTol is the finest relative tolerance a bisection can meet:
-// float64 values near hi are up to hi·2⁻⁵² apart, so at a finer tolerance
-// (zero and negative included) a bracket of two adjacent floats would be
-// bisected forever.
-const minSearchTol = 0x1p-52
-
-// checkSearchBounds rejects the inputs on which the capacity search would
-// stall or answer nonsense: a non-finite start lo (NaN slips past the
-// serveCost clamp and comes back as the answer), and a tolerance that is
-// not finite and at least minSearchTol (a NaN tol skips the bisection
-// entirely). MinCapacity calls it first.
-func checkSearchBounds(lo, tol float64) error {
-	if math.IsNaN(lo) || math.IsInf(lo, 0) {
-		return fmt.Errorf("online: search start capacity %v must be finite", lo)
-	}
-	if !(tol >= minSearchTol) || math.IsInf(tol, 1) {
-		return fmt.Errorf("online: search tolerance %v must be finite and at least 2^-52", tol)
-	}
-	return nil
-}
-
 // MinCapacity measures the empirical Won for a sequence: the smallest
 // capacity (within tol, relative) for which the strategy serves every job
-// with no failed search. The bracket grows exponentially from lo until a run
-// succeeds. All probes reuse one Runner, reset per probe, and so one
+// with no failed search, by grid.Least with the bracket starting at [lo, lo]:
+// it grows exponentially from lo until a run succeeds, and no capacity is
+// probed twice. All probes reuse one Runner, reset per probe, and so one
 // Partition: base.Partition when set, else the one the first probe builds.
 //
 // An infeasible probe stops at the first arrival that leaves a failure or a
@@ -79,50 +55,14 @@ func checkSearchBounds(lo, tol float64) error {
 // reached, and a base.Tracer sees each infeasible probe only up to its
 // first failure.
 func MinCapacity(seq *demand.Sequence, base Options, lo float64, tol float64) (float64, error) {
-	if err := checkSearchBounds(lo, tol); err != nil {
-		return 0, err
+	// NaN slips past the serveCost clamp and -Inf would become serveCost,
+	// so a non-finite start is refused before the clamp.
+	if math.IsNaN(lo) || math.IsInf(lo, 0) {
+		return 0, fmt.Errorf("online: search start capacity %v must be finite", lo)
 	}
 	if lo < serveCost {
 		lo = serveCost
 	}
 	p := &prober{seq: seq, base: base}
-	return bracketBisect(p.probe, lo, tol)
-}
-
-// bracketBisect is the search over a monotone feasibility oracle: it
-// doubles hi from lo until a probe succeeds, then bisects [lo, hi] down to
-// tol (relative) and returns the feasible end. Every capacity is probed at
-// most once: when the first probe, lo itself, succeeds, lo is the answer,
-// and otherwise lo is known infeasible and the bisection never probes it.
-func bracketBisect(feasible func(float64) (bool, error), lo, tol float64) (float64, error) {
-	hi := lo
-	for {
-		ok, err := feasible(hi)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			break
-		}
-		hi *= 2
-		if hi > maxSearchCapacity {
-			return 0, errors.New("online: no feasible capacity below 1e12")
-		}
-	}
-	if hi == lo {
-		return lo, nil
-	}
-	for hi-lo > tol*math.Max(1, hi) {
-		mid := (lo + hi) / 2
-		ok, err := feasible(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
+	return grid.Least(p.probe, lo, lo, tol)
 }

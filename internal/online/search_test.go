@@ -47,8 +47,8 @@ func TestMinCapacityInfeasible(t *testing.T) {
 		Arena: arena, CubeSide: 1, Seed: 1,
 		Failure: &FailureModel{DeadBeforeArrival: map[grid.Point]int{grid.P(0): 0}},
 	}, 1, 0.05)
-	if err == nil {
-		t.Fatal("a permanently dead fleet must report infeasibility")
+	if !errors.Is(err, grid.ErrNoFeasible) {
+		t.Fatalf("a permanently dead fleet must report ErrNoFeasible, got %v", err)
 	}
 }
 
@@ -90,86 +90,6 @@ func TestCapacitySearchRejectsBadBounds(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s: search still running after 5s", tc.name)
-		}
-	}
-}
-
-// doubleProbeSearch is the serial search loop as it stood before it stopped
-// probing lo a second time after the bracket: the reference answer for
-// bracketBisect.
-func doubleProbeSearch(feasible func(float64) (bool, error), lo, tol float64) (float64, error) {
-	hi := lo
-	for {
-		ok, err := feasible(hi)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			break
-		}
-		hi *= 2
-		if hi > maxSearchCapacity {
-			return 0, errors.New("online: no feasible capacity below 1e12")
-		}
-	}
-	if okLo, err := feasible(lo); err != nil {
-		return 0, err
-	} else if okLo {
-		return lo, nil
-	}
-	for hi-lo > tol*math.Max(1, hi) {
-		mid := (lo + hi) / 2
-		ok, err := feasible(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
-}
-
-// TestBracketBisectProbesOnce drives the search with threshold oracles over
-// random starts, tolerances and thresholds — including thresholds at lo, at
-// a bracket point and beyond the 1e12 cap. No capacity may be probed twice,
-// and the answer (or error) must equal the reference loop's.
-func TestBracketBisectProbesOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 2000; trial++ {
-		lo := serveCost + rng.ExpFloat64()*50
-		tol := math.Pow(10, -1-11*rng.Float64())
-		if trial%10 == 0 {
-			tol = minSearchTol
-		}
-		var threshold float64
-		switch trial % 5 {
-		case 0:
-			threshold = lo * rng.Float64() // lo itself is feasible
-		case 1:
-			threshold = lo * math.Pow(2, float64(rng.Intn(10))) // a bracket point
-		case 2:
-			threshold = 2 * maxSearchCapacity * (1 + rng.Float64()) // infeasible
-		default:
-			threshold = lo * math.Pow(2, 12*rng.Float64())
-		}
-		probes := map[float64]int{}
-		oracle := func(w float64) (bool, error) {
-			probes[w]++
-			return w >= threshold, nil
-		}
-		got, err := bracketBisect(oracle, lo, tol)
-		for w, n := range probes {
-			if n > 1 {
-				t.Fatalf("lo %v tol %v threshold %v: capacity %v probed %d times", lo, tol, threshold, w, n)
-			}
-		}
-		want, wantErr := doubleProbeSearch(oracle, lo, tol)
-		if got != want || (err == nil) != (wantErr == nil) {
-			t.Fatalf("lo %v tol %v threshold %v: got %v (%v), reference %v (%v)",
-				lo, tol, threshold, got, err, want, wantErr)
 		}
 	}
 }
@@ -261,7 +181,8 @@ func TestMinCapacityMatchesFullEpisodeSearch(t *testing.T) {
 		lo, tol := 4*rng.Float64(), 0.01+0.09*rng.Float64()
 		full := &fullEpisodeProber{seq: seq, base: opts}
 		stop := &prober{seq: seq, base: opts}
-		want, wantErr := bracketBisect(func(w float64) (bool, error) {
+		start := max(lo, serveCost)
+		want, wantErr := grid.Least(func(w float64) (bool, error) {
 			ok, err := full.probe(w)
 			got, gotErr := stop.probe(w)
 			if got != ok || fmt.Sprint(gotErr) != fmt.Sprint(err) {
@@ -276,7 +197,7 @@ func TestMinCapacityMatchesFullEpisodeSearch(t *testing.T) {
 				}
 			}
 			return ok, err
-		}, max(lo, serveCost), tol)
+		}, start, start, tol)
 		got, err := MinCapacity(seq, opts, lo, tol)
 		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("trial %d: MinCapacity %v (%v), full-episode search %v (%v)",

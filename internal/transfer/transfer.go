@@ -55,65 +55,59 @@ func SquareImportBudget(w float64, s int) float64 {
 	return w * (sf*sf + 4*w*w + 4*sf*w - 8*w - 4*sf + 4)
 }
 
+// maxBoxCells bounds the support's bounding box, over which
+// LowerBoundSquares builds a summed-area table: 2^22 cells, the dense limit
+// of lpchar's supply index, so demand spread far apart is refused instead of
+// asking for a table of tens of GB.
+const maxBoxCells = 1 << 22
+
 // LowerBoundSquares computes the Theorem 5.1.1 lower bound on Wtrans-off:
 // the smallest W whose import budget covers every square's demand, searched
 // over all squares inside the support's bounding box. By the theorem this is
 // Omega(max_T omega_T) = Omega(Woff), so transfers never help by more than a
-// constant factor when tanks equal the initial charge.
+// constant factor when tanks equal the initial charge. A bounding box of
+// more than 2^22 cells is an error.
 func LowerBoundSquares(m *demand.Map) (float64, error) {
 	if m.Dim() != 2 {
 		return 0, fmt.Errorf("transfer: square bound is 2-D only, got dim %d", m.Dim())
-	}
-	if m.Total() == 0 {
-		return 0, nil
 	}
 	bbox, ok := m.BoundingBox()
 	if !ok {
 		return 0, nil
 	}
-	maxSide := int(bbox.Side(0))
-	if s1 := int(bbox.Side(1)); s1 > maxSide {
-		maxSide = s1
+	if cells, err := bbox.VolumeChecked(); err != nil || cells > maxBoxCells {
+		return 0, fmt.Errorf("transfer: the support's bounding box %v..%v holds more than 2^22 cells", bbox.Lo, bbox.Hi)
+	}
+	box, err := grid.New(int(bbox.Side(0)), int(bbox.Side(1)))
+	if err != nil {
+		return 0, err
+	}
+	vals := make([]int64, box.Len())
+	ix := grid.NewBoxIndex(bbox) // row-major, as box.Index
+	for _, p := range m.Support() {
+		vals[ix.Offset(p)] = m.At(p)
+	}
+	ps, err := grid.NewPrefixSum(box, vals)
+	if err != nil {
+		return 0, err
 	}
 	best := 0.0
 	// For each square size, only the maximum-demand square matters (the
 	// budget is independent of position).
-	for s := 1; s <= maxSide; s++ {
-		var maxSum int64
-		for x := int(bbox.Lo[0]); x+s-1 <= int(bbox.Hi[0]); x++ {
-			for y := int(bbox.Lo[1]); y+s-1 <= int(bbox.Hi[1]); y++ {
-				sq, err := grid.NewBox(2, grid.P(x, y), grid.P(x+s-1, y+s-1))
-				if err != nil {
-					return 0, err
-				}
-				if v := m.SumIn(sq); v > maxSum {
-					maxSum = v
-				}
-			}
-		}
-		if maxSum == 0 {
+	for s := 1; s <= box.MinSize(); s++ {
+		maxSum := float64(ps.MaxCubeSum(s))
+		if maxSum <= 0 {
 			continue
 		}
-		// Smallest W with SquareImportBudget(W, s) >= maxSum, by bisection
-		// (the budget is increasing in W for W >= 1).
-		lo, hi := 0.0, 1.0
-		for SquareImportBudget(hi, s) < float64(maxSum) {
-			hi *= 2
-			if hi > 1e15 {
-				return 0, fmt.Errorf("transfer: budget search diverged for s=%d", s)
-			}
+		// The budget is W*(2W+s-2)^2: it falls only on (1/6, 1/2) at s = 1,
+		// where it stays below one job, so this test is monotone in W.
+		w, err := grid.Least(func(w float64) (bool, error) {
+			return SquareImportBudget(w, s) >= maxSum, nil
+		}, 0, 1, 1e-9)
+		if err != nil {
+			return 0, fmt.Errorf("transfer: budget search for s=%d: %w", s, err)
 		}
-		for iter := 0; iter < 80 && hi-lo > 1e-9*hi; iter++ {
-			mid := (lo + hi) / 2
-			if SquareImportBudget(mid, s) >= float64(maxSum) {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		if hi > best {
-			best = hi
-		}
+		best = max(best, w)
 	}
 	return best, nil
 }

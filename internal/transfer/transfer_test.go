@@ -1,7 +1,9 @@
 package transfer
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/demand"
@@ -53,12 +55,107 @@ func TestTransfersDontBeatWoffByMoreThanConstant(t *testing.T) {
 	}
 }
 
+// TestLowerBoundSquaresValidation pins the refused inputs: a map that is
+// not 2-D, and a support whose bounding box holds more than 2^22 cells,
+// whose summed-area table would not fit a dense array. The last row spans
+// the whole int32 axis, where a box side computed in int32 wraps.
 func TestLowerBoundSquaresValidation(t *testing.T) {
 	if _, err := LowerBoundSquares(demand.NewMap(1)); err == nil {
 		t.Error("non-2D should fail")
 	}
 	if v, err := LowerBoundSquares(demand.NewMap(2)); err != nil || v != 0 {
 		t.Errorf("empty: %v %v", v, err)
+	}
+	for _, far := range [][2]grid.Point{
+		{grid.P(0, 0), grid.P(2048, 2047)},
+		{grid.P(-2147483648, 0), grid.P(2147483647, 0)},
+	} {
+		m := demand.NewMap(2)
+		for _, p := range far {
+			if err := m.Add(p, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if v, err := LowerBoundSquares(m); err == nil {
+			t.Errorf("support %v: bound %v, want an error past 2^22 cells", far, v)
+		}
+	}
+}
+
+// scanLowerBound is LowerBoundSquares as it stood before the summed-area
+// table: it sums every square of every side with Map.SumIn, O(S^3·k) for a
+// bounding box of side S and k demand cells, and runs its own bracket and
+// bisection on the budget. It is the reference for the table.
+func scanLowerBound(m *demand.Map) (float64, error) {
+	bbox, ok := m.BoundingBox()
+	if !ok {
+		return 0, nil
+	}
+	maxSide := int(max(bbox.Side(0), bbox.Side(1)))
+	best := 0.0
+	for s := 1; s <= maxSide; s++ {
+		var maxSum int64
+		for x := int(bbox.Lo[0]); x+s-1 <= int(bbox.Hi[0]); x++ {
+			for y := int(bbox.Lo[1]); y+s-1 <= int(bbox.Hi[1]); y++ {
+				sq, err := grid.NewBox(2, grid.P(x, y), grid.P(x+s-1, y+s-1))
+				if err != nil {
+					return 0, err
+				}
+				if v := m.SumIn(sq); v > maxSum {
+					maxSum = v
+				}
+			}
+		}
+		if maxSum == 0 {
+			continue
+		}
+		lo, hi := 0.0, 1.0
+		for SquareImportBudget(hi, s) < float64(maxSum) {
+			hi *= 2
+			if hi > 1e15 {
+				return 0, fmt.Errorf("transfer: budget search diverged for s=%d", s)
+			}
+		}
+		for iter := 0; iter < 80 && hi-lo > 1e-9*hi; iter++ {
+			mid := (lo + hi) / 2
+			if SquareImportBudget(mid, s) >= float64(maxSum) {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		best = max(best, hi)
+	}
+	return best, nil
+}
+
+// TestLowerBoundSquaresMatchesScan pins the summed-area table to the
+// square-by-square scan it replaced, with ==, on 400 random 2-D supports:
+// bounding boxes up to 12x12 at offsets within ±20, up to 30 demand cells
+// of up to 3, 100 or 100,000 jobs each.
+func TestLowerBoundSquaresMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 400; trial++ {
+		w, h := 1+rng.Intn(12), 1+rng.Intn(12)
+		x0, y0 := rng.Intn(41)-20, rng.Intn(41)-20
+		jobs := []int64{3, 100, 100000}[rng.Intn(3)]
+		m := demand.NewMap(2)
+		for k := 1 + rng.Intn(30); k > 0; k-- {
+			if err := m.Add(grid.P(x0+rng.Intn(w), y0+rng.Intn(h)), 1+rng.Int63n(jobs)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := LowerBoundSquares(m)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want, err := scanLowerBound(m)
+		if err != nil {
+			t.Fatalf("trial %d: scan: %v", trial, err)
+		}
+		if got != want {
+			t.Fatalf("trial %d: bound %v, scan %v", trial, got, want)
+		}
 	}
 }
 
