@@ -79,12 +79,16 @@ func TestSolveOfflineSingleCharacterization(t *testing.T) {
 	if sol.Alg1W != res.W {
 		t.Errorf("solution Alg1W %v != standalone %v", sol.Alg1W, res.W)
 	}
-	sched, err := offline.BuildSchedule(m, arena)
+	d, err := offline.NewDense(m, arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := d.BuildSchedule(char)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sol.Schedule, sched) {
-		t.Error("solution schedule differs from standalone BuildSchedule")
+		t.Error("solution schedule differs from one built on a fresh dense view")
 	}
 	if sol.Schedule.OmegaC != sol.OmegaC || sol.Schedule.CubeSide != sol.CubeSide {
 		t.Errorf("schedule characterization (%v, %d) drifted from solution (%v, %d)",
@@ -461,9 +465,10 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, across := NewDemand(2), NewDemand(2)
+	wide, across, full := NewDemand(2), NewDemand(2), NewDemand(2)
 	for _, err := range []error{wide.Add(P(0, 0), 1), wide.Add(P(2048, 2047), 1),
-		across.Add(P(math.MinInt32, 0), 1), across.Add(P(math.MaxInt32, 0), 1)} {
+		across.Add(P(math.MinInt32, 0), 1), across.Add(P(math.MaxInt32, 0), 1),
+		full.Add(P(0, 0), math.MaxInt64)} {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -507,6 +512,7 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 		{"NewDemand(1).Add at (3, 5)", func() error { return NewDemand(1).Add(P(3, 5), 5) }},
 		{"NewDemand(0).Add", func() error { return NewDemand(0).Add(P(1), 5) }},
 		{"NewDemand(MaxDim+1).Add", func() error { return NewDemand(grid.MaxDim+1).Add(P(1), 5) }},
+		{"Demand.Add 1 job past a total of MaxInt64", func() error { return full.Add(P(1, 1), 1) }},
 		{"PointDemand 1-D at (1, 2)", func() error { _, err := PointDemand(1, P(1, 2), 3); return err }},
 		{"SquareDemand side 2^32+1 wraps to 1", func() error { _, err := SquareDemand(P(0, 0), 1<<32+1, 7); return err }},
 		{"LineDemand past int32", func() error { _, err := LineDemand(P(2147483646, 0), 4, 1); return err }},

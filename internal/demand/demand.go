@@ -6,6 +6,9 @@ package demand
 
 import (
 	"fmt"
+	"iter"
+	"maps"
+	"math"
 	"slices"
 
 	"repro/internal/grid"
@@ -27,8 +30,10 @@ func NewMap(dim int) *Map {
 func (m *Map) Dim() int { return m.dim }
 
 // Add adds n jobs at p. Negative n is rejected, and so is a map dimension
-// outside [1, grid.MaxDim] or a point with a nonzero coordinate at an axis
-// >= the map's dimension.
+// outside [1, grid.MaxDim], a point with a nonzero coordinate at an axis
+// >= the map's dimension, or an addition that would take the total past
+// math.MaxInt64 (wrapping grid.ErrOverflow). No count exceeds the total, so
+// no count can wrap either.
 func (m *Map) Add(p grid.Point, n int64) error {
 	if m.dim < 1 || m.dim > grid.MaxDim {
 		return fmt.Errorf("demand: dimension %d out of range [1,%d]", m.dim, grid.MaxDim)
@@ -43,6 +48,10 @@ func (m *Map) Add(p grid.Point, n int64) error {
 	}
 	if n == 0 {
 		return nil
+	}
+	if n > math.MaxInt64-m.total {
+		return fmt.Errorf("demand: %d more jobs at %v take the total %d past %d: %w",
+			n, p, m.total, int64(math.MaxInt64), grid.ErrOverflow)
 	}
 	m.d[p] += n
 	m.total += n
@@ -65,6 +74,9 @@ func (m *Map) Max() int64 {
 	}
 	return best
 }
+
+// All returns the support and its counts in map order.
+func (m *Map) All() iter.Seq2[grid.Point, int64] { return maps.All(m.d) }
 
 // Support returns the demand positions in deterministic (sorted) order.
 func (m *Map) Support() []grid.Point {

@@ -1,6 +1,9 @@
 package demand
 
 import (
+	"errors"
+	"maps"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -32,6 +35,31 @@ func TestMapBasics(t *testing.T) {
 	}
 	if err := m.Add(grid.P(3, 3), 0); err != nil || m.SupportSize() != 2 {
 		t.Error("zero add should be a no-op")
+	}
+	if got := maps.Collect(m.All()); !maps.Equal(got, map[grid.Point]int64{grid.P(1, 2): 8, grid.P(0, 0): 2}) {
+		t.Errorf("All = %v", got)
+	}
+}
+
+// TestAddRejectsTotalOverflow pins Add's refusal of jobs that would take
+// the total past MaxInt64, where it used to wrap negative: a total of
+// exactly MaxInt64 is accepted, one more job is refused with
+// grid.ErrOverflow, and the map stays as it was.
+func TestAddRejectsTotalOverflow(t *testing.T) {
+	m := NewMap(2)
+	if err := m.Add(grid.P(0, 0), math.MaxInt64-1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Add(grid.P(1, 0), 1); err != nil {
+		t.Fatalf("a total of exactly MaxInt64 refused: %v", err)
+	}
+	for _, p := range []grid.Point{grid.P(0, 0), grid.P(2, 0)} {
+		if err := m.Add(p, 1); !errors.Is(err, grid.ErrOverflow) {
+			t.Errorf("Add(%v, 1) past MaxInt64: %v, want grid.ErrOverflow", p, err)
+		}
+	}
+	if m.Total() != math.MaxInt64 || m.SupportSize() != 2 || m.At(grid.P(0, 0)) != math.MaxInt64-1 {
+		t.Errorf("refused Adds changed the map: total %d, support %d", m.Total(), m.SupportSize())
 	}
 }
 

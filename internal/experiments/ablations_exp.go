@@ -195,11 +195,15 @@ func E12DimensionSweep(d int64) (*Table, error) {
 		if err := m.Add(cfg.pt, d); err != nil {
 			return nil, err
 		}
-		char, err := offline.OmegaC(m, cfg.arena)
+		dense, err := offline.NewDense(m, cfg.arena)
 		if err != nil {
 			return nil, err
 		}
-		sched, err := offline.BuildSchedule(m, cfg.arena)
+		char, err := dense.OmegaC()
+		if err != nil {
+			return nil, err
+		}
+		sched, err := dense.BuildSchedule(char)
 		if err != nil {
 			return nil, err
 		}

@@ -31,3 +31,14 @@ func (ix BoxIndex) Offset(p Point) int64 {
 	}
 	return off
 }
+
+// PointAt inverts Offset: it returns the point at row-major offset off,
+// which must lie in [0, Volume).
+func (ix BoxIndex) PointAt(off int64) Point {
+	p := ix.box.Lo
+	for i := 0; i < ix.box.Dim; i++ {
+		p[i] += int32(off / ix.stride[i])
+		off %= ix.stride[i]
+	}
+	return p
+}

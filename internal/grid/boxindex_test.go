@@ -20,10 +20,14 @@ func TestBoxIndexRoundTrip(t *testing.T) {
 		}
 		ix := NewBoxIndex(b)
 		// Points() is row-major, so offsets must be 0,1,2,... in that order:
-		// Points()[Offset(p)] == p round-trips every point of the box.
+		// Points()[Offset(p)] == p round-trips every point of the box, and
+		// PointAt inverts Offset.
 		for want, p := range b.Points() {
 			if off := ix.Offset(p); off != int64(want) {
 				t.Fatalf("Offset(%v) = %d, want %d (row-major)", p, off, want)
+			}
+			if q := ix.PointAt(int64(want)); q != p {
+				t.Fatalf("PointAt(%d) = %v, want %v", want, q, p)
 			}
 		}
 	}

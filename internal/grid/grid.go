@@ -16,12 +16,13 @@ type Grid struct {
 	total int64
 }
 
-// maxCells is the most cells a grid may hold: every dense layer indexes
-// cells with int32 (sim.NodeID, the online partition's tables).
-const maxCells = 1 << 31
+// MaxCells is the most cells a grid may hold: every dense layer indexes
+// cells with int32 (sim.NodeID, the online partition's tables), and
+// offline.VerifySchedule indexes no wider box.
+const MaxCells = 1 << 31
 
 // New constructs a finite grid of the given dimension and per-axis sizes.
-// A grid holds at most maxCells points; larger sizes return ErrOverflow.
+// A grid holds at most MaxCells points; larger sizes return ErrOverflow.
 func New(sizes ...int) (*Grid, error) {
 	if len(sizes) < 1 || len(sizes) > MaxDim {
 		return nil, fmt.Errorf("grid: dimension %d out of range [1,%d]", len(sizes), MaxDim)
@@ -32,7 +33,7 @@ func New(sizes ...int) (*Grid, error) {
 		if s < 1 {
 			return nil, fmt.Errorf("grid: size %d in axis %d must be >= 1", s, i)
 		}
-		if int64(s) > maxCells/total {
+		if int64(s) > MaxCells/total {
 			return nil, fmt.Errorf("grid: sizes %v exceed 2^31 cells: %w", sizes, ErrOverflow)
 		}
 		g.size[i] = s

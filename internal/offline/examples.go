@@ -37,7 +37,8 @@ func LineStrategy(start grid.Point, length int, d int64) (*Schedule, *demand.Map
 	// roots (floor(1-eps) = 0) and the pooled-capacity guarantee tolerates
 	// r = round(w2) on both sides.
 	r := int(math.Round(w2))
-	sched := &Schedule{CubeSide: 2*r + 1, OmegaC: w2}
+	// Each line point draws on at most its column of 2r+1 vehicles.
+	sched := &Schedule{Plans: make([]VehiclePlan, 0, length*(2*r+1)), CubeSide: 2*r + 1, OmegaC: w2}
 	y0 := start.Coord(1)
 	for i := 0; i < length; i++ {
 		x := start.Coord(0) + i
@@ -96,7 +97,8 @@ func PointStrategy(p grid.Point, d int64) (*Schedule, *demand.Map, error) {
 	capacity := 3*w3 + 2
 	// Round, not floor: see LineStrategy.
 	r := int(math.Round(w3))
-	sched := &Schedule{CubeSide: 2*r + 1, OmegaC: w3}
+	// The point draws on at most the (2r+1) x (2r+1) square of vehicles.
+	sched := &Schedule{Plans: make([]VehiclePlan, 0, (2*r+1)*(2*r+1)), CubeSide: 2*r + 1, OmegaC: w3}
 	remaining := d
 	for dx := -r; dx <= r && remaining > 0; dx++ {
 		for dy := -r; dy <= r && remaining > 0; dy++ {

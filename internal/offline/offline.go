@@ -216,15 +216,17 @@ func (d *Dense) Algorithm1() (Alg1Result, error) {
 	if maxD <= 1 {
 		return Alg1Result{W: maxD, Branch: BranchTinyDemand}, nil
 	}
-	// Lines 5-14: the doubling pyramid. cur holds aligned w/2-cube sums.
+	// Lines 5-14: the doubling pyramid. cur holds the aligned w-cube sums,
+	// each level halved into the one buffer.
+	buf := make([]int64, pow(n/2, l))
 	cur := vals
 	side := n
 	for w := 2; ; w *= 2 {
 		if w > n {
 			return Alg1Result{W: fallback, Branch: BranchFullGrid}, nil
 		}
-		next, nextSide := aggregate(cur, side, l)
-		cur, side = next, nextSide
+		side /= 2
+		cur = aggregate(buf[:pow(side, l)], cur, side, l)
 		threshold := float64(w) * float64(pow(3*w, l))
 		ok := true
 		for _, v := range cur {
@@ -243,22 +245,21 @@ func (d *Dense) Algorithm1() (Alg1Result, error) {
 	}
 }
 
-// aggregate halves the resolution of an l-dimensional side^l dense array by
-// summing 2^l-blocks (lines 8-9 of Algorithm 1).
-func aggregate(vals []int64, side, l int) ([]int64, int) {
-	half := side / 2
-	out := make([]int64, pow(half, l))
+// aggregate sums the 2^l-blocks of the l-dimensional (2*half)^l dense array
+// src into the half^l array dst and returns dst (lines 8-9 of Algorithm 1).
+// dst may be src's own prefix: output cell o reads only cells at or after o
+// in row-major order, which no earlier output has overwritten.
+func aggregate(dst, src []int64, half, l int) []int64 {
 	// Strides for the input and output arrays (row-major).
-	inStride := make([]int64, l)
-	outStride := make([]int64, l)
+	var inStride, outStride [grid.MaxDim]int64
 	is, os := int64(1), int64(1)
 	for i := l - 1; i >= 0; i-- {
 		inStride[i], outStride[i] = is, os
-		is *= int64(side)
+		is *= int64(2 * half)
 		os *= int64(half)
 	}
-	idx := make([]int, l)
-	for o := range out {
+	var idx [grid.MaxDim]int
+	for o := range dst {
 		// Decode output coordinates.
 		rem := int64(o)
 		for i := 0; i < l; i++ {
@@ -275,9 +276,9 @@ func aggregate(vals []int64, side, l int) ([]int64, int) {
 				}
 				in += int64(c) * inStride[i]
 			}
-			sum += vals[in]
+			sum += src[in]
 		}
-		out[o] = sum
+		dst[o] = sum
 	}
-	return out, half
+	return dst
 }

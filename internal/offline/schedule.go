@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/demand"
 	"repro/internal/grid"
@@ -47,34 +46,16 @@ type Schedule struct {
 	OmegaC float64
 }
 
-// BuildSchedule realizes Lemma 2.2.5 constructively: it partitions the arena
-// into aligned ceil(omega_c)-cubes, lets every vehicle first serve up to
-// B = 3^l * omega_c jobs at its own position, then assigns surplus demand to
-// helper vehicles from the same cube, each of which moves once and serves up
-// to B jobs at its destination. The thesis guarantees enough helpers exist
-// in every full cube because the demand in each cube is at most
-// omega_c*(3*ceil(omega_c))^l = B * cubeVolume.
-func BuildSchedule(m *demand.Map, arena *grid.Grid) (*Schedule, error) {
-	if m.Total() == 0 {
-		return &Schedule{}, nil
-	}
-	d, err := NewDense(m, arena)
-	if err != nil {
-		return nil, err
-	}
-	char, err := d.OmegaC()
-	if err != nil {
-		return nil, err
-	}
-	return d.BuildSchedule(char)
-}
-
-// BuildSchedule is the Lemma 2.2.5 construction on the shared dense view:
-// cube demand sums and per-cell lookups go through the dense value array, so
-// the full SolveOffline pipeline touches the point-keyed demand map only at
-// its API boundary (the verifier). The lemma assumes full cubes: when a cube
-// clipped by the arena's far faces runs out of helpers, the error wraps
-// ErrBoundaryCube.
+// BuildSchedule realizes Lemma 2.2.5 constructively on the shared dense
+// view: it partitions the arena into aligned ceil(omega_c)-cubes, lets every
+// vehicle first serve up to B = 3^l * omega_c jobs at its own position, then
+// assigns surplus demand to helper vehicles from the same cube, each of
+// which moves once and serves up to B jobs at its destination. The thesis
+// guarantees enough helpers exist in every full cube because the demand in
+// each cube is at most omega_c*(3*ceil(omega_c))^l = B * cubeVolume. Cube
+// demand and per-cell lookups go through the dense value array. The lemma
+// assumes full cubes: when a cube clipped by the arena's far faces runs out
+// of helpers, the error wraps ErrBoundaryCube.
 func (d *Dense) BuildSchedule(char CubeChar) (*Schedule, error) {
 	m, arena := d.m, d.arena
 	if m.Total() == 0 {
@@ -95,8 +76,16 @@ func (d *Dense) BuildSchedule(char CubeChar) (*Schedule, error) {
 	// demand <= omega*(3s)^l spread over s^l vehicles each serving up to B
 	// at home and B away, so B = omega*3^l. Round it *up*: the helper count
 	// guarantee sum ceil(L(x)/Bi) <= cubeVolume needs B/Bi <= 1.
-	b := cubeBuilder{d: d, sched: &Schedule{CubeSide: s, OmegaC: char.Omega}}
-	b.budget = max(int64(math.Ceil(float64(pow(3, l))*char.Omega)), 1)
+	budget := max(int64(math.Ceil(float64(pow(3, l))*char.Omega)), 1)
+	// Tile 0 is the largest: no far face clips it more than any other.
+	first, _ := arena.Tile(s, 0)
+	b := cubeBuilder{
+		d:      d,
+		sched:  &Schedule{Plans: make([]VehiclePlan, 0, d.planBound(budget)), CubeSide: s, OmegaC: char.Omega},
+		budget: budget,
+		cells:  make([]grid.Point, 0, first.Volume()),
+		plans:  make([]VehiclePlan, first.Volume()),
+	}
 	// Visit the arena's side-s tiles in row-major order of their low
 	// corners, each clipped at the arena's far faces.
 	for c := range arena.Tiles(s) {
@@ -107,13 +96,30 @@ func (d *Dense) BuildSchedule(char CubeChar) (*Schedule, error) {
 	return b.sched, nil
 }
 
+// planBound bounds the plans of a schedule with per-vehicle budget B:
+// every plan serves at its own cell or is one helper move, so cell x
+// accounts for at most ceil(d(x)/B) plans, and no vehicle plans twice, so
+// there are at most as many plans as cells.
+func (d *Dense) planBound(budget int64) int64 {
+	n, cells := int64(0), d.arena.Len()
+	for _, v := range d.vals {
+		if v > 0 {
+			if n += (v-1)/budget + 1; n >= cells {
+				return cells
+			}
+		}
+	}
+	return n
+}
+
 // ErrBoundaryCube reports that a cube clipped by the arena's far faces has
 // too few vehicles for its demand. Lemma 2.2.5 counts helpers in full
 // cubes, so a finite arena can break its construction there.
 var ErrBoundaryCube = errors.New("offline: a boundary cube clipped by the arena has too few vehicles")
 
 // cubeBuilder runs Lemma 2.2.5's two phases cube by cube, reusing one buffer
-// of cells and one plan slot per cell across the cubes of a schedule.
+// of cells and one plan slot per cell, both sized for the largest tile,
+// across the cubes of a schedule.
 type cubeBuilder struct {
 	d      *Dense
 	sched  *Schedule
@@ -126,13 +132,13 @@ type cubeBuilder struct {
 // serve or move to the schedule in the cube's row-major cell order.
 func (b *cubeBuilder) build(cube grid.Box, full bool) error {
 	b.cells = cube.AppendPoints(b.cells[:0])
-	b.plans = slices.Grow(b.plans[:0], len(b.cells))[:len(b.cells)]
+	plans := b.plans[:len(b.cells)]
 	// Phase 1: serve at home.
 	anyDemand := false
 	for k, p := range b.cells {
 		dp := b.d.At(p)
 		anyDemand = anyDemand || dp > 0
-		b.plans[k] = VehiclePlan{Home: p, ServeHome: min(dp, b.budget)}
+		plans[k] = VehiclePlan{Home: p, ServeHome: min(dp, b.budget)}
 	}
 	if !anyDemand {
 		return nil
@@ -142,11 +148,11 @@ func (b *cubeBuilder) build(cube grid.Box, full bool) error {
 	// at one leftover position.
 	helper := 0
 	for k, x := range b.cells {
-		for rest := b.d.At(x) - b.plans[k].ServeHome; rest > 0; helper++ {
-			for helper < len(b.plans) && b.plans[helper].Moved {
+		for rest := b.d.At(x) - plans[k].ServeHome; rest > 0; helper++ {
+			for helper < len(plans) && plans[helper].Moved {
 				helper++
 			}
-			if helper == len(b.plans) {
+			if helper == len(plans) {
 				if !full {
 					return fmt.Errorf("offline: cube %v..%v ran out of helpers (leftover %d at %v): %w",
 						cube.Lo, cube.Hi, rest, x, ErrBoundaryCube)
@@ -154,12 +160,12 @@ func (b *cubeBuilder) build(cube grid.Box, full bool) error {
 				return fmt.Errorf("offline: cube %v..%v ran out of helpers (omega too small: leftover %d at %v)",
 					cube.Lo, cube.Hi, rest, x)
 			}
-			pl := &b.plans[helper]
+			pl := &plans[helper]
 			pl.Moved, pl.Dest, pl.ServeDest = true, x, min(rest, b.budget)
 			rest -= pl.ServeDest
 		}
 	}
-	for _, pl := range b.plans {
+	for _, pl := range plans {
 		if pl.ServeHome > 0 || pl.Moved {
 			b.sched.Plans = append(b.sched.Plans, pl)
 			b.sched.W = max(b.sched.W, pl.Energy())
@@ -172,21 +178,47 @@ func (b *cubeBuilder) build(cube grid.Box, full bool) error {
 // is served, no vehicle appears twice, every vehicle's energy is within
 // capacity, and helpers only serve where demand exists. Returns the maximum
 // per-vehicle energy observed.
+//
+// It checks on dense arrays over the smallest box holding the demand's
+// support and every plan's home and, for a vehicle that moves, its
+// destination: the jobs each cell still needs, counted down from the demand
+// and saturating at math.MinInt64 so that no sum wraps, and a bitset of the
+// homes seen. A plan point off the demand's lattice, or a box of more than
+// grid.MaxCells cells, is an error. A cell served other than its demand is
+// reported at the least such cell in row-major order (Point.Compare order).
 func VerifySchedule(m *demand.Map, sched *Schedule, capacity float64) (float64, error) {
-	served := make(map[grid.Point]int64)
-	seen := make(map[grid.Point]bool)
+	if len(sched.Plans) == 0 && m.Total() == 0 {
+		return 0, nil
+	}
+	box, err := scheduleBox(m, sched.Plans)
+	if err != nil {
+		return 0, err
+	}
+	vol, err := box.VolumeChecked()
+	if err != nil || vol > grid.MaxCells {
+		return 0, fmt.Errorf("offline: schedule spans %v..%v, more than %d cells: %w",
+			box.Lo, box.Hi, grid.MaxCells, grid.ErrOverflow)
+	}
+	ix := grid.NewBoxIndex(box)
+	need := make([]int64, vol)
+	for p, v := range m.All() {
+		need[ix.Offset(p)] = v
+	}
+	homes := make([]uint64, (vol+63)/64)
 	maxE := 0.0
 	for i, pl := range sched.Plans {
-		if seen[pl.Home] {
+		h := ix.Offset(pl.Home)
+		if homes[h/64]&(1<<(h%64)) != 0 {
 			return 0, fmt.Errorf("offline: vehicle at %v appears twice (plan %d)", pl.Home, i)
 		}
-		seen[pl.Home] = true
+		homes[h/64] |= 1 << (h % 64)
 		if pl.ServeHome < 0 || pl.ServeDest < 0 {
 			return 0, fmt.Errorf("offline: negative service in plan %d", i)
 		}
-		served[pl.Home] += pl.ServeHome
+		need[h] = countDown(need[h], pl.ServeHome)
 		if pl.Moved {
-			served[pl.Dest] += pl.ServeDest
+			o := ix.Offset(pl.Dest)
+			need[o] = countDown(need[o], pl.ServeDest)
 		} else if pl.ServeDest != 0 {
 			return 0, fmt.Errorf("offline: unmoved vehicle %v claims dest service", pl.Home)
 		}
@@ -198,16 +230,65 @@ func VerifySchedule(m *demand.Map, sched *Schedule, capacity float64) (float64, 
 			maxE = e
 		}
 	}
-	for _, p := range m.Support() {
-		if served[p] != m.At(p) {
-			return 0, fmt.Errorf("offline: position %v served %d of %d jobs",
-				p, served[p], m.At(p))
+	for o, left := range need {
+		if left == 0 {
+			continue
 		}
-	}
-	for p, s := range served {
-		if s > m.At(p) {
-			return 0, fmt.Errorf("offline: position %v over-served (%d > %d)", p, s, m.At(p))
+		p := ix.PointAt(int64(o))
+		d := m.At(p)
+		switch {
+		case left > 0:
+			return 0, fmt.Errorf("offline: position %v served %d of %d jobs", p, d-left, d)
+		case left < d-math.MaxInt64: // d - left, the jobs served, passes MaxInt64
+			return 0, fmt.Errorf("offline: position %v over-served (more than %d > %d)", p, int64(math.MaxInt64), d)
+		default:
+			return 0, fmt.Errorf("offline: position %v over-served (%d > %d)", p, d-left, d)
 		}
 	}
 	return maxE, nil
+}
+
+// countDown returns need - served, saturating at math.MinInt64. served is
+// non-negative, so only a negative need can pass the floor.
+func countDown(need, served int64) int64 {
+	if need < 0 && served > need-math.MinInt64 {
+		return math.MinInt64
+	}
+	return need - served
+}
+
+// scheduleBox returns the smallest box holding m's support and every plan's
+// home and, for a plan that moves, its destination. A point with a nonzero
+// coordinate at an axis >= m's dimension is an error.
+func scheduleBox(m *demand.Map, plans []VehiclePlan) (grid.Box, error) {
+	dim := m.Dim()
+	if dim < 1 || dim > grid.MaxDim {
+		return grid.Box{}, fmt.Errorf("offline: demand dimension %d out of range [1,%d]", dim, grid.MaxDim)
+	}
+	box, found := m.BoundingBox()
+	include := func(p grid.Point) error {
+		for a := dim; a < grid.MaxDim; a++ {
+			if p[a] != 0 {
+				return fmt.Errorf("offline: plan point %v off the %d-D lattice", p, dim)
+			}
+		}
+		if !found {
+			box, found = grid.Box{Lo: p, Hi: p, Dim: dim}, true
+		}
+		for a := 0; a < dim; a++ {
+			box.Lo[a], box.Hi[a] = min(box.Lo[a], p[a]), max(box.Hi[a], p[a])
+		}
+		return nil
+	}
+	for _, pl := range plans {
+		if err := include(pl.Home); err != nil {
+			return grid.Box{}, err
+		}
+		if pl.Moved {
+			if err := include(pl.Dest); err != nil {
+				return grid.Box{}, err
+			}
+		}
+	}
+	return box, nil
 }

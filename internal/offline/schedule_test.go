@@ -1,15 +1,36 @@
 package offline
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/demand"
 	"repro/internal/grid"
 )
+
+// BuildSchedule is the whole Lemma 2.2.5 pipeline on a fresh dense view:
+// densify, characterize, construct. Production code runs the same steps on
+// one Dense it keeps (cmvrp.SolveOffline, E12); the tests use this as the
+// standalone path.
+func BuildSchedule(m *demand.Map, arena *grid.Grid) (*Schedule, error) {
+	if m.Total() == 0 {
+		return &Schedule{}, nil
+	}
+	d, err := NewDense(m, arena)
+	if err != nil {
+		return nil, err
+	}
+	char, err := d.OmegaC()
+	if err != nil {
+		return nil, err
+	}
+	return d.BuildSchedule(char)
+}
 
 // referenceSchedule is Dense.BuildSchedule as it stood before the per-cube
 // maps gave way to plan slots: the recursive corner walk buildCubes and the
@@ -206,8 +227,8 @@ func TestBuildScheduleMatchesReference(t *testing.T) {
 }
 
 // TestBuildScheduleAllocs guards the construction's allocation count: the
-// cell buffer and plan slots are allocated once per schedule, so what grows
-// with the arena is only the Plans slice's doubling.
+// Schedule, its Plans sized once from the dense values, and the cell buffer
+// and plan slots sized for the largest tile, whatever the arena.
 func TestBuildScheduleAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{32, 64, 128} {
@@ -234,8 +255,250 @@ func TestBuildScheduleAllocs(t *testing.T) {
 			}
 		})
 		t.Logf("%dx%d: %.0f allocations", n, n, allocs)
-		if allocs > 32 {
-			t.Errorf("%dx%d: BuildSchedule made %.0f allocations, want at most 32", n, n, allocs)
+		if allocs > 4 {
+			t.Errorf("%dx%d: BuildSchedule made %.0f allocations, want at most 4", n, n, allocs)
 		}
 	}
+}
+
+// TestOfflinePipelineAllocs guards the whole offline pipeline on uniform
+// demand, NewDense through VerifySchedule: it allocates what it returns and
+// its dense tables, at most 16 times and as often at 128x128 as at 32x32.
+func TestOfflinePipelineAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var counts []float64
+	for _, n := range []int{32, 64, 128} {
+		arena := grid.MustNew(n, n)
+		m, err := demand.Uniform(rng, arena.Bounds(), 4*arena.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			d, err := NewDense(m, arena)
+			if err != nil {
+				t.Fatal(err)
+			}
+			char, err := d.OmegaC()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Algorithm1(); err != nil {
+				t.Fatal(err)
+			}
+			sched, err := d.BuildSchedule(char)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := VerifySchedule(m, sched, sched.W); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%dx%d: %.0f allocations", n, n, allocs)
+		if allocs > 16 {
+			t.Errorf("%dx%d: the offline pipeline made %.0f allocations, want at most 16", n, n, allocs)
+		}
+		counts = append(counts, allocs)
+	}
+	if slices.Min(counts) != slices.Max(counts) {
+		t.Errorf("allocations vary with the arena: %v at 32x32, 64x64 and 128x128", counts)
+	}
+}
+
+// mapVerifySchedule is VerifySchedule as it stood before the dense
+// verifier: served jobs and homes keyed by grid.Point in two maps, kept
+// unchanged as FuzzVerifySchedule's oracle. Its sums can wrap, and its
+// over-served error names whichever cell map iteration meets first.
+func mapVerifySchedule(m *demand.Map, sched *Schedule, capacity float64) (float64, error) {
+	served := make(map[grid.Point]int64)
+	seen := make(map[grid.Point]bool)
+	maxE := 0.0
+	for i, pl := range sched.Plans {
+		if seen[pl.Home] {
+			return 0, fmt.Errorf("offline: vehicle at %v appears twice (plan %d)", pl.Home, i)
+		}
+		seen[pl.Home] = true
+		if pl.ServeHome < 0 || pl.ServeDest < 0 {
+			return 0, fmt.Errorf("offline: negative service in plan %d", i)
+		}
+		served[pl.Home] += pl.ServeHome
+		if pl.Moved {
+			served[pl.Dest] += pl.ServeDest
+		} else if pl.ServeDest != 0 {
+			return 0, fmt.Errorf("offline: unmoved vehicle %v claims dest service", pl.Home)
+		}
+		e := pl.Energy()
+		if e > capacity+1e-9 {
+			return 0, fmt.Errorf("offline: vehicle %v uses %v > capacity %v", pl.Home, e, capacity)
+		}
+		if e > maxE {
+			maxE = e
+		}
+	}
+	for _, p := range m.Support() {
+		if served[p] != m.At(p) {
+			return 0, fmt.Errorf("offline: position %v served %d of %d jobs",
+				p, served[p], m.At(p))
+		}
+	}
+	for p, s := range served {
+		if s > m.At(p) {
+			return 0, fmt.Errorf("offline: position %v over-served (%d > %d)", p, s, m.At(p))
+		}
+	}
+	return maxE, nil
+}
+
+// TestVerifyScheduleRegressions pins two faults of the map-keyed verifier,
+// each on one job of demand at (0,0) that the vehicle there serves. Three
+// helpers serving MaxInt64, MaxInt64 and 2 jobs at (5,5), where nobody
+// needs any, summed to 2^64, which wrapped to 0, so the schedule passed.
+// Three vehicles serving 1 job each at their own cells (1,0), (2,0) and
+// (3,0) were reported at whichever cell map iteration met first.
+func TestVerifyScheduleRegressions(t *testing.T) {
+	m, err := demand.PointMass(2, grid.P(0, 0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := VehiclePlan{Home: grid.P(0, 0), ServeHome: 1}
+	helper := func(x int, n int64) VehiclePlan {
+		return VehiclePlan{Home: grid.P(x, 0), Moved: true, Dest: grid.P(5, 5), ServeDest: n}
+	}
+	for _, tc := range []struct {
+		name     string
+		plans    []VehiclePlan
+		capacity float64
+		want     string
+	}{
+		{"helper services wrapping to 0 at a cell without demand",
+			[]VehiclePlan{home, helper(1, math.MaxInt64), helper(2, math.MaxInt64), helper(3, 2)}, 1e19,
+			"offline: position (5,5) over-served (more than 9223372036854775807 > 0)"},
+		{"three over-served cells",
+			[]VehiclePlan{home, {Home: grid.P(3, 0), ServeHome: 1}, {Home: grid.P(1, 0), ServeHome: 1}, {Home: grid.P(2, 0), ServeHome: 1}}, 1,
+			"offline: position (1,0) over-served (1 > 0)"},
+	} {
+		for range 200 {
+			if _, err := VerifySchedule(m, &Schedule{Plans: tc.plans}, tc.capacity); err == nil || err.Error() != tc.want {
+				t.Fatalf("%s: VerifySchedule = %v, want %q", tc.name, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestVerifyScheduleRejectsUnindexable pins the verifier's refusals of what
+// it cannot index: a plan point off the demand's lattice, and a box of more
+// than grid.MaxCells cells, which it must refuse before allocating it.
+func TestVerifyScheduleRejectsUnindexable(t *testing.T) {
+	m, err := demand.PointMass(2, grid.P(0, 0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		plan VehiclePlan
+	}{
+		{"home off the 2-D lattice", VehiclePlan{Home: grid.P(0, 0, 1), ServeHome: 1}},
+		{"destination off the 2-D lattice", VehiclePlan{Home: grid.P(0, 0), Moved: true, Dest: grid.P(0, 0, 0, 1), ServeDest: 1}},
+		{"a box just over 2^31 cells", VehiclePlan{Home: grid.P(0, 0), Moved: true, Dest: grid.P(1<<15, 1<<16), ServeDest: 1}},
+	} {
+		_, err := VerifySchedule(m, &Schedule{Plans: []VehiclePlan{tc.plan}}, math.Inf(1))
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	far := &Schedule{Plans: []VehiclePlan{{Home: grid.P(0, 0), Moved: true, Dest: grid.P(math.MaxInt32, math.MaxInt32), ServeDest: 1}}}
+	if _, err := VerifySchedule(m, far, math.Inf(1)); !errors.Is(err, grid.ErrOverflow) {
+		t.Errorf("a box of 2^62 cells: %v, want grid.ErrOverflow", err)
+	}
+}
+
+// fuzzSchedule builds one of the three schedule kinds from a seed: a
+// Lemma 2.2.5 schedule on a 1-3-D arena with sides 1-8 and up to 12 demand
+// points, the Figure 2.2 line strategy, or the Figure 2.3 point strategy,
+// each near the origin so that a tampered point keeps the box small.
+func fuzzSchedule(kind uint8, seed int64) (*demand.Map, *Schedule, error) {
+	rng := rand.New(rand.NewSource(seed))
+	switch kind % 3 {
+	case 0:
+		sizes := make([]int, 1+rng.Intn(3))
+		for i := range sizes {
+			sizes[i] = 1 + rng.Intn(8)
+		}
+		arena := grid.MustNew(sizes...)
+		m := demand.NewMap(len(sizes))
+		for n := rng.Intn(13); n > 0; n-- {
+			if err := m.Add(arena.PointAt(rng.Int63n(arena.Len())), rng.Int63n(1+rng.Int63n(200))); err != nil {
+				return nil, nil, err
+			}
+		}
+		sched, err := BuildSchedule(m, arena)
+		return m, sched, err
+	case 1:
+		sched, m, err := LineStrategy(grid.P(rng.Intn(9)-4, rng.Intn(9)-4), 1+rng.Intn(8), rng.Int63n(300))
+		return m, sched, err
+	default:
+		sched, m, err := PointStrategy(grid.P(rng.Intn(9)-4, rng.Intn(9)-4), rng.Int63n(2000))
+		return m, sched, err
+	}
+}
+
+// FuzzVerifySchedule compares VerifySchedule with the map-keyed verifier it
+// replaced on schedules from BuildSchedule, LineStrategy and PointStrategy,
+// each with at most one field tampered: plan which%len's home or
+// destination moved by (dx, dy), a service raised or lowered by 1, Moved
+// flipped, the plan duplicated, or the capacity lowered by 1. Both must
+// accept and reject alike, and agree on the maximum energy when they
+// accept. No tamper can make a cell's served jobs pass MaxInt64, the one
+// case where the oracle's sum wraps.
+func FuzzVerifySchedule(f *testing.F) {
+	for tamper := range uint8(8) {
+		for kind := range uint8(3) {
+			f.Add(kind, int64(tamper), tamper, uint16(tamper*7), int8(tamper)-3, int8(2))
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, seed int64, tamper uint8, which uint16, dx, dy int8) {
+		m, sched, err := fuzzSchedule(kind, seed)
+		if err != nil {
+			return
+		}
+		capacity := sched.W
+		sign := int64(1)
+		if dx < 0 {
+			sign = -1
+		}
+		move := func(p grid.Point) grid.Point {
+			p[0] += int32(dx)
+			if m.Dim() > 1 {
+				p[1] += int32(dy)
+			}
+			return p
+		}
+		if n := len(sched.Plans); n > 0 {
+			pl := &sched.Plans[int(which)%n]
+			switch tamper % 8 {
+			case 1:
+				pl.Home = move(pl.Home)
+			case 2:
+				pl.Dest = move(pl.Dest)
+			case 3:
+				pl.ServeHome += sign
+			case 4:
+				pl.ServeDest += sign
+			case 5:
+				pl.Moved = !pl.Moved
+			case 6:
+				sched.Plans = append(sched.Plans, *pl)
+			}
+		}
+		if tamper%8 == 7 {
+			capacity--
+		}
+		got, gotErr := VerifySchedule(m, sched, capacity)
+		want, wantErr := mapVerifySchedule(m, sched, capacity)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("VerifySchedule error %v, map-keyed verifier %v", gotErr, wantErr)
+		}
+		if got != want {
+			t.Fatalf("VerifySchedule max energy %v, map-keyed verifier %v", got, want)
+		}
+	})
 }

@@ -78,7 +78,15 @@ func TestEndToEndRealSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := offline.BuildSchedule(m, arena)
+	d, err := offline.NewDense(m, arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	char, err := d.OmegaC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := d.BuildSchedule(char)
 	if err != nil {
 		t.Fatal(err)
 	}
