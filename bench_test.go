@@ -192,10 +192,7 @@ func BenchmarkAblationCubeGranularity(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ps, err := d.Prefix()
-	if err != nil {
-		b.Fatal(err)
-	}
+	ps := d.Prefix()
 	b.Run("all-sizes", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -161,9 +161,10 @@ var ErrBoundaryCube = offline.ErrBoundaryCube
 // SolveOffline runs the full offline pipeline of Chapter 2 on a demand
 // function: characterize, estimate, construct, and verify. The demand is
 // densified exactly once (offline.Dense): the characterization, the
-// Algorithm 1 estimate, and the schedule construction all share one value
-// array and summed-area table, and the schedule is built from the already-
-// computed characterization instead of re-deriving it.
+// Algorithm 1 estimate, and the schedule construction all share one
+// summed-area table over the bounding box of the demand's support, and the
+// schedule is built from the already-computed characterization instead of
+// re-deriving it.
 //
 // Lemma 2.2.5's construction assumes every cube of its partition is full,
 // as on the thesis' infinite grid. On a finite arena the cubes at the far

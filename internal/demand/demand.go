@@ -131,19 +131,3 @@ func (m *Map) SumIn(b grid.Box) int64 {
 	}
 	return s
 }
-
-// Values renders the demand onto a finite grid as a dense slice indexed by
-// g.Index, for prefix-sum machinery. Demand outside the grid is an error,
-// naming the least such position — experiments must size arenas to contain
-// their workloads.
-func (m *Map) Values(g *grid.Grid) ([]int64, error) {
-	vals := make([]int64, g.Len())
-	for p, v := range m.d {
-		if !g.Contains(p) {
-			p, _, _ = grid.LeastKey(m.d, func(p grid.Point, _ int64) bool { return !g.Contains(p) })
-			return nil, fmt.Errorf("demand: position %v outside %dx... arena", p, g.Size(0))
-		}
-		vals[g.Index(p)] = v
-	}
-	return vals, nil
-}

@@ -155,46 +155,6 @@ func (m *Map) mustBBox(t *testing.T) grid.Box {
 	return b
 }
 
-func TestValues(t *testing.T) {
-	g := grid.MustNew(4, 4)
-	m := NewMap(2)
-	if err := m.Add(grid.P(1, 2), 7); err != nil {
-		t.Fatal(err)
-	}
-	vals, err := m.Values(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[g.Index(grid.P(1, 2))] != 7 {
-		t.Error("value not placed")
-	}
-	if err := m.Add(grid.P(10, 10), 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Values(g); err == nil {
-		t.Error("out-of-arena demand should fail")
-	}
-}
-
-// TestValuesNamesLeastOutsidePoint pins the error text of demand at several
-// points outside the arena to the least of them, whatever order map
-// iteration takes.
-func TestValuesNamesLeastOutsidePoint(t *testing.T) {
-	g := grid.MustNew(4, 4)
-	m := NewMap(2)
-	for _, p := range []grid.Point{grid.P(9, 1), grid.P(1, 7), grid.P(5, 5), grid.P(1, 2)} {
-		if err := m.Add(p, 3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const want = "demand: position (1,7) outside 4x... arena"
-	for range 200 {
-		if _, err := m.Values(g); err == nil || err.Error() != want {
-			t.Fatalf("Values = %v, want %q", err, want)
-		}
-	}
-}
-
 func TestGenerators(t *testing.T) {
 	t.Run("square", func(t *testing.T) {
 		m, err := Square(grid.P(2, 3), 3, 4)

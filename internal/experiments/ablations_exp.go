@@ -51,10 +51,7 @@ func E11Ablations(n int, jobs int64, seed int64, workers, shards int) (*Table, e
 			if err != nil {
 				return row{}, err
 			}
-			ps, err := dense.Prefix()
-			if err != nil {
-				return row{}, err
-			}
+			ps := dense.Prefix()
 			full, err := lpchar.OmegaStarCubesPS(ps)
 			if err != nil {
 				return row{}, err

@@ -26,9 +26,7 @@ func BenchmarkPrefixSumBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewPrefixSum(g, vals); err != nil {
-			b.Fatal(err)
-		}
+		tableOf(b, g, g.Bounds(), vals)
 	}
 }
 
@@ -39,10 +37,7 @@ func BenchmarkMaxCubeSum(b *testing.B) {
 	for i := range vals {
 		vals[i] = rng.Int63n(100)
 	}
-	ps, err := NewPrefixSum(g, vals)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ps := tableOf(b, g, g.Bounds(), vals)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if ps.MaxCubeSum(1+i%64) <= 0 {

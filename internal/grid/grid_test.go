@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -73,84 +74,102 @@ func TestContains(t *testing.T) {
 	}
 }
 
-// boxSum is the table oracle: the sum of values over b clipped to the
-// grid, by inclusion-exclusion over the box's 2^l table corners.
-func boxSum(ps *PrefixSum, b Box) int64 {
-	g := ps.g
-	var lo, hi [MaxDim]int64
-	for i := 0; i < g.dim; i++ {
-		l := max(int64(b.Lo[i]), 0)
-		h := min(int64(b.Hi[i])+1, int64(g.size[i]))
-		if l >= h {
-			return 0
-		}
-		lo[i], hi[i] = l, h
+// tableOf builds the summed-area table over the window win of g for vals,
+// indexed by g.Index, whose entries outside win must be zero.
+func tableOf(t testing.TB, g *Grid, win Box, vals []int64) PrefixSum {
+	t.Helper()
+	ps, err := NewPrefixSum(g, win)
+	if err != nil {
+		t.Fatal(err)
 	}
-	total := int64(0)
-	for mask := 0; mask < 1<<g.dim; mask++ {
-		idx := int64(0)
-		bits := 0
-		for i := 0; i < g.dim; i++ {
-			if mask&(1<<i) != 0 {
-				idx += lo[i] * ps.str[i]
-				bits++
-			} else {
-				idx += hi[i] * ps.str[i]
-			}
-		}
-		if bits%2 == 0 {
-			total += ps.sum[idx]
-		} else {
-			total -= ps.sum[idx]
-		}
+	for _, p := range win.Points() {
+		ps.Add(p, vals[g.Index(p)])
 	}
-	return total
+	ps.Accumulate()
+	return ps
 }
 
+// randomWindow returns a random nonempty box inside g.
+func randomWindow(rng *rand.Rand, g *Grid) Box {
+	b := Box{Dim: g.Dim()}
+	for i := 0; i < g.Dim(); i++ {
+		lo, hi := rng.Intn(g.Size(i)), rng.Intn(g.Size(i))
+		b.Lo[i], b.Hi[i] = int32(min(lo, hi)), int32(max(lo, hi))
+	}
+	return b
+}
+
+// TestPrefixSumMatchesBruteForce pins Sum to a cell-by-cell sum, on boxes
+// partly or wholly outside the grid, for tables over the whole grid with
+// values in {-5, ..., 14} and over a random window holding values in
+// {0, ..., 19}.
 func TestPrefixSumMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, sizes := range [][]int{{8}, {6, 7}, {4, 3, 5}, {3, 4, 2, 5}} {
 		g := MustNew(sizes...)
-		vals := make([]int64, g.Len())
-		for i := range vals {
-			vals[i] = int64(rng.Intn(20) - 5)
-		}
-		ps, err := NewPrefixSum(g, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 100; trial++ {
-			var lo, hi Point
-			for i := 0; i < g.Dim(); i++ {
-				a := rng.Intn(g.Size(i) + 3)
-				b := rng.Intn(g.Size(i) + 3)
-				if a > b {
-					a, b = b, a
-				}
-				lo[i], hi[i] = int32(a-1), int32(b-1) // may clip outside
-				if hi[i] < lo[i] {
-					hi[i] = lo[i]
-				}
+		for _, windowed := range []bool{false, true} {
+			win, shift := g.Bounds(), 5
+			if windowed {
+				win, shift = randomWindow(rng, g), 0
 			}
-			box := Box{Lo: lo, Hi: hi, Dim: g.Dim()}
-			want := int64(0)
-			for _, p := range g.Bounds().Points() {
-				if box.Contains(p) {
-					want += vals[g.Index(p)]
-				}
+			vals := make([]int64, g.Len())
+			for _, p := range win.Points() {
+				vals[g.Index(p)] = int64(rng.Intn(20) - shift)
 			}
-			if got := boxSum(ps, box); got != want {
-				t.Fatalf("sizes=%v box=%v..%v: boxSum=%d brute=%d",
-					sizes, lo, hi, got, want)
+			ps := tableOf(t, g, win, vals)
+			for trial := 0; trial < 100; trial++ {
+				var lo, hi Point
+				for i := 0; i < g.Dim(); i++ {
+					a := rng.Intn(g.Size(i) + 3)
+					b := rng.Intn(g.Size(i) + 3)
+					if a > b {
+						a, b = b, a
+					}
+					lo[i], hi[i] = int32(a-1), int32(b-1) // may clip outside
+					if hi[i] < lo[i] {
+						hi[i] = lo[i]
+					}
+				}
+				box := Box{Lo: lo, Hi: hi, Dim: g.Dim()}
+				want := int64(0)
+				for _, p := range g.Bounds().Points() {
+					if box.Contains(p) {
+						want += vals[g.Index(p)]
+					}
+				}
+				if got := ps.Sum(box); got != want {
+					t.Fatalf("sizes=%v window %v..%v box=%v..%v: Sum=%d brute=%d",
+						sizes, win.Lo, win.Hi, lo, hi, got, want)
+				}
 			}
 		}
 	}
 }
 
-func TestPrefixSumLengthMismatch(t *testing.T) {
+// TestPrefixSumRejectsWindowOutsideGrid pins NewPrefixSum's refusals: a
+// window that leaves the grid, has another dimension or is inverted. The
+// zero Box is the empty window, whose every sum is 0.
+func TestPrefixSumRejectsWindowOutsideGrid(t *testing.T) {
 	g := MustNew(3, 3)
-	if _, err := NewPrefixSum(g, make([]int64, 5)); err == nil {
-		t.Error("length mismatch should fail")
+	for _, b := range []Box{
+		{Lo: P(0, 0), Hi: P(3, 2), Dim: 2},
+		{Lo: P(-1, 0), Hi: P(2, 2), Dim: 2},
+		{Lo: P(0, 0, 0), Hi: P(2, 2, 0), Dim: 3},
+		{Lo: P(0), Hi: P(2), Dim: 1},
+		{Lo: P(0, 0), Hi: P(0, 0, 1), Dim: 2},
+		{Lo: P(2, 0), Hi: P(1, 2), Dim: 2},
+	} {
+		if _, err := NewPrefixSum(g, b); err == nil {
+			t.Errorf("window %v..%v (dim %d) accepted", b.Lo, b.Hi, b.Dim)
+		}
+	}
+	ps, err := NewPrefixSum(g, Box{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps.Accumulate()
+	if s, c := ps.Sum(g.Bounds()), ps.MaxCubeSum(2); s != 0 || c != 0 {
+		t.Errorf("empty window: Sum %d, MaxCubeSum %d, want 0 and 0", s, c)
 	}
 }
 
@@ -160,40 +179,50 @@ func TestMaxCubeSum(t *testing.T) {
 	vals[g.Index(P(2, 2))] = 100
 	vals[g.Index(P(2, 3))] = 50
 	vals[g.Index(P(0, 0))] = 10
-	ps, err := NewPrefixSum(g, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tt := range []struct {
-		s    int
-		want int64
-	}{{1, 100}, {2, 150}, {5, 160}, {6, 0}, {0, 0}} {
-		if got := ps.MaxCubeSum(tt.s); got != tt.want {
-			t.Errorf("side %d: MaxCubeSum = %d, want %d", tt.s, got, tt.want)
+	for _, win := range []Box{g.Bounds(), {Lo: P(0, 0), Hi: P(2, 3), Dim: 2}} {
+		ps := tableOf(t, g, win, vals)
+		for _, tt := range []struct {
+			s    int
+			want int64
+		}{{1, 100}, {2, 150}, {3, 150}, {4, 160}, {5, 160}, {6, 0}, {0, 0}} {
+			if got := ps.MaxCubeSum(tt.s); got != tt.want {
+				t.Errorf("window %v..%v side %d: MaxCubeSum = %d, want %d", win.Lo, win.Hi, tt.s, got, tt.want)
+			}
 		}
 	}
 }
 
 // TestMaxCubeSumMatchesEnumeration pins the strided scan to a brute-force
 // maximum over every in-grid cube, summed cell by cell from the values, on
-// random 1-4-D grids whose values in {-1, ..., 2} give many ties and
-// negative maxima. Sides 0 and MinSize()+1 admit no cube and must read 0.
+// random 1-4-D grids: tables over the whole grid whose values in
+// {-1, ..., 2} give many ties and negative maxima, and tables over a random
+// window (a single cell, a slab one cell thin, or any box) holding values
+// in {0, ..., 3}, where the scan reads windows of side min(s, side_i).
+// Sides 0 and MinSize()+1 admit no cube and must read 0.
 func TestMaxCubeSumMatchesEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 600; trial++ {
 		sizes := make([]int, 1+rng.Intn(MaxDim))
 		for i := range sizes {
 			sizes[i] = 1 + rng.Intn(7)
 		}
 		g := MustNew(sizes...)
+		win, shift := g.Bounds(), 1
+		if trial%2 == 1 {
+			win, shift = randomWindow(rng, g), 0
+			switch trial % 6 {
+			case 1:
+				win.Hi = win.Lo
+			case 3:
+				a := rng.Intn(g.Dim())
+				win.Hi[a] = win.Lo[a]
+			}
+		}
 		vals := make([]int64, g.Len())
-		for i := range vals {
-			vals[i] = int64(rng.Intn(4) - 1)
+		for _, p := range win.Points() {
+			vals[g.Index(p)] = int64(rng.Intn(4) - shift)
 		}
-		ps, err := NewPrefixSum(g, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ps := tableOf(t, g, win, vals)
 		for s := 0; s <= g.MinSize()+1; s++ {
 			want, found := int64(0), false
 			for _, c := range g.Bounds().Points() {
@@ -210,7 +239,7 @@ func TestMaxCubeSumMatchesEnumeration(t *testing.T) {
 				}
 			}
 			if got := ps.MaxCubeSum(s); got != want {
-				t.Fatalf("sizes %v side %d: MaxCubeSum = %d, enumeration %d", sizes, s, got, want)
+				t.Fatalf("sizes %v window %v..%v side %d: MaxCubeSum = %d, enumeration %d", sizes, win.Lo, win.Hi, s, got, want)
 			}
 		}
 	}
@@ -273,6 +302,55 @@ func TestTilesMatchOdometer(t *testing.T) {
 					t.Fatalf("sizes %v side %d: tile %d is %v full %v, odometer %v full %v",
 						sizes, s, c, b, f, boxes[c], full[c])
 				}
+			}
+		}
+	}
+}
+
+// TestTilesMeetingMatchesFilter pins the walk over TilesMeeting's tile
+// coordinates through TileAt to the tiles of the whole tiling that meet a
+// random window, in Tile's order with the same full flags, on random 1-4-D
+// grids, sides 1 to two past the longest axis and math.MaxInt.
+func TestTilesMeetingMatchesFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	meets := func(a, b Box) bool {
+		for i := 0; i < a.Dim; i++ {
+			if a.Hi[i] < b.Lo[i] || b.Hi[i] < a.Lo[i] {
+				return false
+			}
+		}
+		return true
+	}
+	type tile struct {
+		b    Box
+		full bool
+	}
+	for range 300 {
+		sizes := make([]int, 1+rng.Intn(MaxDim))
+		longest := 0
+		for i := range sizes {
+			sizes[i] = 1 + rng.Intn(9)
+			longest = max(longest, sizes[i])
+		}
+		g := MustNew(sizes...)
+		win := randomWindow(rng, g)
+		sides := []int{math.MaxInt}
+		for s := 1; s <= longest+2; s++ {
+			sides = append(sides, s)
+		}
+		for _, s := range sides {
+			var want, got []tile
+			for c := range g.Tiles(s) {
+				if b, f := g.Tile(s, c); meets(b, win) {
+					want = append(want, tile{b, f})
+				}
+			}
+			for _, tc := range g.TilesMeeting(s, win).Points() {
+				b, f := g.TileAt(s, tc)
+				got = append(got, tile{b, f})
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("sizes %v window %v..%v side %d: walk %v, filter %v", sizes, win.Lo, win.Hi, s, got, want)
 			}
 		}
 	}

@@ -1,11 +1,13 @@
 // Package grid provides geometry for the l-dimensional integer lattice Z^l
 // under the Manhattan (L1) metric, the substrate every CMVRP component is
 // built on: points, boxes, exact closed-form neighborhood counting
-// |N_r(box)|, finite grids with prefix sums, and the omega_T equation solver
-// from the thesis (eq. 1.1). Beside that solver sits Least, the program's
-// one search for the least value at which a monotone test holds: the Won
-// and greedy capacity searches, Theorem 5.1.1's transfer bound and the
-// Section 2.1 roots all call it.
+// |N_r(box)|, finite grids with their aligned cube tilings, summed-area
+// tables over a window of a grid (the box that holds every nonzero value,
+// so a table costs what the demand spans, not the arena), and the omega_T
+// equation solver from the thesis (eq. 1.1). Beside that solver sits
+// Least, the program's one search for the least value at which a monotone
+// test holds: the Won and greedy capacity searches, Theorem 5.1.1's
+// transfer bound and the Section 2.1 roots all call it.
 package grid
 
 import (

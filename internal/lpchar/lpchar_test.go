@@ -25,18 +25,23 @@ func randDemand(rng *rand.Rand, dim, extent, points int, maxD int64) *demand.Map
 }
 
 // cubePrefix densifies m over arena into the summed-area table the cube
-// omega* scans read.
+// omega* scans read, as offline.NewDense does: over the bounding box of
+// m's support.
 func cubePrefix(t testing.TB, m *demand.Map, arena *grid.Grid) *grid.PrefixSum {
 	t.Helper()
-	vals, err := m.Values(arena)
+	win, ok := m.BoundingBox()
+	if ok {
+		win.Dim = arena.Dim()
+	}
+	ps, err := grid.NewPrefixSum(arena, win)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := grid.NewPrefixSum(arena, vals)
-	if err != nil {
-		t.Fatal(err)
+	for p, v := range m.All() {
+		ps.Add(p, v)
 	}
-	return ps
+	ps.Accumulate()
+	return &ps
 }
 
 func TestFeasibleTrivial(t *testing.T) {

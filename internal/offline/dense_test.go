@@ -101,3 +101,33 @@ func TestDenseOutsideArena(t *testing.T) {
 		t.Error("demand outside arena should fail")
 	}
 }
+
+// TestNewDenseNamesLeastOutsidePoint pins the error text of demand at
+// several points outside the arena: it names the least of them, whatever
+// order map iteration takes, and the arena's every size.
+func TestNewDenseNamesLeastOutsidePoint(t *testing.T) {
+	for _, tc := range []struct {
+		arena *grid.Grid
+		pts   []grid.Point
+		want  string
+	}{
+		{grid.MustNew(4, 4), []grid.Point{grid.P(9, 1), grid.P(1, 7), grid.P(5, 5), grid.P(1, 2)},
+			"offline: position (1,7) outside the 4x4 arena"},
+		{grid.MustNew(4, 6, 2), []grid.Point{grid.P(3, 5, 2), grid.P(0, 6, 1), grid.P(4, 0, 0), grid.P(1, 1, 1)},
+			"offline: position (0,6,1) outside the 4x6x2 arena"},
+		{grid.MustNew(5), []grid.Point{grid.P(7), grid.P(-1), grid.P(2)},
+			"offline: position (-1,0) outside the 5 arena"},
+	} {
+		m := demand.NewMap(tc.arena.Dim())
+		for _, p := range tc.pts {
+			if err := m.Add(p, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 200 {
+			if _, err := NewDense(m, tc.arena); err == nil || err.Error() != tc.want {
+				t.Fatalf("NewDense = %v, want %q", err, tc.want)
+			}
+		}
+	}
+}

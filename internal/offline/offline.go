@@ -9,6 +9,7 @@ package offline
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/demand"
 	"repro/internal/grid"
@@ -23,47 +24,65 @@ func pow(base, exp int) int64 {
 	return r
 }
 
-// Dense is the dense offline view of one (demand, arena) pair: the
-// arena-indexed value array and, lazily, its summed-area table — built once
-// and shared by every Chapter 2 solver, so the full offline pipeline
-// (characterize, estimate, construct) densifies the demand exactly once.
-// A Dense is immutable after construction apart from the lazily built
-// prefix sum, and is not safe for concurrent use.
+// Dense is the dense offline view of one (demand, arena) pair: one
+// summed-area table over the bounding box of the demand's support, built
+// once and shared by every Chapter 2 solver, so the full offline pipeline
+// (characterize, estimate, construct) densifies the demand exactly once,
+// and as far as the demand reaches, not over the whole arena. Corollary
+// 2.2.7's omega_c, Algorithm 1's aligned cube sums and Lemma 2.2.5's
+// per-cell reads are all box sums of d, which the table answers. A Dense
+// is immutable after construction.
 type Dense struct {
 	m     *demand.Map
 	arena *grid.Grid
-	vals  []int64
-	ps    *grid.PrefixSum
+	ps    grid.PrefixSum
 }
 
-// NewDense densifies m over arena (m.Values fails for demand outside it).
+// NewDense densifies m over arena. Demand outside the arena is an error
+// naming the least such position.
 func NewDense(m *demand.Map, arena *grid.Grid) (*Dense, error) {
-	vals, err := m.Values(arena)
-	if err != nil {
+	win, ok := m.BoundingBox()
+	if ok {
+		if !arena.Contains(win.Lo) || !arena.Contains(win.Hi) {
+			for _, p := range m.Support() { // sorted, so the first found is the least
+				if !arena.Contains(p) {
+					return nil, fmt.Errorf("offline: position %v outside the %s arena", p, sizeText(arena))
+				}
+			}
+		}
+		win.Dim = arena.Dim()
+	}
+	d := &Dense{m: m, arena: arena}
+	var err error
+	if d.ps, err = grid.NewPrefixSum(arena, win); err != nil {
 		return nil, err
 	}
-	return &Dense{m: m, arena: arena, vals: vals}, nil
-}
-
-// At returns the demand at p through the dense array (no map lookup).
-func (d *Dense) At(p grid.Point) int64 { return d.vals[d.arena.Index(p)] }
-
-// Prefix returns the summed-area table over the dense values, building it on
-// first use and sharing it thereafter. OmegaC needs it; Algorithm1 does not
-// (its pyramid aggregates vals directly), so laziness keeps the standalone
-// Algorithm1 path's cost unchanged. Exported so pipeline consumers — the
-// lpchar cube omega* scans in E11 — reuse this table instead of densifying
-// the same demand again (the one-densification-per-pipeline rule).
-func (d *Dense) Prefix() (*grid.PrefixSum, error) {
-	if d.ps == nil {
-		ps, err := grid.NewPrefixSum(d.arena, d.vals)
-		if err != nil {
-			return nil, err
-		}
-		d.ps = ps
+	for p, v := range m.All() {
+		d.ps.Add(p, v)
 	}
-	return d.ps, nil
+	d.ps.Accumulate()
+	return d, nil
 }
+
+// sizeText renders the arena's sizes as "4x4".
+func sizeText(arena *grid.Grid) string {
+	b := strconv.AppendInt(nil, int64(arena.Size(0)), 10)
+	for i := 1; i < arena.Dim(); i++ {
+		b = strconv.AppendInt(append(b, 'x'), int64(arena.Size(i)), 10)
+	}
+	return string(b)
+}
+
+// At returns the demand at p, a point of the arena, from the table.
+func (d *Dense) At(p grid.Point) int64 {
+	return d.ps.Sum(grid.Box{Lo: p, Hi: p, Dim: d.arena.Dim()})
+}
+
+// Prefix returns the summed-area table NewDense built, whose grid is the
+// arena. Exported so pipeline consumers — the lpchar cube omega* scans in
+// E11 — read this table instead of densifying the same demand again (the
+// one-densification-per-pipeline rule).
+func (d *Dense) Prefix() *grid.PrefixSum { return &d.ps }
 
 // CubeChar is the result of the Corollary 2.2.7 characterization: the value
 // omega_c together with the cube side its feasibility check passed at. The
@@ -98,10 +117,7 @@ func (d *Dense) OmegaC() (CubeChar, error) {
 	if m.Total() == 0 {
 		return CubeChar{}, nil
 	}
-	ps, err := d.Prefix()
-	if err != nil {
-		return CubeChar{}, err
-	}
+	ps := &d.ps
 	l := arena.Dim()
 	maxSide := arena.MinSize()
 	best := CubeChar{Omega: math.Inf(1)}
@@ -190,11 +206,12 @@ func Algorithm1(m *demand.Map, arena *grid.Grid) (Alg1Result, error) {
 	return d.Algorithm1()
 }
 
-// Algorithm1 runs the thesis' linear-time estimate on the shared dense view
-// (the doubling pyramid aggregates the already-densified values; no prefix
-// sum is needed).
+// Algorithm1 runs the thesis' linear-time estimate on the shared dense view.
+// Each level of the doubling pyramid reads its aligned w-cube sums from the
+// table, visiting only the cubes that meet the demand's bounding box: the
+// others sum to 0, under every threshold.
 func (d *Dense) Algorithm1() (Alg1Result, error) {
-	m, arena, vals := d.m, d.arena, d.vals
+	m, arena := d.m, d.arena
 	l := arena.Dim()
 	n := arena.Size(0)
 	for i := 1; i < l; i++ {
@@ -216,21 +233,19 @@ func (d *Dense) Algorithm1() (Alg1Result, error) {
 	if maxD <= 1 {
 		return Alg1Result{W: maxD, Branch: BranchTinyDemand}, nil
 	}
-	// Lines 5-14: the doubling pyramid. cur holds the aligned w-cube sums,
-	// each level halved into the one buffer.
-	buf := make([]int64, pow(n/2, l))
-	cur := vals
-	side := n
+	// Lines 5-14: the doubling pyramid. Every aligned w-cube is a full
+	// tile of the arena, since w divides n.
 	for w := 2; ; w *= 2 {
 		if w > n {
 			return Alg1Result{W: fallback, Branch: BranchFullGrid}, nil
 		}
-		side /= 2
-		cur = aggregate(buf[:pow(side, l)], cur, side, l)
 		threshold := float64(w) * float64(pow(3*w, l))
+		cubes := arena.TilesMeeting(w, d.ps.Window())
+		ix := grid.NewBoxIndex(cubes)
 		ok := true
-		for _, v := range cur {
-			if float64(v) > threshold {
+		for k := range cubes.Volume() {
+			cube, _ := arena.TileAt(w, ix.PointAt(k))
+			if float64(d.ps.Sum(cube)) > threshold {
 				ok = false
 				break
 			}
@@ -243,42 +258,4 @@ func (d *Dense) Algorithm1() (Alg1Result, error) {
 			}, nil
 		}
 	}
-}
-
-// aggregate sums the 2^l-blocks of the l-dimensional (2*half)^l dense array
-// src into the half^l array dst and returns dst (lines 8-9 of Algorithm 1).
-// dst may be src's own prefix: output cell o reads only cells at or after o
-// in row-major order, which no earlier output has overwritten.
-func aggregate(dst, src []int64, half, l int) []int64 {
-	// Strides for the input and output arrays (row-major).
-	var inStride, outStride [grid.MaxDim]int64
-	is, os := int64(1), int64(1)
-	for i := l - 1; i >= 0; i-- {
-		inStride[i], outStride[i] = is, os
-		is *= int64(2 * half)
-		os *= int64(half)
-	}
-	var idx [grid.MaxDim]int
-	for o := range dst {
-		// Decode output coordinates.
-		rem := int64(o)
-		for i := 0; i < l; i++ {
-			idx[i] = int(rem / outStride[i])
-			rem %= outStride[i]
-		}
-		var sum int64
-		for mask := 0; mask < 1<<l; mask++ {
-			in := int64(0)
-			for i := 0; i < l; i++ {
-				c := 2 * idx[i]
-				if mask&(1<<i) != 0 {
-					c++
-				}
-				in += int64(c) * inStride[i]
-			}
-			sum += src[in]
-		}
-		dst[o] = sum
-	}
-	return dst
 }

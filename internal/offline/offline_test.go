@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/demand"
@@ -160,68 +159,6 @@ func TestAlgorithm1Branches(t *testing.T) {
 			t.Errorf("W = %v, want %v", res.W, want)
 		}
 	})
-}
-
-// copyAggregate is Algorithm 1's halving step as it stood before the
-// pyramid shared one buffer: a fresh output array, strides and index per
-// level. It is TestAggregateInPlaceMatchesCopy's oracle.
-func copyAggregate(vals []int64, side, l int) ([]int64, int) {
-	half := side / 2
-	out := make([]int64, pow(half, l))
-	inStride := make([]int64, l)
-	outStride := make([]int64, l)
-	is, os := int64(1), int64(1)
-	for i := l - 1; i >= 0; i-- {
-		inStride[i], outStride[i] = is, os
-		is *= int64(side)
-		os *= int64(half)
-	}
-	idx := make([]int, l)
-	for o := range out {
-		rem := int64(o)
-		for i := 0; i < l; i++ {
-			idx[i] = int(rem / outStride[i])
-			rem %= outStride[i]
-		}
-		var sum int64
-		for mask := 0; mask < 1<<l; mask++ {
-			in := int64(0)
-			for i := 0; i < l; i++ {
-				c := 2 * idx[i]
-				if mask&(1<<i) != 0 {
-					c++
-				}
-				in += int64(c) * inStride[i]
-			}
-			sum += vals[in]
-		}
-		out[o] = sum
-	}
-	return out, half
-}
-
-// TestAggregateInPlaceMatchesCopy pins the pyramid halved in one buffer,
-// each level overwriting the last, to fresh arrays per level, level by
-// level down to one cell, on random 1-4-D arrays with sides 2 to 32.
-func TestAggregateInPlaceMatchesCopy(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for l := 1; l <= grid.MaxDim; l++ {
-		for n := 2; pow(n, l) <= 1<<15; n *= 2 {
-			vals := make([]int64, pow(n, l))
-			for i := range vals {
-				vals[i] = rng.Int63n(100)
-			}
-			buf := make([]int64, pow(n/2, l))
-			cur, want := vals, vals
-			for side := n; side > 1; {
-				want, side = copyAggregate(want, side, l)
-				cur = aggregate(buf[:pow(side, l)], cur, side, l)
-				if !slices.Equal(cur, want) {
-					t.Fatalf("l=%d n=%d: level of side %d differs from fresh arrays", l, n, side)
-				}
-			}
-		}
-	}
 }
 
 // TestAlgorithm1ApproximationGuarantee is experiment E5's core assertion:

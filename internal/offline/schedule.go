@@ -52,10 +52,11 @@ type Schedule struct {
 // assigns surplus demand to helper vehicles from the same cube, each of
 // which moves once and serves up to B jobs at its destination. The thesis
 // guarantees enough helpers exist in every full cube because the demand in
-// each cube is at most omega_c*(3*ceil(omega_c))^l = B * cubeVolume. Cube
-// demand and per-cell lookups go through the dense value array. The lemma
-// assumes full cubes: when a cube clipped by the arena's far faces runs out
-// of helpers, the error wraps ErrBoundaryCube.
+// each cube is at most omega_c*(3*ceil(omega_c))^l = B * cubeVolume. It
+// visits only the cubes that meet the demand's bounding box, and reads each
+// cell's demand from the summed-area table. The lemma assumes full cubes:
+// when a cube clipped by the arena's far faces runs out of helpers, the
+// error wraps ErrBoundaryCube.
 func (d *Dense) BuildSchedule(char CubeChar) (*Schedule, error) {
 	m, arena := d.m, d.arena
 	if m.Total() == 0 {
@@ -86,10 +87,13 @@ func (d *Dense) BuildSchedule(char CubeChar) (*Schedule, error) {
 		cells:  make([]grid.Point, 0, first.Volume()),
 		plans:  make([]VehiclePlan, first.Volume()),
 	}
-	// Visit the arena's side-s tiles in row-major order of their low
-	// corners, each clipped at the arena's far faces.
-	for c := range arena.Tiles(s) {
-		if err := b.build(arena.Tile(s, c)); err != nil {
+	// Visit the arena's side-s tiles that meet the demand's bounding box in
+	// row-major order of their low corners, each clipped at the arena's far
+	// faces. A tile that misses it has no demand and so no plans.
+	tiles := arena.TilesMeeting(s, d.ps.Window())
+	ix := grid.NewBoxIndex(tiles)
+	for k := range tiles.Volume() {
+		if err := b.build(arena.TileAt(s, ix.PointAt(k))); err != nil {
 			return nil, err
 		}
 	}
@@ -102,11 +106,9 @@ func (d *Dense) BuildSchedule(char CubeChar) (*Schedule, error) {
 // there are at most as many plans as cells.
 func (d *Dense) planBound(budget int64) int64 {
 	n, cells := int64(0), d.arena.Len()
-	for _, v := range d.vals {
-		if v > 0 {
-			if n += (v-1)/budget + 1; n >= cells {
-				return cells
-			}
+	for _, v := range d.m.All() {
+		if n += (v-1)/budget + 1; n >= cells {
+			return cells
 		}
 	}
 	return n

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -227,7 +228,7 @@ func TestBuildScheduleMatchesReference(t *testing.T) {
 }
 
 // TestBuildScheduleAllocs guards the construction's allocation count: the
-// Schedule, its Plans sized once from the dense values, and the cell buffer
+// Schedule, its Plans sized once from the demand's pairs, and the cell buffer
 // and plan slots sized for the largest tile, whatever the arena.
 func TestBuildScheduleAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -261,46 +262,95 @@ func TestBuildScheduleAllocs(t *testing.T) {
 	}
 }
 
+// offlinePipeline runs NewDense through VerifySchedule on m over arena, the
+// calls cmvrp.SolveOffline makes.
+func offlinePipeline(t testing.TB, m *demand.Map, arena *grid.Grid) {
+	d, err := NewDense(m, arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	char, err := d.OmegaC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Algorithm1(); err != nil {
+		t.Fatal(err)
+	}
+	sched, err := d.BuildSchedule(char)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifySchedule(m, sched, sched.W); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// leastAllocs returns the fewest allocations and bytes one call of f made
+// over five calls, read from runtime.MemStats: a garbage collection that
+// starts during a call allocates in the runtime, and those count too.
+func leastAllocs(f func()) (allocs, bytes uint64) {
+	allocs, bytes = math.MaxUint64, math.MaxUint64
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return allocs, bytes
+}
+
 // TestOfflinePipelineAllocs guards the whole offline pipeline on uniform
 // demand, NewDense through VerifySchedule: it allocates what it returns and
-// its dense tables, at most 16 times and as often at 128x128 as at 32x32.
+// its dense tables, at most 8 times and as often at 128x128 as at 32x32:
+// the Dense, its table, BuildSchedule's 4 and VerifySchedule's 2. Each
+// count is the least of five single runs.
 func TestOfflinePipelineAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	var counts []float64
+	var counts []uint64
 	for _, n := range []int{32, 64, 128} {
 		arena := grid.MustNew(n, n)
 		m, err := demand.Uniform(rng, arena.Bounds(), 4*arena.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(5, func() {
-			d, err := NewDense(m, arena)
-			if err != nil {
-				t.Fatal(err)
-			}
-			char, err := d.OmegaC()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := d.Algorithm1(); err != nil {
-				t.Fatal(err)
-			}
-			sched, err := d.BuildSchedule(char)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := VerifySchedule(m, sched, sched.W); err != nil {
-				t.Fatal(err)
-			}
-		})
-		t.Logf("%dx%d: %.0f allocations", n, n, allocs)
-		if allocs > 16 {
-			t.Errorf("%dx%d: the offline pipeline made %.0f allocations, want at most 16", n, n, allocs)
+		allocs, _ := leastAllocs(func() { offlinePipeline(t, m, arena) })
+		t.Logf("%dx%d: %d allocations", n, n, allocs)
+		if allocs > 8 {
+			t.Errorf("%dx%d: the offline pipeline made %d allocations, want at most 8", n, n, allocs)
 		}
 		counts = append(counts, allocs)
 	}
 	if slices.Min(counts) != slices.Max(counts) {
 		t.Errorf("allocations vary with the arena: %v at 32x32, 64x64 and 128x128", counts)
+	}
+}
+
+// TestOfflinePipelineAllocsFollowDemand pins that the offline pipeline
+// allocates by the demand, not the arena: one 16x16 demand box pays the
+// same bytes, NewDense through VerifySchedule, in a 64x64 arena and in a
+// 1024x1024 one, where an arena-wide value array alone would take 8 MB.
+// Each count is the least of five single runs.
+func TestOfflinePipelineAllocsFollowDemand(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	inner, err := grid.NewBox(2, grid.P(24, 24), grid.P(39, 39))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := demand.Clusters(rng, inner, 3, 300, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bytes []uint64
+	for _, n := range []int{64, 1024} {
+		arena := grid.MustNew(n, n)
+		_, b := leastAllocs(func() { offlinePipeline(t, m, arena) })
+		t.Logf("%dx%d: %d bytes", n, n, b)
+		bytes = append(bytes, b)
+	}
+	if bytes[0] != bytes[1] {
+		t.Errorf("the offline pipeline allocated %d bytes in a 64x64 arena and %d in a 1024x1024 one", bytes[0], bytes[1])
 	}
 }
 

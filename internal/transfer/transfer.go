@@ -63,10 +63,11 @@ const maxBoxCells = 1 << 22
 
 // LowerBoundSquares computes the Theorem 5.1.1 lower bound on Wtrans-off:
 // the smallest W whose import budget covers every square's demand, searched
-// over all squares inside the support's bounding box. By the theorem this is
-// Omega(max_T omega_T) = Omega(Woff), so transfers never help by more than a
-// constant factor when tanks equal the initial charge. A bounding box of
-// more than 2^22 cells is an error.
+// over all squares inside the support's bounding box, side by side until no
+// larger side can raise it. By the theorem this is Omega(max_T omega_T) =
+// Omega(Woff), so transfers never help by more than a constant factor when
+// tanks equal the initial charge. A bounding box of more than 2^22 cells is
+// an error.
 func LowerBoundSquares(m *demand.Map) (float64, error) {
 	if m.Dim() != 2 {
 		return 0, fmt.Errorf("transfer: square bound is 2-D only, got dim %d", m.Dim())
@@ -78,23 +79,32 @@ func LowerBoundSquares(m *demand.Map) (float64, error) {
 	if cells, err := bbox.VolumeChecked(); err != nil || cells > maxBoxCells {
 		return 0, fmt.Errorf("transfer: the support's bounding box %v..%v holds more than 2^22 cells", bbox.Lo, bbox.Hi)
 	}
+	// The table's grid is the bounding box moved to the origin.
 	box, err := grid.New(int(bbox.Side(0)), int(bbox.Side(1)))
 	if err != nil {
 		return 0, err
 	}
-	vals := make([]int64, box.Len())
-	ix := grid.NewBoxIndex(bbox) // row-major, as box.Index
-	for _, p := range m.Support() {
-		vals[ix.Offset(p)] = m.At(p)
-	}
-	ps, err := grid.NewPrefixSum(box, vals)
+	ps, err := grid.NewPrefixSum(box, box.Bounds())
 	if err != nil {
 		return 0, err
 	}
+	for p, v := range m.All() {
+		ps.Add(grid.P(int(p[0]-bbox.Lo[0]), int(p[1]-bbox.Lo[1])), v)
+	}
+	ps.Accumulate()
+	const tol = 1e-9
+	total := float64(m.Total())
 	best := 0.0
 	// For each square size, only the maximum-demand square matters (the
 	// budget is independent of position).
 	for s := 1; s <= box.MinSize(); s++ {
+		// No square holds more than the total, and once W >= 1/2 the budget
+		// grows with s; best passes 1/2 at side 1. So when the budget at just
+		// under best covers the total here, no later side's root exceeds it,
+		// and the 2·tol margin keeps each one's bisected W below best too.
+		if SquareImportBudget(best*(1-2*tol), s) >= total {
+			break
+		}
 		maxSum := float64(ps.MaxCubeSum(s))
 		if maxSum <= 0 {
 			continue
@@ -103,7 +113,7 @@ func LowerBoundSquares(m *demand.Map) (float64, error) {
 		// where it stays below one job, so this test is monotone in W.
 		w, err := grid.Least(func(w float64) (bool, error) {
 			return SquareImportBudget(w, s) >= maxSum, nil
-		}, 0, 1, 1e-9)
+		}, 0, 1, tol)
 		if err != nil {
 			return 0, fmt.Errorf("transfer: budget search for s=%d: %w", s, err)
 		}

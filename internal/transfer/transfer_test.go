@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/demand"
 	"repro/internal/grid"
@@ -155,6 +156,57 @@ func TestLowerBoundSquaresMatchesScan(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("trial %d: bound %v, scan %v", trial, got, want)
+		}
+	}
+}
+
+// TestLowerBoundSquaresStopsEarly runs the bound on far-apart supports,
+// each under a 5 s deadline: it stops at the first side whose budget just
+// under the best W covers the total, since no later side can beat that W.
+// Two points at opposite corners of a 2048x2048 box, the 2^22-cell cap,
+// took 16.6 s when every side was scanned; each of their squares holds at
+// most one job, so the bound is side 1's W = 1. The smaller rows are
+// checked against the square-by-square scan with ==.
+func TestLowerBoundSquaresStopsEarly(t *testing.T) {
+	for _, tc := range []struct {
+		pts  []grid.Point
+		jobs int64
+		want float64 // 0: the scan's answer
+	}{
+		{[]grid.Point{grid.P(0, 0), grid.P(2047, 2047)}, 1, 1},
+		{[]grid.Point{grid.P(-5, 7), grid.P(58, 70)}, 1, 0},
+		{[]grid.Point{grid.P(0, 0), grid.P(40, 0), grid.P(0, 40), grid.P(40, 40)}, 30, 0},
+		{[]grid.Point{grid.P(3, 3)}, 1000, 0},
+	} {
+		m := demand.NewMap(2)
+		for _, p := range tc.pts {
+			if err := m.Add(p, tc.jobs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := tc.want
+		if want == 0 {
+			var err error
+			if want, err = scanLowerBound(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		type answer struct {
+			v   float64
+			err error
+		}
+		done := make(chan answer, 1)
+		go func() {
+			v, err := LowerBoundSquares(m)
+			done <- answer{v, err}
+		}()
+		select {
+		case a := <-done:
+			if a.err != nil || a.v != want {
+				t.Errorf("support %v: bound %v, %v; want %v", tc.pts, a.v, a.err, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("support %v: still running after 5s", tc.pts)
 		}
 	}
 }
