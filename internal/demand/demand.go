@@ -14,11 +14,17 @@ import (
 	"repro/internal/grid"
 )
 
-// Map is a demand function d: Z^l -> Z (jobs per position), sparse.
+// Map is a demand function d: Z^l -> Z (jobs per position), sparse. Add
+// keeps the total and the support's bounding box up to date, so reading
+// them never walks the map. The maximum count is not kept: it would cost
+// every Add a second map access, to read the count it just raised.
 type Map struct {
 	dim   int
 	d     map[grid.Point]int64
 	total int64
+	// lo and hi are the corners of the support's bounding box; they mean
+	// nothing while the map is empty.
+	lo, hi grid.Point
 }
 
 // NewMap creates an empty demand map over Z^dim.
@@ -52,6 +58,13 @@ func (m *Map) Add(p grid.Point, n int64) error {
 	if n > math.MaxInt64-m.total {
 		return fmt.Errorf("demand: %d more jobs at %v take the total %d past %d: %w",
 			n, p, m.total, int64(math.MaxInt64), grid.ErrOverflow)
+	}
+	if len(m.d) == 0 {
+		m.lo, m.hi = p, p
+	}
+	for i := 0; i < m.dim; i++ {
+		m.lo[i] = min(m.lo[i], p[i])
+		m.hi[i] = max(m.hi[i], p[i])
 	}
 	m.d[p] += n
 	m.total += n
@@ -97,28 +110,7 @@ func (m *Map) BoundingBox() (grid.Box, bool) {
 	if len(m.d) == 0 {
 		return grid.Box{}, false
 	}
-	first := true
-	var lo, hi grid.Point
-	for p := range m.d {
-		if first {
-			lo, hi = p, p
-			first = false
-			continue
-		}
-		for i := 0; i < m.dim; i++ {
-			if p[i] < lo[i] {
-				lo[i] = p[i]
-			}
-			if p[i] > hi[i] {
-				hi[i] = p[i]
-			}
-		}
-	}
-	b, err := grid.NewBox(m.dim, lo, hi)
-	if err != nil {
-		return grid.Box{}, false
-	}
-	return b, true
+	return grid.Box{Lo: m.lo, Hi: m.hi, Dim: m.dim}, true
 }
 
 // SumIn returns the total demand inside box b.

@@ -129,6 +129,60 @@ func TestBoundingBox(t *testing.T) {
 	}
 }
 
+// scanBox is the full-scan reference for BoundingBox: the walk over the
+// support that Add's running corners replace.
+func scanBox(m *Map) (lo, hi grid.Point) {
+	first := true
+	for p := range m.d {
+		if first {
+			lo, hi, first = p, p, false
+		}
+		for i := 0; i < m.dim; i++ {
+			lo[i], hi[i] = min(lo[i], p[i]), max(hi[i], p[i])
+		}
+	}
+	return lo, hi
+}
+
+// TestAddKeepsBoundingBox runs random Add sequences on 1- to 4-D maps and
+// checks BoundingBox against a full scan after every call: counts of 0,
+// negative counts, points off the lattice and additions past MaxInt64 are
+// mixed in, and none of them may move the box.
+func TestAddKeepsBoundingBox(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 300; trial++ {
+		dim := 1 + trial%grid.MaxDim
+		m := NewMap(dim)
+		for call := 0; call < 60; call++ {
+			var p grid.Point
+			for i := 0; i < dim; i++ {
+				p[i] = int32(rng.Intn(21) - 10)
+			}
+			n := int64(rng.Intn(5))
+			switch rng.Intn(10) {
+			case 0:
+				n = -1 - n
+			case 1:
+				if dim < grid.MaxDim {
+					p[dim+rng.Intn(grid.MaxDim-dim)] = 1 // off the lattice
+				}
+			case 2:
+				n = math.MaxInt64 - m.Total() + int64(rng.Intn(2)) // exactly to MaxInt64, or past it
+			}
+			err := m.Add(p, n)
+			lo, hi := scanBox(m)
+			box, ok := m.BoundingBox()
+			if ok != (m.SupportSize() > 0) || ok && (box.Lo != lo || box.Hi != hi || box.Dim != dim) {
+				t.Fatalf("trial %d call %d: Add(%v, %d) = %v; BoundingBox %v..%v (%d-D) ok=%v, scan %v..%v",
+					trial, call, p, n, err, box.Lo, box.Hi, box.Dim, ok, lo, hi)
+			}
+			if m.Total() == math.MaxInt64 {
+				m = NewMap(dim) // start over: only refusals are left
+			}
+		}
+	}
+}
+
 func TestSumIn(t *testing.T) {
 	m, err := Square(grid.P(0, 0), 4, 2)
 	if err != nil {

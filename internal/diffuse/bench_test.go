@@ -9,20 +9,23 @@ import (
 // benchHost is a minimal engine host for benchmarks.
 type benchHost struct {
 	eng       Engine
+	neighbors []sim.NodeID
 	candidate bool
 	done      bool
 }
 
+func (h *benchHost) Neighbors() []sim.NodeID          { return h.neighbors }
+func (h *benchHost) Fanout() int                      { return 0 }
 func (h *benchHost) IsCandidate() bool                { return h.candidate }
 func (h *benchHost) OnComplete(sim.Sender, int, bool) { h.done = true }
 func (h *benchHost) OnPayload(sim.Sender, Payload)    {}
 
 func (h *benchHost) OnMessage(ctx *sim.Context, from sim.NodeID, msg sim.Msg) {
-	if h.eng.Handle(ctx, from, msg) {
+	if h.eng.Handle(h, ctx, from, msg) {
 		return
 	}
 	if msg.Kind == kindStart {
-		h.eng.StartSearch(ctx)
+		h.eng.StartSearch(h, ctx)
 	}
 }
 
@@ -34,7 +37,7 @@ func BenchmarkSearchGrid(b *testing.B) {
 	id := func(x, y int) sim.NodeID { return sim.NodeID(x*k + y) }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		net := sim.NewNetwork(1)
+		net := sim.NewNetwork(1, k*k)
 		hosts := make([]*benchHost, k*k)
 		for x := 0; x < k; x++ {
 			for y := 0; y < k; y++ {
@@ -50,9 +53,7 @@ func BenchmarkSearchGrid(b *testing.B) {
 						}
 					}
 				}
-				h := &benchHost{candidate: x == k-1 && y == k-1}
-				h.eng.Host = h
-				h.eng.Neighbors = adj
+				h := &benchHost{neighbors: adj, candidate: x == k-1 && y == k-1}
 				h.eng.Reset()
 				hosts[id(x, y)] = h
 				if err := net.Add(id(x, y), h); err != nil {

@@ -7,7 +7,8 @@
 // success the child pointers from initiator to candidate form a path, along
 // which Phase II (thesis Section 3.2.4) forwards an arbitrary payload.
 //
-// Peer choice is the engine's only policy (Engine.Fanout). Fanout 0 floods
+// Peer choice is the only policy, and the host owns it (Host.Fanout; the
+// online strategy answers with its episode's one fanout). Fanout 0 floods
 // every neighbor, exactly Algorithm 2. A fanout f below a node's degree
 // makes the flood a derandomized gossip in the tunable family of De Florio &
 // Blondia: a node that joins forwards the query to only f neighbors, so the
@@ -18,12 +19,13 @@
 // reproducible. Acknowledgement and termination detection are unchanged: a
 // fanout-limited search always completes.
 //
-// The engine is plain data embedded by value in a host process (the online
-// strategy's vehicle): the host sets the engine's Host, Neighbors and Fanout
-// fields, calls Reset, routes diffusion messages into Handle, and through
-// the Host interface answers the search predicate and hears when a
-// computation it initiated completes and when a payload reaches it as the
-// found candidate.
+// The engine is plain protocol state embedded by value in a host process
+// (the online strategy's vehicle), the per-node state of a Dijkstra-Scholten
+// diffusing computation and nothing else. The host calls Reset, passes
+// itself to StartSearch and to Handle, into which it routes diffusion
+// messages, and through the Host interface names its neighbors and fanout,
+// answers the search predicate, and hears when a computation it initiated
+// completes and when a payload reaches it as the found candidate.
 package diffuse
 
 import (
@@ -57,7 +59,7 @@ type Payload struct {
 }
 
 // State is the message-transfer state S2 of thesis Section 3.2.1.
-type State int
+type State uint8
 
 // Message-transfer states (Figure 3.1).
 const (
@@ -83,9 +85,19 @@ func (s State) String() string {
 	}
 }
 
-// Host is the process an Engine is embedded in: the search predicate and
-// the two protocol events the engine reports.
+// Host is the process an Engine is embedded in: its place in the
+// neighborhood graph, its peer-choice policy, the search predicate and the
+// two protocol events the engine reports. The host passes itself to every
+// engine call that may flood or report.
 type Host interface {
+	// Neighbors returns the nodes to flood queries to (for the online
+	// strategy: vehicles within communication range in the same cube). The
+	// engine only reads the slice, so hosts may share it.
+	Neighbors() []sim.NodeID
+	// Fanout returns the per-node forwarding bound: 0 (or at least the
+	// neighbor count) floods every neighbor. Read at every flood, so a host
+	// can re-tune it between computations.
+	Fanout() int
 	// IsCandidate reports whether this node satisfies the search predicate
 	// (for the online strategy: the vehicle is idle).
 	IsCandidate() bool
@@ -96,36 +108,27 @@ type Host interface {
 	OnPayload(ctx sim.Sender, payload Payload)
 }
 
-// Engine holds the per-node Phase I/II protocol state (the local data of
-// thesis Section 3.2.3.2: num, par, child, init) behind three plain
-// configuration fields. To set one up, assign the fields and call Reset.
+// Engine holds the per-node Phase I/II protocol state: the local data of
+// thesis Section 3.2.3.2 (num, par, child, init), the computation's
+// sequence number and the node's own sequence counter, in 28 bytes. Sequence
+// numbers are kept in the 32 bits the wire carries them in (sim.Msg.B). Call
+// Reset before first use.
 type Engine struct {
-	// Host receives the engine's predicate queries and events. Required.
-	Host Host
-	// Neighbors are the nodes to flood queries to (for the online strategy:
-	// vehicles within communication range in the same cube). The engine
-	// only reads the slice, so hosts may share it.
-	Neighbors []sim.NodeID
-	// Fanout is the per-node forwarding bound: 0 (or at least the neighbor
-	// count) floods every neighbor. Read per flood, so a host can re-tune it
-	// between computations.
-	Fanout int
-
-	state State
-	num   int        // outstanding replies
+	num   int32      // outstanding replies
 	par   sim.NodeID // parent in the computation tree
 	child sim.NodeID // first subtree that reported a candidate
 	init  sim.NodeID // initiator of the computation last joined
-	seq   int        // sequence number of the computation last joined
+	seq   uint32     // sequence number of the computation last joined
 
-	nextSeq int // local counter for computations this node initiates
+	nextSeq uint32 // local counter for computations this node initiates
+	state   State
 }
 
 // Reset puts the protocol state in its initial form (Waiting, no
-// parent/child/initiator, sequence counter at zero) and leaves the three
-// configuration fields alone. It both arms a newly configured engine and
-// re-arms a used one, so a reset engine behaves bit-for-bit like a new one:
-// part of the online layer's warm-start contract for reused runners.
+// parent/child/initiator, sequence counter at zero). It both arms a new
+// engine and re-arms a used one, so a reset engine behaves bit-for-bit like
+// a new one: part of the online layer's warm-start contract for reused
+// runners.
 func (e *Engine) Reset() {
 	e.state = Waiting
 	e.num = 0
@@ -137,28 +140,28 @@ func (e *Engine) Reset() {
 }
 
 // queryMsg / replyMsg encode the Phase I wire format.
-func queryMsg(init sim.NodeID, seq int) sim.Msg {
-	return sim.Msg{Kind: KindQuery, A: uint32(init), B: uint32(seq)}
+func queryMsg(init sim.NodeID, seq uint32) sim.Msg {
+	return sim.Msg{Kind: KindQuery, A: uint32(init), B: seq}
 }
 
-func replyMsg(init sim.NodeID, seq int, found bool) sim.Msg {
-	m := sim.Msg{Kind: KindReply, A: uint32(init), B: uint32(seq)}
+func replyMsg(init sim.NodeID, seq uint32, found bool) sim.Msg {
+	m := sim.Msg{Kind: KindReply, A: uint32(init), B: seq}
 	if found {
 		m.C = 1
 	}
 	return m
 }
 
-// flood sends the computation's query to this node's fanout subset and
-// returns how many neighbors were contacted: all of them at fanout 0 (or at
-// least the degree), else f consecutive neighbors from a start offset mixed
-// from (initiator, self, sequence) — the derandomized stand-in for random
-// peer selection. No slice is built: the warm search path stays
+// flood sends the computation's query to the fanout subset of h's
+// neighbors and returns how many were contacted: all of them at fanout 0
+// (or at least the degree), else f consecutive neighbors from a start
+// offset mixed from (initiator, self, sequence) — the derandomized stand-in
+// for random peer selection. No slice is built: the warm search path stays
 // allocation-free.
-func (e *Engine) flood(ctx sim.Sender, init sim.NodeID, seq int) int {
-	neigh := e.Neighbors
+func (e *Engine) flood(h Host, ctx sim.Sender, init sim.NodeID, seq uint32) int32 {
+	neigh := h.Neighbors()
 	n := len(neigh)
-	f := e.Fanout
+	f := h.Fanout()
 	// One inline query value fans out to every chosen neighbor: each send
 	// copies three words into the link's ring buffer.
 	msg := queryMsg(init, seq)
@@ -166,20 +169,20 @@ func (e *Engine) flood(ctx sim.Sender, init sim.NodeID, seq int) int {
 		for _, t := range neigh {
 			ctx.Send(t, msg)
 		}
-		return n
+		return int32(n)
 	}
-	start := (31*int(init) + 17*int(ctx.Self()) + 13*seq) % n
+	start := (31*int(init) + 17*int(ctx.Self()) + 13*int(seq)) % n
 	for i := 0; i < f; i++ {
 		ctx.Send(neigh[(start+i)%n], msg)
 	}
-	return f
+	return int32(f)
 }
 
-// StartSearch begins a new diffusing computation with this node as the
-// initiator (thesis Algorithm 2, "when a vehicle p uses up its energy").
-// It returns the computation's sequence number. If the node has no
-// neighbors the computation completes immediately (found=false).
-func (e *Engine) StartSearch(ctx sim.Sender) int {
+// StartSearch begins a new diffusing computation with h, the engine's
+// host, as the initiator (thesis Algorithm 2, "when a vehicle p uses up its
+// energy"). It returns the computation's sequence number. If the node has
+// no neighbors the computation completes immediately (found=false).
+func (e *Engine) StartSearch(h Host, ctx sim.Sender) int {
 	e.nextSeq++
 	seq := e.nextSeq
 	e.state = Initiator
@@ -187,31 +190,32 @@ func (e *Engine) StartSearch(ctx sim.Sender) int {
 	e.child = sim.None
 	e.init = ctx.Self()
 	e.seq = seq
-	e.num = e.flood(ctx, ctx.Self(), seq)
+	e.num = e.flood(h, ctx, ctx.Self(), seq)
 	if e.num == 0 {
 		e.state = Waiting
-		e.Host.OnComplete(ctx, seq, false)
+		h.OnComplete(ctx, int(seq), false)
 	}
-	return seq
+	return int(seq)
 }
 
 // Handle processes a message if it belongs to the diffusion protocol and
-// reports whether it consumed it. Hosts call this first from OnMessage.
-func (e *Engine) Handle(ctx sim.Sender, from sim.NodeID, m sim.Msg) bool {
+// reports whether it consumed it. Hosts call this first from OnMessage,
+// passing themselves as h.
+func (e *Engine) Handle(h Host, ctx sim.Sender, from sim.NodeID, m sim.Msg) bool {
 	switch m.Kind {
 	case KindQuery:
-		e.onQuery(ctx, from, sim.NodeID(m.A), int(m.B))
+		e.onQuery(h, ctx, from, sim.NodeID(m.A), m.B)
 	case KindReply:
-		e.onReply(ctx, from, sim.NodeID(m.A), int(m.B), m.C != 0)
+		e.onReply(h, ctx, from, sim.NodeID(m.A), m.B, m.C != 0)
 	case KindForward:
-		e.onForward(ctx, m)
+		e.onForward(h, ctx, m)
 	default:
 		return false
 	}
 	return true
 }
 
-func (e *Engine) onQuery(ctx sim.Sender, from, init sim.NodeID, seq int) {
+func (e *Engine) onQuery(h Host, ctx sim.Sender, from, init sim.NodeID, seq uint32) {
 	fresh := e.init != init || e.seq != seq
 	if e.state != Waiting || !fresh {
 		// Already part of this computation (or busy with another): tell the
@@ -223,21 +227,21 @@ func (e *Engine) onQuery(ctx sim.Sender, from, init sim.NodeID, seq int) {
 	e.init = init
 	e.seq = seq
 	e.child = sim.None
-	if e.Host.IsCandidate() {
+	if h.IsCandidate() {
 		// An idle node answers immediately and stays waiting; it becomes
 		// the leaf of the search path.
 		ctx.Send(from, replyMsg(init, seq, true))
 		return
 	}
 	e.state = Searching
-	e.num = e.flood(ctx, init, seq)
+	e.num = e.flood(h, ctx, init, seq)
 	if e.num == 0 {
 		e.state = Waiting
 		ctx.Send(from, replyMsg(init, seq, false))
 	}
 }
 
-func (e *Engine) onReply(ctx sim.Sender, from, init sim.NodeID, seq int, found bool) {
+func (e *Engine) onReply(h Host, ctx sim.Sender, from, init sim.NodeID, seq uint32, found bool) {
 	if init != e.init || seq != e.seq || (e.state != Searching && e.state != Initiator) {
 		// Stale reply from an abandoned computation; drop it.
 		return
@@ -254,7 +258,7 @@ func (e *Engine) onReply(ctx sim.Sender, from, init sim.NodeID, seq int, found b
 		wasInitiator := e.state == Initiator
 		e.state = Waiting
 		if wasInitiator {
-			e.Host.OnComplete(ctx, seq, e.child != sim.None)
+			h.OnComplete(ctx, int(seq), e.child != sim.None)
 			return
 		}
 		if e.child == sim.None {
@@ -266,7 +270,7 @@ func (e *Engine) onReply(ctx sim.Sender, from, init sim.NodeID, seq int, found b
 // ForwardPayload launches Phase II from the initiator after a successful
 // search: the payload rides the child chain to the candidate.
 func (e *Engine) ForwardPayload(ctx sim.Sender, seq int, payload Payload) error {
-	if e.init != ctx.Self() || e.seq != seq {
+	if e.init != ctx.Self() || int(e.seq) != seq {
 		return fmt.Errorf("diffuse: node %d does not own computation seq %d", ctx.Self(), seq)
 	}
 	if e.child == sim.None {
@@ -274,14 +278,14 @@ func (e *Engine) ForwardPayload(ctx sim.Sender, seq int, payload Payload) error 
 	}
 	ctx.Send(e.child, sim.Msg{
 		Kind: KindForward,
-		A:    uint32(ctx.Self()), B: uint32(seq),
+		A:    uint32(ctx.Self()), B: e.seq,
 		C: payload.A, D: payload.B,
 	})
 	return nil
 }
 
-func (e *Engine) onForward(ctx sim.Sender, m sim.Msg) {
-	if e.init != sim.NodeID(m.A) || e.seq != int(m.B) {
+func (e *Engine) onForward(h Host, ctx sim.Sender, m sim.Msg) {
+	if e.init != sim.NodeID(m.A) || e.seq != m.B {
 		// A forward for a computation this node never joined; drop. (Cannot
 		// happen under per-link FIFO, but dropping is the safe behaviour.)
 		return
@@ -290,5 +294,5 @@ func (e *Engine) onForward(ctx sim.Sender, m sim.Msg) {
 		ctx.Send(e.child, m)
 		return
 	}
-	e.Host.OnPayload(ctx, Payload{A: m.C, B: m.D})
+	h.OnPayload(ctx, Payload{A: m.C, B: m.D})
 }

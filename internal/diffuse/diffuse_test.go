@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -20,6 +21,8 @@ type host struct {
 	id        sim.NodeID
 	eng       Engine
 	net       *sim.Network
+	neighbors []sim.NodeID
+	fanout    int
 	candidate bool
 
 	completions []bool    // found flags, in completion order
@@ -30,7 +33,9 @@ type host struct {
 	autoPayload Payload
 }
 
-func (h *host) IsCandidate() bool { return h.candidate }
+func (h *host) Neighbors() []sim.NodeID { return h.neighbors }
+func (h *host) Fanout() int             { return h.fanout }
+func (h *host) IsCandidate() bool       { return h.candidate }
 
 func (h *host) OnComplete(ctx sim.Sender, seq int, found bool) {
 	h.completions = append(h.completions, found)
@@ -47,11 +52,11 @@ func (h *host) OnPayload(_ sim.Sender, payload Payload) {
 }
 
 func (h *host) OnMessage(ctx *sim.Context, from sim.NodeID, msg sim.Msg) {
-	if h.eng.Handle(ctx, from, msg) {
+	if h.eng.Handle(h, ctx, from, msg) {
 		return
 	}
 	if msg.Kind == kindStart {
-		h.eng.StartSearch(ctx)
+		h.eng.StartSearch(h, ctx)
 	}
 }
 
@@ -64,13 +69,11 @@ func buildNetwork(t *testing.T, seed int64, edges [][2]int, n int, candidates ma
 		adj[e[0]] = append(adj[e[0]], sim.NodeID(e[1]))
 		adj[e[1]] = append(adj[e[1]], sim.NodeID(e[0]))
 	}
-	net := sim.NewNetwork(seed)
+	net := sim.NewNetwork(seed, n)
 	hosts := make([]*host, n)
 	for i := 0; i < n; i++ {
-		h := &host{t: t, id: sim.NodeID(i), net: net, candidate: candidates[i]}
-		h.eng.Host = h
-		h.eng.Neighbors = adj[i]
-		h.eng.Fanout = fanout
+		h := &host{t: t, id: sim.NodeID(i), net: net, neighbors: adj[i], fanout: fanout,
+			candidate: candidates[i]}
 		h.eng.Reset()
 		hosts[i] = h
 		if err := net.Add(sim.NodeID(i), h); err != nil {
@@ -353,6 +356,14 @@ func TestFanoutBoundsTraffic(t *testing.T) {
 	}
 	if prev >= full {
 		t.Errorf("fanout 1 delivered %d messages, full flood %d — no traffic saving", prev, full)
+	}
+}
+
+// TestEngineLayout pins the engine at its protocol state alone: six 32-bit
+// words and the state byte, at most 28 bytes, embedded once per vehicle.
+func TestEngineLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Engine{}); got > 28 {
+		t.Errorf("Engine is %d bytes, want at most 28", got)
 	}
 }
 

@@ -36,6 +36,7 @@ type Dense struct {
 	m     *demand.Map
 	arena *grid.Grid
 	ps    grid.PrefixSum
+	max   int64 // max_x d(x), read off the walk that fills the table
 }
 
 // NewDense densifies m over arena. Demand outside the arena is an error
@@ -59,6 +60,7 @@ func NewDense(m *demand.Map, arena *grid.Grid) (*Dense, error) {
 	}
 	for p, v := range m.All() {
 		d.ps.Add(p, v)
+		d.max = max(d.max, v)
 	}
 	d.ps.Accumulate()
 	return d, nil
@@ -222,7 +224,7 @@ func (d *Dense) Algorithm1() (Alg1Result, error) {
 	if n&(n-1) != 0 {
 		return Alg1Result{}, fmt.Errorf("offline: arena side %d must be a power of two", n)
 	}
-	maxD := float64(m.Max())
+	maxD := float64(d.max)
 	avgD := float64(m.Total()) / float64(arena.Len())
 	fallback := math.Min(maxD, 2*avgD+float64(l*n))
 	// Lines 1-2: the grid is saturated; every vehicle can reach everywhere.

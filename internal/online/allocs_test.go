@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/demand"
 	"repro/internal/grid"
@@ -140,32 +141,84 @@ func TestWarmResetEpisodeAllocs(t *testing.T) {
 	}
 }
 
-// TestNewRunnerAllocsFlat pins that building a runner on a shared partition
-// takes a near-constant number of allocations, whatever the arena size and
-// scheduler: the vehicles live in one slab with their engines embedded, each
-// engine floods the partition's own neighbor row, and no closure is built
-// per vehicle. What growth remains is the network's node table doubling.
-func TestNewRunnerAllocsFlat(t *testing.T) {
-	const ceiling = 24
-	for _, side := range []int{8, 16, 32} {
-		arena := grid.MustNew(side, side)
-		part, err := NewPartition(arena, 4)
-		if err != nil {
+// leastMallocs runs f five times and returns the least object count and
+// the least byte count one run allocated, read from runtime.MemStats: a
+// garbage collection that starts during a run allocates in the runtime
+// too, so the least run is the one f alone accounts for.
+func leastMallocs(f func()) (objects, bytes uint64) {
+	objects, bytes = math.MaxUint64, math.MaxUint64
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return objects, bytes
+}
+
+// newRunnerCost measures NewRunner on a shared side x side partition with
+// cube side 4.
+func newRunnerCost(t *testing.T, side, shards int) (objects, bytes uint64) {
+	t.Helper()
+	arena := grid.MustNew(side, side)
+	part, err := NewPartition(arena, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return leastMallocs(func() {
+		if _, err := NewRunner(Options{
+			Arena: arena, Partition: part, Capacity: 24, Seed: 1, SimShards: shards,
+		}); err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{0, 1, 1000} {
-			got := testing.AllocsPerRun(3, func() {
-				if _, err := NewRunner(Options{
-					Arena: arena, Partition: part, Capacity: 24, Seed: 1, SimShards: shards,
-				}); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if got > ceiling {
-				t.Errorf("%dx%d, SimShards %d: NewRunner allocated %.0f objects, ceiling %d",
-					side, side, shards, got, ceiling)
+	})
+}
+
+// TestNewRunnerAllocsFlat pins that building a runner on a shared partition
+// takes the same allocations whatever the arena size: the Runner, the
+// network with its random source and its node table (sized once), the
+// vehicle slab with the engines embedded, and the three pair tables; sealed
+// rounds add the per-cell stream table. No closure or slice is built per
+// vehicle: each engine floods the row its vehicle reads from the partition.
+func TestNewRunnerAllocsFlat(t *testing.T) {
+	runtime.GC() // start the runtime's mark workers outside any count
+	for _, side := range []int{8, 16, 32, 64} {
+		for _, tc := range []struct{ shards, want int }{{0, 8}, {1, 9}, {1000, 9}} {
+			if got, _ := newRunnerCost(t, side, tc.shards); got != uint64(tc.want) {
+				t.Errorf("%dx%d, SimShards %d: NewRunner allocated %d objects, want %d",
+					side, side, tc.shards, got, tc.want)
 			}
 		}
+	}
+}
+
+// TestNewRunnerAllocBytesPerCell bounds what a runner built on a shared
+// partition costs per arena cell: a 160-byte vehicle, a 56-byte node-table
+// entry, the pair tables and, under sealed rounds, an 8-byte stream state,
+// with the network's fixed generator state spread over the cells.
+func TestNewRunnerAllocBytesPerCell(t *testing.T) {
+	const ceiling = 250
+	runtime.GC()
+	for _, side := range []int{32, 64} {
+		for _, shards := range []int{0, 1} {
+			_, bytes := newRunnerCost(t, side, shards)
+			if perCell := float64(bytes) / float64(side*side); perCell > ceiling {
+				t.Errorf("%dx%d, SimShards %d: NewRunner allocated %.1f bytes per cell, ceiling %d",
+					side, side, shards, perCell, ceiling)
+			}
+		}
+	}
+}
+
+// TestVehicleLayout pins the vehicle at 160 bytes, the slab's per-cell
+// share of a runner: 256 of them fill a 16x16 arena's 40,960-byte slab
+// exactly, where 168 would round it up to 49,152. A field added out of
+// place, or one grown back to a word, fails here.
+func TestVehicleLayout(t *testing.T) {
+	if got := unsafe.Sizeof(vehicle{}); got > 160 {
+		t.Errorf("vehicle is %d bytes, want at most 160", got)
 	}
 }
 

@@ -414,6 +414,43 @@ func TestGossipFanoutLimitsTraffic(t *testing.T) {
 	}
 }
 
+// TestResetEpisodeFanoutReachesNextSearch pins that a gossip search reads
+// its fanout from the vehicle at every flood, which answers with the
+// episode's GossipFanout: one pooled runner re-armed through fanouts 0, 1,
+// 3, 1 and 0 replays each episode exactly as a fresh runner at that fanout
+// does, and fanout 1 delivers fewer messages than the full flood, so a
+// fanout held over from an earlier episode would show.
+func TestResetEpisodeFanoutReachesNextSearch(t *testing.T) {
+	arena, seq := hotPointSeq(60)
+	opts := Options{Arena: arena, CubeSide: 8, Capacity: 24, Seed: 1, Search: SearchGossip}
+	r := mustRunner(t, opts)
+	byFanout := map[int]*Result{}
+	for i, fanout := range []int{0, 1, 3, 1, 0} {
+		opts.GossipFanout = fanout
+		if i > 0 {
+			if err := r.ResetEpisode(opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := r.Run(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPairOwnership(t, r)
+		want, err := runOwned(t, opts, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Searches == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("episode %d at fanout %d: pooled runner %+v, fresh runner %+v", i, fanout, got, want)
+		}
+		byFanout[fanout] = got
+	}
+	if full, one := byFanout[0].Messages, byFanout[1].Messages; one >= full {
+		t.Errorf("fanout 1 delivered %d messages, full flood %d: the fanout did not reach the search", one, full)
+	}
+}
+
 // --- satellite 3: all four failure modes stacked ----------------------------
 
 // stackedOptions exercises crash-initiate, crash-schedule, crash-wearout,

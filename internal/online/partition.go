@@ -10,6 +10,7 @@ package online
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/grid"
 	"repro/internal/sim"
@@ -44,12 +45,21 @@ type Partition struct {
 	cubeSide int
 
 	pairs   []Pair
-	pairIdx []int32        // arena index -> pair index
-	commIdx [][]sim.NodeID // arena index -> same-cube cells within distance 2
+	pairIdx []int32 // arena index -> pair index
+	// comm holds every cell's communication row (its same-cube cells
+	// within distance 2, as node ids) back to back, cube by cube and within
+	// a cube in snake order; rows[idx] locates the row of the cell with
+	// arena index idx in it.
+	comm []sim.NodeID
+	rows []rowSpan
 	// Pair ids are contiguous per cube: cube c holds pair ids cubeStart[c]
 	// to cubeStart[c+1]-1, in snake order.
 	cubeStart []int32
 }
+
+// rowSpan locates one communication row in Partition.comm: n entries from
+// off, in 8 bytes where a slice header takes 24.
+type rowSpan struct{ off, n int32 }
 
 // NewPartition decomposes the arena into its side-s tiles, pairs each
 // tile's cells along a boustrophedon (snake) walk — consecutive snake cells
@@ -58,9 +68,10 @@ type Partition struct {
 // are neighbors (Section 3.2's "constant distance... we use 2 here").
 //
 // Every table is sized before it is filled, so a build takes the same
-// handful of allocations on any arena: the communication rows are capped
-// sub-slices of one backing array, and the snake walk reuses one buffer
-// sized for the largest cube.
+// handful of allocations on any arena: the communication rows are spans of
+// one backing array, and the snake walk reuses one buffer sized for the
+// largest cube. A partition with 2^31 or more links in its communication
+// graph, past what a span can address, is refused.
 func NewPartition(arena *grid.Grid, cubeSide int) (*Partition, error) {
 	if arena == nil {
 		return nil, fmt.Errorf("online: partition needs an arena")
@@ -70,11 +81,15 @@ func NewPartition(arena *grid.Grid, cubeSide int) (*Partition, error) {
 	}
 	p := &Partition{arena: arena, cubeSide: cubeSide}
 	cubes, pairs, links, maxVol := p.tableSizes()
+	if links > math.MaxInt32 {
+		return nil, fmt.Errorf("online: %d communication links at cube side %d, past the %d a partition holds",
+			links, cubeSide, math.MaxInt32)
+	}
 	p.pairs = make([]Pair, 0, pairs)
 	p.pairIdx = make([]int32, arena.Len())
-	p.commIdx = make([][]sim.NodeID, arena.Len())
+	p.comm = make([]sim.NodeID, 0, links)
+	p.rows = make([]rowSpan, arena.Len())
 	p.cubeStart = make([]int32, cubes+1)
-	comm := make([]sim.NodeID, 0, links)   // backing of every commIdx row
 	cells := make([]grid.Point, 0, maxVol) // one cube's snake walk
 	for c := range cubes {
 		cube, _ := arena.Tile(cubeSide, c)
@@ -100,15 +115,16 @@ func NewPartition(arena *grid.Grid, cubeSide int) (*Partition, error) {
 		p.cubeStart[c+1] = int32(len(p.pairs))
 		// Communication graph: same-cube cells within L1 distance 2, in snake
 		// order (the order is part of the deterministic message schedule), as
-		// node ids. Each runner's search engines flood these rows directly.
+		// node ids. Each runner's vehicles hand these rows to their search
+		// engines as they are, without a copy.
 		for _, a := range cells {
-			start := len(comm)
+			start := len(p.comm)
 			for _, b := range cells {
 				if a != b && grid.Manhattan(a, b) <= 2 {
-					comm = append(comm, sim.NodeID(arena.Index(b)))
+					p.comm = append(p.comm, sim.NodeID(arena.Index(b)))
 				}
 			}
-			p.commIdx[arena.Index(a)] = comm[start:len(comm):len(comm)]
+			p.rows[arena.Index(a)] = rowSpan{off: int32(start), n: int32(len(p.comm) - start)}
 		}
 	}
 	return p, nil
@@ -177,6 +193,14 @@ func snakeOrder(dst []grid.Point, b grid.Box) []grid.Point {
 		dst = append(dst, pt)
 	}
 	return dst
+}
+
+// commRow returns the communication row of the cell whose arena index (and
+// node id) is id, capped at its length (shared; callers must not mutate
+// it).
+func (p *Partition) commRow(id sim.NodeID) []sim.NodeID {
+	r := p.rows[id]
+	return p.comm[r.off : r.off+r.n : r.off+r.n]
 }
 
 // Pairs returns the pair table (shared slice; callers must not mutate).

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -118,7 +119,7 @@ func TestCommGraphWithinCubeAndConnected(t *testing.T) {
 	}
 	for idx := int64(0); idx < arena.Len(); idx++ {
 		cell := arena.PointAt(idx)
-		for _, nb := range part.commIdx[idx] {
+		for _, nb := range part.commRow(sim.NodeID(idx)) {
 			if d := grid.Manhattan(cell, arena.PointAt(int64(nb))); d < 1 || d > 2 {
 				t.Errorf("neighbor %d of %v at distance %d", nb, cell, d)
 			}
@@ -133,7 +134,7 @@ func TestCommGraphWithinCubeAndConnected(t *testing.T) {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range part.commIdx[cur] {
+		for _, nb := range part.commRow(cur) {
 			if !visited[nb] {
 				visited[nb] = true
 				queue = append(queue, nb)
@@ -402,7 +403,8 @@ func checkMatchesReference(t *testing.T, arena *grid.Grid, sides ...int) {
 			}
 		}
 		links := 0
-		for i, row := range got.commIdx {
+		for i := range want.commIdx {
+			row := got.commRow(sim.NodeID(i))
 			if !slices.Equal(row, want.commIdx[i]) || cap(row) != len(row) {
 				t.Fatalf("%s: comm row %d is %v (cap %d), reference %v",
 					name, i, row, cap(row), want.commIdx[i])
@@ -439,10 +441,21 @@ func TestPartitionMatchesReferenceWalk(t *testing.T) {
 	}
 }
 
+// TestNewPartitionRefusesTooManyLinks pins the span limit: one 20000x20000
+// cube has about 4.8e9 communication links, past the 2^31 a row's 32-bit
+// offset addresses, and NewPartition refuses it from its closed-form
+// count, before it allocates a table.
+func TestNewPartitionRefusesTooManyLinks(t *testing.T) {
+	arena := grid.MustNew(20000, 20000)
+	if p, err := NewPartition(arena, 20000); err == nil || !strings.Contains(err.Error(), "communication links") {
+		t.Fatalf("NewPartition = %v, %v; want the link-count refusal", p, err)
+	}
+}
+
 // TestNewPartitionAllocsFlat pins that building a partition takes the same
 // number of allocations on any arena: every table is sized up front, rows
-// are sub-slices of one backing array, and the snake walk reuses one
-// buffer. Seven is the partition itself and its six slices.
+// are spans of one backing array, and the snake walk reuses one buffer.
+// Seven is the partition itself and its six slices.
 func TestNewPartitionAllocsFlat(t *testing.T) {
 	const ceiling = 7
 	// The first collection in a process starts the runtime's mark worker

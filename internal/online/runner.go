@@ -144,7 +144,7 @@ type Runner struct {
 	net  *sim.Network
 
 	// vehicles is one slab indexed by arena index (= sim.NodeID). It is
-	// never resized: the network and every engine's Host point into it.
+	// never resized: the network's node table points into it.
 	vehicles   []vehicle
 	pairActive []sim.NodeID // pair -> node currently responsible
 	// pendingReplace guards against duplicate concurrent searches per pair.
@@ -159,7 +159,7 @@ type Runner struct {
 	evidence bool
 	// pairDownAt tracks replacement latency: the arrival index at which a
 	// pair first lost a job (-1 while healthy), settled by noteRestored.
-	pairDownAt []int
+	pairDownAt []int32
 
 	// res accumulates the episode's outcome; Run returns a copy with
 	// Messages and Failures filled in. failures collects the episode's
@@ -275,11 +275,11 @@ func NewRunner(opts Options) (*Runner, error) {
 	pairs := len(part.Pairs())
 	r := &Runner{
 		part:           part,
-		net:            sim.NewNetwork(opts.Seed),
+		net:            sim.NewNetwork(opts.Seed, int(opts.Arena.Len())),
 		vehicles:       make([]vehicle, opts.Arena.Len()),
 		pairActive:     make([]sim.NodeID, pairs),
 		pendingReplace: make([]bool, pairs),
-		pairDownAt:     make([]int, pairs),
+		pairDownAt:     make([]int32, pairs),
 	}
 	for idx := range r.vehicles {
 		v := &r.vehicles[idx]
@@ -287,9 +287,6 @@ func NewRunner(opts Options) (*Runner, error) {
 		if part.pairIdx[idx] < 0 {
 			return nil, fmt.Errorf("online: cell %v not covered by partition", v.home)
 		}
-		// The engine floods the partition's own neighbor row.
-		v.ds.Host = v
-		v.ds.Neighbors = part.commIdx[idx]
 		if err := r.net.Add(v.id, v); err != nil {
 			return nil, err
 		}
@@ -302,13 +299,13 @@ func NewRunner(opts Options) (*Runner, error) {
 
 // arm validates opts and then re-arms every episode-scoped piece of the
 // runner for it: it densifies the failure model and the fleet into vehicle
-// fields and the dead-event list, sets each engine's fanout, resets the
-// network, and restores the initial state — vehicle positions, working
-// states, energy, engines, the pair-ownership tables, the dead-event cursor
-// and all counters. NewRunner, Reset and ResetEpisode all end here, which is
-// what makes a reset run bit-for-bit identical to a fresh one. Nothing
-// changes before validation passes, so a rejected episode leaves the runner
-// as it was. The geometry is the callers' to check.
+// fields and the dead-event list, resets the network, and restores the
+// initial state — vehicle positions, working states, energy, engines, the
+// pair-ownership tables, the dead-event cursor and all counters. NewRunner,
+// Reset and ResetEpisode all end here, which is what makes a reset run
+// bit-for-bit identical to a fresh one. Nothing changes before validation
+// passes, so a rejected episode leaves the runner as it was. The geometry is
+// the callers' to check.
 func (r *Runner) arm(opts Options) error {
 	if err := checkCapacity(opts.Capacity); err != nil {
 		return err
@@ -337,7 +334,6 @@ func (r *Runner) arm(opts Options) error {
 		v.failInitiate = model.FailInitiate[v.home]
 		v.byzantine = model.Byzantine[v.home]
 		v.applyClass(opts.Fleet, r.part)
-		v.ds.Fanout = opts.GossipFanout
 		v.ds.Reset()
 		v.pos = v.home
 		v.used = 0
@@ -347,7 +343,7 @@ func (r *Runner) arm(opts Options) error {
 			v.state = Dead // broken from the start (p_i = 0)
 		}
 		v.searchPair = 0
-		v.searchDest = grid.Point{}
+		v.searchDest = 0
 		v.heard, v.accused = false, false
 	}
 	// Activate the service vertex of every pair; fall back to the white
@@ -385,7 +381,7 @@ func (r *Runner) noteRestored(pairID int) {
 	if r.pairDownAt[pairID] < 0 {
 		return
 	}
-	r.res.ReplaceLatencySum += int64(r.currentArrival - r.pairDownAt[pairID] + 1)
+	r.res.ReplaceLatencySum += int64(r.currentArrival - int(r.pairDownAt[pairID]) + 1)
 	r.res.ReplaceLatencyCount++
 	r.pairDownAt[pairID] = -1
 }
@@ -413,8 +409,8 @@ func (r *Runner) Reset(capacity float64, seed int64) error {
 // requires a new Runner, which is exactly the rebuild-vs-reset split the
 // sweep layer's Pool keys on. A different Partition of the same geometry is
 // accepted, but the runner keeps its own: a Partition is a deterministic
-// function of arena and cube side, and the engines' neighbor rows point into
-// the runner's. After a successful ResetEpisode the runner behaves
+// function of arena and cube side, and the vehicles read their neighbor rows
+// from the runner's. After a successful ResetEpisode the runner behaves
 // bit-for-bit like NewRunner(opts); on error the runner is left unchanged.
 func (r *Runner) ResetEpisode(opts Options) error {
 	if opts.Arena != r.opts.Arena {
@@ -528,7 +524,7 @@ func (r *Runner) play(seq *demand.Sequence, stopAtFailure bool) error {
 			r.pairDownAt[pairID] = -1
 		} else {
 			if r.pairDownAt[pairID] < 0 {
-				r.pairDownAt[pairID] = i
+				r.pairDownAt[pairID] = int32(i)
 			}
 			if r.evidence && r.opts.Monitoring {
 				// The customer complaint channel: the job's customer was

@@ -11,7 +11,7 @@ import (
 // WorkState is the working state S1 of thesis Section 3.2.1, extended with
 // the Dead state of Section 3.2.5 (a broken vehicle that can no longer
 // process jobs but still relays messages).
-type WorkState int
+type WorkState uint8
 
 // Working states.
 const (
@@ -71,33 +71,29 @@ const serveCost = 2.0
 // vehicle is one depot's vehicle: a sim.Process whose node id equals its
 // home cell's arena index, and the diffuse.Host of its own search engine.
 // Its position changes when it replaces a done vehicle; its network identity
-// does not (the radio stays with the robot).
+// does not (the radio stays with the robot). The fields are ordered so that
+// they pack into 160 bytes, 256 of which fill a 16x16 arena's slab to the
+// byte.
 type vehicle struct {
 	r    *Runner
 	id   sim.NodeID
 	home grid.Point
+	pos  grid.Point
 
-	pos    grid.Point
-	state  WorkState
-	used   float64
-	pairID int // pair currently served (valid when Active) or home pair
-
-	// ds is the Phase I/II search engine, held by value. Its neighbors are
-	// the partition's communication row for this cell and its fanout is the
+	// ds is the Phase I/II search engine's protocol state, held by value.
+	// The vehicle passes itself to it as its host, answering Neighbors with
+	// the partition's communication row for this cell and Fanout with the
 	// episode's GossipFanout, so one engine serves both SearchDiffuse
 	// (fanout 0) and SearchGossip, and a pooled runner can flip protocols
 	// per ResetEpisode.
 	ds diffuse.Engine
 
-	// failInitiate simulates Section 3.2.5 scenario 2: on exhaustion the
-	// vehicle silently fails to start its replacement search.
-	failInitiate bool
+	used   float64
+	pairID int // pair currently served (valid when Active) or home pair
+
 	// longevity is the Chapter 4 breakdown fraction p_i: the vehicle dies
 	// once used >= longevity * capacity. 1 means it never breaks.
 	longevity float64
-	// byzantine marks the FailureModel's lying casualties: once dead, the
-	// vehicle keeps emitting Existing beacons as if it were healthy.
-	byzantine bool
 	// stepCost / jobCost / capMult are the densified VehicleClass
 	// multipliers (all exactly 1.0 for the uniform fleet, which keeps the
 	// classed arithmetic bit-identical to the historical constants).
@@ -106,10 +102,25 @@ type vehicle struct {
 	capMult  float64
 	// searchPair is the pair the in-flight search is recruiting for (the
 	// vehicle may initiate on behalf of a watched pair, not only its own);
-	// searchDest is where the recruit will be sent.
+	// searchDest is the arena index of where the recruit will be sent, the
+	// word the Phase II payload carries.
 	searchPair int
-	searchDest grid.Point
+	searchDest uint32
 
+	// reason is the last stateReason this vehicle built and reasonState the
+	// state it names, so a vehicle that keeps losing jobs in one state
+	// builds its text once. The text depends only on the home cell, which
+	// never changes, so the cache outlives Reset and ResetEpisode.
+	reason      string
+	reasonState WorkState
+
+	state WorkState
+	// failInitiate simulates Section 3.2.5 scenario 2: on exhaustion the
+	// vehicle silently fails to start its replacement search.
+	failInitiate bool
+	// byzantine marks the FailureModel's lying casualties: once dead, the
+	// vehicle keeps emitting Existing beacons as if it were healthy.
+	byzantine bool
 	// heard and accused are the watcher's state for this round: a beacon
 	// (msgExisting) and a customer complaint (msgEvidence) arrived for the
 	// one pair it watches. Both messages are addressed to
@@ -117,13 +128,6 @@ type vehicle struct {
 	// each names WatchedPair(pairID). Beacon presence clears nothing here —
 	// evidence outranks beacons.
 	heard, accused bool
-
-	// reason is the last stateReason this vehicle built and reasonState the
-	// state it names, so a vehicle that keeps losing jobs in one state
-	// builds its text once. The text depends only on the home cell, which
-	// never changes, so the cache outlives Reset and ResetEpisode.
-	reasonState WorkState
-	reason      string
 }
 
 var (
@@ -155,7 +159,7 @@ func (v *vehicle) capacity() float64 { return v.r.opts.Capacity * v.capMult }
 func (v *vehicle) reserveCost() float64 { return v.stepCost + v.jobCost }
 
 func (v *vehicle) OnMessage(ctx *sim.Context, from sim.NodeID, msg sim.Msg) {
-	if v.ds.Handle(ctx, from, msg) {
+	if v.ds.Handle(v, ctx, from, msg) {
 		return
 	}
 	switch msg.Kind {
@@ -244,10 +248,19 @@ func (v *vehicle) startReplacementSearch(ctx sim.Sender, pairID int, dest grid.P
 	v.r.pendingReplace[pairID] = true
 	v.searchPair = pairID
 	v.r.res.Searches++
-	v.searchDest = dest
+	v.searchDest = uint32(v.r.opts.Arena.Index(dest))
 	v.r.emit(Event{Kind: EventSearch, Vehicle: v.home, Pos: dest, Energy: v.used, Pair: pairID})
-	v.ds.StartSearch(ctx)
+	v.ds.StartSearch(v, ctx)
 }
+
+// Neighbors implements diffuse.Host: the partition's communication row for
+// this vehicle's home cell.
+func (v *vehicle) Neighbors() []sim.NodeID { return v.r.part.commRow(v.id) }
+
+// Fanout implements diffuse.Host: the episode's GossipFanout, one value for
+// every vehicle (0, a full flood, unless the search protocol is
+// SearchGossip).
+func (v *vehicle) Fanout() int { return v.r.opts.GossipFanout }
 
 // IsCandidate implements diffuse.Host: an idle vehicle that can afford one
 // more job before it breaks answers a search.
@@ -264,12 +277,11 @@ func (v *vehicle) OnComplete(ctx sim.Sender, seq int, found bool) {
 	if !found {
 		v.r.pendingReplace[pairID] = false
 		v.r.res.SearchFailures++
-		v.r.emit(Event{Kind: EventSearchFail, Vehicle: v.home, Pos: v.searchDest, Energy: v.used,
-			Pair: pairID})
+		v.r.emit(Event{Kind: EventSearchFail, Vehicle: v.home,
+			Pos: v.r.opts.Arena.PointAt(int64(v.searchDest)), Energy: v.used, Pair: pairID})
 		return
 	}
-	destIdx := uint32(v.r.opts.Arena.Index(v.searchDest))
-	if err := v.ds.ForwardPayload(ctx, seq, diffuse.Payload{A: destIdx, B: uint32(pairID)}); err != nil {
+	if err := v.ds.ForwardPayload(ctx, seq, diffuse.Payload{A: v.searchDest, B: uint32(pairID)}); err != nil {
 		v.r.failf("vehicle %v: forward payload: %v", v.home, err)
 	}
 }

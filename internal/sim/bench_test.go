@@ -18,7 +18,7 @@ func BenchmarkMessageThroughput(b *testing.B) {
 	const ring = 64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		n := NewNetwork(1)
+		n := NewNetwork(1, 0)
 		for j := 0; j < ring; j++ {
 			if err := n.Add(NodeID(j), relay{next: NodeID((j + 1) % ring)}); err != nil {
 				b.Fatal(err)
@@ -57,7 +57,7 @@ func (p *benchFlood) OnMessage(ctx *Context, _ NodeID, msg Msg) {
 
 func buildBenchFlood(b *testing.B, w, h int, seed int64) *Network {
 	b.Helper()
-	n := NewNetwork(seed)
+	n := NewNetwork(seed, 0)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			id := NodeID(y*w + x)
@@ -112,7 +112,7 @@ func BenchmarkShardedFloodWarm(b *testing.B) {
 // per-round barrier cost is amortized over almost nothing.
 func BenchmarkShardedRingWarm(b *testing.B) {
 	const ring = 64
-	n := NewNetwork(1)
+	n := NewNetwork(1, 0)
 	for j := 0; j < ring; j++ {
 		if err := n.Add(NodeID(j), relay{next: NodeID((j + 1) % ring)}); err != nil {
 			b.Fatal(err)
@@ -140,7 +140,7 @@ func BenchmarkShardedRingWarm(b *testing.B) {
 // retained ring buffers, so a warm episode performs zero allocations.
 func BenchmarkMessageThroughputWarm(b *testing.B) {
 	const ring = 64
-	n := NewNetwork(1)
+	n := NewNetwork(1, 0)
 	for j := 0; j < ring; j++ {
 		if err := n.Add(NodeID(j), relay{next: NodeID((j + 1) % ring)}); err != nil {
 			b.Fatal(err)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -12,7 +13,7 @@ import (
 // drains and refills must occupy exactly one ready slot while nonempty and
 // none while empty.
 func TestReadyListExactUnderDrainRefill(t *testing.T) {
-	n := NewNetwork(17)
+	n := NewNetwork(17, 0)
 	a, b := &silentProc{}, &silentProc{}
 	if err := n.Add(0, a); err != nil {
 		t.Fatal(err)
@@ -59,7 +60,7 @@ func (r *reEnqueuer) OnMessage(ctx *Context, from NodeID, msg Msg) {
 }
 
 func TestDrainRefillWithinStep(t *testing.T) {
-	n := NewNetwork(3)
+	n := NewNetwork(3, 0)
 	p := &reEnqueuer{budget: 25}
 	if err := n.Add(0, p); err != nil {
 		t.Fatal(err)
@@ -88,7 +89,7 @@ func (badSender) OnMessage(ctx *Context, _ NodeID, _ Msg) {
 // with an empty ready list, Run must report the bad send instead of
 // declaring quiescence.
 func TestBadSendSurfacesAtStepBudget(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, 0)
 	if err := n.Add(0, badSender{}); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestBadSendSurfacesAtStepBudget(t *testing.T) {
 		t.Fatal("exhausted budget with a dropped send must error, not quiesce")
 	}
 	// And with budget to spare the next Step reports it too.
-	n2 := NewNetwork(1)
+	n2 := NewNetwork(1, 0)
 	if err := n2.Add(0, badSender{}); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestBadSendSurfacesAtStepBudget(t *testing.T) {
 // TestRingBufferWrap pushes enough traffic through one link to force the
 // ring buffer to wrap and grow several times while preserving FIFO order.
 func TestRingBufferWrap(t *testing.T) {
-	n := NewNetwork(8)
+	n := NewNetwork(8, 0)
 	sink := &silentProc{}
 	if err := n.Add(0, sink); err != nil {
 		t.Fatal(err)
@@ -152,6 +153,67 @@ func TestLinkQueueIsOneCacheLine(t *testing.T) {
 	}
 }
 
+// TestSizedNodeTableAllocs pins NewNetwork's node count: registering every
+// node of a network built for them allocates nothing (the table used to
+// grow by doubling), and an id past the table still registers.
+func TestSizedNodeTableAllocs(t *testing.T) {
+	const w, h, runs = 8, 6, 3
+	runtime.GC() // start the runtime's mark workers outside the count
+	nets := make([]*Network, 0, runs+1)
+	for range runs + 1 {
+		nets = append(nets, NewNetwork(42, w*h))
+	}
+	procs := floodProcs(w, h, make([][]deliveryRecord, w*h))
+	if got := testing.AllocsPerRun(runs, func() {
+		n := nets[0]
+		nets = nets[1:]
+		for id, p := range procs {
+			if err := n.Add(NodeID(id), p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); got != 0 {
+		t.Errorf("registering %d nodes on a network built for them allocated %.0f objects, want 0", w*h, got)
+	}
+
+	n := NewNetwork(1, 4)
+	if err := n.Add(9, &silentProc{}); err != nil || !n.known(9) {
+		t.Errorf("id 9 on a 4-node table: err %v, known %v", err, n.known(9))
+	}
+}
+
+// TestSizedNodeTableMatchesGrown pins that the node count changes no
+// schedule: under both schedulers a network built for its nodes delivers
+// the standard flood exactly as one whose table grew during registration.
+func TestSizedNodeTableMatchesGrown(t *testing.T) {
+	const w, h = 8, 6
+	for _, sealed := range []bool{false, true} {
+		var logs [2][][]deliveryRecord
+		var delivered [2]int64
+		for k, nodes := range []int{0, w * h} {
+			logs[k] = make([][]deliveryRecord, w*h)
+			n := NewNetwork(42, nodes)
+			for id, p := range floodProcs(w, h, logs[k]) {
+				if err := n.Add(NodeID(id), p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := n.SetSealed(sealed); err != nil {
+				t.Fatal(err)
+			}
+			floodInject(n, w*h)
+			if err := n.Run(200_000); err != nil {
+				t.Fatal(err)
+			}
+			delivered[k] = n.Delivered()
+		}
+		if delivered[0] != delivered[1] {
+			t.Fatalf("sealed %v: sized network delivered %d messages, grown one %d", sealed, delivered[1], delivered[0])
+		}
+		diffLogs(t, fmt.Sprintf("sealed %v, sized table", sealed), logs[0], logs[1])
+	}
+}
+
 // burster answers a kick (any kindPing) with a burst of three tokens to each
 // of its torus neighbours and swallows everything else.
 type burster struct{ nbrs [4]NodeID }
@@ -177,7 +239,7 @@ func firstContactAllocs(t *testing.T, side int, sealed bool) float64 {
 	const runs = 3
 	nets := make([]*Network, 0, runs+1)
 	for range runs + 1 {
-		n := NewNetwork(5)
+		n := NewNetwork(5, 0)
 		for y := range side {
 			for x := range side {
 				b := &burster{nbrs: [4]NodeID{

@@ -9,7 +9,7 @@ import (
 // bit-for-bit identically to a freshly built one with the same seed.
 func TestResetIdenticalToFresh(t *testing.T) {
 	build := func() (*Network, []*chainProc) {
-		n := NewNetwork(3)
+		n := NewNetwork(3, 0)
 		const hops = 50
 		procs := make([]*chainProc, hops)
 		for i := 0; i < hops; i++ {
@@ -53,7 +53,7 @@ func TestResetIdenticalToFresh(t *testing.T) {
 // TestResetMidFlight drops pending messages: a network reset while messages
 // are still queued comes back clean and reusable.
 func TestResetMidFlight(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, 0)
 	sink := &silentProc{}
 	if err := n.Add(0, sink); err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestResetMidFlight(t *testing.T) {
 // TestResetAfterStepLimit recovers from a livelocked run: the spinning
 // traffic is discarded and the network serves fresh traffic again.
 func TestResetAfterStepLimit(t *testing.T) {
-	n := NewNetwork(5)
+	n := NewNetwork(5, 0)
 	if err := n.Add(1, loopProc{}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestResetAfterStepLimit(t *testing.T) {
 
 // TestResetAfterBadSend clears the latched send error.
 func TestResetAfterBadSend(t *testing.T) {
-	n := NewNetwork(7)
+	n := NewNetwork(7, 0)
 	if err := n.Add(0, &silentProc{}); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestResetAfterBadSend(t *testing.T) {
 // no allocations in the sim layer.
 func TestResetReusesStorage(t *testing.T) {
 	const ring = 16
-	n := NewNetwork(1)
+	n := NewNetwork(1, 0)
 	for j := 0; j < ring; j++ {
 		if err := n.Add(NodeID(j), relay{next: NodeID((j + 1) % ring)}); err != nil {
 			t.Fatal(err)

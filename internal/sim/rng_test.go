@@ -16,8 +16,8 @@ func TestIntnMatchesMathRand(t *testing.T) {
 		// NewNetwork. Reset network: the same seed restores the captured
 		// post-Seed state by copy. Both must match the reference stream
 		// exactly; TestSeedFallbackMatchesMathRand covers the fallback.
-		cold := NewNetwork(seed)
-		warm := NewNetwork(seed)
+		cold := NewNetwork(seed, 0)
+		warm := NewNetwork(seed, 0)
 		warm.Reset(seed)
 		ref := rand.New(rand.NewSource(seed))
 		refW := rand.New(rand.NewSource(seed))
@@ -45,7 +45,7 @@ func TestIntnMatchesMathRand(t *testing.T) {
 // path as its warm ones.
 func TestFreshNetworkUsesCapturedGenerator(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 20080527} {
-		n := NewNetwork(seed)
+		n := NewNetwork(seed, 0)
 		if !n.fastOK || n.pristineSeed != seed {
 			t.Fatalf("seed %d: fresh network has fastOK=%v pristineSeed=%d, want the captured generator",
 				seed, n.fastOK, n.pristineSeed)
@@ -58,7 +58,7 @@ func TestFreshNetworkUsesCapturedGenerator(t *testing.T) {
 // reseeded through rand's Seed, including after switching seeds (which
 // invalidates the copy) and switching back.
 func TestReseedMatchesSeed(t *testing.T) {
-	n := NewNetwork(1) // a different seed, so the first Reset(9) reseeds
+	n := NewNetwork(1, 0) // a different seed, so the first Reset(9) reseeds
 	stream := func(seed int64) []int {
 		n.Reset(seed)
 		out := make([]int, 50)
@@ -90,7 +90,7 @@ type hiddenSource struct{ rand.Source }
 // takes when generator capture fails: across repeated and switched seeds,
 // every draw must match a freshly seeded math/rand stream.
 func TestSeedFallbackMatchesMathRand(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, 0)
 	n.src = hiddenSource{rand.NewSource(1)}
 	ks := []int{1, 3, 2, 5, 7, 6, 100, 64, 63, 1000, 999}
 	for _, seed := range []int64{9, 9, 3, 9} {

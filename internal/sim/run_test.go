@@ -33,7 +33,7 @@ func (r recordingRelay) OnMessage(ctx *Context, from NodeID, msg Msg) {
 func buildRecordedRing(t *testing.T, log *[]deliveryRecord) *Network {
 	t.Helper()
 	const ring = 16
-	n := NewNetwork(11)
+	n := NewNetwork(11, 0)
 	for j := 0; j < ring; j++ {
 		if err := n.Add(NodeID(j), recordingRelay{log: log, next: NodeID((j + 1) % ring)}); err != nil {
 			t.Fatal(err)
@@ -107,7 +107,7 @@ func TestRunMatchesStepByStep(t *testing.T) {
 // growth, no ready-list growth.
 func TestWarmDeliveryAllocationFree(t *testing.T) {
 	const ring = 32
-	n := NewNetwork(9)
+	n := NewNetwork(9, 0)
 	for j := 0; j < ring; j++ {
 		if err := n.Add(NodeID(j), relay{next: NodeID((j + 1) % ring)}); err != nil {
 			t.Fatal(err)

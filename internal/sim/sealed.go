@@ -61,7 +61,11 @@ func (n *Network) SetSealed(on bool) error {
 		return nil
 	}
 	n.sealed = true
-	n.cellRNG = slices.Grow(n.cellRNG[:0], len(n.nodes))[:len(n.nodes)]
+	if cap(n.cellRNG) < len(n.nodes) {
+		// One plain make: slices.Grow builds a temporary under -race.
+		n.cellRNG = make([]uint64, len(n.nodes))
+	}
+	n.cellRNG = n.cellRNG[:len(n.nodes)]
 	n.seedCells(0)
 	return nil
 }

@@ -36,10 +36,23 @@ func (p *floodProc) OnMessage(ctx *Context, from NodeID, msg Msg) {
 }
 
 // buildFloodGrid wires a w×h 4-neighbor torus of floodProcs whose
-// per-node logs land in logs[id].
+// per-node logs land in logs[id], registering them on a network whose node
+// table grows as they arrive.
 func buildFloodGrid(t testing.TB, w, h int, seed int64, logs [][]deliveryRecord) *Network {
 	t.Helper()
-	n := NewNetwork(seed)
+	n := NewNetwork(seed, 0)
+	for id, p := range floodProcs(w, h, logs) {
+		if err := n.Add(NodeID(id), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
+// floodProcs builds the floodProcs of a w×h 4-neighbor torus, indexed by
+// node id, whose per-node logs land in logs[id].
+func floodProcs(w, h int, logs [][]deliveryRecord) []*floodProc {
+	procs := make([]*floodProc, 0, w*h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			id := NodeID(y*w + x)
@@ -49,12 +62,10 @@ func buildFloodGrid(t testing.TB, w, h int, seed int64, logs [][]deliveryRecord)
 				NodeID(((y+1)%h)*w + x),
 				NodeID(((y+h-1)%h)*w + x),
 			}
-			if err := n.Add(id, &floodProc{id: id, nbrs: nbrs, log: &logs[id]}); err != nil {
-				t.Fatal(err)
-			}
+			procs = append(procs, &floodProc{id: id, nbrs: nbrs, log: &logs[id]})
 		}
 	}
-	return n
+	return procs
 }
 
 // floodInject injects the standard flood workload: six tokens of
@@ -238,7 +249,7 @@ func (b badSenderTo) OnMessage(ctx *Context, _ NodeID, _ Msg) {
 // too.
 func TestShardBadSend(t *testing.T) {
 	sealed := func(t *testing.T, procs ...Process) *Network {
-		n := NewNetwork(1)
+		n := NewNetwork(1, 0)
 		for id, p := range procs {
 			if err := n.Add(NodeID(id), p); err != nil {
 				t.Fatal(err)
@@ -282,7 +293,7 @@ func TestShardBadSend(t *testing.T) {
 // TestSetShardsRequiresQuiescence pins the mode-flip guard: pending
 // messages are stored differently by the two engines, so SetSealed refuses.
 func TestSetShardsRequiresQuiescence(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, 0)
 	if err := n.Add(0, &silentProc{}); err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,8 @@ import (
 )
 
 // NodeID identifies a process in the network. Ids must be non-negative and
-// should be compact (dense storage is sized by the largest id seen).
+// should be compact (dense storage is sized by NewNetwork's node count, or
+// by the largest id seen when that is larger).
 type NodeID int32
 
 // None is the null node id (used for "no parent" and similar sentinels).
@@ -143,8 +144,8 @@ func (q *linkQueue) pop() Msg {
 //
 // A link, its slot in the receiver's slot table, and its ring buffer are all
 // created on first contact between a pair of nodes. Each kind of storage is
-// carved from chunks whose length is proportional to the registered node
-// count (Network.Add sets it), so a network's first contacts take a number
+// carved from chunks whose length is proportional to the node table's
+// length (Network.Add sets it), so a network's first contacts take a number
 // of allocations that does not grow with the network. Chunks are kept across
 // Reset, like the links that point into them. A region is never handed out
 // twice: a grown slot table or ring leaves its old region unused, so a
@@ -414,11 +415,13 @@ type Network struct {
 	rings chunks[Msg]
 }
 
-// NewNetwork creates an empty network with the given determinism seed. The
+// NewNetwork creates an empty network with the given determinism seed and
+// a node table of nodes entries, allocated once: ids below nodes register
+// without growing it, and an id at or past it grows the table. The
 // generator mirror is captured here, so a fresh network draws exactly as a
 // reset one does.
-func NewNetwork(seed int64) *Network {
-	n := &Network{src: rand.NewSource(seed), curSeed: seed}
+func NewNetwork(seed int64, nodes int) *Network {
+	n := &Network{src: rand.NewSource(seed), curSeed: seed, nodes: make([]node, max(nodes, 0))}
 	n.ctx.net = n
 	n.reseed(seed)
 	return n
@@ -521,7 +524,9 @@ func (n *Network) reseed(seed int64) {
 	n.src.Seed(seed)
 }
 
-// Add registers a process under id.
+// Add registers a process under id. An id past the node table grows the
+// table, as append grows a slice; a network built for its node count never
+// grows it.
 func (n *Network) Add(id NodeID, p Process) error {
 	if p == nil {
 		return fmt.Errorf("sim: nil process for node %d", id)

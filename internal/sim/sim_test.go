@@ -36,7 +36,7 @@ func (s *silentProc) OnMessage(_ *Context, _ NodeID, msg Msg) {
 }
 
 func TestAddValidation(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, 0)
 	if err := n.Add(1, nil); err == nil {
 		t.Error("nil process should fail")
 	}
@@ -49,7 +49,7 @@ func TestAddValidation(t *testing.T) {
 }
 
 func TestInjectAndQuiesce(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, 0)
 	p := &silentProc{}
 	if err := n.Add(7, p); err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestInjectAndQuiesce(t *testing.T) {
 }
 
 func TestPingAck(t *testing.T) {
-	n := NewNetwork(2)
+	n := NewNetwork(2, 0)
 	a, b := &echoProc{}, &echoProc{}
 	if err := n.Add(1, a); err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func (c *chainProc) OnMessage(ctx *Context, _ NodeID, msg Msg) {
 
 func TestChainDeterminism(t *testing.T) {
 	run := func(seed int64) int64 {
-		n := NewNetwork(seed)
+		n := NewNetwork(seed, 0)
 		const hops = 50
 		for i := 0; i < hops; i++ {
 			next := NodeID(i + 1)
@@ -136,7 +136,7 @@ func TestChainDeterminism(t *testing.T) {
 func TestPerLinkFIFO(t *testing.T) {
 	// Two streams into one node over the same link must stay ordered even
 	// when many other links churn.
-	n := NewNetwork(99)
+	n := NewNetwork(99, 0)
 	sink := &silentProc{}
 	if err := n.Add(0, sink); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func (loopProc) OnMessage(ctx *Context, _ NodeID, msg Msg) {
 }
 
 func TestStepLimit(t *testing.T) {
-	n := NewNetwork(5)
+	n := NewNetwork(5, 0)
 	if err := n.Add(1, loopProc{}); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestStepLimit(t *testing.T) {
 }
 
 func TestUnknownRecipient(t *testing.T) {
-	n := NewNetwork(5)
+	n := NewNetwork(5, 0)
 	n.Inject(42, text(1))
 	if err := n.Run(10); err == nil {
 		t.Error("message to unknown node should error")
@@ -195,7 +195,7 @@ func TestUnknownRecipient(t *testing.T) {
 // message that only errors if the scheduler happens to draw it.
 func TestInjectUnknownLatchesDeferredError(t *testing.T) {
 	for _, bad := range []NodeID{3, -1} { // 3 was never Added
-		n := NewNetwork(5)
+		n := NewNetwork(5, 0)
 		if err := n.Add(0, &silentProc{}); err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestInjectUnknownLatchesDeferredError(t *testing.T) {
 }
 
 func TestStepOnEmptyNetwork(t *testing.T) {
-	n := NewNetwork(5)
+	n := NewNetwork(5, 0)
 	progressed, err := n.Step()
 	if err != nil || progressed {
 		t.Errorf("empty step: %v %v", progressed, err)
