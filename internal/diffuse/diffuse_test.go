@@ -454,7 +454,7 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 					f, m, wantFound, wantMsgs)
 			}
 			for i := 0; i < 3; i++ {
-				net2.Reset(11)
+				net2.Reset(11, false)
 				for _, h := range hosts2 {
 					h.eng.Reset()
 					h.completions = nil

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -298,39 +299,105 @@ func TestSweepExperimentsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSimExperimentsDeterministicAcrossShardCounts is the sealed-round
-// analogue of the worker-count pin: every simulator-backed experiment
-// renders a byte-identical table at SimShards 1, 2, 4, and 8 (the CI
-// determinism gate runs the same comparison on the full -quick output).
-// Legacy (shards=0) is a different schedule family and is NOT expected to
-// match; the default `go run ./cmd/experiments` tables stay pinned to it via
-// -shards 0.
+// TestSimExperimentsDeterministicAcrossShardCounts is the legacy-vs-sealed
+// differential test of the simulator-backed quick tables, built at
+// SimShards 0 (legacy), 1 and 8. Every value >= 1 selects the one
+// sealed-round schedule, so the tables at 1 and 8 must be byte-identical.
+// Section 3.2's model admits any fair delivery order, so legacy and sealed
+// rounds must agree on every cell except in the columns listed below, each
+// with why its value follows the delivery order. An exemption marked
+// failing holds only on rows with failures (a first cell other than "0"):
+// with nothing failing, every job is served and nothing is rescued under
+// any order.
 func TestSimExperimentsDeterministicAcrossShardCounts(t *testing.T) {
-	builders := map[string]func(shards int) (*Table, error){
-		"E7":  func(s int) (*Table, error) { return E7Online(8, 80, 13, 1, s) },
-		"E8":  func(s int) (*Table, error) { return E8Diffusion([]int{2, 6}, 17, s) },
-		"E11": func(s int) (*Table, error) { return E11Ablations(8, 80, 3, 1, s) },
-		"E13": func(s int) (*Table, error) { return E13Robustness([]float64{0, 0.5, 1}, 5, 1, s) },
-		"E14": func(s int) (*Table, error) { return E14FailureModels([]float64{0, 0.5}, 5, 1, s) },
-		"E15": func(s int) (*Table, error) { return E15GossipFidelity([]int{-1, 0, 2}, 5, 1, s) },
+	type varies struct {
+		why     string
+		failing bool
 	}
-	for id, build := range builders {
+	const recruit = "which vehicle a search recruits depends on which reply arrives first, and so do when it runs dry and the searches after it"
+	scheduleColumns := map[string]map[string]varies{
+		"E7": {
+			"measured Won": {why: "the least capacity that serves every job follows the recruits: " + recruit},
+			"Won/omega_c":  {why: "measured Won over an instance constant"},
+		},
+		"E8": {
+			"replacements":     {why: recruit},
+			"searches":         {why: "one search per replacement"},
+			"messages":         {why: "each replacement floods a search and forwards its answer along a recruit-dependent path"},
+			"msgs/replacement": {why: "messages over replacements"},
+		},
+		"E11": {
+			"msgs monitoring off": {why: "search and relocation traffic follows the recruits: " + recruit},
+			"msgs monitoring on":  {why: "the same traffic plus heartbeats"},
+			"overhead x":          {why: "the ratio of the two message counts"},
+		},
+		"E13": {
+			"served (monitoring off)": {why: "a silent failure leaves its pair down for good, and which vehicles fail and when follows the recruits", failing: true},
+			"rescues (on)":            {why: "one rescue per silent failure that occurs, which follows the recruits", failing: true},
+		},
+		"E14": {
+			"served":           {why: "a dead cell's jobs are lost until a rescue, and whether it was serving its pair when it died follows the recruits", failing: true},
+			"silent rescues":   {why: "a death needs a rescue only if the dead cell was serving its pair", failing: true},
+			"evidence rescues": {why: "a lying casualty is unmasked only after it loses a job", failing: true},
+			"mean latency":     {why: "the arrivals between a death and its rescue follow the same recruits", failing: true},
+			"replacements":     {why: "rescues plus exhaustion replacements, whose timing follows the recruits: " + recruit},
+			"messages":         {why: "search, relocation and evidence traffic follows the recruits"},
+		},
+		"E15": {
+			"served":          {why: "every row has dead cells, whose lost jobs follow the recruits"},
+			"searches":        {why: "one search per replacement: " + recruit},
+			"search failures": {why: "a gossip rumor's reach and the idle vehicles it can find follow the delivery order"},
+			"replacements":    {why: recruit},
+			"messages":        {why: "search, relocation and heartbeat-rescue traffic follows the recruits"},
+		},
+	}
+	ran, differing := 0, 0
+	for id, cols := range scheduleColumns {
 		t.Run(id, func(t *testing.T) {
-			ref, err := build(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range []int{2, 4, 8} {
-				got, err := build(s)
+			ran++
+			build := func(shards int) *Table {
+				tables, err := Some(id, true, 1, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ref.Markdown() != got.Markdown() {
-					t.Errorf("%s drifted between shards=1 and shards=%d:\n--- s=1\n%s\n--- s=%d\n%s",
-						id, s, ref.Markdown(), s, got.Markdown())
+				if len(tables) != 1 {
+					t.Fatalf("shards=%d: %d tables, want 1", shards, len(tables))
+				}
+				return tables[0]
+			}
+			legacy, sealed := build(0), build(1)
+			if got, want := build(8).Markdown(), sealed.Markdown(); got != want {
+				t.Errorf("drifted between shards=1 and shards=8:\n--- s=1\n%s\n--- s=8\n%s", want, got)
+			}
+			if legacy.Title != sealed.Title || legacy.Notes != sealed.Notes ||
+				!slices.Equal(legacy.Columns, sealed.Columns) || len(legacy.Rows) != len(sealed.Rows) {
+				t.Fatalf("legacy and sealed tables differ in shape:\n--- legacy\n%s\n--- sealed\n%s",
+					legacy.Markdown(), sealed.Markdown())
+			}
+			for name, v := range cols {
+				if !slices.Contains(legacy.Columns, name) {
+					t.Errorf("exempt column %q (%s) is not a column of %s", name, v.why, id)
+				}
+			}
+			for r, row := range legacy.Rows {
+				for c, name := range legacy.Columns {
+					got := sealed.Rows[r][c]
+					if got == row[c] {
+						continue
+					}
+					differing++
+					if v, ok := cols[name]; !ok || (v.failing && row[0] == "0") {
+						t.Errorf("row %d (%s), column %q: legacy %q, sealed %q", r, row[0], name, row[c], got)
+					}
 				}
 			}
 		})
+	}
+	// The two schedules differ on the quick tables. If no cell does,
+	// SimShards >= 1 no longer reaches sealed rounds, and the comparison
+	// above compares one schedule with itself.
+	if ran == len(scheduleColumns) && differing == 0 {
+		t.Error("legacy and sealed tables agree on every cell: SimShards >= 1 does not select sealed rounds")
 	}
 }
 
@@ -358,19 +425,22 @@ func TestE14ByzantineNeedsEvidence(t *testing.T) {
 
 // TestE15FullFloodMatchesDiffuse pins the degradation guarantee at the
 // table level: the fanout-0 gossip row equals the diffuse baseline row in
-// every measured column.
+// every measured column, under the legacy scheduler and under sealed
+// rounds.
 func TestE15FullFloodMatchesDiffuse(t *testing.T) {
-	tbl, err := E15GossipFidelity([]int{-1, 0}, 2008, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(tbl.Rows))
-	}
-	for c := 1; c < len(tbl.Rows[0]); c++ {
-		if tbl.Rows[0][c] != tbl.Rows[1][c] {
-			t.Errorf("column %d: diffuse %q vs full flood %q",
-				c, tbl.Rows[0][c], tbl.Rows[1][c])
+	for _, shards := range []int{0, 1} {
+		tbl, err := E15GossipFidelity([]int{-1, 0}, 2008, 1, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tbl.Rows) != 2 {
+			t.Fatalf("shards=%d: got %d rows, want 2", shards, len(tbl.Rows))
+		}
+		for c := 1; c < len(tbl.Rows[0]); c++ {
+			if tbl.Rows[0][c] != tbl.Rows[1][c] {
+				t.Errorf("shards=%d, column %d: diffuse %q vs full flood %q",
+					shards, c, tbl.Rows[0][c], tbl.Rows[1][c])
+			}
 		}
 	}
 }

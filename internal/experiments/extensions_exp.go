@@ -104,7 +104,7 @@ func E10Transfers(lineLens []int, d int64) (*Table, error) {
 // E11, E13, E14, E15): 0 keeps the legacy scheduler of the default
 // `go run ./cmd/experiments` tables; any value >= 1 selects the sealed-round
 // scheduler, whose tables are byte-identical for every such value — the CI
-// determinism gate diffs -shards 1/2/4/8 against each other.
+// determinism gate diffs -shards 1 against -shards 8.
 func All(quick bool, workers, shards int) ([]*Table, error) {
 	return Some("", quick, workers, shards)
 }

@@ -177,27 +177,28 @@ func newRunnerCost(t *testing.T, side, shards int) (objects, bytes uint64) {
 }
 
 // TestNewRunnerAllocsFlat pins that building a runner on a shared partition
-// takes the same allocations whatever the arena size: the Runner, the
-// network with its random source and its node table (sized once), the
-// vehicle slab with the engines embedded, and the three pair tables; sealed
-// rounds add the per-cell stream table. No closure or slice is built per
-// vehicle: each engine floods the row its vehicle reads from the partition.
+// takes the same allocations whatever the arena size and scheduler: the
+// Runner, the network with its random source and its node table (sized
+// once), the vehicle slab with the engines embedded, and the three pair
+// tables. No closure or slice is built per vehicle: each engine floods the
+// row its vehicle reads from the partition.
 func TestNewRunnerAllocsFlat(t *testing.T) {
+	const want = 8
 	runtime.GC() // start the runtime's mark workers outside any count
 	for _, side := range []int{8, 16, 32, 64} {
-		for _, tc := range []struct{ shards, want int }{{0, 8}, {1, 9}, {1000, 9}} {
-			if got, _ := newRunnerCost(t, side, tc.shards); got != uint64(tc.want) {
+		for _, shards := range []int{0, 1, 1000} {
+			if got, _ := newRunnerCost(t, side, shards); got != want {
 				t.Errorf("%dx%d, SimShards %d: NewRunner allocated %d objects, want %d",
-					side, side, tc.shards, got, tc.want)
+					side, side, shards, got, want)
 			}
 		}
 	}
 }
 
 // TestNewRunnerAllocBytesPerCell bounds what a runner built on a shared
-// partition costs per arena cell: a 160-byte vehicle, a 56-byte node-table
-// entry, the pair tables and, under sealed rounds, an 8-byte stream state,
-// with the network's fixed generator state spread over the cells.
+// partition costs per arena cell under either scheduler: a 160-byte
+// vehicle, a 56-byte node-table entry and the pair tables, with the
+// network's fixed generator state spread over the cells.
 func TestNewRunnerAllocBytesPerCell(t *testing.T) {
 	const ceiling = 250
 	runtime.GC()

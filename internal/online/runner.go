@@ -56,7 +56,7 @@ type Options struct {
 	// exhaustions, searches, moves, rescues, failures).
 	Tracer Tracer
 	// SimShards selects the message scheduler. 0 (the default) is the
-	// legacy single-stream scheduler every historical golden trace pins.
+	// legacy scheduler every historical golden trace pins.
 	// Any value >= 1 selects the sealed-round scheduler, and every such
 	// value gives the identical episode: rounds run on the calling
 	// goroutine, so the number has no further effect. The two schedulers
@@ -320,11 +320,7 @@ func (r *Runner) arm(opts Options) error {
 	r.opts = opts
 	r.deadEvents = densifyDeadEvents(r.deadEvents, opts.Arena, model.DeadBeforeArrival)
 	r.evidence = len(model.Byzantine) > 0
-	r.net.Reset(opts.Seed)
-	// Reset left nothing pending, so switching the scheduler cannot fail.
-	if err := r.net.SetSealed(opts.SimShards > 0); err != nil {
-		return err
-	}
+	r.net.Reset(opts.Seed, opts.SimShards > 0)
 	for i := range r.vehicles {
 		v := &r.vehicles[i]
 		v.longevity = 1

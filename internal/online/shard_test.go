@@ -68,9 +68,8 @@ func resultsEqual(t *testing.T, label string, a, b *Result) {
 }
 
 // TestShardedGoldenHotPoint pins the sealed-round schedule's counters on
-// the hot-point scenario at SimShards 1/2/4/8 (the CI determinism gate's
-// matrix): identical values at every setting, coinciding with the legacy
-// golden.
+// the hot-point scenario at SimShards 1/2/4/8: identical values at every
+// setting, coinciding with the legacy golden.
 func TestShardedGoldenHotPoint(t *testing.T) {
 	arena := grid.MustNew(8, 8)
 	jobs := hotPointJobs()
@@ -179,8 +178,9 @@ func TestShardedResetMatchesFresh(t *testing.T) {
 
 // TestShardedResetEpisodeFlipsScheduler pins ResetEpisode's scheduler
 // switching: legacy → sealed rounds → legacy on one pooled runner, each
-// episode reproducing its family's golden counters (the legacy source must
-// survive a sealed-round interlude untouched).
+// episode reproducing its family's golden counters. Both schedulers draw
+// from the one generator that every ResetEpisode reseeds, so a sealed-round
+// interlude must leave nothing behind for the next legacy episode.
 func TestShardedResetEpisodeFlipsScheduler(t *testing.T) {
 	arena := grid.MustNew(6, 6)
 	jobs := failureInjectionJobs()

@@ -80,13 +80,10 @@ func buildBenchFlood(b *testing.B, w, h int, seed int64) *Network {
 // protocol, different deterministic interleaving).
 func benchmarkFlood(b *testing.B, sealed bool) {
 	n := buildBenchFlood(b, 64, 64, 1)
-	if err := n.SetSealed(sealed); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Reset(1)
+		n.Reset(1, sealed)
 		for j := 0; j < 64; j++ {
 			n.Inject(NodeID(j*67%4096), token(uint32(60+j)))
 		}
@@ -118,13 +115,10 @@ func BenchmarkShardedRingWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if err := n.SetSealed(true); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Reset(1)
+		n.Reset(1, true)
 		for j := 0; j < 8; j++ {
 			n.Inject(NodeID(j*7%ring), token(1000))
 		}
@@ -149,7 +143,7 @@ func BenchmarkMessageThroughputWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Reset(1)
+		n.Reset(1, false)
 		for j := 0; j < 8; j++ {
 			n.Inject(NodeID(j*7%ring), token(1000))
 		}

@@ -198,9 +198,7 @@ func TestSizedNodeTableMatchesGrown(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := n.SetSealed(sealed); err != nil {
-				t.Fatal(err)
-			}
+			n.Reset(42, sealed)
 			floodInject(n, w*h)
 			if err := n.Run(200_000); err != nil {
 				t.Fatal(err)
@@ -251,9 +249,7 @@ func firstContactAllocs(t *testing.T, side int, sealed bool) float64 {
 				}
 			}
 		}
-		if err := n.SetSealed(sealed); err != nil {
-			t.Fatal(err)
-		}
+		n.Reset(5, sealed)
 		nets = append(nets, n)
 	}
 	// The first collection in a process starts the runtime's mark worker

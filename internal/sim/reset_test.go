@@ -39,7 +39,7 @@ func TestResetIdenticalToFresh(t *testing.T) {
 		t.Fatalf("first run delivered %d, want %d", got, want)
 	}
 	for i := 0; i < 3; i++ {
-		n.Reset(3)
+		n.Reset(3, false)
 		if n.Delivered() != 0 || n.sent != 0 || n.Pending() != 0 {
 			t.Fatalf("reset %d left counters: delivered=%d sent=%d pending=%d",
 				i, n.Delivered(), n.sent, n.Pending())
@@ -70,7 +70,7 @@ func TestResetMidFlight(t *testing.T) {
 	if n.Pending() == 0 {
 		t.Fatal("test needs pending messages before reset")
 	}
-	n.Reset(1)
+	n.Reset(1, false)
 	if n.Pending() != 0 || n.Delivered() != 0 || n.sent != 0 {
 		t.Fatalf("reset left state: pending=%d delivered=%d sent=%d",
 			n.Pending(), n.Delivered(), n.sent)
@@ -100,7 +100,7 @@ func TestResetAfterStepLimit(t *testing.T) {
 	if err := n.Run(100); !errors.Is(err, ErrStepLimit) {
 		t.Fatalf("want ErrStepLimit, got %v", err)
 	}
-	n.Reset(5)
+	n.Reset(5, false)
 	if n.Pending() != 0 {
 		t.Fatalf("reset left %d pending messages", n.Pending())
 	}
@@ -123,7 +123,7 @@ func TestResetAfterBadSend(t *testing.T) {
 	if _, err := n.Step(); err == nil {
 		t.Fatal("bad send must surface on Step")
 	}
-	n.Reset(7)
+	n.Reset(7, false)
 	n.Inject(0, text(1))
 	if err := n.Run(100); err != nil {
 		t.Fatalf("post-reset run: %v", err)
@@ -154,7 +154,7 @@ func TestResetReusesStorage(t *testing.T) {
 	}
 	drive() // size all buffers
 	allocs := testing.AllocsPerRun(10, func() {
-		n.Reset(1)
+		n.Reset(1, false)
 		drive()
 	})
 	// Messages are inline values in retained ring buffers, so a warm episode

@@ -18,7 +18,7 @@ func TestIntnMatchesMathRand(t *testing.T) {
 		// exactly; TestSeedFallbackMatchesMathRand covers the fallback.
 		cold := NewNetwork(seed, 0)
 		warm := NewNetwork(seed, 0)
-		warm.Reset(seed)
+		warm.Reset(seed, false)
 		ref := rand.New(rand.NewSource(seed))
 		refW := rand.New(rand.NewSource(seed))
 		// Sweep k in a pattern that alternates between bounds so the
@@ -60,7 +60,7 @@ func TestFreshNetworkUsesCapturedGenerator(t *testing.T) {
 func TestReseedMatchesSeed(t *testing.T) {
 	n := NewNetwork(1, 0) // a different seed, so the first Reset(9) reseeds
 	stream := func(seed int64) []int {
-		n.Reset(seed)
+		n.Reset(seed, false)
 		out := make([]int, 50)
 		for i := range out {
 			out[i] = n.intn(5)
@@ -94,7 +94,7 @@ func TestSeedFallbackMatchesMathRand(t *testing.T) {
 	n.src = hiddenSource{rand.NewSource(1)}
 	ks := []int{1, 3, 2, 5, 7, 6, 100, 64, 63, 1000, 999}
 	for _, seed := range []int64{9, 9, 3, 9} {
-		n.Reset(seed)
+		n.Reset(seed, false)
 		if n.fastOK {
 			t.Fatalf("seed %d: capture succeeded on a source without Uint64", seed)
 		}

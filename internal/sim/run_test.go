@@ -125,7 +125,7 @@ func TestWarmDeliveryAllocationFree(t *testing.T) {
 	}
 	drive() // size buffers cold
 	allocs := testing.AllocsPerRun(5, func() {
-		n.Reset(9)
+		n.Reset(9, false)
 		drive()
 	})
 	if allocs != 0 {

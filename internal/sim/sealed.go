@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"errors"
-	"math/bits"
-	"slices"
-)
+import "slices"
 
 // Sealed-round scheduler.
 //
@@ -19,101 +15,23 @@ import (
 //     barrier seals it, so it becomes deliverable in round r+1. Everything
 //     delivered within a round was sealed before the round began.
 //   - The unit of scheduling is the cell (node). Cells holding sealed
-//     messages play in ascending id order, and each cell delivers its sealed
-//     messages using its own RNG stream, derived from the episode seed and
-//     the cell id.
+//     messages play in ascending id order.
 //   - Within a cell's turn the pick discipline mirrors the legacy scheduler:
 //     a ready set of links with sealed messages, one draw per pick while more
-//     than one link is ready, swap-remove on drain. The ready set is built in
-//     sender-id order, never in link-table slot order, so the draw-to-link
-//     mapping does not depend on the order in which links were created.
+//     than one link is ready, swap-remove on drain. The draws come from the
+//     network's one generator (intn, the legacy draw), taken in cell order.
+//     The ready set is built in sender-id order, never in link-table slot
+//     order, so the draw-to-link mapping does not depend on the order in
+//     which links were created.
 //
 // Section 3.2's model asks only for per-link FIFO and arbitrary finite
 // delays; any such fair order is a valid asynchronous execution, and this is
 // one of them.
 //
-// Run, Step and the link lookup of sends and injections are shared with the
-// legacy scheduler (sim.go). Only the unit that advance plays (playRound)
-// and the queueing of a resolved link (sealedSend, sealedInject) differ.
-
-// ErrSealedPending is returned by SetSealed when the network still holds
-// undelivered messages: the legacy and sealed-round engines store pending
-// traffic differently, so the scheduler may only change while quiescent.
-var ErrSealedPending = errors.New("sim: SetSealed requires a quiescent network (pending messages exist)")
-
-// SetSealed selects the scheduler: true selects the sealed-round scheduler
-// documented above, false restores the legacy single-stream scheduler (the
-// default). The network must be quiescent. The RNG state follows the CURRENT
-// seed: selecting sealed rounds re-derives every cell stream from it, and
-// returning to legacy reseeds the legacy source with it (pass the same seed
-// to Reset to restart the episode under the new scheduler).
-func (n *Network) SetSealed(on bool) error {
-	if n.sent != n.delivered {
-		return ErrSealedPending
-	}
-	if !on {
-		if n.sealed {
-			n.sealed = false
-			// Sealed Resets leave the legacy source untouched; restore the
-			// state a legacy Reset(curSeed) would have produced.
-			n.reseed(n.curSeed)
-		}
-		return nil
-	}
-	n.sealed = true
-	if cap(n.cellRNG) < len(n.nodes) {
-		// One plain make: slices.Grow builds a temporary under -race.
-		n.cellRNG = make([]uint64, len(n.nodes))
-	}
-	n.cellRNG = n.cellRNG[:len(n.nodes)]
-	n.seedCells(0)
-	return nil
-}
-
-// seedCells derives the stream state of cells [from, len(cellRNG)) from
-// (seed, cell id): the splitmix64 finalizer over seed + (cell+1)*golden, so
-// streams are decorrelated across cells and across seeds while staying a pure
-// function of the pair.
-func (n *Network) seedCells(from int) {
-	base := uint64(n.curSeed)
-	for c := from; c < len(n.cellRNG); c++ {
-		n.cellRNG[c] = mix64(base + (uint64(c)+1)*0x9E3779B97F4A7C15)
-	}
-}
-
-// mix64 is the splitmix64 output function: a bijective avalanche mix.
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// nextCell advances one cell stream (splitmix64: golden-ratio counter plus
-// the mix). One state word per cell keeps a million-cell arena's RNG in
-// 8 MB, where mirroring the legacy 607-word lagged-Fibonacci state per cell
-// would cost 5 KB each.
-func nextCell(state *uint64) uint64 {
-	*state += 0x9E3779B97F4A7C15
-	return mix64(*state)
-}
-
-// cellIntn draws uniformly from [0, k) off one cell stream using Lemire's
-// unbiased multiply-shift (the widening multiply maps a 64-bit draw to the
-// range; the rare low-product rejection removes the bias exactly).
-func cellIntn(state *uint64, k int) int {
-	x := nextCell(state)
-	hi, lo := bits.Mul64(x, uint64(k))
-	if lo < uint64(k) {
-		t := -uint64(k) % uint64(k)
-		for lo < t {
-			x = nextCell(state)
-			hi, lo = bits.Mul64(x, uint64(k))
-		}
-	}
-	return int(hi)
-}
+// Reset selects the scheduler of the next episode. Run, Step, the generator
+// and the link lookup of sends and injections are shared with the legacy
+// scheduler (sim.go). Only the unit that advance plays (playRound) and the
+// queueing of a resolved link (sealedSend, sealedInject) differ.
 
 // sealedInject queues an external event on link q, sealed at once: it is
 // deliverable in the next round played.
@@ -181,11 +99,10 @@ func (n *Network) playCell(c NodeID) {
 			}
 		}
 	}
-	rng := &n.cellRNG[c]
 	for len(ready) > 0 {
 		j := 0
 		if len(ready) > 1 {
-			j = cellIntn(rng, len(ready))
+			j = n.intn(len(ready))
 		}
 		// Arena entries never move, so the pointer from the pre-taken
 		// backing stays valid even when a handler send to this very cell

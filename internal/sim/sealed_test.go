@@ -82,9 +82,7 @@ func runFlood(t testing.TB, w, h int, seed int64) ([][]deliveryRecord, int64, in
 	t.Helper()
 	logs := make([][]deliveryRecord, w*h)
 	n := buildFloodGrid(t, w, h, seed, logs)
-	if err := n.SetSealed(true); err != nil {
-		t.Fatal(err)
-	}
+	n.Reset(seed, true)
 	floodInject(n, w*h)
 	if err := n.Run(200_000); err != nil {
 		t.Fatal(err)
@@ -110,7 +108,7 @@ func diffLogs(t *testing.T, label string, want, got [][]deliveryRecord) {
 // delivery order: an FNV-64a digest of every delivery on the standard
 // flood. The online sealed-round goldens pin counters that are
 // schedule-insensitive on their scenarios, so without this a change to the
-// cell order or to the per-cell streams could go unnoticed.
+// cell order or to the draws could go unnoticed.
 func TestSealedScheduleGolden(t *testing.T) {
 	const w, h = 8, 6
 	n := buildFloodGrid(t, w, h, 42, make([][]deliveryRecord, w*h))
@@ -118,9 +116,7 @@ func TestSealedScheduleGolden(t *testing.T) {
 	for i := range n.nodes {
 		n.nodes[i].proc.(*floodProc).log = &all
 	}
-	if err := n.SetSealed(true); err != nil {
-		t.Fatal(err)
-	}
+	n.Reset(42, true)
 	floodInject(n, w*h)
 	if err := n.Run(200_000); err != nil {
 		t.Fatal(err)
@@ -129,7 +125,7 @@ func TestSealedScheduleGolden(t *testing.T) {
 	for _, r := range all {
 		fmt.Fprintf(d, "%d<%d:%d,%d,%d;", r.to, r.from, r.msg.Kind, r.msg.A, r.msg.B)
 	}
-	const want = "4956 deliveries, digest 81463c93647f92d1"
+	const want = "4956 deliveries, digest 6efb2ff33c069dcb"
 	if got := fmt.Sprintf("%d deliveries, digest %016x", len(all), d.Sum64()); got != want {
 		t.Fatalf("sealed-round flood: %s, want %s", got, want)
 	}
@@ -145,13 +141,11 @@ func TestShardWarmResetMatchesFresh(t *testing.T) {
 	warm := func(t *testing.T, perturb func(*Network)) {
 		logs := make([][]deliveryRecord, w*h)
 		n := buildFloodGrid(t, w, h, 3, logs)
-		if err := n.SetSealed(true); err != nil {
-			t.Fatal(err)
-		}
+		n.Reset(3, true)
 		floodInject(n, w*h)
 		perturb(n)
 
-		n.Reset(9)
+		n.Reset(9, true)
 		for id := range logs {
 			logs[id] = logs[id][:0]
 		}
@@ -187,9 +181,7 @@ func TestShardStepMatchesRun(t *testing.T) {
 
 	logs := make([][]deliveryRecord, 48)
 	n := buildFloodGrid(t, 8, 6, 21, logs)
-	if err := n.SetSealed(true); err != nil {
-		t.Fatal(err)
-	}
+	n.Reset(21, true)
 	floodInject(n, 48)
 	for {
 		progressed, err := n.Step()
@@ -214,9 +206,7 @@ func TestShardStepLimit(t *testing.T) {
 
 	logs := make([][]deliveryRecord, 48)
 	n := buildFloodGrid(t, 8, 6, 5, logs)
-	if err := n.SetSealed(true); err != nil {
-		t.Fatal(err)
-	}
+	n.Reset(5, true)
 	floodInject(n, 48)
 	err := n.Run(10)
 	if !errors.Is(err, ErrStepLimit) {
@@ -255,9 +245,7 @@ func TestShardBadSend(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := n.SetSealed(true); err != nil {
-			t.Fatal(err)
-		}
+		n.Reset(1, true)
 		return n
 	}
 	t.Run("handler-send", func(t *testing.T) {
@@ -290,39 +278,57 @@ func TestShardBadSend(t *testing.T) {
 	})
 }
 
-// TestSetShardsRequiresQuiescence pins the mode-flip guard: pending
-// messages are stored differently by the two engines, so SetSealed refuses.
-func TestSetShardsRequiresQuiescence(t *testing.T) {
-	n := NewNetwork(1, 0)
-	if err := n.Add(0, &silentProc{}); err != nil {
-		t.Fatal(err)
+// TestResetSwitchMidFlightMatchesFresh pins that Reset may change the
+// scheduler at any point: a network cut off by the step budget with traffic
+// pending under one scheduler, then Reset to the other, replays the
+// standard flood exactly as a fresh network on the new scheduler, in both
+// directions. A message left over from the interrupted episode would show
+// as an extra delivery.
+func TestResetSwitchMidFlightMatchesFresh(t *testing.T) {
+	const w, h = 8, 6
+	flood := func(t *testing.T, n *Network, logs [][]deliveryRecord) {
+		for id := range logs {
+			logs[id] = logs[id][:0]
+		}
+		floodInject(n, w*h)
+		if err := n.Run(200_000); err != nil {
+			t.Fatal(err)
+		}
 	}
-	n.Inject(0, ping())
-	if err := n.SetSealed(true); !errors.Is(err, ErrSealedPending) {
-		t.Fatalf("SetSealed with pending = %v, want ErrSealedPending", err)
-	}
-	if err := n.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SetSealed(true); err != nil {
-		t.Fatalf("SetSealed after quiescence: %v", err)
-	}
-	if !n.sealed {
-		t.Fatal("Sealed() = false after SetSealed(true)")
-	}
-	if err := n.SetSealed(false); err != nil {
-		t.Fatal(err)
-	}
-	if n.sealed {
-		t.Fatal("Sealed() = true after SetSealed(false)")
+	for _, tc := range []struct {
+		name   string
+		sealed bool
+	}{{"legacy-to-sealed", true}, {"sealed-to-legacy", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			freshLogs := make([][]deliveryRecord, w*h)
+			fresh := buildFloodGrid(t, w, h, 9, freshLogs)
+			if tc.sealed {
+				fresh.Reset(9, true) // the only way to select sealed rounds
+			}
+			flood(t, fresh, freshLogs)
+
+			logs := make([][]deliveryRecord, w*h)
+			n := buildFloodGrid(t, w, h, 3, logs)
+			n.Reset(3, !tc.sealed)
+			floodInject(n, w*h)
+			if err := n.Run(10); !errors.Is(err, ErrStepLimit) || n.Pending() == 0 {
+				t.Fatalf("Run(10) = %v with %d pending, want ErrStepLimit with traffic left", err, n.Pending())
+			}
+			n.Reset(9, tc.sealed)
+			flood(t, n, logs)
+			if n.Delivered() != fresh.Delivered() || n.sent != fresh.sent {
+				t.Fatalf("switched: delivered=%d sent=%d, want %d/%d", n.Delivered(), n.sent, fresh.Delivered(), fresh.sent)
+			}
+			diffLogs(t, tc.name, freshLogs, logs)
+		})
 	}
 }
 
-// TestSealedAddKeepsCellStreams pins that registering a node between
-// sealed-round runs seeds only the new cell: every existing cell keeps its
-// stream position, so the next episode matches, cell for cell, a network
+// TestSealedAddBetweenRunsKeepsSchedule pins that registering a node
+// between sealed-round runs, which here grows and moves the node table,
+// leaves the next episode unchanged: it matches, cell for cell, a network
 // that had the node from the start.
-func TestSealedAddKeepsCellStreams(t *testing.T) {
+func TestSealedAddBetweenRunsKeepsSchedule(t *testing.T) {
 	const w, h = 4, 4
 	second := func(lateAdd bool) [][]deliveryRecord {
 		logs := make([][]deliveryRecord, w*h)
@@ -335,9 +341,7 @@ func TestSealedAddKeepsCellStreams(t *testing.T) {
 		if !lateAdd {
 			extra()
 		}
-		if err := n.SetSealed(true); err != nil {
-			t.Fatal(err)
-		}
+		n.Reset(8, true)
 		floodInject(n, w*h)
 		if err := n.Run(200_000); err != nil {
 			t.Fatal(err)
@@ -364,11 +368,8 @@ func TestShardWarmEpisodeAllocationFree(t *testing.T) {
 	const w, h = 8, 6
 	logs := make([][]deliveryRecord, w*h)
 	n := buildFloodGrid(t, w, h, 1, logs)
-	if err := n.SetSealed(true); err != nil {
-		t.Fatal(err)
-	}
 	episode := func() {
-		n.Reset(1)
+		n.Reset(1, true)
 		for id := range logs {
 			logs[id] = logs[id][:0]
 		}

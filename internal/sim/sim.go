@@ -388,22 +388,18 @@ type Network struct {
 	fastPristine alfg
 	fastOK       bool
 	pristineSeed int64
-	// curSeed tracks the current episode seed so SetSealed can derive
-	// per-cell streams, or reseed the legacy source, without a Reset.
-	curSeed int64
-	// sealed selects the sealed-round scheduler (SetSealed, sealed.go);
-	// every entry point dispatches on it. The fields below it are that
-	// scheduler's state: active lists the cells holding sealed messages
-	// this round, next the cells that turned pending during it, touched the
-	// links that received unsealed messages (the barrier seals them), pick
-	// is playCell's ready-set scratch, and cellRNG the per-cell stream
-	// states, indexed by NodeID.
+	// sealed selects the sealed-round scheduler (chosen by Reset, see
+	// sealed.go); every entry point dispatches on it. The fields below it
+	// are that scheduler's state: active lists the cells holding sealed
+	// messages this round, next the cells that turned pending during it,
+	// touched the links that received unsealed messages (the barrier seals
+	// them), and pick is playCell's ready-set scratch. Its draws come from
+	// the generator above.
 	sealed  bool
 	active  []NodeID
 	next    []NodeID
 	touched []*linkQueue
 	pick    []int32
-	cellRNG []uint64
 	// First-contact storage, touched only when a link, slot table or ring
 	// is created and by Reset, so it sits after the delivery path's fields
 	// rather than between them. links is the chunked arena holding every
@@ -415,13 +411,13 @@ type Network struct {
 	rings chunks[Msg]
 }
 
-// NewNetwork creates an empty network with the given determinism seed and
-// a node table of nodes entries, allocated once: ids below nodes register
-// without growing it, and an id at or past it grows the table. The
-// generator mirror is captured here, so a fresh network draws exactly as a
-// reset one does.
+// NewNetwork creates an empty network on the legacy scheduler with the
+// given determinism seed and a node table of nodes entries, allocated once:
+// ids below nodes register without growing it, and an id at or past it
+// grows the table. The generator mirror is captured here, so a fresh
+// network draws exactly as a reset one does.
 func NewNetwork(seed int64, nodes int) *Network {
-	n := &Network{src: rand.NewSource(seed), curSeed: seed, nodes: make([]node, max(nodes, 0))}
+	n := &Network{src: rand.NewSource(seed), nodes: make([]node, max(nodes, 0))}
 	n.ctx.net = n
 	n.reseed(seed)
 	return n
@@ -476,19 +472,17 @@ func (n *Network) intn(k int) int {
 // all storage, so a reused network allocates nothing on re-run: registered
 // processes stay, every mailbox keeps its link table and each link keeps
 // its ring-buffer capacity (pending message slots are simply forgotten —
-// they hold no pointers), the ready list is cleared in place, the delivery
-// counters and the bad-send latch are zeroed, and the RNG is reseeded. A
-// reset network runs bit-for-bit identically to a freshly built one with
-// the same seed and processes.
-func (n *Network) Reset(seed int64) {
-	n.curSeed = seed
-	if n.sealed {
-		// Sealed rounds leave the legacy source untouched (per-cell streams
-		// replace it); SetSealed(false) reseeds it.
-		n.seedCells(0)
-	} else {
-		n.reseed(seed)
-	}
+// they hold no pointers), the ready and round lists are cleared in place,
+// the delivery counters and the bad-send latch are zeroed, and the RNG is
+// reseeded. sealed selects the scheduler of the next episode: the
+// sealed-round scheduler (sealed.go) or the legacy one. Reset is the only
+// place the scheduler changes, and since it discards all pending traffic,
+// neither scheduler ever sees the other's queued messages. A reset network
+// runs bit-for-bit identically to a freshly built one with the same seed,
+// processes and scheduler.
+func (n *Network) Reset(seed int64, sealed bool) {
+	n.reseed(seed)
+	n.sealed = sealed
 	for b := range n.nodes {
 		n.nodes[b].pend = false
 	}
@@ -543,12 +537,6 @@ func (n *Network) Add(id NodeID, p Process) error {
 	n.links.size = chunkLinksPerNode * len(n.nodes)
 	n.slots.size = chunkSlotsPerNode * len(n.nodes)
 	n.rings.size = chunkMsgsPerNode * len(n.nodes)
-	if n.sealed && len(n.cellRNG) < len(n.nodes) {
-		// New cells get fresh streams; existing cells keep their positions.
-		from := len(n.cellRNG)
-		n.cellRNG = append(n.cellRNG, make([]uint64, len(n.nodes)-from)...)
-		n.seedCells(from)
-	}
 	n.nodes[id].proc = p
 	return nil
 }

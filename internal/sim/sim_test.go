@@ -216,7 +216,7 @@ func TestInjectUnknownLatchesDeferredError(t *testing.T) {
 			t.Errorf("id %d: Run after the inject must error, not quiesce", bad)
 		}
 		// Reset clears the latch and the network is usable again.
-		n.Reset(5)
+		n.Reset(5, false)
 		n.Inject(0, text(3))
 		if err := n.Run(100); err != nil {
 			t.Fatalf("id %d: post-reset run: %v", bad, err)
