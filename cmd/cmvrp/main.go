@@ -56,6 +56,9 @@ func run(args []string, out io.Writer) error {
 	if *shards < 0 {
 		return fmt.Errorf("-shards %d must be >= 0", *shards)
 	}
+	if *fanout < 0 {
+		return fmt.Errorf("-fanout %d must be >= 0", *fanout)
+	}
 	var protocol online.SearchProtocol
 	switch *search {
 	case "diffuse":
@@ -160,7 +163,7 @@ func run(args []string, out io.Writer) error {
 			Arena: arena, CubeSide: char.Side, Partition: part,
 			Seed: *seed, SimShards: *shards,
 			Search: protocol, GossipFanout: *fanout,
-		}, 1, 0.05)
+		}, 0.05)
 		if err != nil {
 			return err
 		}

@@ -161,4 +161,17 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-spec", writeSpec(t, noArena)}, &out); err == nil {
 		t.Error("empty arena should fail")
 	}
+	// A negative flag value is refused before any output, even on a spec
+	// that solves and without -online, where the value would go unused.
+	good := writeSpec(t, `{"arena": [8, 8], "demands": [{"at": [4, 4], "jobs": 40}]}`)
+	for _, args := range [][]string{
+		{"-spec", good, "-search", "gossip", "-fanout", "-3"},
+		{"-spec", good, "-search", "gossip", "-fanout", "-3", "-online"},
+		{"-spec", good, "-shards", "-1", "-online"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil || out.Len() > 0 {
+			t.Errorf("%v: error %v after writing %q; want an error and no output", args, err, out.String())
+		}
+	}
 }

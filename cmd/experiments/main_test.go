@@ -51,23 +51,19 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
-// TestWorkersFlagByteIdentical pins the command-level contract: the sweep
-// experiments emit byte-identical markdown for any -workers value (E6 is
-// excluded from the default comparison set because its rows are wall-clock
-// measurements that vary per run regardless of width).
+// TestWorkersFlagByteIdentical pins the command-level contract: the whole
+// -quick output is byte-identical at -workers 1 and 8.
 func TestWorkersFlagByteIdentical(t *testing.T) {
-	for _, id := range []string{"E4", "E11", "E13"} {
-		serial, err := capture(t, []string{"-quick", "-run", id, "-workers", "1"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wide, err := capture(t, []string{"-quick", "-run", id, "-workers", "8"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial != wide {
-			t.Errorf("%s output differs between -workers 1 and 8:\n%s\nvs\n%s", id, serial, wide)
-		}
+	serial, err := capture(t, []string{"-quick", "-workers", "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := capture(t, []string{"-quick", "-workers", "8"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial != wide {
+		t.Errorf("-quick output differs between -workers 1 and 8:\n%s\nvs\n%s", serial, wide)
 	}
 }
 

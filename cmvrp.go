@@ -269,7 +269,7 @@ func RunSweep(scenarios []SweepScenario, workers int) ([]*OnlineResult, error) {
 // step-limit livelock, is not reached, and an opts.Tracer sees each
 // infeasible probe only up to its first failure.
 func MeasureWon(seq *Sequence, opts OnlineOptions, tol float64) (float64, error) {
-	return online.MinCapacity(seq, opts, 1, tol)
+	return online.MinCapacity(seq, opts, tol)
 }
 
 // BrokenLowerBound computes the Theorem 4.1.1 capacity lower bound when

@@ -72,16 +72,16 @@ func TestSolveOfflineSingleCharacterization(t *testing.T) {
 		t.Errorf("solution characterization (%v, %d) != standalone (%v, %d)",
 			sol.OmegaC, sol.CubeSide, char.Omega, char.Side)
 	}
-	res, err := offline.Algorithm1(m, arena)
+	d, err := offline.NewDense(m, arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Algorithm1()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Alg1W != res.W {
-		t.Errorf("solution Alg1W %v != standalone %v", sol.Alg1W, res.W)
-	}
-	d, err := offline.NewDense(m, arena)
-	if err != nil {
-		t.Fatal(err)
+		t.Errorf("solution Alg1W %v != fresh dense view's %v", sol.Alg1W, res.W)
 	}
 	sched, err := d.BuildSchedule(char)
 	if err != nil {

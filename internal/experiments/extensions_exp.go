@@ -41,17 +41,18 @@ func E9Broken(r1s []int) (*Table, error) {
 // setting: total demand d concentrated at the far end of an N-vertex line.
 // Without transfers the required capacity is Theta(sqrt(d)) (only nearby
 // vehicles can reach the hot vertex); the C=infinity convoy amortizes the
-// whole line's energy, needing only ~2 + d/N — so its advantage grows
-// without bound in N. The last column is the Theorem 5.1.1 decay bound for
-// the C=W regime, which stays Theta(omega*): big tanks, not transfers per
-// se, are what helps.
+// whole line's energy, needing only ~2 + 2*a1 + d/N under fixed accounting
+// and ~(2 + d/N)/(1 - 2*a2) under variable accounting — so its advantage
+// grows without bound in N. The last column is the Theorem 5.1.1 decay
+// bound for the C=W regime, which stays Theta(omega*): big tanks, not
+// transfers per se, are what helps.
 func E10Transfers(lineLens []int, d int64) (*Table, error) {
 	t := &Table{
 		ID:    "E10",
 		Title: fmt.Sprintf("inter-vehicle energy transfers (total d=%d at line end)", d),
 		Columns: []string{"N", "accounting", "convoy W (C=inf)", "avg d",
 			"no-transfer omega*", "convoy gain", "Thm 5.1.1 bound (C=W)"},
-		Notes: "Convoy W tracks 2 + d/N while the no-transfer omega* stays ~sqrt(d/2): the C=inf gain grows with N. The C=W decay bound stays Theta(omega*).",
+		Notes: "Convoy W tracks 2 + 2*a1 + d/N under fixed accounting (a1 = 1 per transfer) and (2 + d/N)/(1 - 2*a2) under variable accounting (a2 = 0.01 per unit), while the no-transfer omega* stays ~sqrt(d/2): the C=inf gain grows with N. The C=W decay bound stays Theta(omega*).",
 	}
 	// The no-transfer and C=W characterizations depend only on the demand
 	// concentration, not N; compute them once on the 1-D point mass (and
@@ -98,10 +99,10 @@ func E10Transfers(lineLens []int, d int64) (*Table, error) {
 // shrinks the instance sizes (used by tests; the full set runs in
 // cmd/experiments).
 // workers is the sweep width threaded through the sweep-built experiments
-// (E4, E5, E7, E11, E13): every table is byte-identical for every width, so
-// it only changes wall-clock (cmd/experiments pins a default). shards is
-// online.Options.SimShards for every simulator-backed experiment (E7, E8,
-// E11, E13, E14, E15): 0 keeps the legacy scheduler of the default
+// (E5, E7, E11, E13, E14, E15): every table is byte-identical for every
+// width, so it only changes wall-clock (cmd/experiments pins a default).
+// shards is online.Options.SimShards for every simulator-backed experiment
+// (E7, E8, E11, E13, E14, E15): 0 keeps the legacy scheduler of the default
 // `go run ./cmd/experiments` tables; any value >= 1 selects the sealed-round
 // scheduler, whose tables are byte-identical for every such value — the CI
 // determinism gate diffs -shards 1 against -shards 8.
@@ -152,7 +153,7 @@ func Some(id string, quick bool, workers, shards int) ([]*Table, error) {
 		{"E1", func() (*Table, error) { return E1Square(squareSides, 32) }},
 		{"E2", func() (*Table, error) { return E2Line(lineDs, 256) }},
 		{"E3", func() (*Table, error) { return E3Point(pointDs) }},
-		{"E4", func() (*Table, error) { return E4Duality(e4Trials, seed, workers) }},
+		{"E4", func() (*Table, error) { return E4Duality(e4Trials, seed) }},
 		{"E5", func() (*Table, error) { return E5ApproxQuality(e5N, e5Jobs, seed, workers) }},
 		{"E6", func() (*Table, error) { return E6Runtime(e6Sizes, seed) }},
 		{"E7", func() (*Table, error) { return E7Online(e7N, e7Jobs, seed, workers, shards) }},

@@ -84,16 +84,17 @@ func failureModelCases(arena *grid.Grid, seed int64, shards int) []failureModelC
 // Byzantine casualties (forged heartbeats, caught only by the evidence
 // channel and only once service actually lapses), a heterogeneous fleet
 // under the same crashes, and gossip-based replacement search. The contrast
-// the table makes: silent crashes are rescued proactively (near-zero
-// replacement latency), while a lying casualty is unmasked only after it
-// costs a job.
+// the table makes: a silent crash trips the beacon timeout, while a lying
+// casualty is unmasked only by a complaint after it costs a job, so it costs
+// more jobs. Under either model a lapsed pair is restored within the
+// arrival that exposed it.
 func E14FailureModels(fractions []float64, seed int64, workers, shards int) (*Table, error) {
 	t := &Table{
 		ID:    "E14",
 		Title: "failure-model comparison (crash vs byzantine vs heterogeneous vs gossip)",
 		Columns: []string{"dead fraction", "model", "served", "silent rescues",
 			"evidence rescues", "replacements", "mean latency", "messages"},
-		Notes: "Silent crashes trip the beacon timeout and are repaired proactively; crash-then-lie casualties keep heartbeating, so only the evidence channel (a customer complaint after a lost job) unmasks them — detection is lazier and replacement latency strictly positive. The heterogeneous and gossip variants show both machineries are model-agnostic.",
+		Notes: "Silent crashes trip the beacon timeout; crash-then-lie casualties keep heartbeating, so only the evidence channel (a customer complaint after a lost job) unmasks them, and they cost more jobs than silent crashes. Either way some jobs are lost once cells die, and a lapsed pair is restored within the arrival that exposed it (mean latency 1.00). The heterogeneous and gossip variants repair the same silent crashes through the beacon timeout with a mixed fleet and with gossip search.",
 	}
 	type cell struct {
 		served, silent, evidence, replacements, messages int64

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/demand"
 	"repro/internal/grid"
@@ -16,15 +15,10 @@ import (
 // E4Duality regenerates the Lemma 2.2.1-2.2.3 duality chain empirically: on
 // random small instances, the flow-computed LP (2.1) value must equal the
 // closed form max_T sum(d)/|N_r(T)| over all subsets, with the box-family
-// maximum sandwiched below.
-//
-// The trials share one rng stream, so the instances are drawn up front —
-// exactly the draws the serial loop made — and only the LP evaluations (the
-// expensive, purely deterministic part) fan out across the sweep. Each
-// worker owns one warm lpchar.Solver (Worker.LPSolver) re-bound per trial,
-// so the flow evaluations are construction-free after the worker's first
-// instance; values are bit-identical to fresh per-trial construction.
-func E4Duality(trials int, seed int64, workers int) (*Table, error) {
+// maximum sandwiched below. The trials share one rng stream and one
+// lpchar.Solver: each trial is drawn, then solved on the solver re-bound to
+// it, before the next is drawn.
+func E4Duality(trials int, seed int64) (*Table, error) {
 	t := &Table{
 		ID:    "E4",
 		Title: "LP (2.1) duality chain (Lemmas 2.2.1-2.2.3)",
@@ -32,14 +26,9 @@ func E4Duality(trials int, seed int64, workers int) (*Table, error) {
 			"max_T sum(d)/|N_r(T)|", "max over boxes", "flow == subsets"},
 		Notes: "Lemma 2.2.2 says columns 5 and 6 are equal; boxes (Cor 2.2.6's family) lower-bound them.",
 	}
-	type instance struct {
-		dim int
-		m   *demand.Map
-		r   int
-	}
 	rng := rand.New(rand.NewSource(seed))
-	insts := make([]instance, trials)
-	for trial := range insts {
+	var lp lpchar.Solver
+	for trial := range trials {
 		dim := 1 + rng.Intn(2)
 		m := demand.NewMap(dim)
 		points := 2 + rng.Intn(5)
@@ -52,38 +41,23 @@ func E4Duality(trials int, seed int64, workers int) (*Table, error) {
 				return nil, err
 			}
 		}
-		insts[trial] = instance{dim: dim, m: m, r: rng.Intn(4)}
-	}
-	type verdict struct {
-		flowV, subsetV, boxV float64
-		equal                bool
-	}
-	rows, err := sweep.Map(sweep.Config{Workers: workers}, insts,
-		func(w *sweep.Worker, in instance, _ int) (verdict, error) {
-			lp := w.LPSolver()
-			if err := lp.Bind(in.m, in.r); err != nil {
-				return verdict{}, err
-			}
-			flowV, err := lp.Value()
-			if err != nil {
-				return verdict{}, err
-			}
-			subsetV, err := lpchar.SubsetValue(in.m, in.r)
-			if err != nil {
-				return verdict{}, err
-			}
-			boxV, _, err := lpchar.MaxOverBoxes(in.m, in.r)
-			if err != nil {
-				return verdict{}, err
-			}
-			return verdict{flowV: flowV, subsetV: subsetV, boxV: boxV, equal: flowV == subsetV}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for trial, v := range rows {
-		in := insts[trial]
-		t.AddRow(trial, in.dim, in.r, in.m.SupportSize(), v.flowV, v.subsetV, v.boxV, v.equal)
+		r := rng.Intn(4)
+		if err := lp.Bind(m, r); err != nil {
+			return nil, err
+		}
+		flowV, err := lp.Value()
+		if err != nil {
+			return nil, err
+		}
+		subsetV, err := lpchar.SubsetValue(m, r)
+		if err != nil {
+			return nil, err
+		}
+		boxV, _, err := lpchar.MaxOverBoxes(m, r)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(trial, dim, r, m.SupportSize(), flowV, subsetV, boxV, flowV == subsetV)
 	}
 	return t, nil
 }
@@ -173,23 +147,26 @@ func E5ApproxQuality(n int, jobs int64, seed int64, workers int) (*Table, error)
 	return t, nil
 }
 
-// E6Runtime measures Algorithm 1's wall-clock scaling: the thesis proves
-// O(n^l) total work, so ns/cell should be roughly flat as n doubles. The
-// cold column rebuilds the dense demand view per run (the pre-warm-start
-// per-call path); the warm column shares one offline.Dense across runs —
-// the engine SolveOffline and offline scenario grids now run on.
+// E6Runtime measures Algorithm 1's work as it scales: the aligned cube sums
+// its doubling pyramid reads from the summed-area table (Alg1Result.Sums).
+// Section 2.3 proves O(n^l) total work. Level w reads at most (n/w)^l sums,
+// and the sum of (n/w)^l over w = 2, 4, ... is at most n^l/(2^l-1), so the
+// sums per cell stay at most 1/(2^l-1) at every n. The count is a pure
+// function of the demand; wall-clock timing is the benchmark's.
 func E6Runtime(sizes []int, seed int64) (*Table, error) {
+	const l = 2
 	t := &Table{
 		ID:    "E6",
-		Title: "Algorithm 1 runtime scaling (Section 2.3: O(n^l))",
-		Columns: []string{"n", "cells", "total", "ns/run cold", "ns/run warm",
-			"cold/warm", "ns/cell warm"},
-		Notes: "Linear time: ns/cell warm stays near-constant while n quadruples the cell count; cold/warm is the dense-view reuse win (values identical — pinned by TestDenseSharedViewMatchesStandalone).",
+		Title: "Algorithm 1 work scaling (Section 2.3: O(n^l))",
+		Columns: []string{"n", "cells", "total jobs", "cube sums read",
+			"sums per cell", "bound 1/(2^l-1)"},
+		Notes: "Linear work: level w of the pyramid reads at most (n/w)^l aligned cube sums, and the sum of (n/w)^l over w = 2, 4, ... is at most n^l/(2^l-1), so sums per cell stay at most 1/(2^l-1) at every n. Wall-clock timing lives in the benchmark's offline.alg1_ms row.",
 	}
+	bound := 1 / (math.Exp2(l) - 1)
 	for _, n := range sizes {
 		arena := grid.MustNew(n, n)
 		rng := rand.New(rand.NewSource(seed))
-		inner, err := grid.NewBox(2, grid.P(n/4, n/4), grid.P(3*n/4-1, 3*n/4-1))
+		inner, err := grid.NewBox(l, grid.P(n/4, n/4), grid.P(3*n/4-1, 3*n/4-1))
 		if err != nil {
 			return nil, err
 		}
@@ -201,29 +178,12 @@ func E6Runtime(sizes []int, seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Warm once, then time a few runs of each path.
-		if _, err := dense.Algorithm1(); err != nil {
+		res, err := dense.Algorithm1()
+		if err != nil {
 			return nil, err
 		}
-		const reps = 5
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if _, err := offline.Algorithm1(m, arena); err != nil {
-				return nil, err
-			}
-		}
-		cold := time.Since(start) / reps
-		start = time.Now()
-		for i := 0; i < reps; i++ {
-			if _, err := dense.Algorithm1(); err != nil {
-				return nil, err
-			}
-		}
-		warm := time.Since(start) / reps
 		cells := arena.Len()
-		t.AddRow(n, cells, m.Total(), cold.Nanoseconds(), warm.Nanoseconds(),
-			float64(cold.Nanoseconds())/float64(warm.Nanoseconds()),
-			float64(warm.Nanoseconds())/float64(cells))
+		t.AddRow(n, cells, m.Total(), res.Sums, float64(res.Sums)/float64(cells), bound)
 	}
 	return t, nil
 }

@@ -50,7 +50,7 @@ func E7Online(n int, jobs int64, seed int64, workers, shards int) (*Table, error
 			}
 			won, err := online.MinCapacity(seq, online.Options{
 				Arena: arena, CubeSide: char.Side, Seed: seed, SimShards: shards,
-			}, 1, 0.05)
+			}, 0.05)
 			if err != nil {
 				return row{}, err
 			}

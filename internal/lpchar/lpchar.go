@@ -35,9 +35,8 @@ import (
 	"repro/internal/grid"
 )
 
-// solverPool recycles Solvers across FleetBound calls, extending the
-// sweep workers' one-solver-per-worker discipline to callers without a
-// natural place to retain one: network arrays and supply index buffers
+// solverPool recycles Solvers across FleetBound calls, for callers without
+// a natural place to retain one: network arrays and supply index buffers
 // survive between calls. Rebinding a pooled solver is pinned
 // indistinguishable from constructing a fresh one (TestSolverWarmEqualsCold),
 // so results are unaffected.

@@ -150,9 +150,9 @@ func (si *supplyIndex) supplierAt(p grid.Point) int32 {
 // becomes the summed longevity of T's suppliers.
 //
 // Solvers are rebindable: Bind(m, r) rebuilds the network in place, reusing
-// the network arrays and index buffers — the "one solver per worker" rule
-// experiment sweeps follow, mirroring the online layer's one-runner-per-
-// worker discipline. A Solver is not safe for concurrent use.
+// the network arrays and index buffers, so a caller that keeps one solver
+// (E4 re-binds one per trial) reuses that storage from instance to
+// instance. A Solver is not safe for concurrent use.
 type Solver struct {
 	total int64
 	nw    *flow.Network

@@ -245,8 +245,20 @@ func compareWithArena(t testing.TB, m *demand.Map, arena *grid.Grid, alt CubeCha
 	}
 	res, err := d.Algorithm1()
 	wantRes, wantErr := ref.algorithm1()
+	sums := res.Sums
+	res.Sums = 0
 	if res != wantRes || errText(err) != errText(wantErr) {
 		t.Fatalf("arena %v: Algorithm1 %+v, %v; reference %+v, %v", arena.Bounds().Hi, res, err, wantRes, wantErr)
+	}
+	// The reference reads every cube of the arena, the Dense only those
+	// meeting the demand's bounding box, so the count is held to Section
+	// 2.3's bound instead: level w reads at most (n/w)^l sums, fewer than
+	// n^l/(2^l-1) in all. The pyramid reads at least one sum per level, and
+	// the early branches none.
+	pyramid := res.Branch == BranchCube || res.Branch == BranchFullGrid
+	if pyramid != (sums > 0) || sums*(pow(2, arena.Dim())-1) >= max(arena.Len(), 1) {
+		t.Fatalf("arena %v, branch %v: %d cube sums; want none on an early branch, else at least one and fewer than n^l/(2^l-1)",
+			arena.Bounds().Hi, res.Branch, sums)
 	}
 	chars := []CubeChar{char}
 	if alt.Omega > 0 {

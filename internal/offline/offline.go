@@ -162,6 +162,11 @@ type Alg1Result struct {
 	CubeSide int
 	// Branch records which return statement fired, for tests and tracing.
 	Branch Alg1Branch
+	// Sums counts the aligned cube sums the doubling pyramid read from the
+	// summed-area table, over every level it visited: Section 2.3's work
+	// measure. Level w reads at most (n/w)^l sums, so Sums < n^l/(2^l-1).
+	// It is 0 when a degenerate branch returned early.
+	Sums int64
 }
 
 // Alg1Branch identifies Algorithm 1's exit points.
@@ -199,19 +204,10 @@ func (b Alg1Branch) String() string {
 // 2(2*3^l+l)-approximation for Woff (Section 2.3). The arena must be an
 // n x ... x n grid with n a power of two. It aggregates demand over aligned
 // w-cubes with doubling w and returns (2*3^l+l)*w for the first w whose
-// aligned cube sums all satisfy sum <= w*(3w)^l.
-func Algorithm1(m *demand.Map, arena *grid.Grid) (Alg1Result, error) {
-	d, err := NewDense(m, arena)
-	if err != nil {
-		return Alg1Result{}, err
-	}
-	return d.Algorithm1()
-}
-
-// Algorithm1 runs the thesis' linear-time estimate on the shared dense view.
-// Each level of the doubling pyramid reads its aligned w-cube sums from the
-// table, visiting only the cubes that meet the demand's bounding box: the
-// others sum to 0, under every threshold.
+// aligned cube sums all satisfy sum <= w*(3w)^l. Each level reads its
+// aligned w-cube sums from the shared table, visiting only the cubes that
+// meet the demand's bounding box: the others sum to 0, under every
+// threshold.
 func (d *Dense) Algorithm1() (Alg1Result, error) {
 	m, arena := d.m, d.arena
 	l := arena.Dim()
@@ -237,9 +233,10 @@ func (d *Dense) Algorithm1() (Alg1Result, error) {
 	}
 	// Lines 5-14: the doubling pyramid. Every aligned w-cube is a full
 	// tile of the arena, since w divides n.
+	var sums int64
 	for w := 2; ; w *= 2 {
 		if w > n {
-			return Alg1Result{W: fallback, Branch: BranchFullGrid}, nil
+			return Alg1Result{W: fallback, Branch: BranchFullGrid, Sums: sums}, nil
 		}
 		threshold := float64(w) * float64(pow(3*w, l))
 		cubes := arena.TilesMeeting(w, d.ps.Window())
@@ -247,6 +244,7 @@ func (d *Dense) Algorithm1() (Alg1Result, error) {
 		ok := true
 		for k := range cubes.Volume() {
 			cube, _ := arena.TileAt(w, ix.PointAt(k))
+			sums++
 			if float64(d.ps.Sum(cube)) > threshold {
 				ok = false
 				break
@@ -257,6 +255,7 @@ func (d *Dense) Algorithm1() (Alg1Result, error) {
 				W:        float64(2*pow(3, l)+int64(l)) * float64(w),
 				CubeSide: w,
 				Branch:   BranchCube,
+				Sums:     sums,
 			}, nil
 		}
 	}

@@ -92,6 +92,17 @@ func TestOmegaCSandwichesOmegaStar(t *testing.T) {
 	}
 }
 
+// Algorithm1 runs Algorithm 1 on a fresh dense view of m over arena: the
+// standalone path the tests call where production code keeps one Dense
+// (cmvrp.SolveOffline, cmd/cmvrp, E5, E6).
+func Algorithm1(m *demand.Map, arena *grid.Grid) (Alg1Result, error) {
+	d, err := NewDense(m, arena)
+	if err != nil {
+		return Alg1Result{}, err
+	}
+	return d.Algorithm1()
+}
+
 func TestAlgorithm1Validation(t *testing.T) {
 	m := demand.NewMap(2)
 	if _, err := Algorithm1(m, grid.MustNew(8, 4)); err == nil {
@@ -114,7 +125,7 @@ func TestAlgorithm1Branches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Branch != BranchTinyDemand || res.W != 1 {
+		if res.Branch != BranchTinyDemand || res.W != 1 || res.Sums != 0 {
 			t.Errorf("got %+v", res)
 		}
 	})
@@ -130,8 +141,8 @@ func TestAlgorithm1Branches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Branch != BranchDenseGrid {
-			t.Errorf("got branch %v", res.Branch)
+		if res.Branch != BranchDenseGrid || res.Sums != 0 {
+			t.Errorf("got branch %v after %d cube sums", res.Branch, res.Sums)
 		}
 		// min{D, 2*Dhat + l*n} = min{20, 40+16} = 20.
 		if res.W != 20 {
@@ -151,9 +162,10 @@ func TestAlgorithm1Branches(t *testing.T) {
 		if res.Branch != BranchCube {
 			t.Fatalf("got branch %v", res.Branch)
 		}
-		// w=2 check: aligned 2-cube sum 50 <= 2*(6^2) = 72, so w=2 passes.
-		if res.CubeSide != 2 {
-			t.Errorf("cube side %d, want 2", res.CubeSide)
+		// w=2 check: aligned 2-cube sum 50 <= 2*(6^2) = 72, so w=2 passes
+		// after reading the one 2-cube that meets the demand.
+		if res.CubeSide != 2 || res.Sums != 1 {
+			t.Errorf("cube side %d after %d cube sums, want 2 after 1", res.CubeSide, res.Sums)
 		}
 		if want := float64(2*9+2) * 2; res.W != want {
 			t.Errorf("W = %v, want %v", res.W, want)

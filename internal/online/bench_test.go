@@ -74,7 +74,7 @@ func BenchmarkMinCapacity(b *testing.B) {
 		arena, seq := hotPointSeq(60)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := MinCapacity(seq, Options{Arena: arena, CubeSide: 8, Seed: 1}, 1, 0.05); err != nil {
+			if _, err := MinCapacity(seq, Options{Arena: arena, CubeSide: 8, Seed: 1}, 0.05); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -102,7 +102,7 @@ func BenchmarkMinCapacity(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := MinCapacity(seq, opts, 1, 0.05); err != nil {
+			if _, err := MinCapacity(seq, opts, 0.05); err != nil {
 				b.Fatal(err)
 			}
 		}

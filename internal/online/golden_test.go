@@ -107,7 +107,7 @@ func TestGoldenMinCapacity(t *testing.T) {
 		jobs[i] = grid.P(4, 4)
 	}
 	seq := demand.NewSequence(jobs)
-	won, err := MinCapacity(seq, Options{Arena: arena, CubeSide: 8, Seed: 1}, 1, 0.05)
+	won, err := MinCapacity(seq, Options{Arena: arena, CubeSide: 8, Seed: 1}, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestGoldenMinCapacityWarmEqualsCold(t *testing.T) {
 		}
 	}
 
-	if won, err := MinCapacity(seq, base, 1, 0.05); err != nil || won != 7.0625 {
+	if won, err := MinCapacity(seq, base, 0.05); err != nil || won != 7.0625 {
 		t.Errorf("warm MinCapacity = %v, %v; want golden 7.0625", won, err)
 	}
 }

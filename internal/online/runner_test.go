@@ -372,7 +372,7 @@ func TestMinCapacityBracketsTheoremBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	won, err := MinCapacity(seq, Options{Arena: arena, CubeSide: char.Side, Seed: 31}, 1, 0.05)
+	won, err := MinCapacity(seq, Options{Arena: arena, CubeSide: char.Side, Seed: 31}, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package online
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/demand"
 	"repro/internal/grid"
 )
@@ -42,10 +39,11 @@ func (p *prober) probe(w float64) (bool, error) {
 
 // MinCapacity measures the empirical Won for a sequence: the smallest
 // capacity (within tol, relative) for which the strategy serves every job
-// with no failed search, by grid.Least with the bracket starting at [lo, lo]:
-// it grows exponentially from lo until a run succeeds, and no capacity is
-// probed twice. All probes reuse one Runner, reset per probe, and so one
-// Partition: base.Partition when set, else the one the first probe builds.
+// with no failed search, by grid.Least with the bracket starting at
+// [serveCost, serveCost]: it grows exponentially from the cost of one
+// service until a run succeeds, and no capacity is probed twice. All probes
+// reuse one Runner, reset per probe, and so one Partition: base.Partition
+// when set, else the one the first probe builds.
 //
 // An infeasible probe stops at the first arrival that leaves a failure or a
 // failed search, after that arrival's quiescence and monitor round; a
@@ -54,15 +52,7 @@ func (p *prober) probe(w float64) (bool, error) {
 // as a step-limit livelock or a later arrival outside the arena, is not
 // reached, and a base.Tracer sees each infeasible probe only up to its
 // first failure.
-func MinCapacity(seq *demand.Sequence, base Options, lo float64, tol float64) (float64, error) {
-	// NaN slips past the serveCost clamp and -Inf would become serveCost,
-	// so a non-finite start is refused before the clamp.
-	if math.IsNaN(lo) || math.IsInf(lo, 0) {
-		return 0, fmt.Errorf("online: search start capacity %v must be finite", lo)
-	}
-	if lo < serveCost {
-		lo = serveCost
-	}
+func MinCapacity(seq *demand.Sequence, base Options, tol float64) (float64, error) {
 	p := &prober{seq: seq, base: base}
-	return grid.Least(p.probe, lo, lo, tol)
+	return grid.Least(p.probe, serveCost, serveCost, tol)
 }

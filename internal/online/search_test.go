@@ -23,17 +23,17 @@ func hotPointSeq(n int) (*grid.Grid, *demand.Sequence) {
 }
 
 // TestMinCapacityLoFeasible covers the bracket's short-circuit: when the
-// starting capacity already serves everything, lo itself comes back.
+// bracket's low end, serveCost, already serves everything (here an empty
+// sequence), serveCost itself comes back.
 func TestMinCapacityLoFeasible(t *testing.T) {
 	arena := grid.MustNew(4, 4)
-	seq := demand.NewSequence([]grid.Point{grid.P(0, 0), grid.P(3, 3)})
 	base := Options{Arena: arena, CubeSide: 2, Seed: 3}
-	got, err := MinCapacity(seq, base, 50, 0.05)
+	got, err := MinCapacity(demand.NewSequence(nil), base, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 50 {
-		t.Errorf("feasible lo should come back unchanged, got %v", got)
+	if got != serveCost {
+		t.Errorf("a feasible low end should come back unchanged, got %v, want %v", got, serveCost)
 	}
 }
 
@@ -46,33 +46,29 @@ func TestMinCapacityInfeasible(t *testing.T) {
 	_, err := MinCapacity(demand.NewSequence(jobs), Options{
 		Arena: arena, CubeSide: 1, Seed: 1,
 		Failure: &FailureModel{DeadBeforeArrival: map[grid.Point]int{grid.P(0): 0}},
-	}, 1, 0.05)
+	}, 0.05)
 	if !errors.Is(err, grid.ErrNoFeasible) {
 		t.Fatalf("a permanently dead fleet must report ErrNoFeasible, got %v", err)
 	}
 }
 
 // TestCapacitySearchRejectsBadBounds pins that the search returns an error
-// for a non-finite start capacity or a tolerance the bisection cannot meet.
-// It used to return NaN for lo = NaN, the top of the bracket for tol = NaN,
-// and to bisect forever at tol <= 0 once the bracket was two adjacent
-// floats. Each call runs under a deadline, so a regression fails instead of
-// hanging the suite.
+// for a tolerance the bisection cannot meet. It used to return the top of
+// the bracket for tol = NaN, and to bisect forever at tol <= 0 once the
+// bracket was two adjacent floats. Each call runs under a deadline, so a
+// regression fails instead of hanging the suite.
 func TestCapacitySearchRejectsBadBounds(t *testing.T) {
 	arena, seq := hotPointSeq(20)
 	opts := Options{Arena: arena, CubeSide: 8, Seed: 1}
 	for _, tc := range []struct {
-		name    string
-		lo, tol float64
+		name string
+		tol  float64
 	}{
-		{"lo NaN", math.NaN(), 0.05},
-		{"lo +Inf", math.Inf(1), 0.05},
-		{"lo -Inf", math.Inf(-1), 0.05},
-		{"tol NaN", 1, math.NaN()},
-		{"tol +Inf", 1, math.Inf(1)},
-		{"tol 0", 1, 0},
-		{"tol -1", 1, -1},
-		{"tol below float spacing", 1, 1e-300},
+		{"tol NaN", math.NaN()},
+		{"tol +Inf", math.Inf(1)},
+		{"tol 0", 0},
+		{"tol -1", -1},
+		{"tol below float spacing", 1e-300},
 	} {
 		type answer struct {
 			won float64
@@ -80,7 +76,7 @@ func TestCapacitySearchRejectsBadBounds(t *testing.T) {
 		}
 		done := make(chan answer, 1)
 		go func() {
-			won, err := MinCapacity(seq, opts, tc.lo, tc.tol)
+			won, err := MinCapacity(seq, opts, tc.tol)
 			done <- answer{won, err}
 		}()
 		select {
@@ -178,10 +174,9 @@ func TestMinCapacityMatchesFullEpisodeSearch(t *testing.T) {
 	var probes, infeasible, early, feasibleSearches int
 	for trial := 0; trial < 240; trial++ {
 		seq, opts := randomSearchInstance(rng, trial%searchConfigs)
-		lo, tol := 4*rng.Float64(), 0.01+0.09*rng.Float64()
+		tol := 0.01 + 0.09*rng.Float64()
 		full := &fullEpisodeProber{seq: seq, base: opts}
 		stop := &prober{seq: seq, base: opts}
-		start := max(lo, serveCost)
 		want, wantErr := grid.Least(func(w float64) (bool, error) {
 			ok, err := full.probe(w)
 			got, gotErr := stop.probe(w)
@@ -197,8 +192,8 @@ func TestMinCapacityMatchesFullEpisodeSearch(t *testing.T) {
 				}
 			}
 			return ok, err
-		}, start, start, tol)
-		got, err := MinCapacity(seq, opts, lo, tol)
+		}, serveCost, serveCost, tol)
+		got, err := MinCapacity(seq, opts, tol)
 		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("trial %d: MinCapacity %v (%v), full-episode search %v (%v)",
 				trial, got, err, want, wantErr)

@@ -18,9 +18,7 @@
 // free), while geometry changes build — and then pool — a new runner. The
 // pool, and every Runner and sim.Network inside it, is confined to its
 // worker goroutine; concurrency lives strictly above whole networks, per the
-// DESIGN.md invariant. Offline scenario grids follow the same discipline
-// through Worker.LPSolver: one warm LP (2.1) solver per worker, re-bound
-// per instance.
+// DESIGN.md invariant.
 package sweep
 
 import (
@@ -29,7 +27,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/demand"
-	"repro/internal/lpchar"
 	"repro/internal/online"
 )
 
@@ -46,28 +43,13 @@ type Config struct {
 // Worker is the per-goroutine context handed to scenario functions. It owns
 // the goroutine's warm-runner pool; scenario functions that play online
 // episodes should do so through Episode (or Pool().Get) to reuse runners
-// instead of rebuilding the world per scenario. Offline scenario grids use
-// LPSolver the same way: one warm LP solver per worker, re-bound per
-// instance.
+// instead of rebuilding the world per scenario.
 type Worker struct {
 	pool *online.Pool
-	lp   *lpchar.Solver
 }
 
 // Pool returns the worker's runner pool.
 func (w *Worker) Pool() *online.Pool { return w.pool }
-
-// LPSolver returns the worker's long-lived LP (2.1) solver — the offline
-// counterpart of the one-runner-per-worker rule. Scenario functions Bind it
-// to their instance and probe warm; rebinding reuses the solver's network
-// arrays and offset index, so offline sweeps are construction-free after
-// the first scenario. The solver is confined to its worker goroutine.
-func (w *Worker) LPSolver() *lpchar.Solver {
-	if w.lp == nil {
-		w.lp = new(lpchar.Solver)
-	}
-	return w.lp
-}
 
 // Episode plays one online episode under opts on a pooled warm runner and
 // returns its result. The result does not alias runner state that the next

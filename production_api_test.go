@@ -64,6 +64,40 @@ func TestProductionTreeHasNoTestOnlyCode(t *testing.T) {
 	}
 }
 
+// TestProductionTreeReadsNoClock fails on every non-test file of this
+// module outside bench/ that imports time, so no table or answer can come to
+// depend on the clock: wall-clock measurement belongs to bench/. Directories
+// are skipped as unreachedDecls skips them.
+func TestProductionTreeReadsNoClock(t *testing.T) {
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); p != "." && (p == "bench" || n == "testdata" || n[0] == '.' || n[0] == '_') {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"time"` {
+				t.Errorf("%s imports time", p)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // prodDecl is a package-level declaration: pkg.Name or pkg.Recv.Name, and
 // its file:line.
 type prodDecl struct{ name, pos string }
