@@ -261,13 +261,17 @@ func RunSweep(scenarios []SweepScenario, workers int) ([]*OnlineResult, error) {
 // MeasureWon finds the smallest capacity (within relative tol) at which the
 // online strategy serves the whole sequence with no failed search — the
 // empirical Won. The feasibility probes are fixed-seed runs on one warm
-// runner, reset per probe instead of rebuilt, so the answer depends only on
-// the inputs. An infeasible probe stops at the first arrival that leaves a
-// failure or a failed search, which no later arrival can undo; a feasible
-// one plays the whole sequence, as RunOnline does. So an error that an
-// infeasible probe would raise only after its first failure, such as a
-// step-limit livelock, is not reached, and an opts.Tracer sees each
-// infeasible probe only up to its first failure.
+// runner, reset per probe instead of rebuilt. Searches share their runners
+// across calls, keyed by geometry (arena pointer + cube side) as RunSweep's
+// are, so repeated searches that pass one shared *Arena build nothing after
+// the first; a search on another arena drops the kept runners. The answer
+// depends only on the inputs, never on that reuse. An infeasible probe
+// stops at the first arrival that leaves a failure or a failed search,
+// which no later arrival can undo; a feasible one plays the whole sequence,
+// as RunOnline does. So an error that an infeasible probe would raise only
+// after its first failure, such as a step-limit livelock, is not reached,
+// and an opts.Tracer sees each infeasible probe only up to its first
+// failure.
 func MeasureWon(seq *Sequence, opts OnlineOptions, tol float64) (float64, error) {
 	return online.MinCapacity(seq, opts, tol)
 }

@@ -465,6 +465,19 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	otherArena, err := NewArena(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherPart, err := NewOnlinePartition(otherArena, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	side4, err := NewOnlinePartition(arena, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := NewSequence([]Point{P(0, 0), P(1, 1), P(2, 2), P(3, 3)})
 	wide, across, full := NewDemand(2), NewDemand(2), NewDemand(2)
 	for _, err := range []error{wide.Add(P(0, 0), 1), wide.Add(P(2048, 2047), 1),
 		across.Add(P(math.MinInt32, 0), 1), across.Add(P(math.MaxInt32, 0), 1),
@@ -482,6 +495,18 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 		{"NewArena 2^62 cells", func() error { _, err := NewArena(1<<31, 1<<31); return err }},
 		{"RunOnline nil sequence", func() error { _, err := RunOnline(nil, opts); return err }},
 		{"MeasureWon nil sequence", func() error { _, err := MeasureWon(nil, opts, 0.01); return err }},
+		{"MeasureWon Partition of another arena", func() error {
+			_, err := MeasureWon(seq, OnlineOptions{Arena: arena, CubeSide: 2, Partition: otherPart}, 0.01)
+			return err
+		}},
+		{"MeasureWon Partition of another arena, CubeSide 0", func() error {
+			_, err := MeasureWon(seq, OnlineOptions{Arena: arena, Partition: otherPart}, 0.01)
+			return err
+		}},
+		{"MeasureWon side-4 Partition, CubeSide 2", func() error {
+			_, err := MeasureWon(seq, OnlineOptions{Arena: arena, CubeSide: 2, Partition: side4}, 0.01)
+			return err
+		}},
 		{"RunSweep nil Seq", func() error { _, err := RunSweep([]SweepScenario{{Opts: opts}}, 1); return err }},
 		{"GreedyBaseline nil sequence", func() error { _, err := GreedyBaseline(nil, arena, 5); return err }},
 		{"NewOnlinePartition nil arena", func() error { _, err := NewOnlinePartition(nil, 2); return err }},
@@ -531,27 +556,72 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 			return err
 		}},
 	} {
-		done := make(chan error, 1)
-		go func() {
-			defer func() {
-				if p := recover(); p != nil {
-					done <- fmt.Errorf("panic: %v", p)
-				}
-			}()
-			if err := tc.call(); err == nil {
-				done <- errors.New("no error")
-			} else {
-				done <- nil
+		// MeasureWon takes its runners from pools shared across calls, keyed
+		// by arena and cube side. Each MeasureWon row runs twice, each time
+		// in one goroutine after a successful search at cube sides 2 and 4,
+		// so that the row likely gets that search's pool: on another arena
+		// (the pool then holds none of arena's runners) and on arena itself.
+		// It must fail the same way both times.
+		wonRow := strings.HasPrefix(tc.name, "MeasureWon")
+		call := tc.call
+		if wonRow {
+			call = searchFirst(seq, otherArena, tc.call)
+		}
+		problem, err := guardedCall(call)
+		if problem == "" && err == nil {
+			problem = "no error"
+		}
+		if problem != "" {
+			t.Errorf("%s: %s, want an error return", tc.name, problem)
+			continue
+		}
+		if !wonRow {
+			continue
+		}
+		problem, warm := guardedCall(searchFirst(seq, arena, tc.call))
+		if problem != "" {
+			t.Errorf("%s: %s after a successful search on the arena", tc.name, problem)
+		} else if fmt.Sprint(warm) != err.Error() {
+			t.Errorf("%s: %v after a successful search on the arena, %v after one on another", tc.name, warm, err)
+		}
+	}
+}
+
+// searchFirst returns call preceded by successful capacity searches for seq
+// on arena at cube sides 2 and 4.
+func searchFirst(seq *Sequence, arena *Arena, call func() error) func() error {
+	return func() error {
+		for _, side := range []int{2, 4} {
+			if _, err := MeasureWon(seq, OnlineOptions{Arena: arena, CubeSide: side, Seed: 1}, 0.05); err != nil {
+				return fmt.Errorf("the successful search failed: %w", err)
+			}
+		}
+		return call()
+	}
+}
+
+// guardedCall runs call under a 5 s deadline with panics recovered. It
+// returns call's error, or a problem when call panicked or did not return
+// in time.
+func guardedCall(call func() error) (problem string, err error) {
+	type outcome struct {
+		problem string
+		err     error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		defer func() {
+			if p := recover(); p != nil {
+				done <- outcome{problem: fmt.Sprintf("panic: %v", p)}
 			}
 		}()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Errorf("%s: %v, want an error return", tc.name, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Errorf("%s: still running after 5s", tc.name)
-		}
+		done <- outcome{err: call()}
+	}()
+	select {
+	case o := <-done:
+		return o.problem, o.err
+	case <-time.After(5 * time.Second):
+		return "still running after 5s", nil
 	}
 }
 

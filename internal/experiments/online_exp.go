@@ -26,9 +26,11 @@ func E7Online(n int, jobs int64, seed int64, workers, shards int) (*Table, error
 		Notes: "Theorem 1.4.2: Won = Theta(Woff); the measured ratio stays below the 38x analytic constant (and far below it in practice).",
 	}
 	arena := grid.MustNew(n, n)
-	// One scenario per workload; each runs its own capacity search (the
-	// search owns its probe runner, so the sweep worker's pool is not
-	// involved — fan-out here is across workloads).
+	// One scenario per workload; each runs its own capacity search, and the
+	// fan-out here is across workloads. The searches take their runners from
+	// MinCapacity's pools, not the sweep worker's: the four share one arena,
+	// so a search that gets the pool of an earlier one at the same cube side
+	// builds nothing. The table does not depend on which pool each gets.
 	type row struct {
 		omega, won, greedyW float64
 	}

@@ -171,6 +171,42 @@ func TestAlgorithm1Branches(t *testing.T) {
 			t.Errorf("W = %v, want %v", res.W, want)
 		}
 	})
+
+	// The doubling levels on a 64x64 arena. 100,000 jobs at the far corner
+	// fail w = 2, 4, 8 and 16 (thresholds 72, 576, 4,608 and 36,864) and
+	// pass w = 32 (294,912), reading the one cube that meets the demand per
+	// level. One more job at the origin widens the demand's bounding box to
+	// the whole arena, and the hot cube is the last of each level's scan, so
+	// every failing level reads all (64/w)^2 of its cubes before its exit:
+	// 1024 + 256 + 64 + 16, and the passing level its 4.
+	t.Run("doubling levels", func(t *testing.T) {
+		big := grid.MustNew(64, 64)
+		m, err := demand.PointMass(2, grid.P(63, 63), 100_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			add  bool
+			sums int64
+		}{
+			{"one hot cell", false, 5},
+			{"hot cell and one job at the origin", true, 1024 + 256 + 64 + 16 + 4},
+		} {
+			if tc.add {
+				if err := m.Add(grid.P(0, 0), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := Algorithm1(m, big)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Branch != BranchCube || res.W != 640 || res.CubeSide != 32 || res.Sums != tc.sums {
+				t.Errorf("%s: got %+v, want W 640 at cube side 32 after %d cube sums", tc.name, res, tc.sums)
+			}
+		}
+	})
 }
 
 // TestAlgorithm1ApproximationGuarantee is experiment E5's core assertion:

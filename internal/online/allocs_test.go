@@ -291,7 +291,7 @@ func TestCapacityProbeAllocs(t *testing.T) {
 		{"hot point, monitored, two move failures", hotSeq, monitored, 3, false, 2},
 		{"failure injection, dead vehicle", failureJobs(), eventfulOptions(), 12, false, 0},
 	} {
-		p := &prober{seq: tc.seq, base: tc.base}
+		p := &prober{seq: tc.seq, base: tc.base, pool: NewPool()}
 		ok, err := p.probe(tc.w) // the first probe builds the runner and sizes every buffer
 		if err != nil {
 			t.Fatal(err)
@@ -315,5 +315,56 @@ func TestCapacityProbeAllocs(t *testing.T) {
 			t.Errorf("%s: warm probe at capacity %v allocated %.0f objects, ceiling %d",
 				tc.name, tc.w, got, floats)
 		}
+	}
+}
+
+// TestWarmMinCapacityAllocs guards the pooled capacity search: a search
+// repeated on a pool that holds a runner of its geometry builds nothing and
+// allocates only the reason texts of the energy and move failures at the
+// stopping arrivals of its infeasible probes (TestCapacityProbeAllocs): no
+// runner, prober or Result.
+func TestWarmMinCapacityAllocs(t *testing.T) {
+	hotArena, hotSeq := hotPointSeq(60)
+	hot := Options{Arena: hotArena, CubeSide: 8, Seed: 1}
+	monitored := hot
+	monitored.Monitoring = true
+	for _, tc := range []struct {
+		name string
+		seq  *demand.Sequence
+		base Options
+	}{
+		{"hot point", hotSeq, hot},
+		{"hot point, monitored", hotSeq, monitored},
+		{"failure injection", failureJobs(), failureInjectionOpts(grid.MustNew(6, 6))},
+	} {
+		// The first search builds the runner; its probes count the reason
+		// texts every later search allocates.
+		pool := NewPool()
+		p := &prober{seq: tc.seq, base: tc.base, pool: pool}
+		floats := 0
+		want, err := grid.Least(func(w float64) (bool, error) {
+			ok, err := p.probe(w)
+			for _, f := range p.r.failures {
+				if !strings.Contains(f.Reason, " in state ") {
+					floats++
+				}
+			}
+			return ok, err
+		}, serveCost, serveCost, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(5, func() {
+			if won, err := minCapacity(pool, tc.seq, tc.base, 0.05); err != nil || won != want {
+				t.Fatalf("%s: warm search %v (%v), want %v", tc.name, won, err, want)
+			}
+		})
+		if st := pool.Stats(); st.Builds != 1 {
+			t.Errorf("%s: %d runner builds, want 1", tc.name, st.Builds)
+		}
+		if got > float64(floats) {
+			t.Errorf("%s: warm search allocated %.0f objects, ceiling %d reason texts", tc.name, got, floats)
+		}
+		t.Logf("%s: Won %v, %.0f allocations, %d reason texts", tc.name, want, got, floats)
 	}
 }

@@ -254,7 +254,7 @@ func TestGoldenMinCapacityWarmEqualsCold(t *testing.T) {
 		return res.OK() && res.SearchFailures == 0
 	}
 	// Warm oracle: one runner reset per probe.
-	warm := &prober{seq: seq, base: base}
+	warm := &prober{seq: seq, base: base, pool: NewPool()}
 	for _, w := range []float64{2, 4, 5, 6.5, 7.0625, 7.25, 8, 24} {
 		ok, err := warm.probe(w)
 		if err != nil {

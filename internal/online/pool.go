@@ -21,13 +21,14 @@ type PoolStats struct {
 }
 
 // Pool is a cache of long-lived warm Runners keyed by geometry — the
-// per-worker reuse unit of the sweep engine (package sweep). Scenarios that
-// share an arena and cube side hit ResetEpisode on one pooled runner, so
-// every structure NewRunner builds (partition, vehicles, diffusion engines,
-// the simulator's link tables and ring buffers) is constructed once per
-// geometry per pool; a geometry change builds — and from then on also pools
-// — a new runner. A Pool is confined to one goroutine, like the Runners it
-// holds; concurrent workers hold separate pools and may share only the
+// reuse unit of the sweep engine's workers (package sweep) and of the
+// capacity search (MinCapacity, which recycles its pools across calls).
+// Scenarios that share an arena and cube side hit ResetEpisode on one pooled
+// runner, so every structure NewRunner builds (partition, vehicles, diffusion
+// engines, the simulator's link tables and ring buffers) is constructed once
+// per geometry per pool; a geometry change builds — and from then on also
+// pools — a new runner. A Pool is confined to one goroutine, like the Runners
+// it holds; concurrent workers hold separate pools and may share only the
 // immutable Partition carried in Options.Partition.
 type Pool struct {
 	runners map[poolKey]*Runner
@@ -44,11 +45,7 @@ func NewPool() *Pool {
 // NewRunner (which joins the pool) otherwise. The runner stays owned by the
 // pool — callers play the episode and let the next Get reclaim it.
 func (p *Pool) Get(opts Options) (*Runner, error) {
-	side := opts.CubeSide
-	if side == 0 && opts.Partition != nil {
-		side = opts.Partition.cubeSide
-	}
-	key := poolKey{arena: opts.Arena, cubeSide: side}
+	key := poolKey{arena: opts.Arena, cubeSide: opts.side()}
 	if r, ok := p.runners[key]; ok {
 		if err := r.ResetEpisode(opts); err != nil {
 			return nil, err
@@ -67,3 +64,25 @@ func (p *Pool) Get(opts Options) (*Runner, error) {
 
 // Stats returns the pool's construction/reuse counters.
 func (p *Pool) Stats() PoolStats { return p.stats }
+
+// keepArena empties the pool unless every runner it holds was built on
+// arena, so a pool that serves one caller after another holds one arena's
+// runners at most.
+func (p *Pool) keepArena(arena *grid.Grid) {
+	for k := range p.runners {
+		if k.arena != arena {
+			clear(p.runners)
+			return
+		}
+	}
+}
+
+// release drops every pooled runner's references to its last caller's
+// objects, the Tracer, FailureModel, Fleet and Partition in its options, so
+// the pool keeps only geometry between calls. Get re-arms a runner with
+// ResetEpisode, which sets them anew.
+func (p *Pool) release() {
+	for _, r := range p.runners {
+		r.opts.Tracer, r.opts.Failure, r.opts.Fleet, r.opts.Partition = nil, nil, nil, nil
+	}
+}

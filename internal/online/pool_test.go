@@ -185,3 +185,47 @@ func TestResetEpisodeValidation(t *testing.T) {
 		t.Error("runner should keep its own partition (neighbor lists point into it)")
 	}
 }
+
+// TestPoolGetErrorsWarmEqualsCold pins that Pool.Get refuses malformed
+// options with the same error whether or not the pool already holds a
+// runner of their geometry: NewRunner and ResetEpisode share one geometry
+// check and end in the same arm. So a capacity search's error does not
+// depend on the searches that ran before it.
+func TestPoolGetErrorsWarmEqualsCold(t *testing.T) {
+	arena := grid.MustNew(4, 4)
+	otherPart, err := NewPartition(grid.MustNew(4, 4), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	side4, err := NewPartition(arena, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := NewPool()
+	for _, side := range []int{2, 4} {
+		if _, err := warm.Get(Options{Arena: arena, CubeSide: side, Capacity: 5, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"Partition of another arena, CubeSide 2", Options{Arena: arena, CubeSide: 2, Partition: otherPart, Capacity: 5}},
+		{"Partition of another arena, CubeSide 0", Options{Arena: arena, Partition: otherPart, Capacity: 5}},
+		{"side-4 Partition, CubeSide 2", Options{Arena: arena, CubeSide: 2, Partition: side4, Capacity: 5}},
+		{"capacity 0", Options{Arena: arena, CubeSide: 2}},
+		{"fanout without gossip", Options{Arena: arena, CubeSide: 4, Capacity: 5, GossipFanout: 2}},
+		{"longevity 2", Options{Arena: arena, CubeSide: 2, Capacity: 5,
+			Failure: &FailureModel{Longevity: map[grid.Point]float64{grid.P(1, 1): 2}}}},
+	} {
+		if warm.runners[poolKey{tc.opts.Arena, tc.opts.side()}] == nil {
+			t.Fatalf("%s: the warm pool holds no runner of this geometry", tc.name)
+		}
+		_, coldErr := NewPool().Get(tc.opts)
+		_, warmErr := warm.Get(tc.opts)
+		if coldErr == nil || warmErr == nil || coldErr.Error() != warmErr.Error() {
+			t.Errorf("%s: cold %v, warm %v; want the same error", tc.name, coldErr, warmErr)
+		}
+	}
+}

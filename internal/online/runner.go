@@ -251,14 +251,43 @@ func checkCapacity(c float64) error {
 	return nil
 }
 
+// checkGeometry is the geometry check NewRunner and ResetEpisode share, so
+// malformed options get the same error whether or not a runner of their
+// geometry already exists: Arena is required, and a prebuilt Partition must
+// have been built for Arena (and CubeSide, when that is nonzero).
+func (o *Options) checkGeometry() error {
+	if o.Arena == nil {
+		return errors.New("online: Arena is required")
+	}
+	if p := o.Partition; p != nil {
+		if p.arena != o.Arena {
+			return errors.New("online: Options.Partition was built for a different arena")
+		}
+		if o.CubeSide != 0 && o.CubeSide != p.cubeSide {
+			return fmt.Errorf("online: Options.Partition has cube side %d, CubeSide asks for %d",
+				p.cubeSide, o.CubeSide)
+		}
+	}
+	return nil
+}
+
+// side is the cube side the options ask for: CubeSide, or the prebuilt
+// Partition's when CubeSide is 0 (0 when neither is set).
+func (o *Options) side() int {
+	if o.CubeSide == 0 && o.Partition != nil {
+		return o.Partition.cubeSide
+	}
+	return o.CubeSide
+}
+
 // NewRunner builds the geometry of a run — the partition (or the prebuilt
 // Options.Partition, checked against Arena and CubeSide), one vehicle per
 // arena cell in a single slab, and the network — and then arms the first
 // episode with the same arm that Reset and ResetEpisode end in. Each pair
 // starts with its black vertex's vehicle active and the white one idle.
 func NewRunner(opts Options) (*Runner, error) {
-	if opts.Arena == nil {
-		return nil, errors.New("online: Arena is required")
+	if err := opts.checkGeometry(); err != nil {
+		return nil, err
 	}
 	part := opts.Partition
 	if part == nil {
@@ -266,11 +295,6 @@ func NewRunner(opts Options) (*Runner, error) {
 		if part, err = NewPartition(opts.Arena, opts.CubeSide); err != nil {
 			return nil, err
 		}
-	} else if part.arena != opts.Arena {
-		return nil, errors.New("online: Options.Partition was built for a different arena")
-	} else if opts.CubeSide != 0 && opts.CubeSide != part.cubeSide {
-		return nil, fmt.Errorf("online: Options.Partition has cube side %d, CubeSide asks for %d",
-			part.cubeSide, opts.CubeSide)
 	}
 	pairs := len(part.Pairs())
 	r := &Runner{
@@ -406,19 +430,20 @@ func (r *Runner) Reset(capacity float64, seed int64) error {
 // sweep layer's Pool keys on. A different Partition of the same geometry is
 // accepted, but the runner keeps its own: a Partition is a deterministic
 // function of arena and cube side, and the vehicles read their neighbor rows
-// from the runner's. After a successful ResetEpisode the runner behaves
-// bit-for-bit like NewRunner(opts); on error the runner is left unchanged.
+// from the runner's. A missing Arena or a Partition that NewRunner would
+// refuse gets NewRunner's error (checkGeometry). After a successful
+// ResetEpisode the runner behaves bit-for-bit like NewRunner(opts); on error
+// the runner is left unchanged.
 func (r *Runner) ResetEpisode(opts Options) error {
-	if opts.Arena != r.opts.Arena {
+	if err := opts.checkGeometry(); err != nil {
+		return err
+	}
+	if opts.Arena != r.part.arena {
 		return errors.New("online: ResetEpisode with a different arena; build a new Runner")
 	}
-	if opts.CubeSide != 0 && opts.CubeSide != r.part.cubeSide {
+	if side := opts.side(); side != 0 && side != r.part.cubeSide {
 		return fmt.Errorf("online: ResetEpisode cube side %d, runner was built with %d",
-			opts.CubeSide, r.part.cubeSide)
-	}
-	if opts.Partition != nil && opts.Partition != r.part &&
-		(opts.Partition.arena != r.part.arena || opts.Partition.cubeSide != r.part.cubeSide) {
-		return errors.New("online: ResetEpisode Partition differs in geometry")
+			side, r.part.cubeSide)
 	}
 	return r.arm(opts)
 }

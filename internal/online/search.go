@@ -1,21 +1,33 @@
 package online
 
 import (
+	"sync"
+
 	"repro/internal/demand"
 	"repro/internal/grid"
 )
 
+// searchPools recycles runner pools across MinCapacity calls, as lpchar's
+// solverPool recycles LP solvers. Each pool holds one arena's runners
+// (Pool.keepArena) and none of its last caller's objects (Pool.release), and
+// an idle one lasts until garbage collection empties sync.Pool. ResetEpisode
+// is pinned bit-for-bit equal to NewRunner, so no result depends on which
+// pool a search gets or what it holds.
+var searchPools = sync.Pool{New: func() any { return NewPool() }}
+
 // prober is the warm-started feasibility oracle of the capacity search:
 // does the strategy serve the whole sequence at capacity w with no failed
-// replacement searches? A prober owns one long-lived Runner, built on its
-// first probe and Reset — not rebuilt — for every probe after that, so the
-// partition, vehicles, diffusion engines, and the simulator's link tables
-// and ring buffers are constructed once per search. A probe stops at the
-// first arrival that leaves a failure or a failed search, since no later
-// arrival can undo either, and reads its verdict from the runner.
+// replacement searches? Its first probe takes a runner from the search's
+// Pool — warm-reset by ResetEpisode when the pool holds one of the same
+// geometry, built otherwise — and every later probe Resets that runner, so
+// the partition, vehicles, diffusion engines, and the simulator's link
+// tables and ring buffers are built at most once per search. A probe stops
+// at the first arrival that leaves a failure or a failed search, since no
+// later arrival can undo either, and reads its verdict from the runner.
 type prober struct {
 	seq  *demand.Sequence
 	base Options
+	pool *Pool
 	r    *Runner
 }
 
@@ -23,7 +35,7 @@ func (p *prober) probe(w float64) (bool, error) {
 	if p.r == nil {
 		opts := p.base
 		opts.Capacity = w
-		r, err := NewRunner(opts)
+		r, err := p.pool.Get(opts)
 		if err != nil {
 			return false, err
 		}
@@ -42,8 +54,11 @@ func (p *prober) probe(w float64) (bool, error) {
 // with no failed search, by grid.Least with the bracket starting at
 // [serveCost, serveCost]: it grows exponentially from the cost of one
 // service until a run succeeds, and no capacity is probed twice. All probes
-// reuse one Runner, reset per probe, and so one Partition: base.Partition
-// when set, else the one the first probe builds.
+// reuse one Runner, reset per probe. The runner comes from a pool that
+// searches share across calls, keyed like the sweep's by geometry (arena
+// pointer and cube side), so repeated searches that share one *grid.Grid
+// and cube side build nothing; a search on another arena empties the pool
+// first. The answer depends only on the inputs.
 //
 // An infeasible probe stops at the first arrival that leaves a failure or a
 // failed search, after that arrival's quiescence and monitor round; a
@@ -53,6 +68,19 @@ func (p *prober) probe(w float64) (bool, error) {
 // reached, and a base.Tracer sees each infeasible probe only up to its
 // first failure.
 func MinCapacity(seq *demand.Sequence, base Options, tol float64) (float64, error) {
-	p := &prober{seq: seq, base: base}
-	return grid.Least(p.probe, serveCost, serveCost, tol)
+	pool := searchPools.Get().(*Pool)
+	won, err := minCapacity(pool, seq, base, tol)
+	searchPools.Put(pool)
+	return won, err
+}
+
+// minCapacity is MinCapacity on a caller's pool. It keeps only base.Arena's
+// runners in the pool and, before returning, drops the runners' references
+// to base's Tracer, FailureModel, Fleet and Partition.
+func minCapacity(pool *Pool, seq *demand.Sequence, base Options, tol float64) (float64, error) {
+	pool.keepArena(base.Arena)
+	p := &prober{seq: seq, base: base, pool: pool}
+	won, err := grid.Least(p.probe, serveCost, serveCost, tol)
+	pool.release()
+	return won, err
 }

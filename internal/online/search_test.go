@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -129,12 +131,20 @@ const searchConfigs = 16
 // breakdowns. Most arrivals hit one to three hot cells, so vehicles exhaust,
 // search and fail well before the end of the sequence.
 func randomSearchInstance(rng *rand.Rand, k int) (*demand.Sequence, Options) {
-	var arena *grid.Grid
+	return randomSearchOn(rng, randomSearchArena(rng), k)
+}
+
+// randomSearchArena draws randomSearchInstance's arena: a line of 4 to 12
+// cells or a box of 2 to 5 cells a side.
+func randomSearchArena(rng *rand.Rand) *grid.Grid {
 	if rng.Intn(2) == 0 {
-		arena = grid.MustNew(4 + rng.Intn(9))
-	} else {
-		arena = grid.MustNew(2+rng.Intn(4), 2+rng.Intn(4))
+		return grid.MustNew(4 + rng.Intn(9))
 	}
+	return grid.MustNew(2+rng.Intn(4), 2+rng.Intn(4))
+}
+
+// randomSearchOn is randomSearchInstance on a given arena.
+func randomSearchOn(rng *rand.Rand, arena *grid.Grid, k int) (*demand.Sequence, Options) {
 	cell := func() grid.Point { return arena.PointAt(rng.Int63n(arena.Len())) }
 	hot := []grid.Point{cell(), cell(), cell()}[:1+rng.Intn(3)]
 	jobs := make([]grid.Point, 10+rng.Intn(40))
@@ -176,7 +186,7 @@ func TestMinCapacityMatchesFullEpisodeSearch(t *testing.T) {
 		seq, opts := randomSearchInstance(rng, trial%searchConfigs)
 		tol := 0.01 + 0.09*rng.Float64()
 		full := &fullEpisodeProber{seq: seq, base: opts}
-		stop := &prober{seq: seq, base: opts}
+		stop := &prober{seq: seq, base: opts, pool: NewPool()}
 		want, wantErr := grid.Least(func(w float64) (bool, error) {
 			ok, err := full.probe(w)
 			got, gotErr := stop.probe(w)
@@ -248,5 +258,130 @@ func TestResetAfterStoppedProbeMatchesFresh(t *testing.T) {
 				t.Fatalf("configuration %d: run after a stopped probe diverged:\nwarm  %+v\nfresh %+v", k, warm, fresh)
 			}
 		}
+	}
+}
+
+// outsideMidSequence returns seq with one arrival outside arena inserted
+// halfway, so a probe that gets that far stops with an error mid-episode.
+func outsideMidSequence(seq *demand.Sequence, arena *grid.Grid) *demand.Sequence {
+	out := arena.PointAt(0)
+	out[0] = -1
+	jobs := make([]grid.Point, 0, seq.Len()+1)
+	for i := 0; i < seq.Len(); i++ {
+		if i == seq.Len()/2 {
+			jobs = append(jobs, out)
+		}
+		jobs = append(jobs, seq.At(i))
+	}
+	return demand.NewSequence(jobs)
+}
+
+// TestMinCapacityWarmEqualsCold pins the pooled capacity search: 240
+// searches in every configuration of randomSearchInstance, on three arenas
+// that take turns in blocks of eight, all run on one retained pool, must
+// each equal with == (error text included) the same search on a fresh pool.
+// So runners are reused across cube sides, schedulers, search protocols,
+// monitoring, failure models, fleets and a Tracer on or off, and a traced
+// search must emit the cold search's events. The fourth search of each
+// block plays an arrival outside the arena mid-sequence, so it errors with
+// its runner stopped mid-episode, and the fifth reuses that runner. After
+// every search the pool holds one arena's runners and no caller object.
+func TestMinCapacityWarmEqualsCold(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	arenas := []*grid.Grid{randomSearchArena(rng), randomSearchArena(rng), randomSearchArena(rng)}
+	warm := NewPool()
+	var errored, traced, erringSide int
+	for trial := 0; trial < 240; trial++ {
+		arena := arenas[trial/8%len(arenas)]
+		seq, opts := randomSearchOn(rng, arena, trial%searchConfigs)
+		tol := 0.01 + 0.09*rng.Float64()
+		switch trial % 8 {
+		case 3:
+			seq, erringSide = outsideMidSequence(seq, arena), opts.CubeSide
+		case 4:
+			opts.CubeSide = erringSide
+		}
+		if trial%5 == 0 {
+			opts.Fleet = &Fleet{Classes: []VehicleClass{{Name: "slow", Speed: 0.5}, {Name: "big", Capacity: 2}}}
+		}
+		coldOpts := opts
+		var warmTrace, coldTrace *SliceTracer
+		if trial%3 == 0 {
+			warmTrace, coldTrace = &SliceTracer{}, &SliceTracer{}
+			opts.Tracer, coldOpts.Tracer = warmTrace, coldTrace
+			traced++
+		}
+		resets := warm.Stats().Resets
+		want, wantErr := minCapacity(NewPool(), seq, coldOpts, tol)
+		got, err := minCapacity(warm, seq, opts, tol)
+		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("trial %d: warm search %v (%v), cold search %v (%v)", trial, got, err, want, wantErr)
+		}
+		if warmTrace != nil && !reflect.DeepEqual(warmTrace.Events, coldTrace.Events) {
+			t.Fatalf("trial %d: the warm search emitted %d events, the cold one %d, and they differ",
+				trial, len(warmTrace.Events), len(coldTrace.Events))
+		}
+		if trial%8 == 3 && err != nil && strings.Contains(err.Error(), "outside arena") {
+			errored++
+		}
+		if trial%8 == 4 && warm.Stats().Resets != resets+1 {
+			t.Fatalf("trial %d: the search after an erring one did not reuse its runner", trial)
+		}
+		for k, r := range warm.runners {
+			if k.arena != arena {
+				t.Fatalf("trial %d: the pool kept a runner of another arena", trial)
+			}
+			if o := r.opts; o.Tracer != nil || o.Failure != nil || o.Fleet != nil || o.Partition != nil {
+				t.Fatalf("trial %d: a pooled runner kept a caller object: %+v", trial, o)
+			}
+		}
+	}
+	st := warm.Stats()
+	t.Logf("%d builds, %d warm resets; %d of 30 searches erred mid-episode; %d traced", st.Builds, st.Resets, errored, traced)
+	if st.Resets < 60 || errored == 0 {
+		t.Fatalf("%d warm resets (want at least 60), %d mid-episode errors", st.Resets, errored)
+	}
+}
+
+// TestConcurrentMinCapacity runs capacity searches from four goroutines at
+// once on one arena, through the pools MinCapacity shares across calls:
+// every search returns the value and error the same search returned
+// serially. Each goroutine walks the searches in its own order.
+func TestConcurrentMinCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	arena := grid.MustNew(5, 4)
+	type search struct {
+		seq  *demand.Sequence
+		opts Options
+		won  float64
+		err  string
+	}
+	searches := make([]search, 2*searchConfigs)
+	for i := range searches {
+		s := &searches[i]
+		s.seq, s.opts = randomSearchOn(rng, arena, i%searchConfigs)
+		won, err := MinCapacity(s.seq, s.opts, 0.05)
+		s.won, s.err = won, fmt.Sprint(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4*len(searches))
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range searches {
+				i := (j*(2*g+1) + g) % len(searches)
+				won, err := MinCapacity(searches[i].seq, searches[i].opts, 0.05)
+				if won != searches[i].won || fmt.Sprint(err) != searches[i].err {
+					errs <- fmt.Errorf("goroutine %d, search %d: %v (%v), serial %v (%s)",
+						g, i, won, err, searches[i].won, searches[i].err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

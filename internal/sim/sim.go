@@ -419,7 +419,7 @@ type Network struct {
 func NewNetwork(seed int64, nodes int) *Network {
 	n := &Network{src: rand.NewSource(seed), nodes: make([]node, max(nodes, 0))}
 	n.ctx.net = n
-	n.reseed(seed)
+	n.capture(seed) // NewSource has seeded src already
 	return n
 }
 
@@ -499,22 +499,27 @@ func (n *Network) Reset(seed int64, sealed bool) {
 // reseed puts the generator in the same state Seed(seed) would, preferring
 // a copy of the captured post-Seed state when the same seed repeats — the
 // warm sweep engine resets thousands of episodes with one seed, and the copy
-// is ~20x cheaper than math/rand's seed scramble. When capture fails, the
-// source is simply reseeded.
+// is ~20x cheaper than math/rand's seed scramble. Otherwise it seeds the
+// source and captures it.
 func (n *Network) reseed(seed int64) {
 	if n.fastOK && n.pristineSeed == seed {
 		n.fast = n.fastPristine
 		return
 	}
 	n.src.Seed(seed)
-	if captureALFG(n.src, &n.fast) {
+	n.capture(seed)
+}
+
+// capture mirrors the source, just seeded with seed, into the generator
+// copy. When capture fails, draws go through the source, which is seeded
+// again because capture spent draws.
+func (n *Network) capture(seed int64) {
+	n.fastOK = captureALFG(n.src, &n.fast)
+	if n.fastOK {
 		n.fastPristine = n.fast
-		n.fastOK = true
 		n.pristineSeed = seed
 		return
 	}
-	n.fastOK = false
-	// Capture spends draws; restore the seeded state.
 	n.src.Seed(seed)
 }
 
