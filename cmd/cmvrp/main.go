@@ -93,30 +93,24 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "\ndemand heat map:\n%s\n", hm)
 	}
 
-	// One dense view drives the whole offline pipeline: characterize once,
-	// estimate, and construct from the same characterization.
-	dense, err := offline.NewDense(m, arena)
-	if err != nil {
+	// The characterization and the estimate print even when the schedule
+	// then fails.
+	sol, err := offline.Solve(m, arena)
+	if !sol.Characterized {
 		return err
 	}
-	char, err := dense.OmegaC()
-	if err != nil {
-		return err
-	}
+	char := sol.Char
 	fmt.Fprintf(out, "omega_c (Cor 2.2.7 lower-bound characterization): %.4g (cube side %d)\n",
 		char.Omega, char.Side)
-	if res, err := dense.Algorithm1(); err == nil {
-		fmt.Fprintf(out, "Algorithm 1 capacity estimate: %.4g (branch %s)\n", res.W, res.Branch)
+	if sol.Alg1Err == nil {
+		fmt.Fprintf(out, "Algorithm 1 capacity estimate: %.4g (branch %s)\n", sol.Alg1.W, sol.Alg1.Branch)
 	} else {
-		fmt.Fprintf(out, "Algorithm 1 skipped: %v\n", err)
+		fmt.Fprintf(out, "Algorithm 1 skipped: %v\n", sol.Alg1Err)
 	}
-	sched, err := dense.BuildSchedule(char)
 	if err != nil {
 		return err
 	}
-	if _, err := offline.VerifySchedule(m, sched, sched.W); err != nil {
-		return fmt.Errorf("schedule failed verification: %w", err)
-	}
+	sched := sol.Schedule
 	fmt.Fprintf(out, "verified offline schedule: W = %.4g with %d active vehicles\n",
 		sched.W, len(sched.Plans))
 	if *show && arena.Dim() == 2 {

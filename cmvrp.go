@@ -159,38 +159,28 @@ type OfflineSolution struct {
 var ErrBoundaryCube = offline.ErrBoundaryCube
 
 // SolveOffline runs the full offline pipeline of Chapter 2 on a demand
-// function: characterize, estimate, construct, and verify. The demand is
-// densified exactly once (offline.Dense): the characterization, the
+// function: characterize, estimate, construct, and verify (offline.Solve).
+// The demand is densified exactly once: the characterization, the
 // Algorithm 1 estimate, and the schedule construction all share one
 // summed-area table over the bounding box of the demand's support, and the
 // schedule is built from the already-computed characterization instead of
-// re-deriving it.
+// re-deriving it. The pipeline's scratch comes from a pool shared across
+// calls, so a repeated call allocates only its answer; the answer depends
+// only on the inputs, never on that reuse, and concurrent calls are safe.
 //
 // Lemma 2.2.5's construction assumes every cube of its partition is full,
 // as on the thesis' infinite grid. On a finite arena the cubes at the far
 // faces are clipped; when demand near those faces needs more helpers than
 // a clipped cube holds, the error wraps ErrBoundaryCube.
 func SolveOffline(m *Demand, arena *Arena) (*OfflineSolution, error) {
-	d, err := offline.NewDense(m, arena)
+	res, err := offline.Solve(m, arena)
 	if err != nil {
 		return nil, err
 	}
-	char, err := d.OmegaC()
-	if err != nil {
-		return nil, err
+	sol := &OfflineSolution{OmegaC: res.Char.Omega, CubeSide: res.Char.Side, Schedule: res.Schedule}
+	if res.Alg1Err == nil {
+		sol.Alg1W = res.Alg1.W
 	}
-	sol := &OfflineSolution{OmegaC: char.Omega, CubeSide: char.Side}
-	if res, err := d.Algorithm1(); err == nil {
-		sol.Alg1W = res.W
-	}
-	sched, err := d.BuildSchedule(char)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := offline.VerifySchedule(m, sched, sched.W); err != nil {
-		return nil, err
-	}
-	sol.Schedule = sched
 	return sol, nil
 }
 

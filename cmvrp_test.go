@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -518,6 +519,11 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 			_, err := ZipfDemand(rand.New(rand.NewSource(1)), box, 10, math.Inf(1))
 			return err
 		}},
+		{"ZipfDemand box of 2^63 cells, whose Volume wraps to MinInt64", func() error {
+			huge := Box{Lo: P(math.MinInt32, 0), Hi: P(math.MaxInt32, math.MaxInt32), Dim: 2}
+			_, err := ZipfDemand(rand.New(rand.NewSource(1)), huge, 10, 1.4)
+			return err
+		}},
 		{"Convoy NaN a1", func() error {
 			_, err := Convoy(ConvoyParams{Demands: line, Accounting: FixedCost, A1: math.NaN()})
 			return err
@@ -625,6 +631,105 @@ func guardedCall(call func() error) (problem string, err error) {
 	}
 }
 
+// TestFacadeAtInt32Edge runs, under guardedCall, two calls that reach the
+// int32 edge of the lattice, where the box odometer used to wrap from
+// MaxInt32 to MinInt32 and append forever: SquareDemand with its one cell
+// at (MaxInt32, 0), and SolveOffline on the 2^31-cell line with 5 jobs on
+// its last cell, at MaxInt32, whose last tile ends there.
+func TestFacadeAtInt32Edge(t *testing.T) {
+	problem, err := guardedCall(func() error {
+		m, err := SquareDemand(P(math.MaxInt32, 0), 1, 5)
+		if err == nil && (m.Total() != 5 || m.At(P(math.MaxInt32, 0)) != 5) {
+			err = fmt.Errorf("%d jobs, %d at (MaxInt32, 0); want 5 there", m.Total(), m.At(P(math.MaxInt32, 0)))
+		}
+		return err
+	})
+	if problem != "" || err != nil {
+		t.Errorf("SquareDemand at (MaxInt32, 0): %s %v", problem, err)
+	}
+	problem, err = guardedCall(func() error {
+		arena, err := NewArena(1 << 31)
+		if err != nil {
+			return err
+		}
+		m, err := PointDemand(1, P(math.MaxInt32), 5)
+		if err != nil {
+			return err
+		}
+		sol, err := SolveOffline(m, arena)
+		if err != nil {
+			return err
+		}
+		_, err = offline.VerifySchedule(m, sol.Schedule, sol.Schedule.W)
+		return err
+	})
+	if problem != "" || err != nil {
+		t.Errorf("SolveOffline with 5 jobs at MaxInt32 of a 2^31-cell line: %s %v", problem, err)
+	}
+}
+
+// TestConcurrentSolveOffline runs SolveOffline from four goroutines at once,
+// 32 solves each over eight inputs (one of them failing with
+// ErrBoundaryCube), on the workspaces the calls share through their pool:
+// every answer must deep-equal the serial one, error included.
+func TestConcurrentSolveOffline(t *testing.T) {
+	type input struct {
+		m     *Demand
+		arena *Arena
+	}
+	rng := rand.New(rand.NewSource(36))
+	var inputs []input
+	for k := range 7 {
+		n := 8 << (k % 3)
+		arena, err := NewArena(n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		box := Box{Lo: P(n/4, n/4), Hi: P(n/4+rng.Intn(n/2), n/4+rng.Intn(n/2)), Dim: 2}
+		m, err := UniformDemand(rng, box, int64(10+rng.Intn(40*n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{m, arena})
+	}
+	boundary, err := PointDemand(1, P(3), 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := NewArena(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, input{boundary, line})
+	type answer struct {
+		sol *OfflineSolution
+		err error
+	}
+	serial := make([]answer, len(inputs))
+	for i, in := range inputs {
+		serial[i].sol, serial[i].err = SolveOffline(in.m, in.arena)
+	}
+	if !errors.Is(serial[len(inputs)-1].err, ErrBoundaryCube) {
+		t.Fatalf("boundary input: %v, want ErrBoundaryCube", serial[len(inputs)-1].err)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 32 {
+				i := (g + 3*k) % len(inputs)
+				sol, err := SolveOffline(inputs[i].m, inputs[i].arena)
+				if !reflect.DeepEqual(answer{sol, err}, serial[i]) {
+					t.Errorf("goroutine %d, solve %d, input %d: %+v, %v; serial %+v, %v", g, k, i, sol, err, serial[i].sol, serial[i].err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestBrokenLowerBoundFarVehicle pins LP (4.1) for 100 jobs at the origin,
 // default longevity 1e-6 and one vehicle of longevity 1 out on the x axis:
 // the bound is that vehicle's distance, where it first reaches the demand
@@ -671,11 +776,12 @@ func TestBrokenLowerBoundFarVehicle(t *testing.T) {
 // FuzzSolveOffline drives the SolveOffline facade over 1-4-D arenas with
 // sides 1-9 and at most 40 demand points of 0-255 jobs each; a coordinate
 // byte of 248 or more puts its point just outside the arena. It must never
-// panic. It may fail only where offline.OmegaC fails (demand outside the
-// arena, or no cube size that fits) or with ErrBoundaryCube. A vehicle
-// serves at most B = max(ceil(3^l*omega_c), 1) jobs at home and B at one
-// destination in its cube, so a solution's W is at most
-// 2B + l*(CubeSide-1), and a second run returns the same solution.
+// panic. Each input is solved twice, on the pooled workspace the first
+// solve left, and both answers must be equal, errors included. It may fail
+// only where offline.OmegaC fails (demand outside the arena, or no cube
+// size that fits) or with ErrBoundaryCube. A vehicle serves at most
+// B = max(ceil(3^l*omega_c), 1) jobs at home and B at one destination in
+// its cube, so a solution's W is at most 2B + l*(CubeSide-1).
 func FuzzSolveOffline(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(0), uint8(0), uint8(0), []byte{3, 13}) // TestSolveOfflineBoundaryCube
 	f.Add(uint8(1), uint8(3), uint8(3), uint8(0), uint8(0), []byte{1, 1, 5})
@@ -706,6 +812,10 @@ func FuzzSolveOffline(f *testing.F) {
 			}
 		}
 		sol, err := SolveOffline(m, arena)
+		again, againErr := SolveOffline(m, arena)
+		if !reflect.DeepEqual(sol, again) || !reflect.DeepEqual(err, againErr) {
+			t.Fatalf("second run differs: %+v, %v; first %+v, %v", again, againErr, sol, err)
+		}
 		if err != nil {
 			if _, cerr := offline.OmegaC(m, arena); cerr == nil && !errors.Is(err, ErrBoundaryCube) {
 				t.Fatalf("SolveOffline failed on a characterized input: %v", err)
@@ -716,10 +826,6 @@ func FuzzSolveOffline(f *testing.F) {
 		if bound := 2*budget + float64(l*max(sol.Schedule.CubeSide-1, 0)); sol.Schedule.W > bound {
 			t.Fatalf("schedule W %v exceeds 2B + l(s-1) = %v (omega_c %v, side %d)",
 				sol.Schedule.W, bound, sol.OmegaC, sol.Schedule.CubeSide)
-		}
-		again, err := SolveOffline(m, arena)
-		if err != nil || !reflect.DeepEqual(sol, again) {
-			t.Fatalf("second run differs: %+v, %v; first %+v", again, err, sol)
 		}
 	})
 }

@@ -60,17 +60,17 @@ func PointMass(dim int, p grid.Point, d int64) (*Map, error) {
 
 // Uniform scatters `jobs` unit jobs uniformly at random over the box.
 func Uniform(rng *rand.Rand, b grid.Box, jobs int64) (*Map, error) {
-	m := NewMap(b.Dim)
+	s := newJobSink(b, jobs)
 	for j := int64(0); j < jobs; j++ {
 		var p grid.Point
 		for i := 0; i < b.Dim; i++ {
 			p[i] = b.Lo[i] + int32(rng.Int63n(b.Side(i)))
 		}
-		if err := m.Add(p, 1); err != nil {
+		if err := s.add(p); err != nil {
 			return nil, err
 		}
 	}
-	return m, nil
+	return s.done()
 }
 
 // Clusters scatters jobs into k Gaussian-ish clusters inside the box: each
@@ -83,7 +83,11 @@ func Clusters(rng *rand.Rand, b grid.Box, k int, jobsPerCluster int64, spread in
 	if spread < 0 {
 		return nil, fmt.Errorf("demand: spread %d must be >= 0", spread)
 	}
-	m := NewMap(b.Dim)
+	draws := int64(math.MaxInt64) // k*jobsPerCluster, saturated
+	if jobsPerCluster <= math.MaxInt64/int64(k) {
+		draws = int64(k) * jobsPerCluster
+	}
+	s := newJobSink(b, draws)
 	for c := 0; c < k; c++ {
 		var center grid.Point
 		for i := 0; i < b.Dim; i++ {
@@ -108,37 +112,101 @@ func Clusters(rng *rand.Rand, b grid.Box, k int, jobsPerCluster int64, spread in
 					p[i] = b.Hi[i]
 				}
 			}
-			if err := m.Add(p, 1); err != nil {
+			if err := s.add(p); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return m, nil
+	return s.done()
 }
+
+// maxZipfCells bounds the box Zipf lists and shuffles.
+const maxZipfCells = 1 << 20
 
 // Zipf assigns total jobs across the box's points with a Zipfian rank-size
 // law (skew s > 1): heavy hot spots plus a long tail, a standard stress
-// shape for capacitated assignment.
+// shape for capacitated assignment. The box holds at most 2^20 points.
 func Zipf(rng *rand.Rand, b grid.Box, jobs int64, s float64) (*Map, error) {
 	// NaN slips past s <= 1, and rand.Zipf loops forever on NaN or +Inf.
 	if !(s > 1) || math.IsInf(s, 1) {
 		return nil, fmt.Errorf("demand: zipf skew %v must be finite and > 1", s)
 	}
-	vol := b.Volume()
-	if vol > 1<<20 {
-		return nil, fmt.Errorf("demand: zipf box too large (%d points)", vol)
+	vol, err := b.VolumeChecked()
+	if err != nil || vol < 1 || vol > maxZipfCells {
+		return nil, fmt.Errorf("demand: zipf box %v..%v must hold 1 to %d points", b.Lo, b.Hi, maxZipfCells)
 	}
 	z := rand.NewZipf(rng, s, 1, uint64(vol-1))
 	pts := b.Points()
 	// Shuffle so rank 0 lands at a random position, not always the corner.
 	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
-	m := NewMap(b.Dim)
+	sink := newJobSink(b, jobs)
 	for j := int64(0); j < jobs; j++ {
-		if err := m.Add(pts[z.Uint64()], 1); err != nil {
+		if err := sink.add(pts[z.Uint64()]); err != nil {
 			return nil, err
 		}
 	}
-	return m, nil
+	return sink.done()
+}
+
+// jobSink collects the unit jobs a generator draws in a box into a Map.
+// When the box has no more cells than the draws, it counts them per cell
+// and then makes one Add per occupied cell, in row-major order, into a map
+// sized once, instead of one Add per job. A larger box, one whose cell
+// count overflows, or one whose points Add refuses takes one Add per job
+// as before: counting never costs more than 8 bytes per job drawn, and an
+// invalid box fails at its first job. Either way the map holds the same
+// counts.
+type jobSink struct {
+	m      *Map
+	ix     grid.BoxIndex
+	counts []int64 // per cell of the box in row-major order; nil: Add per job
+}
+
+// newJobSink returns the sink for draws unit jobs in b.
+func newJobSink(b grid.Box, draws int64) jobSink {
+	// Every point drawn lies in b and has b.Lo's coordinates past b.Dim, so
+	// Add accepts them all when it accepts b.Lo; a count of 0 checks that
+	// and touches no map. It also refuses a dimension past grid.MaxDim
+	// before VolumeChecked would read past the box's axes.
+	m := &Map{dim: b.Dim}
+	if m.Add(b.Lo, 0) == nil {
+		if vol, err := b.VolumeChecked(); err == nil && vol <= draws {
+			return jobSink{m: m, ix: grid.NewBoxIndex(b), counts: make([]int64, vol)}
+		}
+	}
+	m.d = make(map[grid.Point]int64)
+	return jobSink{m: m}
+}
+
+// add records one job at p, a point of the box.
+func (s *jobSink) add(p grid.Point) error {
+	if s.counts == nil {
+		return s.m.Add(p, 1)
+	}
+	s.counts[s.ix.Offset(p)]++
+	return nil
+}
+
+// done returns the map of the jobs added.
+func (s *jobSink) done() (*Map, error) {
+	if s.counts == nil {
+		return s.m, nil
+	}
+	cells := 0
+	for _, n := range s.counts {
+		if n > 0 {
+			cells++
+		}
+	}
+	s.m.d = make(map[grid.Point]int64, cells)
+	for o, n := range s.counts {
+		if n > 0 {
+			if err := s.m.Add(s.ix.PointAt(int64(o)), n); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return s.m, nil
 }
 
 // Alternating returns the adversarial two-point workload of thesis Figure

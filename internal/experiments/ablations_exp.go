@@ -192,23 +192,13 @@ func E12DimensionSweep(d int64) (*Table, error) {
 		if err := m.Add(cfg.pt, d); err != nil {
 			return nil, err
 		}
-		dense, err := offline.NewDense(m, cfg.arena)
+		sol, err := offline.Solve(m, cfg.arena)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: E12 l=%d: %w", l, err)
 		}
-		char, err := dense.OmegaC()
-		if err != nil {
-			return nil, err
-		}
-		sched, err := dense.BuildSchedule(char)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := offline.VerifySchedule(m, sched, sched.W); err != nil {
-			return nil, fmt.Errorf("experiments: E12 l=%d schedule invalid: %w", l, err)
-		}
+		omega, w := sol.Char.Omega, sol.Schedule.W
 		bound := 2*math.Pow(3, float64(l)) + float64(l)
-		t.AddRow(l, char.Omega, sched.W, sched.W/math.Max(char.Omega, 1), bound)
+		t.AddRow(l, omega, w, w/math.Max(omega, 1), bound)
 	}
 	return t, nil
 }

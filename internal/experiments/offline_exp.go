@@ -116,26 +116,14 @@ func E5ApproxQuality(n int, jobs int64, seed int64, workers int) (*Table, error)
 			if err != nil {
 				return row{}, err
 			}
-			dense, err := offline.NewDense(m, arena)
+			sol, err := offline.Solve(m, arena)
+			if err == nil {
+				err = sol.Alg1Err
+			}
 			if err != nil {
-				return row{}, err
+				return row{}, fmt.Errorf("experiments: %s: %w", name, err)
 			}
-			char, err := dense.OmegaC()
-			if err != nil {
-				return row{}, err
-			}
-			res, err := dense.Algorithm1()
-			if err != nil {
-				return row{}, err
-			}
-			sched, err := dense.BuildSchedule(char)
-			if err != nil {
-				return row{}, err
-			}
-			if _, err := offline.VerifySchedule(m, sched, sched.W); err != nil {
-				return row{}, fmt.Errorf("experiments: %s schedule invalid: %w", name, err)
-			}
-			return row{omega: char.Omega, alg1W: res.W, branch: res.Branch.String(), schedW: sched.W}, nil
+			return row{omega: sol.Char.Omega, alg1W: sol.Alg1.W, branch: sol.Alg1.Branch.String(), schedW: sol.Schedule.W}, nil
 		})
 	if err != nil {
 		return nil, err

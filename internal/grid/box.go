@@ -105,23 +105,21 @@ func (b Box) Points() []Point { return b.AppendPoints(make([]Point, 0, b.Volume(
 
 // AppendPoints appends the box's lattice points to dst in row-major order
 // and returns the extended slice, so a caller visiting many boxes can fill
-// one buffer.
+// one buffer. A coordinate is compared with Hi before it is incremented,
+// so a box that reaches math.MaxInt32 on an axis ends there instead of
+// wrapping to math.MinInt32.
 func (b Box) AppendPoints(dst []Point) []Point {
 	p := b.Lo
 	for {
 		dst = append(dst, p)
 		axis := b.Dim - 1
-		for axis >= 0 {
-			p[axis]++
-			if p[axis] <= b.Hi[axis] {
-				break
-			}
+		for ; axis >= 0 && p[axis] >= b.Hi[axis]; axis-- {
 			p[axis] = b.Lo[axis]
-			axis--
 		}
 		if axis < 0 {
 			return dst
 		}
+		p[axis]++
 	}
 }
 

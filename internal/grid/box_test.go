@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -103,6 +104,40 @@ func TestBoxPoints(t *testing.T) {
 	buf := b.AppendPoints([]Point{P(9, 9)})
 	if len(buf) != 1+len(pts) || buf[0] != P(9, 9) || buf[1] != pts[0] || buf[len(buf)-1] != pts[len(pts)-1] {
 		t.Errorf("AppendPoints = %v, want P(9, 9) then %v", buf, pts)
+	}
+}
+
+// TestPointsAtInt32Edge pins Points on boxes that reach an end of the int32
+// range, where incrementing a coordinate past Hi wraps: each must list
+// exactly its points in row-major order, which a nested loop in int64
+// counts out. The odometer used to increment before comparing, so
+// (MaxInt32, 0) went on to (MinInt32, 0) and never ended.
+func TestPointsAtInt32Edge(t *testing.T) {
+	const top, bottom = math.MaxInt32, math.MinInt32
+	for _, b := range []Box{
+		{Lo: P(top, 0), Hi: P(top, 0), Dim: 2},
+		{Lo: P(0, top-1), Hi: P(0, top), Dim: 2},
+		{Lo: P(top-2, top-1), Hi: P(top, top), Dim: 2},
+		{Lo: P(bottom), Hi: P(bottom + 1), Dim: 1},
+		{Lo: P(top), Hi: P(top), Dim: 1},
+		{Lo: P(bottom, top-1, 0, top), Hi: P(bottom+1, top, 1, top), Dim: 4},
+	} {
+		var want []Point
+		var walk func(p Point, axis int)
+		walk = func(p Point, axis int) {
+			if axis == b.Dim {
+				want = append(want, p)
+				return
+			}
+			for c := int64(b.Lo[axis]); c <= int64(b.Hi[axis]); c++ {
+				p[axis] = int32(c)
+				walk(p, axis+1)
+			}
+		}
+		walk(Point{}, 0)
+		if got := b.Points(); !slices.Equal(got, want) {
+			t.Errorf("Points of %v..%v = %v, want %v", b.Lo, b.Hi, got, want)
+		}
 	}
 }
 

@@ -196,23 +196,43 @@ type PrefixSum struct {
 // g's dimension and lie inside g, or be the zero Box, the empty window of a
 // table whose every sum is 0.
 func NewPrefixSum(g *Grid, b Box) (PrefixSum, error) {
-	ps := PrefixSum{g: g, win: b}
+	var ps PrefixSum
+	if err := ps.Reset(g, b); err != nil {
+		return PrefixSum{}, err
+	}
+	return ps, nil
+}
+
+// Reset makes ps the table of zeros NewPrefixSum(g, b) returns, on ps's own
+// storage, cleared, when it holds enough entries: a caller that builds one
+// table after another allocates only when a window outgrows the largest so
+// far. The zero Box with a nil g leaves an empty table that refers to no
+// grid but keeps the storage. On an error ps is left so too.
+func (ps *PrefixSum) Reset(g *Grid, b Box) error {
+	*ps = PrefixSum{g: g, win: b, sum: ps.sum[:0]}
 	if b.Dim == 0 {
-		return ps, nil
+		return nil
 	}
 	if b.Dim != g.dim || !g.Contains(b.Lo) || !g.Contains(b.Hi) {
-		return PrefixSum{}, fmt.Errorf("grid: window %v..%v outside the %d-D grid", b.Lo, b.Hi, g.dim)
+		*ps = PrefixSum{sum: ps.sum}
+		return fmt.Errorf("grid: window %v..%v outside the %d-D grid", b.Lo, b.Hi, g.dim)
 	}
 	stride := int64(1)
 	for i := g.dim - 1; i >= 0; i-- {
 		if b.Lo[i] > b.Hi[i] {
-			return PrefixSum{}, fmt.Errorf("grid: window lo%v > hi%v in axis %d", b.Lo, b.Hi, i)
+			*ps = PrefixSum{sum: ps.sum}
+			return fmt.Errorf("grid: window lo%v > hi%v in axis %d", b.Lo, b.Hi, i)
 		}
 		ps.str[i] = stride
 		stride *= b.Side(i) + 1
 	}
-	ps.sum = make([]int64, stride)
-	return ps, nil
+	if int64(cap(ps.sum)) < stride {
+		ps.sum = make([]int64, stride)
+	} else {
+		ps.sum = ps.sum[:stride]
+		clear(ps.sum)
+	}
+	return nil
 }
 
 // Grid returns the grid the table was built over, so consumers handed a

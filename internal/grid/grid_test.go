@@ -146,6 +146,75 @@ func TestPrefixSumMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestPrefixSumResetMatchesNew builds 400 tables in turn on one PrefixSum,
+// in 1-4-D grids, over windows that grow and shrink, each holding random
+// values in {0, ..., 9}: after Reset, Add and Accumulate, every Sum over
+// random boxes and every MaxCubeSum must equal a fresh table's. A window no
+// larger than the storage so far must reuse it. A refused window and the
+// zero Box over a nil grid leave an empty table that refers to no grid and
+// keeps the storage.
+func TestPrefixSumResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	var ps PrefixSum
+	reused := 0
+	for trial := range 400 {
+		sizes := make([]int, 1+rng.Intn(MaxDim))
+		for i := range sizes {
+			sizes[i] = 1 + rng.Intn(12-2*len(sizes))
+		}
+		g := MustNew(sizes...)
+		win := randomWindow(rng, g)
+		storage := ps.sum[:cap(ps.sum)]
+		if err := ps.Reset(g, win); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewPrefixSum(g, win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ps.sum) <= len(storage) {
+			if &ps.sum[0] != &storage[0] {
+				t.Fatalf("trial %d: a window of %d entries left storage of %d", trial, len(ps.sum), len(storage))
+			}
+			reused++
+		}
+		for _, p := range win.Points() {
+			v := int64(rng.Intn(10))
+			ps.Add(p, v)
+			fresh.Add(p, v)
+		}
+		ps.Accumulate()
+		fresh.Accumulate()
+		for range 20 {
+			if b := randomWindow(rng, g); ps.Sum(b) != fresh.Sum(b) {
+				t.Fatalf("trial %d: Sum over %v..%v = %d after Reset, %d fresh", trial, b.Lo, b.Hi, ps.Sum(b), fresh.Sum(b))
+			}
+		}
+		for s := 0; s <= g.MinSize()+1; s++ {
+			if got, want := ps.MaxCubeSum(s), fresh.MaxCubeSum(s); got != want {
+				t.Fatalf("trial %d: MaxCubeSum(%d) = %d after Reset, %d fresh", trial, s, got, want)
+			}
+		}
+	}
+	if reused < 300 {
+		t.Errorf("only %d of 400 tables reused the storage", reused)
+	}
+	storage := cap(ps.sum)
+	g := MustNew(3, 3)
+	if err := ps.Reset(g, Box{Lo: P(0, 0), Hi: P(3, 2), Dim: 2}); err == nil {
+		t.Error("a window outside the grid was accepted")
+	}
+	if ps.Grid() != nil || ps.Window() != (Box{}) || ps.Sum(g.Bounds()) != 0 || cap(ps.sum) != storage {
+		t.Errorf("after a refused window: grid %v, window %v, Sum %d, storage %d of %d", ps.Grid(), ps.Window(), ps.Sum(g.Bounds()), cap(ps.sum), storage)
+	}
+	if err := ps.Reset(g, g.Bounds()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Reset(nil, Box{}); err != nil || ps.Grid() != nil || cap(ps.sum) != storage {
+		t.Errorf("Reset(nil, Box{}): error %v, grid %v, storage %d of %d", err, ps.Grid(), cap(ps.sum), storage)
+	}
+}
+
 // TestPrefixSumRejectsWindowOutsideGrid pins NewPrefixSum's refusals: a
 // window that leaves the grid, has another dimension or is inverted. The
 // zero Box is the empty window, whose every sum is 0.

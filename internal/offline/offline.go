@@ -42,28 +42,44 @@ type Dense struct {
 // NewDense densifies m over arena. Demand outside the arena is an error
 // naming the least such position.
 func NewDense(m *demand.Map, arena *grid.Grid) (*Dense, error) {
+	d := new(Dense)
+	if err := d.reset(m, arena); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// reset makes d the dense view NewDense(m, arena) returns, building the
+// table on d's own storage.
+func (d *Dense) reset(m *demand.Map, arena *grid.Grid) error {
 	win, ok := m.BoundingBox()
 	if ok {
 		if !arena.Contains(win.Lo) || !arena.Contains(win.Hi) {
 			for _, p := range m.Support() { // sorted, so the first found is the least
 				if !arena.Contains(p) {
-					return nil, fmt.Errorf("offline: position %v outside the %s arena", p, sizeText(arena))
+					return fmt.Errorf("offline: position %v outside the %s arena", p, sizeText(arena))
 				}
 			}
 		}
 		win.Dim = arena.Dim()
 	}
-	d := &Dense{m: m, arena: arena}
-	var err error
-	if d.ps, err = grid.NewPrefixSum(arena, win); err != nil {
-		return nil, err
+	if err := d.ps.Reset(arena, win); err != nil {
+		return err
 	}
+	d.m, d.arena, d.max = m, arena, 0
 	for p, v := range m.All() {
 		d.ps.Add(p, v)
 		d.max = max(d.max, v)
 	}
 	d.ps.Accumulate()
-	return d, nil
+	return nil
+}
+
+// drop makes d refer to no demand map and no arena, keeping the table's
+// storage: a pooled view keeps nothing of its last caller's.
+func (d *Dense) drop() {
+	d.m, d.arena = nil, nil
+	_ = d.ps.Reset(nil, grid.Box{}) // the empty window cannot fail
 }
 
 // sizeText renders the arena's sizes as "4x4".
@@ -105,12 +121,16 @@ type CubeChar struct {
 // in the segment (s-1, s]; below the segment the crossing happens at the
 // boundary s-1 (still with side s). The scan stops once the segment floor
 // exceeds the best candidate, since all later candidates are at least s-1.
+//
+// It densifies m on a pooled workspace's table, as Solve does.
 func OmegaC(m *demand.Map, arena *grid.Grid) (CubeChar, error) {
-	d, err := NewDense(m, arena)
-	if err != nil {
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	defer ws.d.drop()
+	if err := ws.d.reset(m, arena); err != nil {
 		return CubeChar{}, err
 	}
-	return d.OmegaC()
+	return ws.d.OmegaC()
 }
 
 // OmegaC is the Corollary 2.2.7 characterization on the shared dense view.

@@ -56,8 +56,16 @@ type Schedule struct {
 // visits only the cubes that meet the demand's bounding box, and reads each
 // cell's demand from the summed-area table. The lemma assumes full cubes:
 // when a cube clipped by the arena's far faces runs out of helpers, the
-// error wraps ErrBoundaryCube.
+// error wraps ErrBoundaryCube. The cell and plan buffers come from a pooled
+// workspace, so a warm call allocates only the Schedule and its Plans.
 func (d *Dense) BuildSchedule(char CubeChar) (*Schedule, error) {
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return d.buildSchedule(char, ws)
+}
+
+// buildSchedule is BuildSchedule with ws's cell and plan buffers.
+func (d *Dense) buildSchedule(char CubeChar, ws *workspace) (*Schedule, error) {
 	m, arena := d.m, d.arena
 	if m.Total() == 0 {
 		return &Schedule{}, nil
@@ -80,12 +88,15 @@ func (d *Dense) BuildSchedule(char CubeChar) (*Schedule, error) {
 	budget := max(int64(math.Ceil(float64(pow(3, l))*char.Omega)), 1)
 	// Tile 0 is the largest: no far face clips it more than any other.
 	first, _ := arena.Tile(s, 0)
+	vol := first.Volume()
+	ws.cells = zeroed(ws.cells, vol)[:0]
+	ws.plans = zeroed(ws.plans, vol)
 	b := cubeBuilder{
 		d:      d,
 		sched:  &Schedule{Plans: make([]VehiclePlan, 0, d.planBound(budget)), CubeSide: s, OmegaC: char.Omega},
 		budget: budget,
-		cells:  make([]grid.Point, 0, first.Volume()),
-		plans:  make([]VehiclePlan, first.Volume()),
+		cells:  ws.cells,
+		plans:  ws.plans,
 	}
 	// Visit the arena's side-s tiles that meet the demand's bounding box in
 	// row-major order of their low corners, each clipped at the arena's far
@@ -121,7 +132,9 @@ var ErrBoundaryCube = errors.New("offline: a boundary cube clipped by the arena 
 
 // cubeBuilder runs Lemma 2.2.5's two phases cube by cube, reusing one buffer
 // of cells and one plan slot per cell, both sized for the largest tile,
-// across the cubes of a schedule.
+// across the cubes of a schedule. Phase 1 writes every slot of a cube
+// before phase 2 reads any, so slots left by another cube or another
+// schedule are never read.
 type cubeBuilder struct {
 	d      *Dense
 	sched  *Schedule
@@ -188,7 +201,17 @@ func (b *cubeBuilder) build(cube grid.Box, full bool) error {
 // homes seen. A plan point off the demand's lattice, or a box of more than
 // grid.MaxCells cells, is an error. A cell served other than its demand is
 // reported at the least such cell in row-major order (Point.Compare order).
+// The arrays come from a pooled workspace, cleared first, so a warm call
+// allocates nothing but an error.
 func VerifySchedule(m *demand.Map, sched *Schedule, capacity float64) (float64, error) {
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return ws.verify(m, sched, capacity)
+}
+
+// verify is VerifySchedule on ws's need array and home bitset. It reads the
+// demand from m alone, never from a table a solver built.
+func (ws *workspace) verify(m *demand.Map, sched *Schedule, capacity float64) (float64, error) {
 	if len(sched.Plans) == 0 && m.Total() == 0 {
 		return 0, nil
 	}
@@ -202,11 +225,12 @@ func VerifySchedule(m *demand.Map, sched *Schedule, capacity float64) (float64, 
 			box.Lo, box.Hi, grid.MaxCells, grid.ErrOverflow)
 	}
 	ix := grid.NewBoxIndex(box)
-	need := make([]int64, vol)
+	ws.need = zeroed(ws.need, vol)
+	ws.homes = zeroed(ws.homes, (vol+63)/64)
+	need, homes := ws.need, ws.homes
 	for p, v := range m.All() {
 		need[ix.Offset(p)] = v
 	}
-	homes := make([]uint64, (vol+63)/64)
 	maxE := 0.0
 	for i, pl := range sched.Plans {
 		h := ix.Offset(pl.Home)

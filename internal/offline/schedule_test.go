@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"repro/internal/demand"
@@ -227,9 +226,10 @@ func TestBuildScheduleMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBuildScheduleAllocs guards the construction's allocation count: the
-// Schedule, its Plans sized once from the demand's pairs, and the cell buffer
-// and plan slots sized for the largest tile, whatever the arena.
+// TestBuildScheduleAllocs guards the construction's allocation count: a
+// warm BuildSchedule allocates only the Schedule and its Plans, sized once
+// from the demand's pairs, whatever the arena; the cell buffer and the plan
+// slots, sized for the largest tile, come from the pooled workspace.
 func TestBuildScheduleAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{32, 64, 128} {
@@ -250,47 +250,33 @@ func TestBuildScheduleAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(5, func() {
+		allocs, _ := leastAllocs(func() {
 			if _, err := d.BuildSchedule(char); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%dx%d: %.0f allocations", n, n, allocs)
-		if allocs > 4 {
-			t.Errorf("%dx%d: BuildSchedule made %.0f allocations, want at most 4", n, n, allocs)
+		t.Logf("%dx%d: %d allocations", n, n, allocs)
+		if allocs != 2 {
+			t.Errorf("%dx%d: a warm BuildSchedule made %d allocations, want 2", n, n, allocs)
 		}
 	}
 }
 
-// offlinePipeline runs NewDense through VerifySchedule on m over arena, the
-// calls cmvrp.SolveOffline makes.
-func offlinePipeline(t testing.TB, m *demand.Map, arena *grid.Grid) {
-	d, err := NewDense(m, arena)
-	if err != nil {
-		t.Fatal(err)
-	}
-	char, err := d.OmegaC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Algorithm1(); err != nil {
-		t.Fatal(err)
-	}
-	sched, err := d.BuildSchedule(char)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := VerifySchedule(m, sched, sched.W); err != nil {
+// solveOK runs Solve on m over arena and fails t on an error.
+func solveOK(t testing.TB, m *demand.Map, arena *grid.Grid) {
+	if _, err := Solve(m, arena); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // leastAllocs returns the fewest allocations and bytes one call of f made
-// over five calls, read from runtime.MemStats: a garbage collection that
-// starts during a call allocates in the runtime, and those count too.
+// over ten calls, read from runtime.MemStats: a garbage collection that
+// starts during a call allocates in the runtime, and those count too, and
+// -race makes sync.Pool drop items, so a call can miss the pooled
+// workspace.
 func leastAllocs(f func()) (allocs, bytes uint64) {
 	allocs, bytes = math.MaxUint64, math.MaxUint64
-	for range 5 {
+	for range 10 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		f()
@@ -301,37 +287,67 @@ func leastAllocs(f func()) (allocs, bytes uint64) {
 	return allocs, bytes
 }
 
-// TestOfflinePipelineAllocs guards the whole offline pipeline on uniform
-// demand, NewDense through VerifySchedule: it allocates what it returns and
-// its dense tables, at most 8 times and as often at 128x128 as at 32x32:
-// the Dense, its table, BuildSchedule's 4 and VerifySchedule's 2. Each
-// count is the least of five single runs.
+// TestOfflinePipelineAllocs guards the offline pipeline's allocation counts
+// on uniform demand at 32x32, 64x64 and 128x128. A warm Solve allocates
+// exactly its answer, the Schedule and its Plans. NewDense, which E6, E11
+// and the bench's traced path keep, allocates exactly the Dense and its
+// table. A solve on a fresh workspace, which sizes every scratch buffer
+// too, allocates 8 times in every arena: the workspace, the table, the cell
+// and plan buffers, the answer's 2, and the need array and home bitset.
+// Each count is the least of ten single runs.
 func TestOfflinePipelineAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	var counts []uint64
 	for _, n := range []int{32, 64, 128} {
 		arena := grid.MustNew(n, n)
 		m, err := demand.Uniform(rng, arena.Bounds(), 4*arena.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs, _ := leastAllocs(func() { offlinePipeline(t, m, arena) })
-		t.Logf("%dx%d: %d allocations", n, n, allocs)
-		if allocs > 8 {
-			t.Errorf("%dx%d: the offline pipeline made %d allocations, want at most 8", n, n, allocs)
+		for _, c := range []struct {
+			what string
+			run  func()
+			want uint64
+		}{
+			{"a warm Solve", func() { solveOK(t, m, arena) }, 2},
+			{"NewDense", func() { newDenseOK(t, m, arena) }, 2},
+			{"a solve on a fresh workspace", func() { coldSolveOK(t, m, arena) }, 8},
+		} {
+			allocs, _ := leastAllocs(c.run)
+			t.Logf("%dx%d: %s made %d allocations", n, n, c.what, allocs)
+			if allocs != c.want {
+				t.Errorf("%dx%d: %s made %d allocations, want %d", n, n, c.what, allocs, c.want)
+			}
 		}
-		counts = append(counts, allocs)
 	}
-	if slices.Min(counts) != slices.Max(counts) {
-		t.Errorf("allocations vary with the arena: %v at 32x32, 64x64 and 128x128", counts)
+}
+
+// denseSink keeps the table newDenseOK builds, as a caller that uses it
+// does: a result the compiler sees dropped could live on the stack.
+var denseSink *Dense
+
+// newDenseOK runs NewDense on m over arena and fails t on an error.
+func newDenseOK(t testing.TB, m *demand.Map, arena *grid.Grid) {
+	var err error
+	if denseSink, err = NewDense(m, arena); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// coldSolveOK solves m over arena on a fresh workspace, so every scratch
+// buffer is sized anew, and fails t on an error.
+func coldSolveOK(t testing.TB, m *demand.Map, arena *grid.Grid) {
+	if _, err := new(workspace).solve(m, arena); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestOfflinePipelineAllocsFollowDemand pins that the offline pipeline
 // allocates by the demand, not the arena: one 16x16 demand box pays the
-// same bytes, NewDense through VerifySchedule, in a 64x64 arena and in a
-// 1024x1024 one, where an arena-wide value array alone would take 8 MB.
-// Each count is the least of five single runs.
+// same bytes in a 64x64 arena and in a 1024x1024 one, where an arena-wide
+// value array alone would take 8 MB. The bytes are counted on a fresh
+// workspace, whose every scratch buffer a warm Solve would reuse unseen,
+// on NewDense and on a warm Solve. Each count is the least of ten single
+// runs.
 func TestOfflinePipelineAllocsFollowDemand(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	inner, err := grid.NewBox(2, grid.P(24, 24), grid.P(39, 39))
@@ -342,15 +358,24 @@ func TestOfflinePipelineAllocsFollowDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bytes []uint64
-	for _, n := range []int{64, 1024} {
-		arena := grid.MustNew(n, n)
-		_, b := leastAllocs(func() { offlinePipeline(t, m, arena) })
-		t.Logf("%dx%d: %d bytes", n, n, b)
-		bytes = append(bytes, b)
-	}
-	if bytes[0] != bytes[1] {
-		t.Errorf("the offline pipeline allocated %d bytes in a 64x64 arena and %d in a 1024x1024 one", bytes[0], bytes[1])
+	for _, c := range []struct {
+		what string
+		run  func(*grid.Grid)
+	}{
+		{"a solve on a fresh workspace", func(arena *grid.Grid) { coldSolveOK(t, m, arena) }},
+		{"NewDense", func(arena *grid.Grid) { newDenseOK(t, m, arena) }},
+		{"a warm Solve", func(arena *grid.Grid) { solveOK(t, m, arena) }},
+	} {
+		var bytes []uint64
+		for _, n := range []int{64, 1024} {
+			arena := grid.MustNew(n, n)
+			_, b := leastAllocs(func() { c.run(arena) })
+			t.Logf("%s, %dx%d: %d bytes", c.what, n, n, b)
+			bytes = append(bytes, b)
+		}
+		if bytes[0] != bytes[1] {
+			t.Errorf("%s allocated %d bytes in a 64x64 arena and %d in a 1024x1024 one", c.what, bytes[0], bytes[1])
+		}
 	}
 }
 
