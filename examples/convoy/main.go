@@ -9,21 +9,23 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	cmvrp "repro"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(out io.Writer) error {
 	const totalDemand = 2500
-	fmt.Println("inspection site demands", totalDemand, "units at the end of an N-relay pipeline")
-	fmt.Println()
+	fmt.Fprintln(out, "inspection site demands", totalDemand, "units at the end of an N-relay pipeline")
+	fmt.Fprintln(out)
 
 	// No-transfer reference: the thesis' omega* for the same concentration.
 	dem, err := cmvrp.PointDemand(1, cmvrp.P(0), totalDemand)
@@ -34,9 +36,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("no transfers: every vehicle needs W = %.1f (omega*, Thm 1.4.1 in 1-D)\n\n", omega)
+	fmt.Fprintf(out, "no transfers: every vehicle needs W = %.1f (omega*, Thm 1.4.1 in 1-D)\n\n", omega)
 
-	fmt.Println("   N    fixed-cost W   variable-cost W   avg demand   gain vs no-transfer")
+	fmt.Fprintln(out, "   N    fixed-cost W   variable-cost W   avg demand   gain vs no-transfer")
 	for _, n := range []int{128, 512, 2048} {
 		demands := make([]int64, n)
 		demands[n-1] = totalDemand
@@ -55,11 +57,11 @@ func run() error {
 			ws[i] = res.W
 		}
 		avg := float64(totalDemand) / float64(n)
-		fmt.Printf("%5d   %12.2f   %15.2f   %10.2f   %12.1fx\n",
+		fmt.Fprintf(out, "%5d   %12.2f   %15.2f   %10.2f   %12.1fx\n",
 			n, ws[0], ws[1], avg, omega/ws[0])
 	}
 
-	fmt.Println("\nwith tanks capped at the initial charge (C = W), Theorem 5.1.1's decay")
+	fmt.Fprintln(out, "\nwith tanks capped at the initial charge (C = W), Theorem 5.1.1's decay")
 	dem2, err := cmvrp.PointDemand(2, cmvrp.P(0, 0), totalDemand)
 	if err != nil {
 		return err
@@ -72,7 +74,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("bound keeps Wtrans = %.2f — same order as the no-transfer omega* = %.2f:\n", bound, omega2)
-	fmt.Println("transfers alone buy at most a constant; the convoy's win comes from big tanks.")
+	fmt.Fprintf(out, "bound keeps Wtrans = %.2f — same order as the no-transfer omega* = %.2f:\n", bound, omega2)
+	fmt.Fprintln(out, "transfers alone buy at most a constant; the convoy's win comes from big tanks.")
 	return nil
 }

@@ -9,25 +9,27 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
+	"os"
 
 	cmvrp "repro"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(out io.Writer) error {
 	arena, err := cmvrp.NewArena(64, 64)
 	if err != nil {
 		return err
 	}
-	fmt.Println("traffic   W2=root of W(2W+1)=d   omega_c   schedule W")
+	fmt.Fprintln(out, "traffic   W2=root of W(2W+1)=d   omega_c   schedule W")
 	for _, d := range []int64{8, 32, 128} {
 		dem, err := cmvrp.LineDemand(cmvrp.P(8, 32), 48, d)
 		if err != nil {
@@ -38,7 +40,7 @@ func run() error {
 			return err
 		}
 		w2 := math.Sqrt(float64(d) / 2) // asymptotic root of W(2W+1)=d
-		fmt.Printf("%7d   %20.2f   %7.2f   %10.2f\n", d, w2, sol.OmegaC, sol.Schedule.W)
+		fmt.Fprintf(out, "%7d   %20.2f   %7.2f   %10.2f\n", d, w2, sol.OmegaC, sol.Schedule.W)
 	}
 
 	// Online replay at the heaviest traffic level.
@@ -61,7 +63,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nonline: measured Won = %.1f (%.1fx omega_c; theorem allows %dx)\n",
+	fmt.Fprintf(out, "\nonline: measured Won = %.1f (%.1fx omega_c; theorem allows %dx)\n",
 		won, won/math.Max(sol.OmegaC, 1), 4*9+2)
 	return nil
 }

@@ -6,20 +6,22 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
+	"os"
 
 	cmvrp "repro"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(out io.Writer) error {
 	// A 32x32 arena: one vehicle at every cell.
 	arena, err := cmvrp.NewArena(32, 32)
 	if err != nil {
@@ -39,9 +41,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("omega_c lower-bound characterization: %.2f\n", sol.OmegaC)
-	fmt.Printf("Algorithm 1 estimate:                 %.2f\n", sol.Alg1W)
-	fmt.Printf("verified schedule capacity:           %.2f (%d vehicles active)\n",
+	fmt.Fprintf(out, "omega_c lower-bound characterization: %.2f\n", sol.OmegaC)
+	fmt.Fprintf(out, "Algorithm 1 estimate:                 %.2f\n", sol.Alg1W)
+	fmt.Fprintf(out, "verified schedule capacity:           %.2f (%d vehicles active)\n",
 		sol.Schedule.W, len(sol.Schedule.Plans))
 
 	// Online: same jobs arriving one at a time, served by the distributed
@@ -60,12 +62,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("online at W=%.1f: served %d/%d jobs, %d replacements, %d messages\n",
+	fmt.Fprintf(out, "online at W=%.1f: served %d/%d jobs, %d replacements, %d messages\n",
 		w, res.Served, seq.Len(), res.Replacements, res.Messages)
 	if !res.OK() {
 		return fmt.Errorf("online run failed: %v", res.Failures[0])
 	}
-	fmt.Printf("peak per-vehicle energy used: %.1f (%.1f%% of W)\n",
+	fmt.Fprintf(out, "peak per-vehicle energy used: %.1f (%.1f%% of W)\n",
 		res.MaxEnergy, 100*res.MaxEnergy/w)
 	return nil
 }

@@ -9,20 +9,22 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
+	"os"
 
 	cmvrp "repro"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(out io.Writer) error {
 	arena, err := cmvrp.NewArena(24, 24)
 	if err != nil {
 		return err
@@ -72,18 +74,18 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sensor field %dx%d, %d events in 3 bursts\n", 24, 24, seq.Len())
-	fmt.Printf("capacity W = %.1f (omega_c %.2f, cube side %d)\n", w, sol.OmegaC, sol.CubeSide)
-	fmt.Printf("served %d/%d events despite 2 dead sensors and a no-initiate region\n",
+	fmt.Fprintf(out, "sensor field %dx%d, %d events in 3 bursts\n", 24, 24, seq.Len())
+	fmt.Fprintf(out, "capacity W = %.1f (omega_c %.2f, cube side %d)\n", w, sol.OmegaC, sol.CubeSide)
+	fmt.Fprintf(out, "served %d/%d events despite 2 dead sensors and a no-initiate region\n",
 		res.Served, seq.Len())
-	fmt.Printf("replacements: %d (of which %d monitor-initiated rescues)\n",
+	fmt.Fprintf(out, "replacements: %d (of which %d monitor-initiated rescues)\n",
 		res.Replacements, res.MonitorRescues)
-	fmt.Printf("protocol messages: %d\n", res.Messages)
+	fmt.Fprintf(out, "protocol messages: %d\n", res.Messages)
 	// With monitoring, only events arriving in the one-round detection gap
 	// of a dead sensor can be lost.
 	if len(res.Failures) > 2 {
 		return fmt.Errorf("too many lost events: %v", res.Failures)
 	}
-	fmt.Printf("lost events (dead-sensor detection gap): %d\n", len(res.Failures))
+	fmt.Fprintf(out, "lost events (dead-sensor detection gap): %d\n", len(res.Failures))
 	return nil
 }
