@@ -131,7 +131,10 @@ const (
 	OrderRoundRobin = demand.OrderRoundRobin
 )
 
-// ToSequence expands a demand function into an arrival sequence.
+// ToSequence expands a demand function into an arrival sequence. It
+// refuses, with an error and before allocating anything, a demand whose
+// total exceeds math.MaxInt32 jobs: an online runner indexes arrivals with
+// 32 bits.
 func ToSequence(m *Demand, order demand.Order, rng *rand.Rand) (*Sequence, error) {
 	return demand.SequenceOf(m, order, rng)
 }

@@ -544,6 +544,12 @@ func TestFacadeRejectsMalformedInput(t *testing.T) {
 		{"NewDemand(0).Add", func() error { return NewDemand(0).Add(P(1), 5) }},
 		{"NewDemand(MaxDim+1).Add", func() error { return NewDemand(grid.MaxDim+1).Add(P(1), 5) }},
 		{"Demand.Add 1 job past a total of MaxInt64", func() error { return full.Add(P(1, 1), 1) }},
+		{"ToSequence MaxInt64 jobs, sorted", func() error { _, err := ToSequence(full, OrderSorted, nil); return err }},
+		{"ToSequence MaxInt64 jobs, shuffled", func() error {
+			_, err := ToSequence(full, OrderShuffled, rand.New(rand.NewSource(1)))
+			return err
+		}},
+		{"ToSequence MaxInt64 jobs, round robin", func() error { _, err := ToSequence(full, OrderRoundRobin, nil); return err }},
 		{"PointDemand 1-D at (1, 2)", func() error { _, err := PointDemand(1, P(1, 2), 3); return err }},
 		{"SquareDemand side 2^32+1 wraps to 1", func() error { _, err := SquareDemand(P(0, 0), 1<<32+1, 7); return err }},
 		{"LineDemand past int32", func() error { _, err := LineDemand(P(2147483646, 0), 4, 1); return err }},

@@ -357,6 +357,23 @@ func TestSequenceOfPreservesMultiset(t *testing.T) {
 	}
 }
 
+// TestSequenceOfRefusesTotalPastInt32 pins SequenceOf's limit: a map of
+// exactly 2^31 jobs, one past math.MaxInt32, is refused under every order,
+// the unknown one included, before its 32 GB of arrivals are allocated.
+func TestSequenceOfRefusesTotalPastInt32(t *testing.T) {
+	m := NewMap(2)
+	if err := m.Add(grid.P(3, 4), 1<<31); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, order := range []Order{OrderSorted, OrderShuffled, OrderRoundRobin, Order(42)} {
+		seq, err := SequenceOf(m, order, rng)
+		if err == nil || seq != nil {
+			t.Errorf("%v: 2^31 jobs gave a sequence (%v), want an error", order, err)
+		}
+	}
+}
+
 func TestRoundRobinInterleaves(t *testing.T) {
 	m := NewMap(2)
 	a, b := grid.P(0, 0), grid.P(5, 0)

@@ -2,6 +2,7 @@ package demand
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/grid"
@@ -28,9 +29,15 @@ func (s *Sequence) Len() int { return len(s.arrivals) }
 func (s *Sequence) At(i int) grid.Point { return s.arrivals[i] }
 
 // SequenceOf expands a demand map into an arrival sequence using the given
-// order policy. The induced map of the result equals m.
+// order policy. The induced map of the result equals m. A map whose total
+// exceeds math.MaxInt32, the most arrivals an online runner indexes, is
+// refused with an error under every order, before anything is allocated.
 func SequenceOf(m *Map, order Order, rng *rand.Rand) (*Sequence, error) {
-	jobs := make([]grid.Point, 0, m.Total())
+	total := m.Total()
+	if total > math.MaxInt32 {
+		return nil, fmt.Errorf("demand: %d jobs exceed a sequence's %d arrivals", total, math.MaxInt32)
+	}
+	jobs := make([]grid.Point, 0, total)
 	for _, p := range m.Support() {
 		for i := int64(0); i < m.At(p); i++ {
 			jobs = append(jobs, p)

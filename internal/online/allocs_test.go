@@ -178,12 +178,12 @@ func newRunnerCost(t *testing.T, side, shards int) (objects, bytes uint64) {
 
 // TestNewRunnerAllocsFlat pins that building a runner on a shared partition
 // takes the same allocations whatever the arena size and scheduler: the
-// Runner, the network with its random source and its node table (sized
+// Runner, the network (its generator held inline) and its node table (sized
 // once), the vehicle slab with the engines embedded, and the three pair
 // tables. No closure or slice is built per vehicle: each engine floods the
 // row its vehicle reads from the partition.
 func TestNewRunnerAllocsFlat(t *testing.T) {
-	const want = 8
+	const want = 7
 	runtime.GC() // start the runtime's mark workers outside any count
 	for _, side := range []int{8, 16, 32, 64} {
 		for _, shards := range []int{0, 1, 1000} {
@@ -197,10 +197,11 @@ func TestNewRunnerAllocsFlat(t *testing.T) {
 
 // TestNewRunnerAllocBytesPerCell bounds what a runner built on a shared
 // partition costs per arena cell under either scheduler: a 160-byte
-// vehicle, a 56-byte node-table entry and the pair tables, with the
-// network's fixed generator state spread over the cells.
+// vehicle, a 56-byte node-table entry and the pair tables. Both schedulers
+// take 221 bytes per cell at 32x32 and at 64x64. The network's generator
+// is 16 bytes; a 15 KB one, as math/rand's, would read 236 at 32x32.
 func TestNewRunnerAllocBytesPerCell(t *testing.T) {
-	const ceiling = 250
+	const ceiling = 230
 	runtime.GC()
 	for _, side := range []int{32, 64} {
 		for _, shards := range []int{0, 1} {
@@ -269,12 +270,18 @@ func TestColdMonitoredEpisodeAllocs(t *testing.T) {
 // allocates only the reason texts of the energy or move failures recorded
 // at that arrival, however many jobs the full episode would have lost: one
 // without monitoring, and one more when the arrival's monitor round
-// recruits a second vehicle that cannot afford its move.
+// recruits a second vehicle that cannot afford its move. A state failure
+// costs no text. At seed 14 and capacity 4 the hot point's chain of
+// replacements ends with no energy or move failure: the last move order is
+// dropped by a candidate whose engine has since joined a straggling query
+// of an older search, so the pair's vehicle stays done.
 func TestCapacityProbeAllocs(t *testing.T) {
 	hotArena, hotSeq := hotPointSeq(60)
 	hot := Options{Arena: hotArena, CubeSide: 8, Seed: 1}
 	monitored := hot
 	monitored.Monitoring = true
+	stateFail := hot
+	stateFail.Seed = 14
 	for _, tc := range []struct {
 		name     string
 		seq      *demand.Sequence
@@ -285,7 +292,7 @@ func TestCapacityProbeAllocs(t *testing.T) {
 	}{
 		{"hot point, feasible", hotSeq, hot, 24, true, 0},
 		{"hot point, monitored, feasible", hotSeq, monitored, 24, true, 0},
-		{"hot point, state failure", hotSeq, hot, 3, false, 0},
+		{"hot point, state failure", hotSeq, stateFail, 4, false, 0},
 		{"hot point, move failure", hotSeq, hot, 6, false, 1},
 		{"hot point, monitored, move failure", hotSeq, monitored, 6, false, 1},
 		{"hot point, monitored, two move failures", hotSeq, monitored, 3, false, 2},
@@ -305,6 +312,9 @@ func TestCapacityProbeAllocs(t *testing.T) {
 		if ok != tc.feasible || floats != tc.floats {
 			t.Fatalf("%s: capacity %v feasible %v with %d energy or move failures, want %v with %d",
 				tc.name, tc.w, ok, floats, tc.feasible, tc.floats)
+		}
+		if !ok && floats == 0 && len(p.r.failures) == 0 {
+			t.Fatalf("%s: capacity %v stopped on no recorded failure", tc.name, tc.w)
 		}
 		got := testing.AllocsPerRun(5, func() {
 			if _, err := p.probe(tc.w); err != nil {

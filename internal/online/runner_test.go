@@ -524,7 +524,7 @@ func TestFailedRelocationIsNotALostArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPairOwnership(t, r)
-	want := []Failure{{Pos: grid.P(1, 3), Reason: "recruit (2,1) cannot afford move of 3"}}
+	want := []Failure{{Pos: grid.P(1, 3), Reason: "recruit (0,1) cannot afford move of 3"}}
 	if res.Served != 1 || !slices.Equal(res.Failures, want) || res.OK() {
 		t.Fatalf("served %d, failures %v, OK %v; want 1 served, failures %v, not OK",
 			res.Served, res.Failures, res.OK(), want)

@@ -1,111 +1,107 @@
 package sim
 
 import (
-	"math/rand"
+	"math"
+	"math/bits"
+	"math/rand/v2"
+	"runtime"
 	"testing"
 )
 
-// TestIntnMatchesMathRand pins the scheduler's inlined draw against the real
-// math/rand.(*Rand).Intn: same values from the same number of source draws,
-// across power-of-two bounds (mask path), small odd bounds (cached
-// rejection threshold + fastmod path), and bounds that exercise the
-// rejection loop's cache invalidation as k changes between calls.
+// rngBounds are the draw bounds the reference tests sweep: power-of-two
+// bounds (the mask path), other small bounds, and two bounds large enough
+// that the rejection test fires. The last two, 2^62+1 and 3*2^61-3 on
+// 64-bit platforms, reject about one draw in four.
+var rngBounds = []int{1, 3, 2, 3, 5, 7, 7, 6, 100, 64, 63, 1000, 999, math.MaxInt/2 + 2, math.MaxInt / 4 * 3}
+
+// matchIntn checks n's next draws against math/rand/v2's Rand.IntN over a
+// PCG seeded with (uint64(seed), 0): the same values from the same number
+// of generator draws. The standard library draws differently on 32-bit
+// platforms, so callers skip there (skipOn32Bit).
+func matchIntn(t *testing.T, n *Network, seed int64, what string) {
+	t.Helper()
+	ref := rand.New(rand.NewPCG(uint64(seed), 0))
+	for round := 0; round < 200; round++ {
+		for _, k := range rngBounds {
+			if got, want := n.intn(k), ref.IntN(k); got != want {
+				t.Fatalf("%s seed %d round %d: intn(%d) = %d, want %d",
+					what, seed, round, k, got, want)
+			}
+		}
+	}
+}
+
+func skipOn32Bit(t *testing.T) {
+	if bits.UintSize == 32 {
+		t.Skip("rand/v2's IntN takes its 32-bit path on this platform")
+	}
+}
+
+// TestIntnMatchesMathRand is the generator's reference test: on fresh
+// networks the scheduler's inlined draw equals math/rand/v2's Rand.IntN
+// over the same seeded PCG, draw for draw.
 func TestIntnMatchesMathRand(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42, 20080527} {
-		// Fresh network: draws go through the generator captured by
-		// NewNetwork. Reset network: the same seed restores the captured
-		// post-Seed state by copy. Both must match the reference stream
-		// exactly; TestSeedFallbackMatchesMathRand covers the fallback.
-		cold := NewNetwork(seed, 0)
-		warm := NewNetwork(seed, 0)
-		warm.Reset(seed, false)
-		ref := rand.New(rand.NewSource(seed))
-		refW := rand.New(rand.NewSource(seed))
-		// Sweep k in a pattern that alternates between bounds so the
-		// single-entry (modK, modMaxv, modM) cache is both hit and replaced.
-		ks := []int{1, 3, 2, 3, 5, 7, 7, 7, 6, 100, 6, 64, 63, 1000, 999, 3}
-		for round := 0; round < 200; round++ {
-			for _, k := range ks {
-				if got, want := cold.intn(k), ref.Intn(k); got != want {
-					t.Fatalf("seed %d round %d: fresh intn(%d) = %d, want %d",
-						seed, round, k, got, want)
-				}
-				if got, want := warm.intn(k), refW.Intn(k); got != want {
-					t.Fatalf("seed %d round %d: warm intn(%d) = %d, want %d",
-						seed, round, k, got, want)
-				}
-			}
-		}
+	skipOn32Bit(t)
+	for _, seed := range []int64{1, 7, 42, 20080527, -1} {
+		matchIntn(t, NewNetwork(seed, 0), seed, "fresh")
 	}
 }
 
-// TestFreshNetworkUsesCapturedGenerator pins that NewNetwork captures the
-// generator mirror: a network that was never Reset already draws through
-// the in-struct generator, so a runner's first episode takes the same RNG
-// path as its warm ones.
-func TestFreshNetworkUsesCapturedGenerator(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42, 20080527} {
-		n := NewNetwork(seed, 0)
-		if !n.fastOK || n.pristineSeed != seed {
-			t.Fatalf("seed %d: fresh network has fastOK=%v pristineSeed=%d, want the captured generator",
-				seed, n.fastOK, n.pristineSeed)
-		}
-	}
-}
-
-// TestReseedMatchesSeed pins the copy reseed: a network reset by copying the
-// captured post-Seed generator must produce the identical draw stream to one
-// reseeded through rand's Seed, including after switching seeds (which
-// invalidates the copy) and switching back.
+// TestReseedMatchesSeed pins Reset's reseed: one network reset to its own
+// seed, to the same seed twice in a row, and across seed switches (back to
+// an earlier seed included) draws exactly the reference stream of the seed
+// it was last reset to, whatever it drew before.
 func TestReseedMatchesSeed(t *testing.T) {
-	n := NewNetwork(1, 0) // a different seed, so the first Reset(9) reseeds
-	stream := func(seed int64) []int {
+	skipOn32Bit(t)
+	n := NewNetwork(9, 0)
+	for _, seed := range []int64{9, 9, 1, 42, 1, -1, -1, 20080527, 7} {
 		n.Reset(seed, false)
-		out := make([]int, 50)
-		for i := range out {
-			out[i] = n.intn(5)
-		}
-		return out
+		matchIntn(t, n, seed, "reset")
 	}
-	want9 := stream(9) // first Reset(9): Seed path + snapshot
-	got9 := stream(9)  // snapshot-copy path
-	want3 := stream(3) // seed switch: Seed path again
-	got9b := stream(9) // back to 9: Seed path (snapshot was replaced)
-	got3 := stream(3)  // and 3 again
-	for i := range want9 {
-		if got9[i] != want9[i] || got9b[i] != want9[i] {
-			t.Fatalf("draw %d: copy-reseed diverged from Seed for seed 9", i)
+}
+
+// TestFreshNetworkUsesCapturedGenerator pins that NewNetwork holds the
+// seeded generator by value: a network that was never Reset starts from
+// the state rand.NewPCG(uint64(seed), 0) starts from, and from the state a
+// used network reset to that seed restores, so a runner's first episode
+// draws exactly as its warm ones. It compares generator states, so it
+// holds on every platform.
+func TestFreshNetworkUsesCapturedGenerator(t *testing.T) {
+	used := NewNetwork(3, 0)
+	for _, seed := range []int64{1, 7, 42, 20080527, -1} {
+		n := NewNetwork(seed, 0)
+		if want := *rand.NewPCG(uint64(seed), 0); n.rng != want {
+			t.Fatalf("seed %d: fresh generator %+v, want rand.NewPCG's %+v", seed, n.rng, want)
 		}
-		if got3[i] != want3[i] {
-			t.Fatalf("draw %d: copy-reseed diverged from Seed for seed 3", i)
+		used.intn(5)
+		used.Reset(seed, false)
+		if used.rng != n.rng {
+			t.Fatalf("seed %d: reset generator %+v, fresh %+v", seed, used.rng, n.rng)
 		}
 	}
 }
 
-// hiddenSource exposes a math/rand source only through rand.Source, hiding
-// its Uint64 method, so captureALFG cannot mirror it.
-type hiddenSource struct{ rand.Source }
+// sinkNetwork keeps TestNewNetworkAllocs' network on the heap.
+var sinkNetwork *Network
 
-// TestSeedFallbackMatchesMathRand drives the plain Seed fallback that Reset
-// takes when generator capture fails: across repeated and switched seeds,
-// every draw must match a freshly seeded math/rand stream.
-func TestSeedFallbackMatchesMathRand(t *testing.T) {
-	n := NewNetwork(1, 0)
-	n.src = hiddenSource{rand.NewSource(1)}
-	ks := []int{1, 3, 2, 5, 7, 6, 100, 64, 63, 1000, 999}
-	for _, seed := range []int64{9, 9, 3, 9} {
-		n.Reset(seed, false)
-		if n.fastOK {
-			t.Fatalf("seed %d: capture succeeded on a source without Uint64", seed)
-		}
-		ref := rand.New(rand.NewSource(seed))
-		for round := 0; round < 50; round++ {
-			for _, k := range ks {
-				if got, want := n.intn(k), ref.Intn(k); got != want {
-					t.Fatalf("seed %d round %d: fallback intn(%d) = %d, want %d",
-						seed, round, k, got, want)
-				}
-			}
-		}
+// TestNewNetworkAllocs pins what an empty network costs: one object, the
+// Network itself, under 1 KB with its generator. A generator that carries
+// kilobytes of state, as math/rand's lagged Fibonacci one did (2 objects,
+// 15,616 bytes), fails here. It counts the least of five single builds
+// read from runtime.MemStats.
+func TestNewNetworkAllocs(t *testing.T) {
+	runtime.GC() // start the runtime's mark workers outside the count
+	objects, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sinkNetwork = NewNetwork(7, 0)
+		runtime.ReadMemStats(&after)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if objects != 1 || bytes >= 1024 {
+		t.Errorf("NewNetwork(7, 0) allocated %d objects, %d bytes; want 1 object under 1,024 bytes",
+			objects, bytes)
 	}
 }

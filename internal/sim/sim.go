@@ -3,8 +3,11 @@
 // unbounded input buffers, bidirectional error-free links, per-link FIFO
 // ("synchronous communication: messages from P to Q arrive in the order
 // sent"), and arbitrary finite delays — realized by delivering, at each
-// step, the head message of a pseudo-randomly chosen nonempty link. With a
-// fixed seed every run is bit-for-bit reproducible.
+// step, the head message of a pseudo-randomly chosen nonempty link. The
+// picks come from a math/rand/v2 PCG generator that the network holds by
+// value; the model leaves the delivery order to the adversary, so the
+// generator is not part of the reproduction. With a fixed seed every run is
+// bit-for-bit reproducible.
 //
 // Storage is dense: node ids are expected to be small non-negative integers
 // (the online layer uses arena cell indices directly), processes live in a
@@ -24,7 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"math/rand"
+	"math/rand/v2"
 )
 
 // NodeID identifies a process in the network. Ids must be non-negative and
@@ -267,90 +270,13 @@ type node struct {
 	pend bool
 }
 
-// alfg mirrors math/rand's additive lagged Fibonacci generator
-// (x_i = x_{i-273} + x_{i-607}, wrapping int64 addition) so the scheduler
-// can draw without an interface call per delivery. Its state is never
-// computed from scratch: captureALFG recovers it from a seeded source's own
-// output stream and verifies it draw-for-draw, so this stays exact or is
-// not used at all.
-type alfg struct {
-	tap, feed int32
-	vec       [alfgLen]int64
-}
-
-const (
-	alfgLen = 607 // math/rand rngLen
-	alfgTap = 273 // math/rand rngTap
-)
-
-// next is rngSource.Int63, inlined: one masked draw, no interface call.
-func (f *alfg) next() int64 {
-	t, fd := f.tap-1, f.feed-1
-	if t < 0 {
-		t += alfgLen
-	}
-	if fd < 0 {
-		fd += alfgLen
-	}
-	x := f.vec[fd] + f.vec[t]
-	f.vec[fd] = x
-	f.tap, f.feed = t, fd
-	return x & (1<<63 - 1)
-}
-
-// prev inverts one draw (the additive update is bijective), used by
-// captureALFG to rewind the draws it spent on capture and verification.
-func (f *alfg) prev() {
-	f.vec[f.feed] -= f.vec[f.tap]
-	f.feed++
-	if f.feed >= alfgLen {
-		f.feed = 0
-	}
-	f.tap++
-	if f.tap >= alfgLen {
-		f.tap = 0
-	}
-}
-
-// captureALFG reconstructs a just-seeded source's generator state into f.
-// Every draw of the real generator returns the state word it just wrote, so
-// draining one full period's worth of outputs IS the state — no access to
-// math/rand internals. The copy is then verified in lockstep against the
-// source and rewound to the post-seed state. Returns false (and leaves the
-// source's state spent — the caller must re-Seed) if the source is not the
-// generator this mirrors.
-func captureALFG(src rand.Source, f *alfg) bool {
-	s64, ok := src.(rand.Source64)
-	if !ok {
-		return false
-	}
-	f.tap, f.feed = 0, alfgLen-alfgTap // rngSource.Seed's start positions
-	for i := 0; i < alfgLen; i++ {
-		// Draw i overwrote the feed slot for that step.
-		slot := (int(f.feed) - 1 - i) % alfgLen
-		if slot < 0 {
-			slot += alfgLen
-		}
-		f.vec[slot] = int64(s64.Uint64())
-	}
-	const verify = 200
-	for i := 0; i < verify; i++ {
-		f.next()
-		if uint64(f.vec[f.feed]) != s64.Uint64() {
-			return false
-		}
-	}
-	for i := 0; i < alfgLen+verify; i++ {
-		f.prev()
-	}
-	return true
-}
-
 // Network owns the processes and undelivered messages. It is single
 // threaded: determinism comes free and the package is safe exactly when a
 // Network is confined to one goroutine.
 type Network struct {
-	src   rand.Source
+	// rng is the scheduler's generator, held by value: a draw is a direct
+	// call on 16 bytes of state, not an interface call.
+	rng   rand.PCG
 	nodes []node // dense, indexed by NodeID
 	// ready is the legacy scheduler's ready list: the exact set of nonempty
 	// links, as a dense hot array carrying each listed link's head message,
@@ -369,32 +295,13 @@ type Network struct {
 	// only its self field rewritten — one pooled struct instead of one heap
 	// allocation per delivered message.
 	ctx Context
-	// modK/modMaxv/modM cache intn's per-bound constants for the last
-	// non-power-of-two draw bound: the rejection threshold exactly as
-	// math/rand.Int31n computes it, and the ⌈2⁶⁴/modK⌉ fixed-point magic
-	// that turns the final modulo into two multiplies. Ready-list lengths
-	// repeat heavily, so the two divisions behind these values are paid
-	// roughly once per length instead of once per delivery.
-	modK    int32
-	modMaxv int32
-	modM    uint64
-	// fast is the in-struct mirror of the seeded generator (see alfg),
-	// captured by NewNetwork and by every reseed and active when fastOK:
-	// scheduler draws then run inline with no interface call, and a warm
-	// Reset with the same seed (pristineSeed) restores fastPristine, the
-	// post-Seed state, with a plain copy. When capture fails, draws go
-	// through src, reseeded by Seed on every Reset.
-	fast         alfg
-	fastPristine alfg
-	fastOK       bool
-	pristineSeed int64
 	// sealed selects the sealed-round scheduler (chosen by Reset, see
 	// sealed.go); every entry point dispatches on it. The fields below it
 	// are that scheduler's state: active lists the cells holding sealed
 	// messages this round, next the cells that turned pending during it,
 	// touched the links that received unsealed messages (the barrier seals
-	// them), and pick is playCell's ready-set scratch. Its draws come from
-	// the generator above.
+	// them), and pick is playCell's ready-set scratch. It draws from rng
+	// too.
 	sealed  bool
 	active  []NodeID
 	next    []NodeID
@@ -414,57 +321,34 @@ type Network struct {
 // NewNetwork creates an empty network on the legacy scheduler with the
 // given determinism seed and a node table of nodes entries, allocated once:
 // ids below nodes register without growing it, and an id at or past it
-// grows the table. The generator mirror is captured here, so a fresh
-// network draws exactly as a reset one does.
+// grows the table. It ends in Reset, so a fresh network draws exactly as a
+// reset one does.
 func NewNetwork(seed int64, nodes int) *Network {
-	n := &Network{src: rand.NewSource(seed), nodes: make([]node, max(nodes, 0))}
+	n := &Network{nodes: make([]node, max(nodes, 0))}
 	n.ctx.net = n
-	n.capture(seed) // NewSource has seeded src already
+	n.Reset(seed, false)
 	return n
 }
 
-// intn replicates math/rand.(*Rand).Intn over the network's source — the
-// exact same values from the exact same number of source draws, minus the
-// wrapper layers the profile showed on the delivery hot path. k is a ready-
-// list length: always ≥ 1 and far below 2³¹, so only the Int31n shape of
-// Intn is needed. Like Intn(1), intn(1) returns 0 but still consumes one
-// draw, so every legacy delivery costs exactly one draw.
+// intn returns a pseudo-random int in [0, k) for k ≥ 1: the 64-bit path of
+// math/rand/v2's Rand.IntN over the network's PCG, inlined (a mask for a
+// power of two, otherwise Lemire's multiply with rejection), so a draw makes
+// no interface call. The two agree draw for draw on 64-bit platforms
+// (TestIntnMatchesMathRand, TestReseedMatchesSeed). Like IntN(1), intn(1)
+// returns 0 but still consumes one draw, so every legacy delivery costs
+// exactly one draw.
 func (n *Network) intn(k int) int {
-	fast := n.fastOK // hoisted: draws below branch without re-loading
-	kk := int32(k)
-	if kk&(kk-1) == 0 { // power of two (including k == 1): mask, one draw
-		var x int64
-		if fast {
-			x = n.fast.next()
-		} else {
-			x = n.src.Int63()
+	u := uint64(k)
+	if u&(u-1) == 0 { // a power of two, k == 1 included: mask
+		return int(n.rng.Uint64() & (u - 1))
+	}
+	hi, lo := bits.Mul64(n.rng.Uint64(), u)
+	if lo < u {
+		thresh := -u % u
+		for lo < thresh {
+			hi, lo = bits.Mul64(n.rng.Uint64(), u)
 		}
-		return int(int32(x>>32) & (kk - 1))
 	}
-	if kk != n.modK {
-		n.modK = kk
-		n.modMaxv = int32((1 << 31) - 1 - (1<<31)%uint32(kk))
-		n.modM = ^uint64(0)/uint64(kk) + 1
-	}
-	var x int64
-	if fast {
-		x = n.fast.next()
-	} else {
-		x = n.src.Int63()
-	}
-	v := int32(x >> 32)
-	for v > n.modMaxv {
-		if fast {
-			x = n.fast.next()
-		} else {
-			x = n.src.Int63()
-		}
-		v = int32(x >> 32)
-	}
-	// v % kk by Lemire's exact fastmod: for kk < 2³² and M = ⌈2⁶⁴/kk⌉,
-	// ((M·v mod 2⁶⁴)·kk) >> 64 == v mod kk for every 32-bit v — two
-	// multiplies instead of a hardware divide on the delivery hot path.
-	hi, _ := bits.Mul64(n.modM*uint64(uint32(v)), uint64(kk))
 	return int(hi)
 }
 
@@ -473,15 +357,15 @@ func (n *Network) intn(k int) int {
 // processes stay, every mailbox keeps its link table and each link keeps
 // its ring-buffer capacity (pending message slots are simply forgotten —
 // they hold no pointers), the ready and round lists are cleared in place,
-// the delivery counters and the bad-send latch are zeroed, and the RNG is
-// reseeded. sealed selects the scheduler of the next episode: the
-// sealed-round scheduler (sealed.go) or the legacy one. Reset is the only
-// place the scheduler changes, and since it discards all pending traffic,
-// neither scheduler ever sees the other's queued messages. A reset network
-// runs bit-for-bit identically to a freshly built one with the same seed,
-// processes and scheduler.
+// the delivery counters and the bad-send latch are zeroed, and the
+// generator is seeded with PCG.Seed(uint64(seed), 0). sealed selects the
+// scheduler of the next episode: the sealed-round scheduler (sealed.go) or
+// the legacy one. Reset is the only place the scheduler changes, and since
+// it discards all pending traffic, neither scheduler ever sees the other's
+// queued messages. A reset network runs bit-for-bit identically to a
+// freshly built one with the same seed, processes and scheduler.
 func (n *Network) Reset(seed int64, sealed bool) {
-	n.reseed(seed)
+	n.rng.Seed(uint64(seed), 0)
 	n.sealed = sealed
 	for b := range n.nodes {
 		n.nodes[b].pend = false
@@ -494,33 +378,6 @@ func (n *Network) Reset(seed int64, sealed bool) {
 	n.delivered = 0
 	n.sent = 0
 	n.badSend = nil
-}
-
-// reseed puts the generator in the same state Seed(seed) would, preferring
-// a copy of the captured post-Seed state when the same seed repeats — the
-// warm sweep engine resets thousands of episodes with one seed, and the copy
-// is ~20x cheaper than math/rand's seed scramble. Otherwise it seeds the
-// source and captures it.
-func (n *Network) reseed(seed int64) {
-	if n.fastOK && n.pristineSeed == seed {
-		n.fast = n.fastPristine
-		return
-	}
-	n.src.Seed(seed)
-	n.capture(seed)
-}
-
-// capture mirrors the source, just seeded with seed, into the generator
-// copy. When capture fails, draws go through the source, which is seeded
-// again because capture spent draws.
-func (n *Network) capture(seed int64) {
-	n.fastOK = captureALFG(n.src, &n.fast)
-	if n.fastOK {
-		n.fastPristine = n.fast
-		n.pristineSeed = seed
-		return
-	}
-	n.src.Seed(seed)
 }
 
 // Add registers a process under id. An id past the node table grows the
